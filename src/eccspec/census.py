@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import kernels
+from .exactalg import IntPolynomial, deflate_root, root_multiplicity
 from .graphs import Graph, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
@@ -234,11 +235,22 @@ def write_store(records, path):
 
 
 def read_store(path):
+    """Records of a census store; a malformed line raises ValueError naming
+    the path and its 1-based line number."""
+    records = []
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return [CensusRecord.from_line(line) for line in fh if line.strip()]
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("ascii")
+                    if line.strip():
+                        records.append(CensusRecord.from_line(line))
+                except (ValueError, IndexError) as exc:
+                    raise ValueError(f"malformed census store {path}, line "
+                                     f"{lineno}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"cannot read census store {path}: {exc}") from exc
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +278,14 @@ def cospectral_mates(records, target: CensusRecord):
 def multiplicity_of(rec: CensusRecord, xi) -> int:
     """Exact multiplicity of any rational xi, answered from the stored
     characteristic polynomial (the record fields cover -1, -2, 0)."""
-    from fractions import Fraction
-
-    from .exactalg import IntPolynomial, root_multiplicity
-
-    return root_multiplicity(IntPolynomial(rec.charpoly), Fraction(xi))
+    return root_multiplicity(IntPolynomial(rec.charpoly), xi)
 
 
 def integer_root_multiplicities(coeffs):
     """All integer roots of the monic ascending-coefficient polynomial with
     their multiplicities, by repeated exact synthetic division."""
     out = {}
-    work = list(coeffs)
-    # strip x^k
-    zero_mult = 0
-    while len(work) > 1 and work[0] == 0:
-        work = work[1:]
-        zero_mult += 1
+    zero_mult, work = deflate_root(coeffs, 0)
     if zero_mult:
         out[0] = zero_mult
     if len(work) <= 1:
@@ -291,18 +294,7 @@ def integer_root_multiplicities(coeffs):
     candidates = sorted({d for d in range(1, tail + 1) if tail % d == 0})
     for base in candidates:
         for r in (base, -base):
-            mult = 0
-            while len(work) > 1:
-                # synthetic division by (x - r), integer-exact for monic input
-                acc = 0
-                quot = []
-                for c in reversed(work[1:]):
-                    acc = acc * r + c
-                    quot.append(acc)
-                if acc * r + work[0] != 0:
-                    break
-                work = quot[::-1]
-                mult += 1
+            mult, work = deflate_root(work, r)
             if mult:
                 out[r] = mult
     return out

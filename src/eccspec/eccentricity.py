@@ -23,7 +23,6 @@ from .exactalg import (
     SymmetricSpectrum,
     bareiss_rank,
     berkowitz_charpoly,
-    inertia_at,
 )
 from .graphs import Graph, Metrics, bfs_metrics, duplicate_classes
 
@@ -106,9 +105,13 @@ def median_positions(n):
 def median_eigenvalue_is(g: Graph, xi):
     """Whether xi occupies the median positions H and L of the eccentricity
     spectrum (eigenvalues ordered decreasingly); returns (at_H, at_L)."""
-    e = ecc_matrix(g)
-    ine = inertia_at(e.m, Fraction(xi))
-    h, l = median_positions(g.n)
+    return spectrum_median_is(SymmetricSpectrum(ecc_matrix(g).m), xi)
+
+
+def spectrum_median_is(spec: SymmetricSpectrum, xi):
+    """``median_eigenvalue_is`` on an already built spectrum."""
+    ine = spec.inertia(xi)
+    h, l = median_positions(spec.n)
     at = lambda pos: ine.n_plus < pos <= ine.n_plus + ine.n_zero
     return at(h), at(l)
 
@@ -116,14 +119,17 @@ def median_eigenvalue_is(g: Graph, xi):
 def hl_index(g: Graph, width=DEFAULT_BRACKET_WIDTH) -> RationalInterval:
     """Enclosure of max(|xi_H|, |xi_L|); a point when both medians are
     certified rational by inertia."""
-    e = ecc_matrix(g)
-    spec = SymmetricSpectrum(e.m)
-    h, l = median_positions(g.n)
+    return median_brackets(SymmetricSpectrum(ecc_matrix(g).m), width)[2]
+
+
+def median_brackets(spec: SymmetricSpectrum, width=DEFAULT_BRACKET_WIDTH):
+    """(bracket of xi_H, bracket of xi_L, HL-index enclosure) of a spectrum."""
+    h, l = median_positions(spec.n)
     bh = spec.bracket(h, width)
     bl = spec.bracket(l, width)
     ah = _abs_interval(bh)
     al = _abs_interval(bl)
-    return RationalInterval(max(ah.lo, al.lo), max(ah.hi, al.hi))
+    return bh, bl, RationalInterval(max(ah.lo, al.lo), max(ah.hi, al.hi))
 
 
 def _abs_interval(iv: RationalInterval) -> RationalInterval:
@@ -138,7 +144,10 @@ def twin_eigenvalue_predictions(g: Graph):
     """Guaranteed eigenvalue lower bounds from duplicate / co-duplicate
     classes: each class of size k forces multiplicity >= k-1 at the
     eigenvalue determined by the class kind and its common eccentricity."""
-    met = bfs_metrics(g)
+    return _twin_predictions(g, bfs_metrics(g))
+
+
+def _twin_predictions(g: Graph, met: Metrics):
     out = []
     for vs, kind in duplicate_classes(g):
         k = len(vs)
@@ -179,13 +188,9 @@ class SpectrumSummary:
 def spectrum_summary(g: Graph, xis=(-2, -1, 0), width=DEFAULT_BRACKET_WIDTH):
     e = ecc_matrix(g)
     spec = SymmetricSpectrum(e.m)
-    h, l = median_positions(g.n)
-    bh = spec.bracket(h, width)
-    bl = spec.bracket(l, width)
-    ah, al = _abs_interval(bh), _abs_interval(bl)
-    hl = RationalInterval(max(ah.lo, al.lo), max(ah.hi, al.hi))
+    bh, bl, hl = median_brackets(spec, width)
     table = {Fraction(x): matrix_multiplicity(e.m, x) for x in xis}
-    return SpectrumSummary(g.n, berkowitz_charpoly(e.m), table, bh, bl, hl)
+    return SpectrumSummary(g.n, spec.charpoly, table, bh, bl, hl)
 
 
 __all__ = [
@@ -196,9 +201,11 @@ __all__ = [
     "hl_index",
     "is_irreducible",
     "matrix_multiplicity",
+    "median_brackets",
     "median_eigenvalue_is",
     "median_positions",
     "multiplicity",
+    "spectrum_median_is",
     "spectrum_summary",
     "twin_eigenvalue_predictions",
 ]

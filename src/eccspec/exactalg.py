@@ -3,13 +3,16 @@ polynomials, inertia at rational shift points, and eigenvalue bracketing.
 
 Every multiplicity question is answered through exact integer or rational
 arithmetic -- fraction-free elimination for rank, the division-free
-Samuelson-Berkowitz recurrence for characteristic polynomials, and symmetric
-rational elimination for inertia.  There is no floating point anywhere.
+Samuelson-Berkowitz recurrence for characteristic polynomials, and Descartes'
+rule of signs on the shifted characteristic polynomial for inertia (exact
+because a symmetric matrix has only real eigenvalues).  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional
 
 DEFAULT_BRACKET_WIDTH = Fraction(1, 2 ** 20)
@@ -271,11 +274,12 @@ def berkowitz_charpoly(m: IntMatrix) -> IntPolynomial:
     c = [1, -rows[0][0]]  # descending-degree coefficients of the 1x1 leading block
     for r in range(1, n):
         top = rows[r][:r]
-        v = [rows[i][r] for i in range(r)]
-        t = [1, -rows[r][r]]
-        for _ in range(r):
-            t.append(-sum(top[i] * v[i] for i in range(r)))
-            v = [sum(rows[i][j] * v[j] for j in range(r)) for i in range(r)]
+        block = [row[:r] for row in rows[:r]]
+        v = [row[r] for row in rows[:r]]
+        t = [1, -rows[r][r], -sum(map(mul, top, v))]
+        for _ in range(r - 1):
+            v = [sum(map(mul, row, v)) for row in block]
+            t.append(-sum(map(mul, top, v)))
         new = []
         for i in range(r + 2):
             s = 0
@@ -287,57 +291,57 @@ def berkowitz_charpoly(m: IntMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# inertia by symmetric rational elimination with 1x1 / 2x2 pivots
+# inertia from the characteristic polynomial (Descartes' rule of signs)
+
+def charpoly_inertia(cp: IntPolynomial, c) -> Inertia:
+    """Eigenvalue counts relative to the rational c = p/q, read off the monic
+    characteristic polynomial cp of a symmetric matrix.
+
+    The integer polynomial R(y) = q^n cp((y + p)/q) has the roots
+    q*xi - p, one per eigenvalue xi, with the signs of xi - c.  It comes from
+    scaling the ascending coefficients to a_k q^(n-k) and an in-place Taylor
+    shift by p, all in Z.  Zero roots are the leading zero coefficients of R;
+    the positive roots of the rest number exactly its coefficient sign
+    changes.  Descartes' rule only bounds that count in general, but here
+    every root is real: if R(0) != 0, the sign changes V(R(y)) and
+    V(R(-y)) bound the positive and negative roots from above and add up to
+    at most deg R, which is exactly the number of roots, so both bounds are
+    attained.  The caller guarantees real-rootedness (cp must come from a
+    symmetric matrix); nothing here can check it.
+    """
+    if not cp.is_monic():
+        raise ValueError("charpoly_inertia requires a monic polynomial")
+    c = Fraction(c)
+    p, q = c.numerator, c.denominator
+    a = list(cp.coeffs)
+    n = len(a) - 1
+    if q != 1:
+        scale = 1
+        for k in range(n, -1, -1):
+            a[k] *= scale
+            scale *= q
+    if p:
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                a[k] += p * a[k + 1]
+    n_zero = 0
+    while not a[n_zero]:
+        n_zero += 1
+    n_plus = 0
+    sign = a[n_zero] > 0
+    for x in a[n_zero + 1:]:
+        if x and (x > 0) != sign:
+            n_plus += 1
+            sign = not sign
+    return Inertia(n_plus, n_zero, n - n_plus - n_zero)
+
 
 def inertia_at(m: IntMatrix, c) -> Inertia:
-    """Eigenvalue counts of the symmetric matrix m relative to the rational c.
-
-    Works on q*M - p*I for c = p/q (positive scaling preserves signs), using
-    symmetric Gaussian elimination with 1x1 pivots on nonzero diagonal entries
-    and 2x2 hyperbolic blocks when the active diagonal vanishes.
-    """
+    """Eigenvalue counts of the symmetric matrix m relative to the rational c,
+    from its characteristic polynomial by ``charpoly_inertia``."""
     if not m.is_symmetric():
         raise ValueError("inertia_at requires a symmetric matrix")
-    c = Fraction(c)
-    q, p = c.denominator, c.numerator
-    n = m.n
-    s = [[Fraction(q * m.rows[i][j] - (p if i == j else 0)) for j in range(n)]
-         for i in range(n)]
-    alive = list(range(n))
-    n_plus = n_minus = n_zero = 0
-    while alive:
-        pivot = next((i for i in alive if s[i][i]), None)
-        if pivot is not None:
-            d = s[pivot][pivot]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            alive.remove(pivot)
-            for a in alive:
-                f = s[a][pivot]
-                if f:
-                    f /= d
-                    for b in alive:
-                        s[a][b] -= f * s[pivot][b]
-            continue
-        pair = next(((i, j) for i in alive for j in alive
-                     if j > i and s[i][j]), None)
-        if pair is None:
-            n_zero += len(alive)
-            break
-        i, j = pair
-        b = s[i][j]
-        n_plus += 1
-        n_minus += 1
-        alive.remove(i)
-        alive.remove(j)
-        for a in alive:
-            sai, saj = s[a][i], s[a][j]
-            if sai or saj:
-                for t in alive:
-                    s[a][t] -= (sai * s[j][t] + saj * s[i][t]) / b
-    return Inertia(n_plus, n_zero, n_minus)
+    return charpoly_inertia(berkowitz_charpoly(m), c)
 
 
 class SymmetricSpectrum:
@@ -347,6 +351,8 @@ class SymmetricSpectrum:
     are half-open rational enclosures (lo, hi] shrunk by bisection on inertia
     counts, starting from integer Gershgorin bounds; a bisection point that
     lands exactly on an eigenvalue certifies it and collapses the bracket.
+    Every inertia query is answered from one characteristic polynomial,
+    computed on first use.
     """
 
     def __init__(self, m: IntMatrix):
@@ -355,6 +361,7 @@ class SymmetricSpectrum:
         self.m = m
         self.n = m.n
         self._inertia = {}
+        self._charpoly = None
         radius = 0
         for i in range(m.n):
             row_sum = sum(abs(x) for x in m.rows[i])
@@ -362,11 +369,17 @@ class SymmetricSpectrum:
         self.lower = -radius - 1
         self.upper = radius
 
+    @property
+    def charpoly(self) -> IntPolynomial:
+        if self._charpoly is None:
+            self._charpoly = berkowitz_charpoly(self.m)
+        return self._charpoly
+
     def inertia(self, c) -> Inertia:
         c = Fraction(c)
         got = self._inertia.get(c)
         if got is None:
-            got = inertia_at(self.m, c)
+            got = charpoly_inertia(self.charpoly, c)
             self._inertia[c] = got
         return got
 
@@ -454,38 +467,39 @@ def poly_divide_exact(num: IntPolynomial,
 def root_multiplicity(p: IntPolynomial, r) -> int:
     """Largest k such that (x - r)^k divides p, for rational r.
 
-    Repeated exact synthetic division; nothing beyond rational arithmetic is
-    ever needed because the division happens only when the remainder p(r)
-    vanishes.
+    Repeated exact synthetic division (``deflate_root``), over int when r is
+    an integer and over Fraction otherwise.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root multiplicities")
     r = Fraction(r)
-    coeffs = [Fraction(c) for c in p.coeffs]
-    mult = 0
-    while len(coeffs) > 1 and p_eval(coeffs, r) == 0:
-        coeffs = _synth_div(coeffs, r)
-        mult += 1
+    if r.denominator == 1:
+        r = r.numerator
+    mult, _ = deflate_root(p.coeffs, r)
     return mult
 
 
-def _synth_div(coeffs, r):
-    """Quotient of the ascending-coefficient polynomial by (x - r); the
-    caller guarantees r is a root."""
-    n = len(coeffs)
-    quot = [Fraction(0)] * (n - 1)
-    acc = Fraction(0)
-    for i in range(n - 1, 0, -1):
-        acc = acc * r + coeffs[i]
-        quot[i - 1] = acc
-    return quot
+def deflate_root(coeffs, r):
+    """(k, quotient): the largest k such that (x - r)^k divides the
+    ascending-coefficient polynomial, and the ascending coefficients of the
+    polynomial divided by (x - r)^k.
 
-
-def p_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    Each synthetic division is kept only when its remainder p(r) vanishes, so
+    integer coefficients and an integer r never leave Z.
+    """
+    work = list(coeffs)
+    mult = 0
+    while len(work) > 1:
+        acc = 0
+        quot = [0] * (len(work) - 1)
+        for i in range(len(work) - 1, 0, -1):
+            acc = acc * r + work[i]
+            quot[i - 1] = acc
+        if acc * r + work[0] != 0:
+            break
+        work = quot
+        mult += 1
+    return mult, work
 
 
 def lagrange_interpolate(points):

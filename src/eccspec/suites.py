@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from . import census as census_mod
 from .eccentricity import (
+    _twin_predictions,
     acharpoly,
     ecc_matrix,
-    hl_index,
     matrix_multiplicity,
-    median_eigenvalue_is,
+    median_brackets,
     multiplicity,
-    twin_eigenvalue_predictions,
+    spectrum_median_is,
 )
 from .exactalg import (
     IntMatrix,
@@ -32,6 +32,7 @@ from .exactalg import (
     bareiss_det,
     bareiss_rank,
     berkowitz_charpoly,
+    charpoly_inertia,
     inertia_at,
     lagrange_interpolate,
     poly_divide_exact,
@@ -699,7 +700,9 @@ def _census_property_checks(rep, census_cache, jobs):
         kn_canon = census_mod.canonical_form(complete(n)).canon
         for rec in recs:
             g = graph6_decode(rec.canon)
-            met = bfs_metrics(g)
+            e = ecc_matrix(g)
+            met = e.metrics
+            cp = IntPolynomial(rec.charpoly)
             k = n - rec.mult_minus1
             if rec.v1_size and rec.diam > 2:
                 bad_levels.append(rec.canon)
@@ -716,17 +719,16 @@ def _census_property_checks(rep, census_cache, jobs):
                 bad_diam_bound.append(rec.canon)
             if rec.mult_minus1 == n - 5 and not 2 <= rec.diam <= 4:
                 bad_diam_bound.append(rec.canon)
-            e = ecc_matrix(g)
-            for xi, lower in twin_eigenvalue_predictions(g):
+            for xi, lower in _twin_predictions(g, met):
                 if matrix_multiplicity(e.m, xi) < lower:
                     bad_twins.append((rec.canon, str(xi)))
-            ine = inertia_at(e.m, -1)
+            ine = charpoly_inertia(cp, -1)
             if ((ine.n_minus == 0 and ine.n_zero >= 1)
                     != (rec.canon == kn_canon)):
                 bad_minimum.append(rec.canon)
-            if inertia_at(e.m, 0).n_plus == 1 and not is_mixed_star_shape(g):
+            if (charpoly_inertia(cp, 0).n_plus == 1
+                    and not is_mixed_star_shape(g)):
                 bad_onepos.append(rec.canon)
-            cp = IntPolynomial(rec.charpoly)
             if (root_multiplicity(cp, -1) != rec.mult_minus1
                     or root_multiplicity(cp, -2) != rec.mult_minus2
                     or root_multiplicity(cp, 0) != rec.mult_zero):
@@ -812,10 +814,11 @@ def suite_median(n_values=(20,)):
     rep = VerificationReport("median", {"n": list(n_values)})
     for n in n_values:
         for name, g in theorem1_families(n):
-            at_h, at_l = median_eigenvalue_is(g, -1)
+            spec = SymmetricSpectrum(ecc_matrix(g).m)
+            at_h, at_l = spectrum_median_is(spec, -1)
             rep.check("both median eigenvalues equal -1",
                       f"n={n} {name}", (True, True), (at_h, at_l))
-            iv = hl_index(g)
+            iv = median_brackets(spec)[2]
             rep.check("the HL index is exactly 1",
                       f"n={n} {name}", "[1, 1]", f"[{iv.lo}, {iv.hi}]")
     return rep

@@ -189,6 +189,15 @@ class TestClassify:
         with pytest.raises(OSError, match="no/such"):
             census.read_store(tmp_path / "no" / "such.tsv")
 
+    def test_malformed_store_line_names_path_and_line(self, tmp_path):
+        good = census.classify(4)[0].to_line()
+        for bad in ("C~\t4,1", "C~\t4,x,0,0,0,0,\t1,0", "C~\t4,1,0,0,0,0\t1",
+                    "C\xe9\t4,1,0,0,0,0,\t1"):
+            path = tmp_path / "bad.tsv"
+            path.write_bytes(f"{good}\n\n{bad}\n".encode("latin-1"))
+            with pytest.raises(ValueError, match=r"bad\.tsv, line 3"):
+                census.read_store(path)
+
     def test_parallel_matches_serial(self):
         serial = census.classify(6, jobs=1)
         parallel = census.classify(6, jobs=2)

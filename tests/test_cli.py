@@ -130,6 +130,19 @@ class TestCensusAndQuery:
         code, _, err = run(capsys, "query", str(store), "n~5")
         assert code == 2
 
+    def test_query_malformed_store_names_line(self, capsys, tmp_path):
+        store = tmp_path / "c4.tsv"
+        run(capsys, "census", "4", "--store", str(store))
+        with open(store, "a", encoding="ascii") as fh:
+            fh.write("C~\tnot,a,record\n")
+        code, _, err = run(capsys, "query", str(store), "n=4")
+        assert code == 2 and "c4.tsv, line 7" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_census_rejects_nonpositive_jobs(self, capsys, jobs):
+        code, _, err = run(capsys, "census", "4", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and "at least 1" in err
+
     def test_census_oversize_is_usage_error(self, capsys):
         code, _, err = run(capsys, "census", "11")
         assert code == 2
@@ -160,6 +173,12 @@ class TestVerifyCommand:
     def test_verify_out_of_range_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "thm1-ii", "--n", "12")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_verify_rejects_nonpositive_jobs(self, capsys, jobs):
+        code, _, err = run(capsys, "verify", "thm1-i", "--n", "4",
+                           "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and "at least 1" in err
 
     def test_no_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "")

@@ -16,6 +16,8 @@ from eccspec.exactalg import (
     bareiss_det,
     bareiss_rank,
     berkowitz_charpoly,
+    charpoly_inertia,
+    deflate_root,
     eigenvalue_bracket,
     inertia_at,
     lagrange_interpolate,
@@ -25,6 +27,7 @@ from eccspec.exactalg import (
 
 A_P4 = IntMatrix([[0, 0, 2, 3], [0, 0, 0, 2], [2, 0, 0, 0], [3, 2, 0, 0]])
 A_K5 = IntMatrix([[int(i != j) for j in range(5)] for i in range(5)])
+ADJ_P4 = IntMatrix([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
 
 
 def random_symmetric(rng, n, bound=5):
@@ -146,6 +149,81 @@ class TestInertia:
             assert all(a >= b for a, b in zip(plus, plus[1:]))
 
 
+def sympy_inertia(m, c):
+    """Inertia from sympy's own charpoly and Sturm-sequence real-root counts;
+    count_roots counts distinct roots, so multiplicities come from a
+    square-free factorization."""
+    x = sympy.Symbol("x")
+    c = sympy.Rational(c.numerator, c.denominator)
+    _, factors = sympy.Matrix([list(r) for r in m.rows]).charpoly(x).sqf_list()
+    plus = zero = 0
+    for f, k in factors:
+        at = f.count_roots(c, c)
+        zero += k * at
+        plus += k * (f.count_roots(c, None) - at)
+    return Inertia(plus, zero, m.n - plus - zero)
+
+
+class TestInertiaOracle:
+    def test_matches_sturm_counts_at_integer_shifts(self):
+        rng = random.Random(21)
+        for _ in range(100):
+            m = random_symmetric(rng, rng.randint(1, 12), rng.choice((1, 3, 5)))
+            for c in {rng.randint(-6, 6), rng.choice(m.rows[0]), 0, -1}:
+                c = Fraction(c)
+                assert inertia_at(m, c) == sympy_inertia(m, c), (m, c)
+
+    def test_matches_sturm_counts_at_rational_shifts(self):
+        rng = random.Random(22)
+        for _ in range(100):
+            m = random_symmetric(rng, rng.randint(1, 12))
+            for _ in range(3):
+                q = rng.randint(2, 2 ** 20)
+                c = Fraction(rng.randint(-8 * q, 8 * q), q)
+                assert inertia_at(m, c) == sympy_inertia(m, c), (m, c)
+
+    def test_repeated_eigenvalue_at_shift(self):
+        for n in range(1, 9):
+            kn = IntMatrix([[int(i != j) for j in range(n)] for i in range(n)])
+            assert inertia_at(kn, -1) == Inertia(1, n - 1, 0)
+
+    def test_zero_diagonal_adjacency(self):
+        # zero diagonal at the shift: symmetric elimination needs 2x2 pivots
+        assert inertia_at(ADJ_P4, 0) == Inertia(2, 0, 2)
+        assert inertia_at(ADJ_P4, 0) == sympy_inertia(ADJ_P4, Fraction(0))
+
+    def test_empty_and_single(self):
+        assert inertia_at(IntMatrix([]), 0) == Inertia(0, 0, 0)
+        assert inertia_at(IntMatrix([]), Fraction(-7, 3)) == Inertia(0, 0, 0)
+        one = IntMatrix([[3]])
+        assert inertia_at(one, 3) == Inertia(0, 1, 0)
+        assert inertia_at(one, Fraction(5, 2)) == Inertia(1, 0, 0)
+        assert inertia_at(one, 4) == Inertia(0, 0, 1)
+
+    def test_charpoly_inertia_needs_monic(self):
+        with pytest.raises(ValueError):
+            charpoly_inertia(IntPolynomial([1, 2]), 0)
+
+    def test_spectrum_runs_berkowitz_once(self, monkeypatch):
+        import eccspec.exactalg as exactalg
+
+        calls = []
+        real = exactalg.berkowitz_charpoly
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(exactalg, "berkowitz_charpoly", counting)
+        rng = random.Random(23)
+        m = random_symmetric(rng, 9)
+        spec = SymmetricSpectrum(m)
+        for i in range(1, m.n + 1):
+            spec.bracket(i)
+        spec.count_gt(Fraction(1, 3))
+        assert len(calls) == 1
+
+
 class TestBrackets:
     def test_k5_third_eigenvalue_is_exactly_minus_one(self):
         iv = eigenvalue_bracket(A_K5, 3)
@@ -222,6 +300,13 @@ class TestPolynomials:
         assert root_multiplicity(IntPolynomial([16, 0, -17, 0, 1]), -1) == 1
         assert root_multiplicity(IntPolynomial([16, 0, -17, 0, 1]), 7) == 0
         assert root_multiplicity(IntPolynomial([-1, 2]), Fraction(1, 2)) == 1
+
+    def test_deflate_root_stays_in_integers(self):
+        mult, quot = deflate_root((-2, -3, 0, 1), -1)
+        assert (mult, quot) == (2, [-2, 1])
+        assert all(type(c) is int for c in quot)
+        assert root_multiplicity(IntPolynomial([-2, -3, 0, 1]),
+                                 Fraction(-1)) == 2
 
     def test_root_multiplicity_rejects_zero(self):
         with pytest.raises(ValueError):
