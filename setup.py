@@ -1,8 +1,13 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernel extension.
 
-The package is fully functional without it (a pure-Python fallback is
-selected at import), but the census-scale checks need the compiled kernels to
-meet their stated time budgets.  Set ECCSPEC_PURE=1 to skip compilation.
+``eccspec._kernels`` is one hand-written C file, ``src/eccspec/_kernels.c``,
+built with the system C compiler (it needs ``__int128``, as gcc and clang
+provide); there is no code generator.  ``python setup.py build_ext --inplace``
+puts the module next to the sources, where the tests and ``PYTHONPATH=src``
+pick it up.  The package is fully functional without it (a pure-Python
+fallback is selected at import), but the census-scale checks need the
+compiled kernels to meet their stated time budgets.  Set ECCSPEC_PURE=1 to
+skip compilation.
 """
 
 import os
@@ -11,19 +16,8 @@ from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("ECCSPEC_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension(
-                "eccspec._kernels",
-                ["src/eccspec/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
+    ext_modules = [Extension("eccspec._kernels", ["src/eccspec/_kernels.c"],
+                             extra_compile_args=["-O3"])]
 
 # the explicit src mapping and entry point keep legacy (pre-PEP-660)
 # editable installs working; modern setuptools reads the same from pyproject

@@ -17,6 +17,7 @@ their placed-adjacency histories are merged.
 BACKEND = "pure-python"
 
 _STATE_CAP = 500_000
+_MAXN_CANON = 16
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
@@ -29,7 +30,7 @@ def _bits(mask):
         mask ^= low
 
 
-def bfs_dist_row(n, adj, src):
+def _dist_row(n, adj, src):
     """Distances from src; UNREACHABLE for vertices in other components."""
     dist = [UNREACHABLE] * n
     dist[src] = 0
@@ -51,7 +52,7 @@ def bfs_dist_row(n, adj, src):
 
 def all_pairs_dist(n, adj):
     """n x n hop-distance matrix as a list of rows (UNREACHABLE sentinel)."""
-    return [bfs_dist_row(n, adj, v) for v in range(n)]
+    return [_dist_row(n, adj, v) for v in range(n)]
 
 
 def is_connected(n, adj):
@@ -163,6 +164,24 @@ def children_canon(n, adj):
         cadj.append(sub)
         res.append(canon_bits(n + 1, cadj))
     return res
+
+
+def bits_to_adj(n, bits):
+    """Adjacency rows of the graph whose packed lower triangle is ``bits``
+    (the ``canon_bits`` and graph6 bit order)."""
+    if not 1 <= n <= _MAXN_CANON:
+        raise ValueError(f"bits_to_adj supports 1 <= n <= {_MAXN_CANON}")
+    idx = n * (n - 1) // 2
+    if bits < 0 or bits >> idx:
+        raise ValueError(f"bit form out of range for n={n}")
+    rows = [0] * n
+    for col in range(1, n):
+        for row in range(col):
+            idx -= 1
+            if (bits >> idx) & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+    return rows
 
 
 def _ecc_entries(n, dist):

@@ -57,16 +57,7 @@ def bits_to_graph6(n, bits) -> str:
 
 
 def bits_to_graph(n, bits) -> Graph:
-    nbits = n * (n - 1) // 2
-    rows = [0] * n
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if (bits >> (nbits - 1 - idx)) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            idx += 1
-    return Graph.from_adj(rows)
+    return Graph.from_adj(kernels.bits_to_adj(n, bits))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -97,8 +88,8 @@ def _enum_chunk(args):
     n_parent, parents = args
     out = set()
     for bits in parents:
-        g = bits_to_graph(n_parent, bits)
-        out.update(kernels.children_canon(n_parent, g.adj))
+        out.update(kernels.children_canon(
+            n_parent, kernels.bits_to_adj(n_parent, bits)))
     return out
 
 
@@ -178,11 +169,8 @@ class CensusRecord:
 
 def _classify_chunk(args):
     n, bits_list = args
-    out = []
-    for bits in bits_list:
-        g = bits_to_graph(n, bits)
-        out.append((bits, kernels.census_stats(n, g.adj)))
-    return out
+    return [(bits, kernels.census_stats(n, kernels.bits_to_adj(n, bits)))
+            for bits in bits_list]
 
 
 def family_tag_map(n):

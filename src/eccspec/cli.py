@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (all checks passing), 1 when a verification check
-fails, 2 on usage errors.  Graph arguments are graph6 strings, or paths to
-edge-list files ("n=<count>" header, one "u v" pair per line, 0-indexed).
+fails or a resource limit is hit (the canonical-search state cap), 2 on usage
+errors.  Graph arguments are graph6 strings, or paths to edge-list files
+("n=<count>" header, one "u v" pair per line, 0-indexed).
 Polynomials print as comma-separated coefficients in descending degree order
 (so "1,0,-17,0,16" is x^4 - 17x^2 + 16).
 """
@@ -371,7 +372,7 @@ def cli_main(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,7 @@ def ecc_matrix(g: Graph) -> EccMatrix:
             if d == min(met.ecc[u], met.ecc[v]):
                 rows[u][v] = d
                 rows[v][u] = d
-    return EccMatrix(g, met, IntMatrix(rows))
+    return EccMatrix(g, met, IntMatrix._trusted(tuple(map(tuple, rows))))
 
 
 def multiplicity(g: Graph, xi) -> int:

@@ -31,6 +31,15 @@ class IntMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, rows):
+        """Wrap a square tuple of int tuples as is: no conversion, no checks.
+        Only for rows the caller built itself from ints."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "n", len(rows))
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 

@@ -18,8 +18,8 @@ BACKEND = _impl.BACKEND
 UNREACHABLE = _impl.UNREACHABLE
 
 all_pairs_dist = _impl.all_pairs_dist
-bfs_dist_row = _impl.bfs_dist_row
 is_connected = _impl.is_connected
 canon_bits = _impl.canon_bits
 children_canon = _impl.children_canon
+bits_to_adj = _impl.bits_to_adj
 census_stats = _impl.census_stats

@@ -1,11 +1,33 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from eccspec import census
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def pytest_configure(config):
+    """Build the C kernel extension in place before any test imports
+    eccspec, so the suite runs (and parity-tests) the compiled backend.
+    setuptools skips the compile when the module is newer than its source.
+    ECCSPEC_PURE=1 or ECCSPEC_KERNELS=py skip the build."""
+    if os.environ.get("ECCSPEC_PURE") == "1" or \
+            os.environ.get("ECCSPEC_KERNELS") == "py":
+        return
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode != 0:
+        raise pytest.UsageError(
+            "building the C kernel extension failed:\n" + proc.stdout)
 
 
 @pytest.fixture(scope="session")
 def census_records():
     """Session-wide cache of classified census levels, keyed by order."""
+    from eccspec import census
+
     cache = {}
 
     def get(n):

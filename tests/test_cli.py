@@ -147,6 +147,17 @@ class TestCensusAndQuery:
         code, _, err = run(capsys, "census", "11")
         assert code == 2
 
+    def test_canonical_state_cap_is_clean_error(self, capsys, monkeypatch):
+        from eccspec import kernels
+
+        def explode(n, adj):
+            raise RuntimeError("canonical labeling state explosion")
+
+        monkeypatch.setattr(kernels, "canon_bits", explode)
+        code, out, err = run(capsys, "census", "4")
+        assert code == 1 and out == ""
+        assert err.strip() == "error: canonical labeling state explosion"
+
 
 class TestVerifyCommand:
     def test_verify_pass_exit_zero(self, capsys):

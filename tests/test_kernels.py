@@ -1,18 +1,33 @@
 """Backend parity: the compiled kernels must agree with the pure-Python
-reference, and both must agree with the arbitrary-precision library path."""
+reference, and both must agree with the arbitrary-precision library path.
 
+The compiled module is imported directly, so a missing or broken build fails
+these tests rather than skipping them (conftest builds it in place).  Only
+ECCSPEC_PURE=1, which asks for no extension at all, skips them.
+"""
+
+import os
 import random
 
 import pytest
 
+if os.environ.get("ECCSPEC_PURE") == "1":
+    pytest.skip("ECCSPEC_PURE=1: no compiled extension", allow_module_level=True)
+
+import eccspec._kernels as compiled  # noqa: E402
 import eccspec._kernels_py as pure
 from eccspec import kernels
 from eccspec.eccentricity import ecc_matrix, matrix_multiplicity
 from eccspec.exactalg import berkowitz_charpoly
-from eccspec.graphs import Graph, bfs_metrics, is_connected
-
-compiled = pytest.importorskip(
-    "eccspec._kernels", reason="compiled kernel extension not built")
+from eccspec.graphs import (
+    Graph,
+    bfs_metrics,
+    complete,
+    complete_multipartite,
+    cycle,
+    is_connected,
+    path,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -31,7 +46,6 @@ def census_sample(max_n=6):
 
 class TestBackendParity:
     def test_backend_selection(self):
-        import os
         if os.environ.get("ECCSPEC_KERNELS") == "py":
             assert kernels.BACKEND == "pure-python"
         else:
@@ -67,13 +81,90 @@ class TestBackendParity:
             assert compiled.is_connected(g.n, g.adj) == \
                 pure.is_connected(g.n, g.adj)
 
+    def test_bits_to_adj_agree_and_invert_canon(self):
+        rng = random.Random(59)
+        for n in range(1, 17):
+            nbits = n * (n - 1) // 2
+            for _ in range(20):
+                bits = rng.getrandbits(nbits) if nbits else 0
+                rows = compiled.bits_to_adj(n, bits)
+                assert rows == pure.bits_to_adj(n, bits)
+                canon = compiled.canon_bits(n, rows)
+                assert compiled.canon_bits(
+                    n, compiled.bits_to_adj(n, canon)) == canon
+            for mod in (compiled, pure):
+                for bad in (-1, 1 << nbits):
+                    with pytest.raises(ValueError):
+                        mod.bits_to_adj(n, bad)
+
     def test_canon_agrees_on_symmetric_graphs(self):
-        from eccspec.graphs import complete, cycle, complete_multipartite
         for g in (complete(9), cycle(9), cycle(10),
                   complete_multipartite((3, 3, 3)),
                   complete_multipartite((2, 2, 2, 2))):
             assert compiled.canon_bits(g.n, g.adj) == \
                 pure.canon_bits(g.n, g.adj)
+
+
+def spider(legs):
+    """A center with one pendant path of each given length."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
+def lollipop(clique, tail):
+    """K_clique with a path of `tail` further vertices hung from vertex 0."""
+    n = clique + tail
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(0 if i == clique else i - 1, i) for i in range(clique, n)]
+    return Graph(n, edges)
+
+
+def barbell(clique, bridge):
+    """Two copies of K_clique joined by a path through `bridge` vertices."""
+    n = 2 * clique + bridge
+    edges = [(u, v) for base in (0, clique + bridge)
+             for u in range(base, base + clique)
+             for v in range(u + 1, base + clique)]
+    chain = [clique - 1] + list(range(clique, clique + bridge)) + \
+        [clique + bridge]
+    edges += list(zip(chain, chain[1:]))
+    return Graph(n, edges)
+
+
+#: n=10 inputs at the extremes of the int128 bound in _kernels.c: the
+#: largest diameter (P10), the cycle, the densest graph, the star, and long
+#: spiders, a lollipop and barbells whose eccentricity matrices carry large
+#: entries in many rows
+EXTREME_N10 = {
+    "P10": path(10),
+    "C10": cycle(10),
+    "K10": complete(10),
+    "K1,9": complete_multipartite((1, 9)),
+    "S(3,3,3)": spider((3, 3, 3)),
+    "S(2,2,2,2,1)": spider((2, 2, 2, 2, 1)),
+    "lollipop(4,6)": lollipop(4, 6),
+    "barbell(4,2)": barbell(4, 2),
+    "barbell(3,4)": barbell(3, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_N10))
+def test_int128_bound_inputs_match_bigint_route(name):
+    g = EXTREME_N10[name]
+    assert g.n == 10 and is_connected(g)
+    got = compiled.census_stats(g.n, g.adj)
+    assert got == pure.census_stats(g.n, g.adj)
+    diam, v1, m1, m2, m0, coeffs = got
+    e = ecc_matrix(g).m
+    assert diam == bfs_metrics(g).diam
+    for xi, m in ((-1, m1), (-2, m2), (0, m0)):
+        assert m == matrix_multiplicity(e, xi)
+    assert list(coeffs) == berkowitz_charpoly(e).ascending_list()
 
 
 class TestKernelVsLibrary:
