@@ -1,10 +1,14 @@
 """Pure-Python kernels: BFS distances, canonical labeling, census invariants.
 
-This module is the reference implementation of the hot-path kernels.  The
-compiled extension ``eccspec._kernels`` implements the same functions with the
-same semantics; ``eccspec.kernels`` picks whichever is importable.  Everything
-here works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj``
-of n ints where bit j of ``adj[i]`` is set iff ij is an edge.
+This module is the reference implementation of the BFS and canonical-labeling
+kernels.  The compiled extension ``eccspec._kernels`` implements the same
+functions with the same semantics; ``eccspec.kernels`` picks whichever is
+importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
+characteristic polynomial from ``exactalg``, and the largest-distance matrix
+from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
+too).  Everything here works on adjacency *bitsets*: a graph on n vertices is
+a sequence ``adj`` of n ints where bit j of ``adj[i]`` is set iff ij is an
+edge.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -13,6 +17,8 @@ tractable: twin candidates (equal open or closed neighborhoods) collapse to a
 single branch, and frontier states that agree on the remaining vertices and
 their placed-adjacency histories are merged.
 """
+
+from .exactalg import IntMatrix, bareiss_rank, berkowitz_charpoly
 
 BACKEND = "pure-python"
 
@@ -56,18 +62,7 @@ def all_pairs_dist(n, adj):
 
 
 def is_connected(n, adj):
-    if n == 0:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << n) - 1
+    return n > 0 and UNREACHABLE not in _dist_row(n, adj, 0)
 
 
 def _wl_colors(n, adj):
@@ -184,76 +179,14 @@ def bits_to_adj(n, bits):
     return rows
 
 
-def _ecc_entries(n, dist):
-    """Eccentricities and the largest-distance matrix rows; requires connected."""
-    ecc = [max(row) for row in dist]
-    mat = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = dist[u][v]
-            if d == min(ecc[u], ecc[v]):
-                mat[u][v] = d
-                mat[v][u] = d
-    return ecc, mat
-
-
-def _rank(n, mat):
-    """Rank over the rationals by fraction-free elimination (full pivoting)."""
-    a = [row[:] for row in mat]
-    prev = 1
-    rank = 0
-    for k in range(n):
-        pr = pc = -1
-        for i in range(k, n):
-            for j in range(k, n):
-                if a[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-        rank += 1
-    return rank
-
-
-def _charpoly(n, mat):
-    """det(xI - M) by the division-free Samuelson-Berkowitz recurrence.
-
-    Returns coefficients in ascending degree order, length n+1, monic.
-    """
-    if n == 0:
-        return [1]
-    c = [1, -mat[0][0]]  # descending-degree coefficients, leading first
-    for r in range(1, n):
-        a_rr = mat[r][r]
-        row = mat[r][:r]
-        colv = [mat[i][r] for i in range(r)]
-        t = [1, -a_rr]
-        v = colv
-        for _ in range(r):
-            t.append(-sum(row[i] * v[i] for i in range(r)))
-            v = [sum(mat[i][j] * v[j] for j in range(r)) for i in range(r)]
-        new = []
-        for i in range(r + 2):
-            s = 0
-            for j in range(max(0, i - r - 1), min(i, r) + 1):
-                s += t[i - j] * c[j]
-            new.append(s)
-        c = new
-    return c[::-1]
+def ecc_rows(dist, ecc):
+    """Rows of the largest-distance matrix of a connected graph, from its
+    distance rows and eccentricities: entry d(u,v) iff d(u,v) equals
+    min(ecc(u), ecc(v)), else 0.  As d(u,v) never exceeds either
+    eccentricity, that is d(u,v) equal to ecc(u) or to ecc(v)."""
+    return tuple(tuple([d if d == eu or d == ev else 0
+                        for d, ev in zip(row, ecc)])
+                 for row, eu in zip(dist, ecc))
 
 
 def census_stats(n, adj):
@@ -265,13 +198,10 @@ def census_stats(n, adj):
     dist = all_pairs_dist(n, adj)
     if any(UNREACHABLE in row for row in dist):
         raise ValueError("census_stats requires a connected graph")
-    ecc, mat = _ecc_entries(n, dist)
-    diam = max(ecc)
-    v1 = sum(1 for e in ecc if e == 1)
-    shifted1 = [[mat[i][j] + (i == j) for j in range(n)] for i in range(n)]
-    shifted2 = [[mat[i][j] + 2 * (i == j) for j in range(n)] for i in range(n)]
-    m1 = n - _rank(n, shifted1)
-    m2 = n - _rank(n, shifted2)
-    m0 = n - _rank(n, mat)
-    coeffs = tuple(_charpoly(n, mat))
-    return diam, v1, m1, m2, m0, coeffs
+    ecc = [max(row) for row in dist]
+    mat = IntMatrix._trusted(ecc_rows(dist, ecc))
+    m1 = n - bareiss_rank(mat.shifted(1, -1))
+    m2 = n - bareiss_rank(mat.shifted(1, -2))
+    m0 = n - bareiss_rank(mat)
+    coeffs = berkowitz_charpoly(mat).coeffs
+    return max(ecc), ecc.count(1), m1, m2, m0, coeffs

@@ -15,13 +15,12 @@ characteristic-polynomial coefficients.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import kernels
 from .exactalg import IntPolynomial, deflate_root, root_multiplicity
-from .graphs import Graph, theorem1_families
+from .graphs import Graph, bits_to_graph6, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
 CANONICAL_LIMIT = 16
@@ -33,27 +32,9 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical graph6 string plus a derived 64-bit hash.
-
-    Equal canonical forms iff isomorphic graphs; the hash is for cheap
-    bucketing only and every collision is confirmed against the full form.
-    """
+    """Canonical graph6 string: equal canonical forms iff isomorphic graphs."""
 
     canon: str
-    hash64: int
-
-
-def bits_to_graph6(n, bits) -> str:
-    """graph6 string of a packed lower-triangle bit form (the canonical bit
-    order and the graph6 data bit order coincide)."""
-    nbits = n * (n - 1) // 2
-    pad = (-nbits) % 6
-    val = bits << pad
-    groups = (nbits + 5) // 6
-    chars = [chr(n + 63)]
-    for i in range(groups - 1, -1, -1):
-        chars.append(chr(((val >> (6 * i)) & 63) + 63))
-    return "".join(chars)
 
 
 def bits_to_graph(n, bits) -> Graph:
@@ -64,12 +45,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Deterministic canonical labeling by iterated neighborhood refinement
     and backtracking over the remaining cell orderings, minimizing the
     adjacency bit string."""
-    if g.n > CANONICAL_LIMIT:
-        raise ValueError(f"canonical labeling supports n <= {CANONICAL_LIMIT}")
-    bits = kernels.canon_bits(g.n, g.adj)
-    s = bits_to_graph6(g.n, bits)
-    h = int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")
-    return CanonicalForm(s, h)
+    return CanonicalForm(bits_to_graph6(g.n, canonical_bits(g)))
 
 
 def canonical_bits(g: Graph) -> int:
@@ -137,11 +113,6 @@ class CensusRecord:
     mult_zero: int
     charpoly: tuple  # ascending integer coefficients, length n+1
     family_tags: tuple
-
-    @property
-    def charpoly_digest(self) -> str:
-        payload = ",".join(map(str, self.charpoly)).encode()
-        return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
     def to_line(self) -> str:
         inv = ",".join([

@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success (all checks passing), 1 when a verification check
 fails or a resource limit is hit (the canonical-search state cap), 2 on usage
-errors.  Graph arguments are graph6 strings, or paths to edge-list files
+errors: bad flags, an unreadable or disconnected graph argument, a bad family
+id or query predicate, a malformed census store, an order out of range.  An
+error inside the library is not a usage error; it propagates as a traceback.
+Graph arguments are graph6 strings, or paths to edge-list files
 ("n=<count>" header, one "u v" pair per line, 0-indexed).
 Polynomials print as comma-separated coefficients in descending degree order
 (so "1,0,-17,0,16" is x^4 - 17x^2 + 16).
@@ -26,6 +29,7 @@ from .graphs import (
     build_family,
     graph6_decode,
     graph6_encode,
+    is_connected,
     parse_edge_list,
 )
 
@@ -37,17 +41,23 @@ class UsageError(Exception):
 
 
 def _load_graph(text) -> Graph:
+    """The connected graph an argument names; every graph command needs one."""
     if os.path.exists(text):
         try:
             with open(text, "r", encoding="utf-8") as fh:
-                return parse_edge_list(fh.read())
+                g = parse_edge_list(fh.read())
         except (ValueError, OSError) as exc:
             raise UsageError(f"cannot read edge-list file {text!r}: {exc}")
-    try:
-        return graph6_decode(text)
-    except ValueError as exc:
-        raise UsageError(f"argument {text!r} is neither a graph6 string nor "
-                         f"an existing edge-list file: {exc}")
+    else:
+        try:
+            g = graph6_decode(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {text!r} is neither a graph6 string "
+                             f"nor an existing edge-list file: {exc}")
+    if not is_connected(g):
+        raise UsageError(f"graph {text!r} is not connected; the eccentricity "
+                         "matrix needs a connected graph")
+    return g
 
 
 def _parse_family(text) -> FamilyId:
@@ -244,8 +254,12 @@ def _cmd_hl(args):
 
 
 def _cmd_family(args):
-    g = build_family(_parse_family(args.id))
-    print(graph6_encode(g).decode("ascii"))
+    fid = _parse_family(args.id)
+    try:
+        text = graph6_encode(build_family(fid)).decode("ascii")
+    except ValueError as exc:
+        raise UsageError(f"cannot build family {args.id!r}: {exc}")
+    print(text)
     return 0
 
 
@@ -277,7 +291,10 @@ def _cmd_query(args):
     store = args.store
     if not os.path.exists(store):
         raise UsageError(f"census store {store!r} does not exist")
-    records = census_mod.read_store(store)
+    try:
+        records = census_mod.read_store(store)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     preds = _parse_predicates(args.predicates)
     hits = [r for r in records if _match(r, preds)]
     out = []
@@ -367,9 +384,6 @@ def cli_main(argv) -> int:
     try:
         return handlers[args.command](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError) as exc:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
+from ._kernels_py import ecc_rows
 from .exactalg import (
     DEFAULT_BRACKET_WIDTH,
     IntMatrix,
@@ -41,16 +43,7 @@ def ecc_matrix(g: Graph) -> EccMatrix:
     met = bfs_metrics(g)
     if met.diam < 0:
         raise ValueError("eccentricity matrix requires a connected graph")
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for u in range(n):
-        du = met.dist[u]
-        for v in range(u + 1, n):
-            d = du[v]
-            if d == min(met.ecc[u], met.ecc[v]):
-                rows[u][v] = d
-                rows[v][u] = d
-    return EccMatrix(g, met, IntMatrix._trusted(tuple(map(tuple, rows))))
+    return EccMatrix(g, met, IntMatrix._trusted(ecc_rows(met.dist, met.ecc)))
 
 
 def multiplicity(g: Graph, xi) -> int:
@@ -74,27 +67,9 @@ def acharpoly(g: Graph) -> IntPolynomial:
 def is_irreducible(e: EccMatrix) -> bool:
     """True iff the nonzero-support graph of the matrix is connected, which
     for symmetric matrices is exactly irreducibility."""
-    n = e.m.n
-    if n == 1:
-        return True
-    support = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and e.m[u, v]:
-                support[u] |= 1 << v
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        mask = frontier
-        while mask:
-            low = mask & -mask
-            nxt |= support[low.bit_length() - 1]
-            mask ^= low
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << n) - 1
+    support = [sum(1 << v for v, x in enumerate(row) if x and v != u)
+               for u, row in enumerate(e.m.rows)]
+    return kernels.is_connected(e.m.n, support)
 
 
 def median_positions(n):

@@ -12,7 +12,6 @@ tests are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels
 
@@ -374,20 +373,32 @@ def is_mixed_star_shape(g: Graph) -> bool:
     if met.diam != 2 or not met.level(1):
         return False
     rest = set(range(g.n)) - met.level(1)
-    while rest:
-        comp = {min(rest)}
-        stack = [min(rest)]
-        while stack:
-            for u in g.neighbors(stack.pop()):
-                if u in rest and u not in comp:
+    return all(is_clique(g, comp) for comp in components(g, rest))
+
+
+def components(g: Graph, vertices):
+    """Connected components of the subgraph induced on ``vertices``, each a
+    sorted list, ordered by their least vertex."""
+    verts = set(vertices)
+    comps = []
+    while verts:
+        start = min(verts)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for u in g.neighbors(frontier.pop()):
+                if u in verts and u not in comp:
                     comp.add(u)
-                    stack.append(u)
-        comp = sorted(comp)
-        if not all(g.has_edge(u, v) for i, u in enumerate(comp)
-                   for v in comp[i + 1:]):
-            return False
-        rest -= set(comp)
-    return True
+                    frontier.append(u)
+        comps.append(sorted(comp))
+        verts -= comp
+    return comps
+
+
+def is_clique(g: Graph, vertices):
+    """Whether the listed vertices are pairwise adjacent."""
+    return all(g.has_edge(u, v) for i, u in enumerate(vertices)
+               for v in vertices[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +427,30 @@ def duplicate_classes(g: Graph):
 # ---------------------------------------------------------------------------
 # graph6 codec (n <= 62, single-byte size header)
 
+def bits_to_graph6(n, bits) -> str:
+    """graph6 string of a packed lower-triangle bit form (the canonical bit
+    order and the graph6 data bit order coincide)."""
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    val = bits << pad
+    groups = (nbits + 5) // 6
+    chars = [chr(n + 63)]
+    for i in range(groups - 1, -1, -1):
+        chars.append(chr(((val >> (6 * i)) & 63) + 63))
+    return "".join(chars)
+
+
 def graph6_encode(g: Graph) -> bytes:
     """Standard graph6: size byte n+63, then the upper-triangle bits in
     column order packed big-endian into 6-bit groups, each group +63."""
     n = g.n
     if n > 62:
         raise ValueError("graph6 single-byte header supports n <= 62")
-    bits = []
+    bits = 0
     for col in range(1, n):
         for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [n + 63]
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i:i + 6]:
-            group = (group << 1) | b
-        out.append(group + 63)
-    return bytes(out)
+            bits = (bits << 1) | g.has_edge(row, col)
+    return bits_to_graph6(n, bits).encode("ascii")
 
 
 def graph6_decode(data) -> Graph:
@@ -501,7 +517,3 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"n={g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def parse_rational(text) -> Fraction:
-    return Fraction(text)

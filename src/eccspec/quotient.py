@@ -23,7 +23,7 @@ from typing import Optional
 
 from .eccentricity import ecc_matrix
 from .exactalg import IntMatrix, IntPolynomial, berkowitz_charpoly
-from .graphs import Graph
+from .graphs import Graph, components, is_clique
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,13 @@ def detect_join_blockspec(g: Graph) -> Optional[BlockSpec]:
     v2 = sorted(met.level(2))
     tail_cells = []
     isolated = []
-    for comp in _components(g, v2):
+    for comp in components(g, v2):
         if len(comp) == 1:
             isolated.extend(comp)
-        elif _is_clique(g, comp):
-            tail_cells.append(sorted(comp))
+        elif is_clique(g, comp):
+            tail_cells.append(comp)
         else:
-            tail_cells.extend([v] for v in sorted(comp))
+            tail_cells.extend([v] for v in comp)
     if isolated:
         tail_cells.append(sorted(isolated))
     tail_cells.sort(key=lambda c: c[0])
@@ -195,26 +195,3 @@ def detect_join_blockspec(g: Graph) -> Optional[BlockSpec]:
     assert realize(spec) == regrouped, \
         "detected block spec must realize the matrix"
     return spec
-
-
-def _components(g: Graph, vertices):
-    verts = set(vertices)
-    comps = []
-    while verts:
-        start = min(verts)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in g.neighbors(v):
-                if u in verts and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(sorted(comp))
-        verts -= comp
-    return comps
-
-
-def _is_clique(g: Graph, vertices):
-    return all(g.has_edge(u, v) for i, u in enumerate(vertices)
-               for v in vertices[i + 1:])

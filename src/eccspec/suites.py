@@ -33,7 +33,6 @@ from .exactalg import (
     bareiss_rank,
     berkowitz_charpoly,
     charpoly_inertia,
-    inertia_at,
     lagrange_interpolate,
     poly_divide_exact,
     root_multiplicity,
@@ -658,7 +657,8 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
     for t in range(50):
         m = _random_symmetric(rng, 7, 4)
         cs = sorted(rng.randint(-12, 12) for _ in range(3))
-        plus = [inertia_at(m, c).n_plus for c in cs]
+        spec = SymmetricSpectrum(m)
+        plus = [spec.count_gt(c) for c in cs]
         if any(plus[i] < plus[i + 1] for i in range(len(plus) - 1)):
             bad.append(t)
     rep.check("raising the shift point never increases the count of larger "

@@ -172,6 +172,28 @@ class TestClassify:
         assert path1.read_bytes() == path2.read_bytes()
         assert census.read_store(path1) == recs1 == recs2
 
+    def test_pure_backend_store_matches(self, tmp_path):
+        """The pure-Python census glue and kernels, driven through the
+        backend selector, write the same bytes as the backend this test
+        process runs."""
+        import os
+        import subprocess
+        import sys
+
+        import eccspec
+        pure = tmp_path / "pure.tsv"
+        env = dict(os.environ, ECCSPEC_KERNELS="py",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(eccspec.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eccspec.cli", "census", "7",
+             "--store", str(pure)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        assert proc.returncode == 0, proc.stdout
+        assert "853 connected graphs" in proc.stdout
+        census.classify(7, store_path=tmp_path / "session.tsv")
+        assert pure.read_bytes() == (tmp_path / "session.tsv").read_bytes()
+
     def test_record_line_round_trip(self, census_records):
         for rec in census_records(6)[:40]:
             assert census.CensusRecord.from_line(rec.to_line()) == rec

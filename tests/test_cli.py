@@ -65,6 +65,16 @@ class TestGraphCommands:
         code, _, err = run(capsys, "mult", K5, "pi")
         assert code == 2 and "rational" in err
 
+    def test_library_value_error_is_not_usage_error(self, monkeypatch):
+        import eccspec.cli
+
+        def broken(m):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(eccspec.cli, "berkowitz_charpoly", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli_main(["charpoly", P4])
+
 
 class TestFamilyCommand:
     @pytest.mark.parametrize("fam,expect_n", [
@@ -81,7 +91,8 @@ class TestFamilyCommand:
         code, out, _ = run(capsys, "family", "K5")
         assert code == 0 and out.strip() == K5
 
-    @pytest.mark.parametrize("bad", ["K4vBOGUS", "Q7", "S(3,2)", "g1:9@9"])
+    @pytest.mark.parametrize("bad", ["K4vBOGUS", "Q7", "S(3,2)", "g1:9@9",
+                                     "K63"])
     def test_bad_family_is_usage_error(self, capsys, bad):
         code, _, err = run(capsys, "family", bad)
         assert code == 2 and "error" in err

@@ -145,6 +145,18 @@ class TestIrreducibility:
         # C4 keeps only antipodal distances: support splits into two pairs
         assert not is_irreducible(ecc_matrix(cycle(4)))
 
+    def test_matches_networkx_support_connectivity(self, census_records):
+        import networkx as nx
+        from eccspec.graphs import graph6_decode
+        for n in range(1, 8):
+            for rec in census_records(n):
+                e = ecc_matrix(graph6_decode(rec.canon))
+                support = nx.Graph()
+                support.add_nodes_from(range(n))
+                support.add_edges_from((u, v) for u in range(n)
+                                       for v in range(u + 1, n) if e.m[u, v])
+                assert is_irreducible(e) == nx.is_connected(support), rec.canon
+
 
 class TestMedian:
     def test_positions(self):

@@ -213,6 +213,23 @@ class TestFamilies:
         assert not is_mixed_star_shape(cycle(5))
         assert not is_mixed_star_shape(join_clique_with(3, "P4"))
 
+    def test_mixed_star_shape_matches_networkx_on_census(self, census_records):
+        """The docstring's equivalent statement, evaluated by networkx on
+        every connected graph up to order 7."""
+        for n in range(1, 8):
+            for rec in census_records(n):
+                g = graph6_decode(rec.canon)
+                h = nx.Graph(g.edges())
+                h.add_nodes_from(range(g.n))
+                ecc = nx.eccentricity(h)
+                centre = {v for v, e in ecc.items() if e == 1}
+                rest = h.subgraph(set(h) - centre)
+                want = (nx.diameter(h) <= 2 and bool(centre) and all(
+                    rest.subgraph(c).number_of_edges()
+                    == len(c) * (len(c) - 1) // 2
+                    for c in nx.connected_components(rest)))
+                assert is_mixed_star_shape(g) == want, rec.canon
+
 
 def test_bull_identification_oracle():
     """The order-5 graphs H with max degree <= 3 whose join K_11 v H has
