@@ -6,9 +6,10 @@ functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
 from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
-too).  Everything here works on adjacency *bitsets*: a graph on n vertices is
-a sequence ``adj`` of n ints where bit j of ``adj[i]`` is set iff ij is an
-edge.
+too).  ``lower_triangle_rows`` is the one unpacker of the packed
+lower-triangle bit order, which ``graphs.graph6_decode`` shares.  Everything
+here works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj``
+of n ints where bit j of ``adj[i]`` is set iff ij is an edge.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -24,6 +25,7 @@ BACKEND = "pure-python"
 
 _STATE_CAP = 500_000
 _MAXN_CANON = 16
+_MAXN_DIST = 64
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
@@ -62,7 +64,9 @@ def all_pairs_dist(n, adj):
 
 
 def is_connected(n, adj):
-    return n > 0 and UNREACHABLE not in _dist_row(n, adj, 0)
+    if not 1 <= n <= _MAXN_DIST:
+        raise ValueError(f"is_connected supports 1 <= n <= {_MAXN_DIST}")
+    return UNREACHABLE not in _dist_row(n, adj, 0)
 
 
 def _wl_colors(n, adj):
@@ -166,9 +170,16 @@ def bits_to_adj(n, bits):
     (the ``canon_bits`` and graph6 bit order)."""
     if not 1 <= n <= _MAXN_CANON:
         raise ValueError(f"bits_to_adj supports 1 <= n <= {_MAXN_CANON}")
-    idx = n * (n - 1) // 2
-    if bits < 0 or bits >> idx:
+    if bits < 0 or bits >> (n * (n - 1) // 2):
         raise ValueError(f"bit form out of range for n={n}")
+    return lower_triangle_rows(n, bits)
+
+
+def lower_triangle_rows(n, bits):
+    """Adjacency rows from a packed lower triangle, for any order: column by
+    column, row 0 first, the first pair in the most significant bit.  The
+    caller checks that ``bits`` has at most n(n-1)/2 bits."""
+    idx = n * (n - 1) // 2
     rows = [0] * n
     for col in range(1, n):
         for row in range(col):

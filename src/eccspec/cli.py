@@ -265,13 +265,13 @@ def _cmd_family(args):
 
 def _cmd_census(args):
     store = args.store or os.environ.get(STORE_ENV)
+    if not 1 <= args.n <= census_mod.ENUMERATION_LIMIT:
+        raise UsageError("the census supports orders 1 <= n <= "
+                         f"{census_mod.ENUMERATION_LIMIT}, got {args.n}")
     if args.n >= 10 and not args.big:
         raise UsageError("the n=10 census is best-effort (11.7M graphs); "
                          "pass --big to run it")
-    try:
-        records = census_mod.classify(args.n, store_path=store, jobs=args.jobs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    records = census_mod.classify(args.n, store_path=store, jobs=args.jobs)
     by_mult = {}
     for rec in records:
         by_mult[rec.mult_minus1] = by_mult.get(rec.mult_minus1, 0) + 1
@@ -340,22 +340,19 @@ def _cmd_query(args):
 
 def _cmd_verify(args):
     names = list(suites.ALL_SUITES) if args.suite == "all" else [args.suite]
-    if not names:
-        raise UsageError("empty suite selection")
     for name in names:
-        if name != "all" and name not in suites.ALL_SUITES:
+        if name not in suites.ALL_SUITES:
             raise UsageError(f"unknown suite {name!r}; expected one of "
                              f"{', '.join(suites.ALL_SUITES)} or 'all'")
-    cache = {}
-    reports = []
-    for name in names:
         try:
-            rep = suites.run_suite(name, n_values=args.n, seed=args.seed,
-                                   trials=args.trials, census_cache=cache,
-                                   jobs=args.jobs)
+            suites.check_args(name, args.n)
         except ValueError as exc:
-            raise UsageError(str(exc))
-        reports.append(rep)
+            raise UsageError(f"{name}: {exc}")
+    cache = {}
+    reports = [suites.run_suite(name, n_values=args.n, seed=args.seed,
+                                trials=args.trials, census_cache=cache,
+                                jobs=args.jobs)
+               for name in names]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True))

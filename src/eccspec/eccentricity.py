@@ -119,14 +119,16 @@ def twin_eigenvalue_predictions(g: Graph):
     """Guaranteed eigenvalue lower bounds from duplicate / co-duplicate
     classes: each class of size k forces multiplicity >= k-1 at the
     eigenvalue determined by the class kind and its common eccentricity."""
-    return _twin_predictions(g, bfs_metrics(g))
+    return _twin_predictions(g, bfs_metrics(g).ecc)
 
 
-def _twin_predictions(g: Graph, met: Metrics):
+def _twin_predictions(g: Graph, ecc):
+    """``twin_eigenvalue_predictions`` from the eccentricity sequence; every
+    predicted eigenvalue is -2, -1 or 0."""
     out = []
     for vs, kind in duplicate_classes(g):
         k = len(vs)
-        e = met.ecc[min(vs)]
+        e = ecc[min(vs)]
         if kind == "duplicate":
             xi = Fraction(-2) if e == 2 else Fraction(0)
         else:

@@ -320,7 +320,8 @@ def charpoly_inertia(cp: IntPolynomial, c) -> Inertia:
     """
     if not cp.is_monic():
         raise ValueError("charpoly_inertia requires a monic polynomial")
-    c = Fraction(c)
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
     p, q = c.numerator, c.denominator
     a = list(cp.coeffs)
     n = len(a) - 1
@@ -481,9 +482,10 @@ def root_multiplicity(p: IntPolynomial, r) -> int:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root multiplicities")
-    r = Fraction(r)
-    if r.denominator == 1:
-        r = r.numerator
+    if not isinstance(r, int):
+        r = Fraction(r)
+        if r.denominator == 1:
+            r = r.numerator
     mult, _ = deflate_root(p.coeffs, r)
     return mult
 

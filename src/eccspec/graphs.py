@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
+from ._kernels_py import lower_triangle_rows
 
 MAX_VERTICES = 64
 
@@ -453,7 +454,11 @@ def graph6_encode(g: Graph) -> bytes:
     return bits_to_graph6(n, bits).encode("ascii")
 
 
-def graph6_decode(data) -> Graph:
+def graph6_bits(data):
+    """(n, packed lower-triangle bits) of a graph6 string, the inverse of
+    ``bits_to_graph6``.  Accepts str or bytes, an optional ``>>graph6<<``
+    header and a trailing newline; raises ValueError on a bad byte, size
+    header, length or nonzero padding."""
     if isinstance(data, str):
         data = data.encode("ascii")
     if data.startswith(b">>graph6<<"):
@@ -472,21 +477,17 @@ def graph6_decode(data) -> Graph:
     expected = 1 + (nbits + 5) // 6
     if len(data) != expected:
         raise ValueError(f"graph6 length {len(data)} != expected {expected} for n={n}")
-    bits = []
+    val = 0
     for byte in data[1:]:
-        group = byte - 63
-        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        val = (val << 6) | (byte - 63)
+    pad = (-nbits) % 6
+    if val & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 data")
-    rows = [0] * n
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            idx += 1
-    return Graph.from_adj(rows)
+    return n, val >> pad
+
+
+def graph6_decode(data) -> Graph:
+    return Graph.from_adj(lower_triangle_rows(*graph6_bits(data)))
 
 
 # ---------------------------------------------------------------------------

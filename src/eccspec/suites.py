@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import census as census_mod
+from . import kernels
+from ._kernels_py import ecc_rows
 from .eccentricity import (
     _twin_predictions,
     acharpoly,
@@ -43,7 +45,8 @@ from .graphs import (
     complete,
     complete_multipartite,
     cycle,
-    graph6_decode,
+    graph6_bits,
+    is_mixed_star_shape,
     join,
     join_clique_with,
     max_mult_families,
@@ -57,6 +60,8 @@ REPORT_FORMAT_VERSION = 1
 
 MAX_FAMILY_ORDER = 40
 CENSUS_MAX = 9
+TABLES_DEFAULT_N = (16, 17, 18, 19, 20)
+MEDIAN_DEFAULT_N = (20,)
 
 
 @dataclass(frozen=True)
@@ -209,16 +214,7 @@ def suite_theorem1(part, n_values=None, census_cache=None, jobs=1):
     (no other graph attains it) scans the census and is range-enforced:
     parts i and ii over 2..9 / 4..9, part iii over 4..9, part iv at 9.
     """
-    if part not in THM1_DEFAULT_N:
-        raise ValueError(f"unknown part {part!r}; expected one of i..v")
-    if n_values is None:
-        n_values = THM1_DEFAULT_N[part]
-    n_values = tuple(sorted(set(int(n) for n in n_values)))
-    if any(n > MAX_FAMILY_ORDER for n in n_values):
-        raise ValueError(f"family checks support n <= {MAX_FAMILY_ORDER}")
-    if part == "ii" and any(n > CENSUS_MAX for n in n_values):
-        raise ValueError("the nonexistence part is a pure census scan; "
-                         f"it needs n <= {CENSUS_MAX}")
+    n_values = check_args(f"thm1-{part}", n_values)
     rep = VerificationReport(f"thm1-{part}", {"part": part, "n": list(n_values)})
     for n in n_values:
         target, fams = _expected_class(part, n)
@@ -336,7 +332,7 @@ def _row_claim(row: TableRow) -> str:
 
 
 @_timed
-def suite_tables(n_samples=(16, 17, 18, 19, 20)):
+def suite_tables(n_samples=TABLES_DEFAULT_N):
     """Exact verification of the published characteristic-polynomial table
     rows as polynomial identities in the order n.
 
@@ -345,11 +341,7 @@ def suite_tables(n_samples=(16, 17, 18, 19, 20)):
     affine function of n from two samples, confirm agreement at the others,
     and match the printed affine forms.
     """
-    n_samples = tuple(sorted(set(int(n) for n in n_samples)))
-    if len(n_samples) < 3:
-        raise ValueError("need at least 3 sample orders")
-    if min(n_samples) < 16:
-        raise ValueError("table identities are stated for n >= 16")
+    n_samples = check_args("tables", n_samples)
     rep = VerificationReport("tables", {"n": list(n_samples)})
     rep.notes.append(
         "the order-5 join rows (C5, K1uP4, H1) are published with a K_{n-4} "
@@ -682,9 +674,14 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
 
 
 def _census_property_checks(rep, census_cache, jobs):
-    """Census-wide structure checks at orders up to 8."""
-    from .graphs import is_mixed_star_shape
+    """Census-wide structure checks at orders up to 8.
 
+    Each graph starts from its record: canonical bits, then adjacency rows
+    and distances from the kernels.  The multiplicities at -2, -1 and 0 are
+    the record's, which the kernel computed by rank; they are checked
+    against the stored charpoly's root multiplicities, and the twin-class
+    bounds are checked against them.
+    """
     bad_levels = []
     bad_v1card = []
     bad_empty_v1 = []
@@ -699,9 +696,10 @@ def _census_property_checks(rep, census_cache, jobs):
         recs = _census_records(n, census_cache, jobs)
         kn_canon = census_mod.canonical_form(complete(n)).canon
         for rec in recs:
-            g = graph6_decode(rec.canon)
-            e = ecc_matrix(g)
-            met = e.metrics
+            adj = kernels.bits_to_adj(*graph6_bits(rec.canon))
+            dist = kernels.all_pairs_dist(n, adj)
+            ecc = [max(row) for row in dist]
+            g = Graph.from_adj(adj)
             cp = IntPolynomial(rec.charpoly)
             k = n - rec.mult_minus1
             if rec.v1_size and rec.diam > 2:
@@ -719,8 +717,10 @@ def _census_property_checks(rep, census_cache, jobs):
                 bad_diam_bound.append(rec.canon)
             if rec.mult_minus1 == n - 5 and not 2 <= rec.diam <= 4:
                 bad_diam_bound.append(rec.canon)
-            for xi, lower in _twin_predictions(g, met):
-                if matrix_multiplicity(e.m, xi) < lower:
+            mults = {-2: rec.mult_minus2, -1: rec.mult_minus1,
+                     0: rec.mult_zero}
+            for xi, lower in _twin_predictions(g, ecc):
+                if mults[xi] < lower:
                     bad_twins.append((rec.canon, str(xi)))
             ine = charpoly_inertia(cp, -1)
             if ((ine.n_minus == 0 and ine.n_zero >= 1)
@@ -729,14 +729,13 @@ def _census_property_checks(rep, census_cache, jobs):
             if (charpoly_inertia(cp, 0).n_plus == 1
                     and not is_mixed_star_shape(g)):
                 bad_onepos.append(rec.canon)
-            if (root_multiplicity(cp, -1) != rec.mult_minus1
-                    or root_multiplicity(cp, -2) != rec.mult_minus2
-                    or root_multiplicity(cp, 0) != rec.mult_zero):
+            if any(root_multiplicity(cp, xi) != m for xi, m in mults.items()):
                 bad_mults.append(rec.canon)
+            rows = ecc_rows(dist, ecc)
             for u in range(n):
                 for v in range(u + 1, n):
-                    keep = met.dist[u][v] == min(met.ecc[u], met.ecc[v])
-                    if (e.m[u, v] != 0) != keep:
+                    keep = dist[u][v] == min(ecc[u], ecc[v])
+                    if (rows[u][v] != 0) != keep:
                         bad_ecc_def.append(rec.canon)
     rep.check("a vertex of eccentricity 1 forces diameter <= 2",
               "census n<=8", [], bad_levels)
@@ -803,14 +802,11 @@ def _diameter_bound_checks(rep):
 # median eigenvalue / HL-index suite
 
 @_timed
-def suite_median(n_values=(20,)):
+def suite_median(n_values=MEDIAN_DEFAULT_N):
     """Median eigenvalues of the characterized families: for every family
     graph at each order, both median positions carry -1 and the HL index is
     exactly 1."""
-    n_values = tuple(sorted(set(int(n) for n in n_values)))
-    if any(n < 11 for n in n_values):
-        raise ValueError("median checks need n >= 11 so that m(-1) reaches "
-                         "the median positions")
+    n_values = check_args("median", n_values)
     rep = VerificationReport("median", {"n": list(n_values)})
     for n in n_values:
         for name, g in theorem1_families(n):
@@ -827,20 +823,55 @@ def suite_median(n_values=(20,)):
 # ---------------------------------------------------------------------------
 # registry
 
+def check_args(name, n_values=None):
+    """The sorted orders the named suite runs at, given the requested ones
+    (None or empty for the suite's defaults; ``thm1-*`` runs none when given
+    an empty list).  Raises ValueError for an unknown suite or part and for
+    orders the suite does not support."""
+    def orders(values):
+        return tuple(sorted(set(int(n) for n in values)))
+
+    if name == "lemmas":
+        return ()
+    if name.startswith("thm1-"):
+        part = name[len("thm1-"):]
+        if part not in THM1_DEFAULT_N:
+            raise ValueError(f"unknown part {part!r}; expected one of i..v")
+        n_values = orders(THM1_DEFAULT_N[part] if n_values is None
+                          else n_values)
+        if any(n > MAX_FAMILY_ORDER for n in n_values):
+            raise ValueError(f"family checks support n <= {MAX_FAMILY_ORDER}")
+        if part == "ii" and any(n > CENSUS_MAX for n in n_values):
+            raise ValueError("the nonexistence part is a pure census scan; "
+                             f"it needs n <= {CENSUS_MAX}")
+    elif name == "tables":
+        n_values = orders(n_values or TABLES_DEFAULT_N)
+        if len(n_values) < 3:
+            raise ValueError("need at least 3 sample orders")
+        if min(n_values) < 16:
+            raise ValueError("table identities are stated for n >= 16")
+    elif name == "median":
+        n_values = orders(n_values or MEDIAN_DEFAULT_N)
+        if any(n < 11 for n in n_values):
+            raise ValueError("median checks need n >= 11 so that m(-1) "
+                             "reaches the median positions")
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    return n_values
+
+
 def run_suite(name, n_values=None, seed=0, trials=None, census_cache=None,
               jobs=1):
+    n_values = check_args(name, n_values)
     if name.startswith("thm1-"):
-        part = name.split("-", 1)[1]
-        return suite_theorem1(part, n_values, census_cache=census_cache,
-                              jobs=jobs)
+        return suite_theorem1(name[len("thm1-"):], n_values,
+                              census_cache=census_cache, jobs=jobs)
     if name == "tables":
-        return suite_tables(n_values if n_values else (16, 17, 18, 19, 20))
+        return suite_tables(n_values)
     if name == "lemmas":
         return suite_lemmas(seed=seed, trials=trials,
                             census_cache=census_cache, jobs=jobs)
-    if name == "median":
-        return suite_median(n_values if n_values else (20,))
-    raise ValueError(f"unknown suite {name!r}")
+    return suite_median(n_values)
 
 
 ALL_SUITES = ("thm1-i", "thm1-ii", "thm1-iii", "thm1-iv", "thm1-v",

@@ -158,6 +158,23 @@ class TestCensusAndQuery:
         code, _, err = run(capsys, "census", "11")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-2", "12"])
+    def test_census_order_out_of_range_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "census", n)
+        assert code == 2 and out == ""
+        assert "1 <= n <= 10" in err and n in err
+
+    def test_census_library_value_error_is_not_usage_error(self,
+                                                           monkeypatch):
+        from eccspec import kernels
+
+        def broken(n, adj):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(kernels, "census_stats", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli_main(["census", "4"])
+
     def test_canonical_state_cap_is_clean_error(self, capsys, monkeypatch):
         from eccspec import kernels
 
@@ -195,6 +212,30 @@ class TestVerifyCommand:
     def test_verify_out_of_range_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "thm1-ii", "--n", "12")
         assert code == 2
+
+    def test_verify_all_checks_every_suite_before_running(self, capsys,
+                                                          monkeypatch):
+        from eccspec import suites
+
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran before the arguments were "
+                                 "checked")
+
+        monkeypatch.setattr(suites, "run_suite", never)
+        code, out, err = run(capsys, "verify", "all", "--n", "5")
+        assert code == 2 and out == ""
+        assert "tables" in err and "3 sample orders" in err
+
+    def test_verify_library_value_error_is_not_usage_error(self,
+                                                           monkeypatch):
+        from eccspec import suites
+
+        def broken(g, xi):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(suites, "multiplicity", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli_main(["verify", "thm1-i", "--n", "4"])
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_verify_rejects_nonpositive_jobs(self, capsys, jobs):

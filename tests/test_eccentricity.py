@@ -198,6 +198,16 @@ class TestTwinPredictions:
     def test_no_classes(self):
         assert twin_eigenvalue_predictions(cycle(6)) == []
 
+    def test_predicted_eigenvalues_are_record_fields(self, census_records):
+        """Every prediction is at -2, -1 or 0, the three multiplicities a
+        census record stores, which the census-wide lemma check reads."""
+        from eccspec.graphs import graph6_decode
+        for n in range(2, 8):
+            for rec in census_records(n):
+                for xi, _ in twin_eigenvalue_predictions(
+                        graph6_decode(rec.canon)):
+                    assert xi in (-2, -1, 0), rec.canon
+
     def test_predictions_hold_on_random_graphs(self):
         rng = random.Random(41)
         count = 0

@@ -16,8 +16,10 @@ from eccspec.graphs import (
     cycle,
     disjoint_union,
     duplicate_classes,
+    bits_to_graph6,
     empty_graph,
     format_edge_list,
+    graph6_bits,
     graph6_decode,
     graph6_encode,
     is_connected,
@@ -312,6 +314,24 @@ class TestGraph6:
                           if rng.random() < 0.3])
             assert graph6_decode(graph6_encode(g)) == g
 
+    def test_bits_round_trip_over_census(self):
+        """graph6_bits inverts bits_to_graph6, and graph6_decode agrees with
+        the kernels' unpacker, on every connected graph up to order 7."""
+        from eccspec import census, kernels
+        for n in range(1, 8):
+            for bits in census._level_bits(n):
+                text = bits_to_graph6(n, bits)
+                assert graph6_bits(text) == (n, bits)
+                assert graph6_decode(text).adj == \
+                    tuple(kernels.bits_to_adj(n, bits))
+
+    def test_round_trip_at_largest_order(self):
+        rng = random.Random(29)
+        g = Graph(62, [(u, v) for u in range(62) for v in range(u + 1, 62)
+                       if rng.random() < 0.5])
+        assert graph6_decode(graph6_encode(g)) == g
+        assert graph6_decode(graph6_encode(complete(62))) == complete(62)
+
     def test_decode_accepts_header_and_str(self):
         assert graph6_decode(">>graph6<<Ch\n") == path(4)
         assert graph6_decode("Ch") == path(4)
@@ -320,6 +340,8 @@ class TestGraph6:
     def test_decode_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             graph6_decode(bad)
+        with pytest.raises(ValueError):
+            graph6_bits(bad)
 
     def test_encode_rejects_oversize(self):
         with pytest.raises(ValueError):

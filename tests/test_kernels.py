@@ -81,6 +81,12 @@ class TestBackendParity:
             assert compiled.is_connected(g.n, g.adj) == \
                 pure.is_connected(g.n, g.adj)
 
+    @pytest.mark.parametrize("n", [0, 65])
+    def test_is_connected_rejects_out_of_range_orders(self, n):
+        for mod in (compiled, pure):
+            with pytest.raises(ValueError, match="1 <= n <= 64"):
+                mod.is_connected(n, [0] * n)
+
     def test_bits_to_adj_agree_and_invert_canon(self):
         rng = random.Random(59)
         for n in range(1, 17):

@@ -1,5 +1,7 @@
 """Verification suites and their reports."""
 
+import dataclasses
+
 import pytest
 
 from eccspec import suites
@@ -94,6 +96,49 @@ class TestMedianSuite:
     def test_n16(self):
         rep = suites.suite_median([16])
         assert rep.passed
+
+
+class TestCensusPropertyChecks:
+    def test_tampered_record_fails_twin_and_multiplicity_checks(
+            self, census_records):
+        """The census-wide checks read the record's multiplicities, so a
+        record whose m(-1) disagrees with its graph must be caught."""
+        cache = {n: list(census_records(n)) for n in range(2, 9)}
+        recs = cache[5]
+        i = next(i for i, r in enumerate(recs) if r.diam == 1)
+        recs[i] = dataclasses.replace(recs[i],
+                                      mult_minus1=recs[i].mult_minus1 - 1)
+        rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
+        failed = {e.claim: e.actual for e in rep.entries if not e.passed}
+        assert sorted(failed) == [
+            "rank-based multiplicities equal charpoly root multiplicities",
+            "twin classes force their predicted eigenvalue multiplicities",
+        ]
+        assert all(recs[i].canon in actual for actual in failed.values())
+
+
+class TestCheckArgs:
+    def test_defaults_and_normalisation(self):
+        assert suites.check_args("thm1-iv") == (9, 16, 20)
+        assert suites.check_args("thm1-i", []) == ()
+        assert suites.check_args("tables", None) == (16, 17, 18, 19, 20)
+        assert suites.check_args("median", [20, 11, 20]) == (11, 20)
+        assert suites.check_args("lemmas", [3]) == ()
+
+    @pytest.mark.parametrize("name,n_values,message", [
+        ("thm1-vi", None, "unknown part"),
+        ("thm1-i", [41], "n <= 40"),
+        ("thm1-ii", [10], "n <= 9"),
+        ("tables", [16, 17], "3 sample orders"),
+        ("tables", [15, 16, 17], "n >= 16"),
+        ("median", [10], "n >= 11"),
+        ("bogus", None, "unknown suite"),
+    ])
+    def test_rejects(self, name, n_values, message):
+        with pytest.raises(ValueError, match=message):
+            suites.check_args(name, n_values)
+        with pytest.raises(ValueError, match=message):
+            suites.run_suite(name, n_values)
 
 
 class TestRunner:
