@@ -36,6 +36,7 @@ from .exactalg import (
     IntPolynomial,
     bareiss_rank,
     berkowitz_charpoly,
+    charpoly,
     eigenvalue_bracket,
     inertia_at,
     lagrange_interpolate,

@@ -1,4 +1,5 @@
-"""Pure-Python kernels: BFS distances, canonical labeling, census invariants.
+"""Pure-Python kernels: BFS distances, canonical labeling, census invariants,
+characteristic polynomials.
 
 This module is the reference implementation of the BFS and canonical-labeling
 kernels.  The compiled extension ``eccspec._kernels`` implements the same
@@ -6,10 +7,12 @@ functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
 from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
-too).  ``lower_triangle_rows`` is the one unpacker of the packed
-lower-triangle bit order, which ``graphs.graph6_decode`` shares.  Everything
-here works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj``
-of n ints where bit j of ``adj[i]`` is set iff ij is an edge.
+too); ``charpoly`` is ``exactalg.berkowitz_charpoly`` on a list of rows.
+``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
+order, which ``graphs.graph6_decode`` shares.  Every graph kernel checks its
+order range with the compiled one's limits and messages, and works on
+adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of n ints
+where bit j of ``adj[i]`` is set iff ij is an edge.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -25,10 +28,16 @@ BACKEND = "pure-python"
 
 _STATE_CAP = 500_000
 _MAXN_CANON = 16
+_MAXN_CENSUS = 10
 _MAXN_DIST = 64
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
+
+
+def _check_order(what, n, maxn):
+    if not 1 <= n <= maxn:
+        raise ValueError(f"{what} supports 1 <= n <= {maxn}")
 
 
 def _bits(mask):
@@ -60,12 +69,12 @@ def _dist_row(n, adj, src):
 
 def all_pairs_dist(n, adj):
     """n x n hop-distance matrix as a list of rows (UNREACHABLE sentinel)."""
+    _check_order("all_pairs_dist", n, _MAXN_DIST)
     return [_dist_row(n, adj, v) for v in range(n)]
 
 
 def is_connected(n, adj):
-    if not 1 <= n <= _MAXN_DIST:
-        raise ValueError(f"is_connected supports 1 <= n <= {_MAXN_DIST}")
+    _check_order("is_connected", n, _MAXN_DIST)
     return UNREACHABLE not in _dist_row(n, adj, 0)
 
 
@@ -100,7 +109,8 @@ def canon_bits(n, adj):
     data bit order), minimized over all vertex orderings consistent with the
     refined color classes.  Equal results iff the graphs are isomorphic.
     """
-    if n <= 1:
+    _check_order("canonical labeling", n, _MAXN_CANON)
+    if n == 1:
         return 0
     colors = _wl_colors(n, adj)
     block = sorted(colors)  # color of each position
@@ -156,6 +166,7 @@ def children_canon(n, adj):
     The new vertex n is attached to each nonempty subset of 0..n-1; returns
     2^n - 1 canonical forms (with repeats; callers deduplicate).
     """
+    _check_order("children_canon", n, _MAXN_CANON - 1)
     res = []
     base = list(adj) + [0]
     for sub in range(1, 1 << n):
@@ -168,8 +179,7 @@ def children_canon(n, adj):
 def bits_to_adj(n, bits):
     """Adjacency rows of the graph whose packed lower triangle is ``bits``
     (the ``canon_bits`` and graph6 bit order)."""
-    if not 1 <= n <= _MAXN_CANON:
-        raise ValueError(f"bits_to_adj supports 1 <= n <= {_MAXN_CANON}")
+    _check_order("bits_to_adj", n, _MAXN_CANON)
     if bits < 0 or bits >> (n * (n - 1) // 2):
         raise ValueError(f"bit form out of range for n={n}")
     return lower_triangle_rows(n, bits)
@@ -206,6 +216,7 @@ def census_stats(n, adj):
     Multiplicities are rank-based: m(c) = n - rank(E - cI) for the
     largest-distance matrix E.  Raises ValueError on disconnected input.
     """
+    _check_order("census_stats", n, _MAXN_CENSUS)
     dist = all_pairs_dist(n, adj)
     if any(UNREACHABLE in row for row in dist):
         raise ValueError("census_stats requires a connected graph")
@@ -216,3 +227,10 @@ def census_stats(n, adj):
     m0 = n - bareiss_rank(mat)
     coeffs = berkowitz_charpoly(mat).coeffs
     return max(ecc), ecc.count(1), m1, m2, m0, coeffs
+
+
+def charpoly(rows):
+    """Ascending integer coefficients of det(xI - M) for the square integer
+    matrix M with these rows (any order, any entry size, symmetric or not),
+    by ``exactalg.berkowitz_charpoly``."""
+    return berkowitz_charpoly(IntMatrix(rows)).coeffs

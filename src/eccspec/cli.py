@@ -21,8 +21,13 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import suites
-from .eccentricity import ecc_matrix, hl_index, multiplicity, spectrum_summary
-from .exactalg import berkowitz_charpoly
+from .eccentricity import (
+    acharpoly,
+    ecc_matrix,
+    hl_index,
+    multiplicity,
+    spectrum_summary,
+)
 from .graphs import (
     FamilyId,
     Graph,
@@ -220,7 +225,7 @@ def _cmd_ecc(args):
 
 def _cmd_charpoly(args):
     g = _load_graph(args.graph)
-    poly = berkowitz_charpoly(ecc_matrix(g).m)
+    poly = acharpoly(g)
     if args.format == "json":
         print(json.dumps({"n": g.n,
                           "charpoly_descending": poly.descending_csv()}))

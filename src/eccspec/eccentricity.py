@@ -4,10 +4,13 @@ irreducibility, median eigenvalues and the HL-index.
 
 The matrix keeps the entry d(u,v) exactly when it equals the smaller of the
 two eccentricities and zeroes it otherwise, so every row retains at least one
-largest distance.  Multiplicity queries go through exact integer rank of the
-shifted matrix, never through floating eigensolvers: a monic integer
-characteristic polynomial has only integer rational roots, so rational-shift
-ranks decide everything.
+largest distance.  Multiplicities are exact, never from floating
+eigensolvers.  ``multiplicity`` and ``matrix_multiplicity`` take the rank of
+the shifted integer matrix, m(p/q) = n - rank(qE - pI).  ``spectrum_summary``
+reads each multiplicity off the characteristic polynomial it computes anyway,
+as a root multiplicity; for a symmetric matrix the two agree.  A monic
+integer characteristic polynomial has only integer rational roots, so every
+non-integer rational has multiplicity 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .exactalg import (
     RationalInterval,
     SymmetricSpectrum,
     bareiss_rank,
-    berkowitz_charpoly,
+    charpoly,
+    root_multiplicity,
 )
 from .graphs import Graph, Metrics, bfs_metrics, duplicate_classes
 
@@ -61,7 +65,7 @@ def matrix_multiplicity(m: IntMatrix, xi) -> int:
 
 def acharpoly(g: Graph) -> IntPolynomial:
     """Characteristic polynomial of the eccentricity matrix, exact and monic."""
-    return berkowitz_charpoly(ecc_matrix(g).m)
+    return charpoly(ecc_matrix(g).m)
 
 
 def is_irreducible(e: EccMatrix) -> bool:
@@ -166,8 +170,9 @@ def spectrum_summary(g: Graph, xis=(-2, -1, 0), width=DEFAULT_BRACKET_WIDTH):
     e = ecc_matrix(g)
     spec = SymmetricSpectrum(e.m)
     bh, bl, hl = median_brackets(spec, width)
-    table = {Fraction(x): matrix_multiplicity(e.m, x) for x in xis}
-    return SpectrumSummary(g.n, spec.charpoly, table, bh, bl, hl)
+    cp = spec.charpoly
+    table = {Fraction(x): root_multiplicity(cp, x) for x in xis}
+    return SpectrumSummary(g.n, cp, table, bh, bl, hl)
 
 
 __all__ = [

@@ -6,7 +6,9 @@ arithmetic -- fraction-free elimination for rank, the division-free
 Samuelson-Berkowitz recurrence for characteristic polynomials, and Descartes'
 rule of signs on the shifted characteristic polynomial for inertia (exact
 because a symmetric matrix has only real eigenvalues).  There is no floating
-point anywhere.
+point anywhere.  ``berkowitz_charpoly`` is the reference recurrence;
+``charpoly`` is the one entry point the package uses, which asks the kernel
+backend (the compiled multimodular recurrence, or ``berkowitz_charpoly``).
 """
 
 from __future__ import annotations
@@ -299,6 +301,13 @@ def berkowitz_charpoly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(c[::-1])
 
 
+def charpoly(m: IntMatrix) -> IntPolynomial:
+    """det(xI - M), monic of degree n, from the kernel backend's
+    ``charpoly``: exact for any square integer matrix."""
+    from . import kernels  # at call time: the pure backend imports this module
+    return IntPolynomial(kernels.charpoly(m.rows))
+
+
 # ---------------------------------------------------------------------------
 # inertia from the characteristic polynomial (Descartes' rule of signs)
 
@@ -351,7 +360,7 @@ def inertia_at(m: IntMatrix, c) -> Inertia:
     from its characteristic polynomial by ``charpoly_inertia``."""
     if not m.is_symmetric():
         raise ValueError("inertia_at requires a symmetric matrix")
-    return charpoly_inertia(berkowitz_charpoly(m), c)
+    return charpoly_inertia(charpoly(m), c)
 
 
 class SymmetricSpectrum:
@@ -382,7 +391,7 @@ class SymmetricSpectrum:
     @property
     def charpoly(self) -> IntPolynomial:
         if self._charpoly is None:
-            self._charpoly = berkowitz_charpoly(self.m)
+            self._charpoly = charpoly(self.m)
         return self._charpoly
 
     def inertia(self, c) -> Inertia:

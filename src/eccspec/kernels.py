@@ -23,3 +23,4 @@ canon_bits = _impl.canon_bits
 children_canon = _impl.children_canon
 bits_to_adj = _impl.bits_to_adj
 census_stats = _impl.census_stats
+charpoly = _impl.charpoly

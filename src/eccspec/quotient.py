@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .eccentricity import ecc_matrix
-from .exactalg import IntMatrix, IntPolynomial, berkowitz_charpoly
+from .exactalg import IntMatrix, IntPolynomial, charpoly
 from .graphs import Graph, components, is_clique
 
 
@@ -126,7 +126,7 @@ def quotient(spec: BlockSpec) -> QuotientResult:
 def spec_charpoly(spec: BlockSpec) -> IntPolynomial:
     """P(Q, x) * prod (x - p_i)^(n_i - 1): the spectrum the quotient predicts."""
     res = quotient(spec)
-    poly = berkowitz_charpoly(res.q)
+    poly = charpoly(res.q)
     for value, mult in res.leftover:
         poly = poly * (IntPolynomial.x_minus(value) ** mult)
     return poly
@@ -135,7 +135,7 @@ def spec_charpoly(spec: BlockSpec) -> IntPolynomial:
 def verify_spectrum_identity(spec: BlockSpec) -> bool:
     """Exact polynomial identity between the full matrix charpoly and the
     quotient-plus-leftover factorization."""
-    return berkowitz_charpoly(realize(spec)) == spec_charpoly(spec)
+    return charpoly(realize(spec)) == spec_charpoly(spec)
 
 
 def detect_join_blockspec(g: Graph) -> Optional[BlockSpec]:

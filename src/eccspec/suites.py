@@ -33,7 +33,7 @@ from .exactalg import (
     SymmetricSpectrum,
     bareiss_det,
     bareiss_rank,
-    berkowitz_charpoly,
+    charpoly,
     charpoly_inertia,
     lagrange_interpolate,
     poly_divide_exact,
@@ -501,7 +501,7 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
                 s[i][j] = s[j][i] = rng.randint(0, 3)
         p = tuple(rng.randint(-3, 3) for _ in range(l))
         spec = BlockSpec(sizes, tuple(map(tuple, s)), p)
-        if berkowitz_charpoly(realize(spec)) != spec_charpoly(spec):
+        if charpoly(realize(spec)) != spec_charpoly(spec):
             bad.append(spec.to_text())
     rep.check("P(M) = P(Q) * prod (x - p_i)^(n_i - 1) for J/I block matrices",
               f"{counts['block_identity']} seeded random specs", [], bad)
@@ -598,7 +598,7 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
             expected = IntPolynomial((2, 1)) ** (n - k)
             for v in parts:
                 expected = expected * IntPolynomial.x_minus(2 * v - 2)
-            if berkowitz_charpoly(e.m) != expected:
+            if charpoly(e.m) != expected:
                 bad.append(("spectrum", r, tuple(parts)))
     rep.check("complete multipartite joins match the published multiplicity "
               "formulas for -1, -2, and equal-part eigenvalues",
@@ -632,7 +632,7 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
     bad = []
     for t in range(counts["rank_charpoly"]):
         m = _random_symmetric(rng)
-        cp = berkowitz_charpoly(m)
+        cp = charpoly(m)
         if bareiss_rank(m) != m.n - root_multiplicity(cp, 0):
             bad.append((t, "rank"))
         if cp.coeffs[m.n - 1] != -m.trace():

@@ -66,12 +66,12 @@ class TestGraphCommands:
         assert code == 2 and "rational" in err
 
     def test_library_value_error_is_not_usage_error(self, monkeypatch):
-        import eccspec.cli
+        from eccspec import kernels
 
-        def broken(m):
+        def broken(rows):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(eccspec.cli, "berkowitz_charpoly", broken)
+        monkeypatch.setattr(kernels, "charpoly", broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli_main(["charpoly", P4])
 

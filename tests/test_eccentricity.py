@@ -17,7 +17,7 @@ from eccspec.eccentricity import (
     spectrum_summary,
     twin_eigenvalue_predictions,
 )
-from eccspec.exactalg import IntPolynomial, inertia_at
+from eccspec.exactalg import IntPolynomial, bareiss_rank, inertia_at
 from eccspec.graphs import (
     Graph,
     bfs_metrics,
@@ -25,6 +25,7 @@ from eccspec.graphs import (
     cycle,
     disjoint_union,
     empty_graph,
+    graph6_decode,
     is_connected,
     join,
     join_clique_with,
@@ -246,3 +247,59 @@ class TestSummary:
     def test_mult_table_sums_to_n_for_integral_spectra(self):
         s = spectrum_summary(complete(5), xis=(-1, 4))
         assert sum(s.mult_table.values()) == 5
+
+
+def rank_multiplicities(g, xis):
+    """m(p/q) = n - rank(qE - pI) for each xi, by fraction-free elimination:
+    the oracle for the root multiplicities ``spectrum_summary`` reads off the
+    characteristic polynomial."""
+    m = ecc_matrix(g).m
+    out = {}
+    for xi in map(Fraction, xis):
+        out[xi] = m.n - bareiss_rank(m.shifted(xi.denominator, xi.numerator))
+    return out
+
+
+class TestSummaryMultiplicities:
+    WIDE_XIS = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2),
+                Fraction(7, 3))
+
+    def test_every_connected_graph_to_order_7(self, census_records):
+        count = 0
+        for n in range(1, 8):
+            for rec in census_records(n):
+                g = graph6_decode(rec.canon)
+                assert spectrum_summary(g).mult_table == \
+                    rank_multiplicities(g, (-2, -1, 0)), rec.canon
+                count += 1
+        assert count == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+    def test_random_graphs_of_orders_8_to_24(self):
+        rng = random.Random(79)
+        count = 0
+        while count < 200:
+            n = rng.randint(8, 24)
+            p = rng.uniform(0.15, 0.9)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            if not is_connected(g):
+                continue
+            count += 1
+            assert spectrum_summary(g).mult_table == \
+                rank_multiplicities(g, (-2, -1, 0)), (n, g.edges())
+
+    def test_non_integer_rational_points(self):
+        rng = random.Random(83)
+        graphs = [path(5), cycle(6), complete(4),
+                  join_clique_with(6, "2K2"), join(complete(3), cycle(5))]
+        while len(graphs) < 40:
+            n = rng.randint(3, 12)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5])
+            if is_connected(g):
+                graphs.append(g)
+        for g in graphs:
+            table = spectrum_summary(g, xis=self.WIDE_XIS).mult_table
+            assert table == rank_multiplicities(g, self.WIDE_XIS)
+            assert all(table[xi] == 0 for xi in self.WIDE_XIS
+                       if xi.denominator != 1)

@@ -205,16 +205,16 @@ class TestInertiaOracle:
             charpoly_inertia(IntPolynomial([1, 2]), 0)
 
     def test_spectrum_runs_berkowitz_once(self, monkeypatch):
-        import eccspec.exactalg as exactalg
+        from eccspec import kernels
 
         calls = []
-        real = exactalg.berkowitz_charpoly
+        real = kernels.charpoly
 
-        def counting(m):
-            calls.append(m)
-            return real(m)
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
 
-        monkeypatch.setattr(exactalg, "berkowitz_charpoly", counting)
+        monkeypatch.setattr(kernels, "charpoly", counting)
         rng = random.Random(23)
         m = random_symmetric(rng, 9)
         spec = SymmetricSpectrum(m)

@@ -8,6 +8,7 @@ ECCSPEC_PURE=1, which asks for no extension at all, skips them.
 
 import os
 import random
+from math import comb, prod
 
 import pytest
 
@@ -27,7 +28,9 @@ from eccspec.graphs import (
     cycle,
     is_connected,
     path,
+    theorem1_families,
 )
+from eccspec.quotient import BlockSpec, quotient
 
 
 def random_graph(rng, n, p=0.5):
@@ -86,6 +89,23 @@ class TestBackendParity:
         for mod in (compiled, pure):
             with pytest.raises(ValueError, match="1 <= n <= 64"):
                 mod.is_connected(n, [0] * n)
+
+    @pytest.mark.parametrize("name,n", [
+        ("all_pairs_dist", 0), ("all_pairs_dist", 65),
+        ("canon_bits", 0), ("canon_bits", 17),
+        ("children_canon", 0), ("children_canon", 16),
+        ("census_stats", 0), ("census_stats", 11),
+        ("bits_to_adj", 0), ("bits_to_adj", 17),
+    ])
+    def test_out_of_range_orders_rejected_alike(self, name, n):
+        messages = []
+        for mod in (compiled, pure):
+            arg = 0 if name == "bits_to_adj" else [0] * n
+            with pytest.raises(ValueError) as exc:
+                getattr(mod, name)(n, arg)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "supports 1 <= n <= " in messages[0]
 
     def test_bits_to_adj_agree_and_invert_canon(self):
         rng = random.Random(59)
@@ -206,3 +226,158 @@ class TestKernelVsLibrary:
     def test_canon_rejects_oversize(self):
         with pytest.raises(ValueError):
             compiled.canon_bits(17, [0] * 17)
+
+
+def sympy_charpoly(rows):
+    """Ascending coefficients of det(xI - M) by sympy, the independent
+    oracle."""
+    import sympy
+    if not rows:
+        return (1,)
+    return tuple(int(a) for a in reversed(
+        sympy.Matrix(rows).charpoly().all_coeffs()))
+
+
+def random_rows(rng, n, lo, hi, symmetric):
+    rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
+
+
+def check_charpoly(rows, oracle=True):
+    got = compiled.charpoly(rows)
+    assert got == pure.charpoly(rows)
+    if oracle:
+        assert got == sympy_charpoly(rows)
+    return got
+
+
+class TestCharpoly:
+    """The multimodular charpoly kernel against the pure Berkowitz
+    recurrence and sympy."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_random_matrices_up_to_order_40(self, symmetric):
+        rng = random.Random(61 + symmetric)
+        for n in list(range(1, 13)) + [16, 20, 27, 33, 40]:
+            check_charpoly(random_rows(rng, n, -9, 9, symmetric))
+
+    @pytest.mark.parametrize("n", [16, 20, 33, 40])
+    def test_family_eccentricity_matrices(self, n):
+        for name, g in theorem1_families(n):
+            check_charpoly(ecc_matrix(g).m.rows, oracle=n <= 20)
+
+    def test_quotient_matrices(self):
+        rng = random.Random(67)
+        asymmetric = 0
+        for _ in range(60):
+            l = rng.randint(1, 6)
+            sizes = tuple(rng.randint(1, 9) for _ in range(l))
+            s = [[0] * l for _ in range(l)]
+            for i in range(l):
+                s[i][i] = rng.randint(0, 3)
+                for j in range(i + 1, l):
+                    s[i][j] = s[j][i] = rng.randint(0, 3)
+            p = tuple(rng.randint(-3, 3) for _ in range(l))
+            q = quotient(BlockSpec(sizes, tuple(map(tuple, s)), p)).q
+            asymmetric += not q.is_symmetric()
+            check_charpoly(q.rows)
+        assert asymmetric > 0
+
+    def test_orders_0_and_1(self):
+        assert check_charpoly([]) == (1,)
+        assert check_charpoly(()) == (1,)
+        for a in (0, 5, -7, 2 ** 70, -(2 ** 70)):
+            assert check_charpoly([[a]]) == (-a, 1)
+
+    def test_order_65(self):
+        rng = random.Random(71)
+        check_charpoly(random_rows(rng, 65, -3, 3, False), oracle=False)
+        check_charpoly(random_rows(rng, 65, 0, 4, True), oracle=False)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_entries_of_2_to_the_70(self, symmetric):
+        rng = random.Random(73 + symmetric)
+        big = 2 ** 70
+        for n in (2, 3, 6, 10):
+            rows = random_rows(rng, n, -3, 3, symmetric)
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rng.choice((big, -big))
+                        if symmetric:
+                            rows[j][i] = rows[i][j]
+            check_charpoly(rows)
+        check_charpoly([[big] * 8 for _ in range(8)])
+        check_charpoly([[-big, 2 ** 63, -(2 ** 63)], [2 ** 64, 1, 0],
+                        [big, big, big]])
+
+    def test_rejects_non_square_alike(self):
+        for mod in (compiled, pure):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                mod.charpoly([[1, 2], [3]])
+            with pytest.raises(ValueError, match="matrix must be square"):
+                mod.charpoly([[1, 2]])
+
+
+def iroot(x, n):
+    """Largest r with r**n <= x."""
+    r = int(round(x ** (1.0 / n)))
+    while r ** n > x:
+        r -= 1
+    while (r + 1) ** n <= x:
+        r += 1
+    return r
+
+
+def first_primes(k):
+    """The first k primes of the fixed sequence the compiled charpoly draws
+    from (any n = 1 matrix with R >= 2^(56 k) takes more than k)."""
+    primes = compiled._charpoly_primes(1, 1 << (56 * k))
+    assert len(primes) > k
+    return primes[:k]
+
+
+class TestCharpolyCrtBound:
+    """The compiled charpoly lifts residues modulo the fewest primes whose
+    product exceeds 2 (1+R)^n, R the largest absolute row sum, which bounds
+    twice every coefficient; diag(R, ..., R) has the coefficients
+    C(n,k) (-R)^(n-k), the largest the bound allows up to the factor
+    (1+1/R)^n."""
+
+    def test_primes_are_distinct_primes_below_2_to_the_56(self):
+        import sympy
+        primes = first_primes(8)
+        assert len(set(primes)) == 8
+        assert all(p < 1 << 56 and sympy.isprime(p) for p in primes)
+
+    @pytest.mark.parametrize("n,r", [(0, 0), (1, 0), (1, 7), (2, 3),
+                                     (10, 9), (40, 42), (65, 2 ** 70)])
+    def test_prime_count_follows_the_rule(self, n, r):
+        primes = compiled._charpoly_primes(n, r)
+        assert primes == first_primes(len(primes))
+        assert prod(primes) > 2 * (1 + r) ** n >= prod(primes[:-1])
+
+    @pytest.mark.parametrize("n,r", [(1, 5), (3, 1000), (12, 2 ** 70),
+                                     (40, 42), (40, 2 ** 20)])
+    def test_diagonal_matrix(self, n, r):
+        rows = [[r * (i == j) for j in range(n)] for i in range(n)]
+        assert compiled.charpoly(rows) == tuple(
+            comb(n, k) * (-r) ** (n - k) for k in range(n + 1))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_one_prime_fewer_would_be_wrong(self, n, k):
+        """diag(R) whose constant term R^n exceeds half the product of the
+        first k-1 primes: the rule takes exactly k primes, and with k-1 the
+        symmetric residue of R^n would be wrong."""
+        head = prod(first_primes(k - 1))
+        r = iroot(head // 2, n) + 1
+        assert 2 * r ** n > head
+        assert len(compiled._charpoly_primes(n, r)) == k
+        rows = [[r * (i == j) for j in range(n)] for i in range(n)]
+        assert compiled.charpoly(rows) == tuple(
+            comb(n, j) * (-r) ** (n - j) for j in range(n + 1))
