@@ -6,9 +6,10 @@
  * functions, signatures, limits and exception types as the pure-Python
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
- * iff ij is an edge.  Fixed-width arithmetic has two stated bounds: the
- * int128 bound of census_stats (n <= 10) and the modular bound of charpoly
- * (any n), each with tests at it.  Build with
+ * iff ij is an edge.  Fixed-width arithmetic has two stated bounds, each
+ * with tests at it: the int128 Bareiss bound of the census_stats ranks
+ * (n <= 10) and the modular bound of the one Berkowitz recurrence, which
+ * charpoly and census_stats share (any n).  Build with
  * `python setup.py build_ext --inplace` (needs only a C compiler with
  * __int128, e.g. gcc or clang).
  */
@@ -76,19 +77,6 @@ u128_to_py(u128 v)
     Py_XDECREF(lo);
     Py_XDECREF(sh);
     Py_XDECREF(hs);
-    return out;
-}
-
-static PyObject *
-i128_to_py(i128 v)
-{
-    if (v >= INT64_MIN && v <= INT64_MAX)
-        return PyLong_FromLongLong((long long)v);
-    PyObject *mag = u128_to_py(v < 0 ? -(u128)v : (u128)v);
-    if (mag == NULL || v > 0)
-        return mag;
-    PyObject *out = PyNumber_Negative(mag);
-    Py_DECREF(mag);
     return out;
 }
 
@@ -162,20 +150,14 @@ static PyObject *
 k_is_connected(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_DIST];
-    int n;
+    int dist[MAXN_DIST], n;
     if (parse_graph(args, MAXN_DIST, "is_connected", &n, adj) < 0)
         return NULL;
-    uint64_t seen = 1, frontier = 1;
-    while (frontier) {
-        uint64_t nxt = 0;
-        for (uint64_t m = frontier; m; m &= m - 1)
-            nxt |= adj[__builtin_ctzll(m)];
-        nxt &= ~seen;
-        seen |= nxt;
-        frontier = nxt;
-    }
-    uint64_t full = n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0;
-    return PyBool_FromLong(seen == full);
+    bfs(n, adj, 0, dist);
+    for (int i = 0; i < n; i++)
+        if (dist[i] == UNREACH)
+            Py_RETURN_FALSE;
+    Py_RETURN_TRUE;
 }
 
 /* ------------------------------------------------------------------------
@@ -486,42 +468,39 @@ k_bits_to_adj(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------------
  * census invariants
  *
- * Fixed-width bound.  census_stats takes n <= MAXN_CENSUS = 10 connected
- * vertices, so every entry of the largest-distance matrix E lies in
- * 0..diam <= 9, with a zero diagonal; E + sI (s <= 2) adds at most 2 there.
- * Every column of E + sI then has Euclidean norm at most sqrt(10 * 81) < 28.5.
+ * census_stats takes n <= MAXN_CENSUS = 10 connected vertices, so every
+ * entry of the largest-distance matrix E lies in 0..diam <= 9, with a zero
+ * diagonal.  Its characteristic polynomial comes from charpoly_core below,
+ * under the modular bound stated there, with R the largest row sum of E.
+ * Entry uv of E is 0 or d(u,v), and a vertex of eccentricity e has a vertex
+ * at each distance 1..e-1, so its row sums to at most
+ * e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for an end of P10 (e = 9),
+ * whose row sums to 35.  As 2 (1+44)^10 is below the first prime, the census
+ * takes one prime per graph (the orders n <= 9 reach R = 30).
  *
- * Bareiss: every intermediate a[i][j] is a minor of the row- and
- * column-permuted input, so by Hadamard's inequality |a[i][j]| <= 28.5^10
- * < 3.6e14.  The largest value formed is the product
+ * Fixed-width bound of the ranks.  E + sI (s <= 2) adds at most 2 on the
+ * diagonal, so every column of E + sI has Euclidean norm at most
+ * sqrt(10 * 81) < 28.5.  Every Bareiss intermediate a[i][j] is a minor of
+ * the row- and column-permuted input, so by Hadamard's inequality
+ * |a[i][j]| <= 28.5^10 < 3.6e14.  The largest value formed is the product
  * a[i][j]*piv - a[i][k]*a[k][j], before the exact division by the previous
- * pivot: at most 2 * (3.6e14)^2 < 2.6e29.
- *
- * Berkowitz: at step r <= n-1 = 9 the vector v runs through A^k u for
- * k <= r, where A is the leading r x r block of E and u the top of column r.
- * Entries are <= 9 and rows of A sum to <= 9r <= 81, so |(A^k u)_i| <=
- * 81^k * 9 <= 81^9 * 9 < 1.4e18; each t entry, row r of E times A^k u
- * with k < r, is below 81^(k+1) * 9 <= 1.4e18 as well.  Each coefficient in
- * c is a sum of at most C(10,5) = 252 principal minors, each under the
- * Hadamard bound 3.6e14, so |c| < 9.1e16; the convolution of t with c sums
- * at most 11 products, under 11 * 1.4e18 * 9.1e16 < 1.5e36.  Everything stays far
- * below the int128 limit 1.7e38, while the worst cases above do not fit in
- * 64 bits.  Actual values are far smaller: the largest intermediate over the
- * extreme inputs the parity tests check against the arbitrary-precision
- * route (P10, C10, K10, K_{1,9}, spiders, a lollipop, barbells) and 3000
- * random connected n=10 graphs is 3.8e12 (Bareiss on C10).
+ * pivot: at most 2 * (3.6e14)^2 < 2.6e29, far below the int128 limit 1.7e38
+ * and beyond 64 bits.  Actual values are far smaller: the largest
+ * intermediate over the extreme inputs the parity tests check against the
+ * arbitrary-precision route (P10, C10, K10, K_{1,9}, spiders, a lollipop,
+ * barbells) and 3000 random connected n=10 graphs is 3.8e12 (on C10).
  */
 
-/* Rank of E + shift*I by fraction-free (Bareiss) elimination with full
- * pivoting in 128-bit integers. */
+/* Rank of E + shift*I (e row-major n x n) by fraction-free (Bareiss)
+ * elimination with full pivoting in 128-bit integers. */
 static int
-rank_shift(int n, const int64_t e[][MAXN_CENSUS], int shift)
+rank_shift(int n, const int64_t *e, int shift)
 {
     i128 a[MAXN_CENSUS][MAXN_CENSUS], prev = 1;
     int rank = 0;
     for (int i = 0; i < n; i++) {
         for (int j = 0; j < n; j++)
-            a[i][j] = e[i][j];
+            a[i][j] = e[i * n + j];
         a[i][i] += shift;
     }
     for (int k = 0; k < n; k++) {
@@ -559,53 +538,15 @@ rank_shift(int n, const int64_t e[][MAXN_CENSUS], int shift)
     return rank;
 }
 
-/* det(xI - E) by the division-free Samuelson-Berkowitz recurrence;
- * c[0..n] are the coefficients in descending degree order, c[0] = 1. */
-static void
-berkowitz(int n, const int64_t e[][MAXN_CENSUS], i128 *c)
-{
-    i128 t[MAXN_CENSUS + 1], v[MAXN_CENSUS], v2[MAXN_CENSUS], cnew[MAXN_CENSUS + 1];
-    c[0] = 1;
-    c[1] = -e[0][0];
-    for (int r = 1; r < n; r++) {
-        int tlen = 2;
-        t[0] = 1;
-        t[1] = -e[r][r];
-        for (int i = 0; i < r; i++)
-            v[i] = e[i][r];
-        for (int k = 0; k < r; k++) {
-            i128 acc = 0;
-            for (int i = 0; i < r; i++)
-                acc += e[r][i] * v[i];
-            t[tlen++] = -acc;
-            for (int i = 0; i < r; i++) {
-                acc = 0;
-                for (int j = 0; j < r; j++)
-                    acc += e[i][j] * v[j];
-                v2[i] = acc;
-            }
-            memcpy(v, v2, r * sizeof(i128));
-        }
-        /* c has r+1 coefficients, t has r+2: their product truncated to r+2 */
-        for (int i = 0; i < r + 2; i++) {
-            i128 acc = 0;
-            int jlo = i - (tlen - 1) > 0 ? i - (tlen - 1) : 0;
-            int jhi = i < r ? i : r;
-            for (int j = jlo; j <= jhi; j++)
-                acc += t[i - j] * c[j];
-            cnew[i] = acc;
-        }
-        memcpy(c, cnew, (r + 2) * sizeof(i128));
-    }
-}
+static PyObject *charpoly_core(Py_ssize_t n, const int64_t *small,
+                               PyObject *const *big, PyObject *R);
 
 static PyObject *
 k_census_stats(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
-    int64_t e[MAXN_CENSUS][MAXN_CENSUS] = {{0}};
-    i128 c[MAXN_CENSUS + 1];
+    int64_t e[MAXN_CENSUS * MAXN_CENSUS];
     int n;
     if (parse_graph(args, MAXN_CENSUS, "census_stats", &n, adj) < 0)
         return NULL;
@@ -626,41 +567,42 @@ k_census_stats(PyObject *self, PyObject *args)
             diam = ecc[i];
         v1 += ecc[i] == 1;
     }
-    for (int i = 0; i < n; i++)
+    long rmax = 0;
+    for (int i = 0; i < n; i++) {
+        long sum = 0;
         for (int j = 0; j < n; j++) {
             int d = dist[i][j], m = ecc[i] < ecc[j] ? ecc[i] : ecc[j];
-            e[i][j] = (i != j && d == m) ? d : 0;
+            e[i * n + j] = (i != j && d == m) ? d : 0;
+            sum += e[i * n + j];
         }
+        if (sum > rmax)
+            rmax = sum;
+    }
     int m1 = n - rank_shift(n, e, 1);
     int m2 = n - rank_shift(n, e, 2);
     int m0 = n - rank_shift(n, e, 0);
-    berkowitz(n, e, c);
-    PyObject *coeffs = PyTuple_New(n + 1);
+    PyObject *R = PyLong_FromLong(rmax), *coeffs = NULL;
+    if (R != NULL)
+        coeffs = charpoly_core(n, e, NULL, R);
+    Py_XDECREF(R);
     if (coeffs == NULL)
         return NULL;
-    for (int i = 0; i <= n; i++) {
-        PyObject *ci = i128_to_py(c[n - i]);
-        if (ci == NULL) {
-            Py_DECREF(coeffs);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(coeffs, i, ci);
-    }
     return Py_BuildValue("(iiiiiN)", diam, v1, m1, m2, m0, coeffs);
 }
 
 /* ------------------------------------------------------------------------
  * characteristic polynomial of any square integer matrix (multimodular)
  *
- * charpoly runs the Berkowitz recurrence of berkowitz() above modulo
- * word-size primes and lifts the residues of each coefficient to an integer
- * by Garner's mixed-radix CRT, built as Python ints.  Any order and any entry
- * size is accepted, symmetric or not: int64 entries take a fast path, larger
- * ones are reduced by PyNumber_Remainder.
+ * charpoly_core runs the division-free Samuelson-Berkowitz recurrence
+ * modulo word-size primes and lifts the residues of each coefficient to an
+ * integer by Garner's mixed-radix CRT, built as Python ints.  charpoly and
+ * census_stats both reach it.  Any order and any entry size is accepted,
+ * symmetric or not: int64 entries take a fast path, larger ones are reduced
+ * by PyNumber_Remainder.
  *
- * Modular bound, beside the int128 one above.  Let R be the largest absolute
- * row sum of M.  Every eigenvalue l of M, symmetric or not, has |l| <= R:
- * for an eigenvector x and i with |x_i| maximal,
+ * Modular bound, beside the int128 Bareiss one above.  Let R be the largest
+ * absolute row sum of M.  Every eigenvalue l of M, symmetric or not, has
+ * |l| <= R: for an eigenvector x and i with |x_i| maximal,
  * |l| |x_i| = |sum_j m_ij x_j| <= R |x_i|.  The coefficient of x^(n-k) in
  * det(xI - M) is (-1)^k e_k(l_1, ..., l_n), so its absolute value is at
  * most C(n,k) R^k <= (1+R)^n.  Primes are taken, in the fixed order below,
@@ -855,9 +797,9 @@ dot_mont(const uint64_t *x, const uint64_t *y, Py_ssize_t len, const mont_t *m)
     return s;
 }
 
-/* det(xI - A) mod p by the Berkowitz recurrence of berkowitz(): a holds the
- * n x n residues row-major in Montgomery form, c[0..n] receives the plain
- * descending coefficients, work has room for 5n + 4 residues. */
+/* det(xI - A) mod p by the division-free Samuelson-Berkowitz recurrence: a
+ * holds the n x n residues row-major in Montgomery form, c[0..n] receives the
+ * plain descending coefficients, work has room for 5n + 4 residues. */
 static void
 berkowitz_mod(Py_ssize_t n, const uint64_t *a, const mont_t *m, uint64_t *c,
               uint64_t *work)
@@ -931,17 +873,89 @@ garner(Py_ssize_t k, const uint64_t *res, Py_ssize_t stride, uint64_t *digits,
     return x;
 }
 
+/* Ascending coefficients of det(xI - M) for the n x n integer matrix M,
+ * n >= 1.  small[] holds the entries row-major; big[], unless NULL, holds a
+ * reference to each entry outside int64 (with 0 in small[] there) and NULL
+ * elsewhere.  R is the largest absolute row sum of M as a Python int. */
+static PyObject *
+charpoly_core(Py_ssize_t n, const int64_t *small, PyObject *const *big,
+              PyObject *R)
+{
+    PyObject *prod = NULL, *one = NULL, *half = NULL, **pys = NULL,
+             *out = NULL;
+    uint64_t *a = NULL, *res = NULL, *work = NULL;
+    Py_ssize_t k = choose_primes(n, R, &prod);
+    if (k < 0)
+        return NULL;
+    if ((one = PyLong_FromLong(1)) == NULL
+        || (half = PyNumber_Rshift(prod, one)) == NULL)
+        goto done;
+    a = PyMem_Malloc((size_t)n * n * sizeof(uint64_t));
+    res = PyMem_Malloc((size_t)k * (n + 1) * sizeof(uint64_t));
+    work = PyMem_Malloc(((size_t)5 * n + 4 + k) * sizeof(uint64_t));
+    pys = PyMem_Calloc((size_t)k, sizeof(PyObject *));
+    if (a == NULL || res == NULL || work == NULL || pys == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < k; j++) {
+        uint64_t p = gprimes[j];
+        mont_t m = mont_init(p);
+        if ((pys[j] = PyLong_FromUnsignedLongLong(p)) == NULL)
+            goto done;
+        for (Py_ssize_t e = 0; e < n * n; e++) {
+            int64_t x = small[e];
+            if (big != NULL && big[e] != NULL) {
+                PyObject *rem = PyNumber_Remainder(big[e], pys[j]);
+                if (rem == NULL)
+                    goto done;
+                a[e] = PyLong_AsUnsignedLongLong(rem);
+                Py_DECREF(rem);
+            }
+            else if (x >= 0)
+                a[e] = (uint64_t)x < p ? (uint64_t)x : (uint64_t)x % p;
+            else {
+                uint64_t r = (uint64_t)(-(i128)x % p);
+                a[e] = r ? p - r : 0;
+            }
+            a[e] = redc((u128)a[e] * m.r2, &m);
+        }
+        berkowitz_mod(n, a, &m, res + j * (n + 1), work);
+    }
+    if ((out = PyTuple_New(n + 1)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i <= n; i++) {
+        PyObject *ci = garner(k, res + (n - i), n + 1, work, pys, prod, half);
+        if (ci == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyTuple_SET_ITEM(out, i, ci);
+    }
+done:
+    if (pys != NULL) {
+        for (Py_ssize_t j = 0; j < k; j++)
+            Py_XDECREF(pys[j]);
+        PyMem_Free(pys);
+    }
+    PyMem_Free(a);
+    PyMem_Free(res);
+    PyMem_Free(work);
+    Py_DECREF(prod);
+    Py_XDECREF(one);
+    Py_XDECREF(half);
+    return out;
+}
+
 static PyObject *
 k_charpoly(PyObject *self, PyObject *rows_obj)
 {
     PyObject *rows = PySequence_Fast(rows_obj, "matrix rows must be a sequence");
     if (rows == NULL)
         return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(rows), k = 0;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(rows);
     int64_t *small = NULL;
-    PyObject **big = NULL, *R = NULL, *prod = NULL, *one = NULL, *half = NULL,
-             **pys = NULL, *out = NULL;
-    uint64_t *a = NULL, *res = NULL, *work = NULL;
+    PyObject **big = NULL, *R = NULL, *out = NULL;
     u128 rmax = 0;
     if (n == 0) {
         Py_DECREF(rows);
@@ -1004,8 +1018,8 @@ k_charpoly(PyObject *self, PyObject *rows_obj)
             PyObject *sum = PyLong_FromLong(0);
             for (Py_ssize_t j = 0; j < n && sum != NULL; j++) {
                 PyObject *x = big[i * n + j], *ax, *s2 = NULL;
-                ax = x ? PyNumber_Absolute(x) : i128_to_py(small[i * n + j] < 0
-                         ? -(i128)small[i * n + j] : small[i * n + j]);
+                ax = x ? PyNumber_Absolute(x) : u128_to_py(small[i * n + j] < 0
+                         ? -(u128)small[i * n + j] : (u128)small[i * n + j]);
                 if (ax != NULL)
                     s2 = PyNumber_Add(sum, ax);
                 Py_XDECREF(ax);
@@ -1024,72 +1038,16 @@ k_charpoly(PyObject *self, PyObject *rows_obj)
             }
         }
     }
-    if (R == NULL || (k = choose_primes(n, R, &prod)) < 0)
-        goto done;
-    if ((one = PyLong_FromLong(1)) == NULL
-        || (half = PyNumber_Rshift(prod, one)) == NULL)
-        goto done;
-    a = PyMem_Malloc((size_t)n * n * sizeof(uint64_t));
-    res = PyMem_Malloc((size_t)k * (n + 1) * sizeof(uint64_t));
-    work = PyMem_Malloc(((size_t)5 * n + 4 + k) * sizeof(uint64_t));
-    pys = PyMem_Calloc((size_t)k, sizeof(PyObject *));
-    if (a == NULL || res == NULL || work == NULL || pys == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < k; j++) {
-        uint64_t p = gprimes[j];
-        mont_t m = mont_init(p);
-        if ((pys[j] = PyLong_FromUnsignedLongLong(p)) == NULL)
-            goto done;
-        for (Py_ssize_t e = 0; e < n * n; e++) {
-            int64_t x = small[e];
-            if (big != NULL && big[e] != NULL) {
-                PyObject *rem = PyNumber_Remainder(big[e], pys[j]);
-                if (rem == NULL)
-                    goto done;
-                a[e] = PyLong_AsUnsignedLongLong(rem);
-                Py_DECREF(rem);
-            }
-            else if (x >= 0)
-                a[e] = (uint64_t)x < p ? (uint64_t)x : (uint64_t)x % p;
-            else {
-                uint64_t r = (uint64_t)(-(i128)x % p);
-                a[e] = r ? p - r : 0;
-            }
-            a[e] = redc((u128)a[e] * m.r2, &m);
-        }
-        berkowitz_mod(n, a, &m, res + j * (n + 1), work);
-    }
-    if ((out = PyTuple_New(n + 1)) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i <= n; i++) {
-        PyObject *ci = garner(k, res + (n - i), n + 1, work, pys, prod, half);
-        if (ci == NULL) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyTuple_SET_ITEM(out, i, ci);
-    }
+    if (R != NULL)
+        out = charpoly_core(n, small, big, R);
 done:
     if (big != NULL) {
         for (Py_ssize_t e = 0; e < n * n; e++)
             Py_XDECREF(big[e]);
         PyMem_Free(big);
     }
-    if (pys != NULL) {
-        for (Py_ssize_t j = 0; j < k; j++)
-            Py_XDECREF(pys[j]);
-        PyMem_Free(pys);
-    }
     PyMem_Free(small);
-    PyMem_Free(a);
-    PyMem_Free(res);
-    PyMem_Free(work);
     Py_XDECREF(R);
-    Py_XDECREF(prod);
-    Py_XDECREF(one);
-    Py_XDECREF(half);
     Py_DECREF(rows);
     return out;
 }

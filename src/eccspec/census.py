@@ -60,6 +60,18 @@ def canonical_bits(g: Graph) -> int:
 _census_cache = {1: (0,)}
 
 
+def _chunk_results(func, n, items, jobs):
+    """func((n, chunk)) for each chunk of items: strided chunks mapped over a
+    Pool of ``jobs`` workers, in no fixed order, or one serial chunk of all
+    items when jobs == 1 or there are fewer items than jobs."""
+    if jobs > 1 and len(items) >= jobs:
+        chunks = [(n, items[i::jobs * 4]) for i in range(jobs * 4)]
+        with Pool(jobs) as pool:
+            yield from pool.imap_unordered(func, chunks)
+    else:
+        yield func((n, items))
+
+
 def _enum_chunk(args):
     n_parent, parents = args
     out = set()
@@ -78,13 +90,8 @@ def _level_bits(n, jobs=1):
         return cached
     parents = _level_bits(n - 1, jobs)
     seen = set()
-    if jobs > 1 and len(parents) >= jobs:
-        chunks = [(n - 1, parents[i::jobs * 4]) for i in range(jobs * 4)]
-        with Pool(jobs) as pool:
-            for part in pool.imap_unordered(_enum_chunk, chunks):
-                seen |= part
-    else:
-        seen = _enum_chunk((n - 1, parents))
+    for part in _chunk_results(_enum_chunk, n - 1, parents, jobs):
+        seen |= part
     level = tuple(sorted(seen))
     _census_cache[n] = level
     return level
@@ -162,14 +169,10 @@ def classify(n, store_path=None, jobs=1):
     level = _level_bits(n, jobs)
     tag_map = family_tag_map(n)
     records = []
-    if jobs > 1 and len(level) >= jobs:
-        chunks = [(n, level[i::jobs * 4]) for i in range(jobs * 4)]
-        with Pool(jobs) as pool:
-            results = [item for part in pool.imap_unordered(_classify_chunk, chunks)
-                       for item in part]
-        results.sort()
-    else:
-        results = _classify_chunk((n, level))
+    results = [item for part in _chunk_results(_classify_chunk, n, level, jobs)
+               for item in part]
+    # bits order is canon order: fixed-n graph6 reads the bits big-endian
+    results.sort()  # orders parallel chunks; serial results already are
     for bits, (diam, v1, m1, m2, m0, coeffs) in results:
         records.append(CensusRecord(
             canon=bits_to_graph6(n, bits),
@@ -178,7 +181,6 @@ def classify(n, store_path=None, jobs=1):
             charpoly=coeffs,
             family_tags=tag_map.get(bits, ()),
         ))
-    records.sort(key=lambda r: r.canon)
     if store_path is not None:
         write_store(records, store_path)
     return records

@@ -827,9 +827,14 @@ def check_args(name, n_values=None):
     """The sorted orders the named suite runs at, given the requested ones
     (None or empty for the suite's defaults; ``thm1-*`` runs none when given
     an empty list).  Raises ValueError for an unknown suite or part and for
-    orders the suite does not support."""
+    orders the suite does not support; every family suite needs
+    1 <= n <= MAX_FAMILY_ORDER."""
     def orders(values):
-        return tuple(sorted(set(int(n) for n in values)))
+        out = tuple(sorted(set(int(n) for n in values)))
+        if out and (out[0] < 1 or out[-1] > MAX_FAMILY_ORDER):
+            raise ValueError("family checks support "
+                             f"1 <= n <= {MAX_FAMILY_ORDER}")
+        return out
 
     if name == "lemmas":
         return ()
@@ -839,8 +844,6 @@ def check_args(name, n_values=None):
             raise ValueError(f"unknown part {part!r}; expected one of i..v")
         n_values = orders(THM1_DEFAULT_N[part] if n_values is None
                           else n_values)
-        if any(n > MAX_FAMILY_ORDER for n in n_values):
-            raise ValueError(f"family checks support n <= {MAX_FAMILY_ORDER}")
         if part == "ii" and any(n > CENSUS_MAX for n in n_values):
             raise ValueError("the nonexistence part is a pure census scan; "
                              f"it needs n <= {CENSUS_MAX}")

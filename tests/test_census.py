@@ -1,5 +1,6 @@
 """Census: canonical forms, isomorph-free enumeration, classification."""
 
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,10 @@ from eccspec.graphs import (
 )
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+#: sha256 of the order-8 census store
+N8_STORE_SHA256 = (
+    "97cbee773cdb0bc898975a00d8fcded8637e1f006abeb3523607bc7e3897eb6a")
 
 
 def brute_force_connected_count(n):
@@ -171,6 +176,13 @@ class TestClassify:
         recs2 = census.classify(5, store_path=path2)
         assert path1.read_bytes() == path2.read_bytes()
         assert census.read_store(path1) == recs1 == recs2
+
+    def test_n8_store_bytes_pinned(self, census_records, tmp_path):
+        """classify(8) writes its records with write_store; any change to
+        enumeration, canonical order, invariants or line format shows here."""
+        path = tmp_path / "census8.tsv"
+        census.write_store(census_records(8), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == N8_STORE_SHA256
 
     def test_pure_backend_store_matches(self, tmp_path):
         """The pure-Python census glue and kernels, driven through the

@@ -213,6 +213,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm1-ii", "--n", "12")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("median", "--n", "70"),
+                                      ("tables", "--n", "16", "17", "70"),
+                                      ("thm1-i", "--n", "0")])
+    def test_verify_family_order_out_of_range_is_usage_error(self, capsys,
+                                                             argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]}: family checks support 1 <= n <= 40\n"
+
     def test_verify_all_checks_every_suite_before_running(self, capsys,
                                                           monkeypatch):
         from eccspec import suites

@@ -162,10 +162,11 @@ def barbell(clique, bridge):
     return Graph(n, edges)
 
 
-#: n=10 inputs at the extremes of the int128 bound in _kernels.c: the
-#: largest diameter (P10), the cycle, the densest graph, the star, and long
-#: spiders, a lollipop and barbells whose eccentricity matrices carry large
-#: entries in many rows
+#: n=10 inputs at the extremes of the int128 Bareiss bound of the
+#: census_stats ranks in _kernels.c (their charpoly comes from the modular
+#: core charpoly shares): the largest diameter (P10), the cycle, the densest
+#: graph, the star, and long spiders, a lollipop and barbells whose
+#: eccentricity matrices carry large entries in many rows
 EXTREME_N10 = {
     "P10": path(10),
     "C10": cycle(10),
@@ -194,7 +195,8 @@ def test_int128_bound_inputs_match_bigint_route(name):
 
 
 class TestKernelVsLibrary:
-    """The int128 fast path must match the bigint library route."""
+    """census_stats (int128 Bareiss ranks, modular charpoly core) must match
+    the bigint library route."""
 
     def test_stats_match_library_on_random_connected(self):
         rng = random.Random(53)

@@ -133,6 +133,10 @@ class TestCheckArgs:
         ("tables", [15, 16, 17], "n >= 16"),
         ("median", [10], "n >= 11"),
         ("bogus", None, "unknown suite"),
+        ("thm1-i", [-3, 0, 1], "1 <= n <= 40"),
+        ("thm1-iv", [0], "1 <= n <= 40"),
+        ("tables", [16, 17, 70], "1 <= n <= 40"),
+        ("median", [70], "1 <= n <= 40"),
     ])
     def test_rejects(self, name, n_values, message):
         with pytest.raises(ValueError, match=message):
