@@ -39,7 +39,6 @@ from .exactalg import (
     charpoly,
     eigenvalue_bracket,
     inertia_at,
-    lagrange_interpolate,
     poly_divide_exact,
     root_multiplicity,
 )

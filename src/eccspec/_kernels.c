@@ -1,17 +1,23 @@
 /*
  * Compiled kernels: BFS distances, canonical labeling, census invariants,
- * characteristic polynomials.
+ * characteristic polynomials modulo word-size moduli.
  *
  * A plain CPython extension module, eccspec._kernels, with the same
  * functions, signatures, limits and exception types as the pure-Python
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
- * iff ij is an edge.  Fixed-width arithmetic has two stated bounds, each
- * with tests at it: the int128 Bareiss bound of the census_stats ranks
- * (n <= 10) and the modular bound of the one Berkowitz recurrence, which
- * charpoly and census_stats share (any n).  Build with
- * `python setup.py build_ext --inplace` (needs only a C compiler with
- * __int128, e.g. gcc or clang).
+ * iff ij is an edge.  The C side does word arithmetic only; big-integer work
+ * (choosing primes, lifting residues) is exactalg's, in Python ints.
+ * Fixed-width arithmetic has two stated bounds, each with tests at it:
+ *  - int128 Bareiss: the census_stats ranks stay below 2.6e29 (n <= 10);
+ *  - Montgomery words: the one Berkowitz recurrence, which charpoly_mod and
+ *    census_stats share, takes moduli below 2^56, so 255 products of
+ *    residues add up in an unsigned __int128 before each reduction.
+ * census_stats needs one modulus, the prime 2^56 - 5: its largest-distance
+ * matrices have row sums R <= 44, so every charpoly coefficient is below
+ * (1+R)^n < 2^56 / 2 in absolute value and equals its symmetric residue.
+ * Build with `python setup.py build_ext --inplace` (needs only a C compiler
+ * with __int128, e.g. gcc or clang).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -466,17 +472,257 @@ k_bits_to_adj(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------------
+ * characteristic polynomial modulo word-size odd moduli
+ *
+ * charpoly_mod runs the division-free Samuelson-Berkowitz recurrence modulo
+ * each given odd modulus 3 <= p < 2^56, so its residues are those of the
+ * integer coefficients whatever p is, prime or not.  Choosing the moduli and
+ * lifting the residues to integers is exactalg.charpoly's work, in Python
+ * ints.  Any order and any entry size is accepted, symmetric or not: int64
+ * entries are reduced in words, larger ones by PyNumber_Remainder.
+ *
+ * Word bound.  Sums of products of residues reduce by Montgomery's REDC with
+ * R = 2^64: for T < p 2^64, REDC(T) = T R^-1 mod p in two multiplications
+ * and no division.  A sum of 255 products of residues is below
+ * 255 p^2 < p 2^64 for p < 2^56, so dot products accumulate 255 terms at a
+ * time in unsigned __int128 before each REDC.  The matrix is kept in
+ * Montgomery form (a R mod p), so a dot product of a row with a plain vector
+ * comes out plain.
+ */
+
+#define MODULUS_TOP ((uint64_t)1 << 56)
+#define DOT_BLOCK 255
+
+/* A modulus p with its Montgomery constants: pneg = -p^-1 mod 2^64 and
+ * r2 = R^2 mod p, R = 2^64. */
+typedef struct {
+    uint64_t p, pneg, r2;
+} mont_t;
+
+static mont_t
+mont_init(uint64_t p)
+{
+    uint64_t inv = p;  /* Newton's iteration doubles the correct low bits */
+    for (int i = 0; i < 5; i++)
+        inv *= 2 - p * inv;
+    uint64_t r = ((uint64_t)0 - p) % p;  /* 2^64 mod p */
+    mont_t m = {p, (uint64_t)0 - inv, (uint64_t)((u128)r * r % p)};
+    return m;
+}
+
+/* T R^-1 mod p for T < p 2^64 */
+static inline uint64_t
+redc(u128 t, const mont_t *m)
+{
+    uint64_t q = (uint64_t)t * m->pneg;
+    uint64_t s = (uint64_t)((t + (u128)q * m->p) >> 64);
+    return s >= m->p ? s - m->p : s;
+}
+
+/* x mod p in Montgomery form */
+static uint64_t
+mont_of(int64_t x, const mont_t *m)
+{
+    uint64_t r = (uint64_t)(x < 0 ? -(i128)x : x) % m->p;
+    if (x < 0 && r)
+        r = m->p - r;
+    return redc((u128)r * m->r2, m);
+}
+
+/* sum x[j] y[j] R^-1 mod p over residues */
+static inline uint64_t
+dot_mont(const uint64_t *x, const uint64_t *y, Py_ssize_t len, const mont_t *m)
+{
+    uint64_t s = 0;
+    for (Py_ssize_t j = 0; j < len;) {
+        Py_ssize_t end = len - j > DOT_BLOCK ? j + DOT_BLOCK : len;
+        u128 acc = 0;
+        for (; j < end; j++)
+            acc += (u128)x[j] * y[j];
+        s += redc(acc, m);
+        if (s >= m->p)
+            s -= m->p;
+    }
+    return s;
+}
+
+/* det(xI - A) mod p by the division-free Samuelson-Berkowitz recurrence: a
+ * holds the n x n residues row-major in Montgomery form, n >= 1, c[0..n]
+ * receives the plain descending coefficients, work has room for 5n + 4
+ * residues. */
+static void
+berkowitz_mod(Py_ssize_t n, const uint64_t *a, const mont_t *m, uint64_t *c,
+              uint64_t *work)
+{
+    uint64_t p = m->p, *t = work, *tr = t + n + 1, *v = tr + n + 1,
+             *v2 = v + n, *cnew = v2 + n;
+    uint64_t a00 = redc(a[0], m);
+    c[0] = 1;
+    c[1] = a00 ? p - a00 : 0;
+    for (Py_ssize_t r = 1; r < n; r++) {
+        const uint64_t *top = a + r * n;
+        uint64_t arr = redc(top[r], m);
+        t[0] = 1;
+        t[1] = arr ? p - arr : 0;
+        for (Py_ssize_t i = 0; i < r; i++)
+            v[i] = redc(a[i * n + r], m);
+        for (Py_ssize_t k = 0; k < r; k++) {
+            uint64_t s = dot_mont(top, v, r, m);
+            t[k + 2] = s ? p - s : 0;
+            if (k + 1 == r)
+                break;
+            for (Py_ssize_t i = 0; i < r; i++)
+                v2[i] = dot_mont(a + i * n, v, r, m);
+            uint64_t *tmp = v;
+            v = v2;
+            v2 = tmp;
+        }
+        /* c has r+1 coefficients, t has r+2: their product truncated to r+2,
+         * each term a dot product of c with t reversed (in Montgomery form) */
+        for (Py_ssize_t i = 0; i < r + 2; i++)
+            tr[i] = redc((u128)t[r + 1 - i] * m->r2, m);
+        for (Py_ssize_t i = 0; i < r + 2; i++) {
+            Py_ssize_t jlo = i - r - 1 > 0 ? i - r - 1 : 0, jhi = i < r ? i : r;
+            cnew[i] = dot_mont(c + jlo, tr + r + 1 - i + jlo, jhi - jlo + 1, m);
+        }
+        memcpy(c, cnew, (size_t)(r + 2) * sizeof(uint64_t));
+    }
+}
+
+static PyObject *
+k_charpoly_mod(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *mods_obj, *rows = NULL, *mods, *out = NULL;
+    PyObject **big = NULL;
+    int64_t *small = NULL;
+    uint64_t *a = NULL, *work = NULL;
+    if (!PyArg_ParseTuple(args, "OO", &rows_obj, &mods_obj))
+        return NULL;
+    if ((mods = PySequence_Fast(mods_obj, "moduli must be a sequence")) == NULL)
+        return NULL;
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(mods), n = 0;
+    PyObject **mitems = PySequence_Fast_ITEMS(mods);
+    for (Py_ssize_t j = 0; j < k; j++) {
+        int overflow = 0;
+        long long p = PyLong_Check(mitems[j])
+                      ? PyLong_AsLongLongAndOverflow(mitems[j], &overflow) : 0;
+        if (overflow || p < 3 || (uint64_t)p >= MODULUS_TOP || !(p & 1)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "charpoly_mod needs odd int moduli 3 <= p < 2^56");
+            goto done;
+        }
+    }
+    if ((rows = PySequence_Fast(rows_obj, "matrix rows must be a sequence")) == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(rows);
+    if (n > 0 && (size_t)n > ((size_t)1 << 28) / (size_t)n) {
+        PyErr_SetString(PyExc_MemoryError, "matrix too large");
+        goto done;
+    }
+    small = PyMem_Malloc((size_t)n * n * sizeof(int64_t));
+    a = PyMem_Malloc((size_t)n * n * sizeof(uint64_t));
+    work = PyMem_Malloc(((size_t)6 * n + 5) * sizeof(uint64_t));
+    if (small == NULL || a == NULL || work == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* load the entries into small[], keeping in big[] a reference to each
+     * entry outside int64 */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, i),
+                                        "matrix rows must be sequences");
+        if (row == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(row) != n) {
+            Py_DECREF(row);
+            PyErr_SetString(PyExc_ValueError, "matrix must be square");
+            goto done;
+        }
+        PyObject **items = PySequence_Fast_ITEMS(row);
+        for (Py_ssize_t j = 0; j < n; j++) {
+            int overflow;
+            long long x = PyLong_AsLongLongAndOverflow(items[j], &overflow);
+            if (x == -1 && PyErr_Occurred()) {
+                Py_DECREF(row);
+                goto done;
+            }
+            small[i * n + j] = overflow ? 0 : x;
+            if (overflow) {
+                if (big == NULL && (big = PyMem_Calloc((size_t)n * n,
+                                                       sizeof(PyObject *))) == NULL) {
+                    Py_DECREF(row);
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                Py_INCREF(items[j]);
+                big[i * n + j] = items[j];
+            }
+        }
+        Py_DECREF(row);
+    }
+    if ((out = PyTuple_New(k)) == NULL)
+        goto done;
+    uint64_t *c = work + 5 * n + 4;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        mont_t m = mont_init(PyLong_AsUnsignedLongLong(mitems[j]));
+        for (Py_ssize_t e = 0; e < n * n; e++) {
+            if (big != NULL && big[e] != NULL) {
+                PyObject *rem = PyNumber_Remainder(big[e], mitems[j]);
+                if (rem == NULL)
+                    goto fail;
+                a[e] = redc((u128)PyLong_AsUnsignedLongLong(rem) * m.r2, &m);
+                Py_DECREF(rem);
+            }
+            else
+                a[e] = mont_of(small[e], &m);
+        }
+        c[0] = 1;
+        if (n > 0)
+            berkowitz_mod(n, a, &m, c, work);
+        PyObject *res = PyTuple_New(n + 1);
+        if (res == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, j, res);
+        for (Py_ssize_t i = 0; i <= n; i++) {
+            PyObject *ci = PyLong_FromUnsignedLongLong(c[n - i]);
+            if (ci == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(res, i, ci);
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    if (big != NULL) {
+        for (Py_ssize_t e = 0; e < n * n; e++)
+            Py_XDECREF(big[e]);
+        PyMem_Free(big);
+    }
+    PyMem_Free(small);
+    PyMem_Free(a);
+    PyMem_Free(work);
+    Py_XDECREF(rows);
+    Py_DECREF(mods);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
  * census invariants
  *
  * census_stats takes n <= MAXN_CENSUS = 10 connected vertices, so every
  * entry of the largest-distance matrix E lies in 0..diam <= 9, with a zero
- * diagonal.  Its characteristic polynomial comes from charpoly_core below,
- * under the modular bound stated there, with R the largest row sum of E.
- * Entry uv of E is 0 or d(u,v), and a vertex of eccentricity e has a vertex
- * at each distance 1..e-1, so its row sums to at most
- * e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for an end of P10 (e = 9),
- * whose row sums to 35.  As 2 (1+44)^10 is below the first prime, the census
- * takes one prime per graph (the orders n <= 9 reach R = 30).
+ * diagonal.
+ *
+ * One modulus for the characteristic polynomial.  Every coefficient of
+ * det(xI - E) has absolute value at most (1+R)^n, R the largest row sum of
+ * E (the argument is in exactalg.charpoly).  Entry uv of E is 0 or d(u,v),
+ * and a vertex of eccentricity e has a vertex at each distance 1..e-1, so
+ * its row sums to at most e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for
+ * an end of P10 (e = 9), whose row sums to 35.  As 2 (1+44)^10 < 6.8e16 is
+ * below CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime exactalg.charpoly
+ * takes), the symmetric residues of berkowitz_mod modulo that one prime are
+ * the coefficients themselves (the orders n <= 9 reach R = 30).
  *
  * Fixed-width bound of the ranks.  E + sI (s <= 2) adds at most 2 on the
  * diagonal, so every column of E + sI has Euclidean norm at most
@@ -490,6 +736,8 @@ k_bits_to_adj(PyObject *self, PyObject *args)
  * arbitrary-precision route (P10, C10, K10, K_{1,9}, spiders, a lollipop,
  * barbells) and 3000 random connected n=10 graphs is 3.8e12 (on C10).
  */
+
+#define CENSUS_PRIME (MODULUS_TOP - 5)
 
 /* Rank of E + shift*I (e row-major n x n) by fraction-free (Bareiss)
  * elimination with full pivoting in 128-bit integers. */
@@ -538,15 +786,14 @@ rank_shift(int n, const int64_t *e, int shift)
     return rank;
 }
 
-static PyObject *charpoly_core(Py_ssize_t n, const int64_t *small,
-                               PyObject *const *big, PyObject *R);
-
 static PyObject *
 k_census_stats(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
     int64_t e[MAXN_CENSUS * MAXN_CENSUS];
+    uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
+             work[5 * MAXN_CENSUS + 4];
     int n;
     if (parse_graph(args, MAXN_CENSUS, "census_stats", &n, adj) < 0)
         return NULL;
@@ -567,520 +814,31 @@ k_census_stats(PyObject *self, PyObject *args)
             diam = ecc[i];
         v1 += ecc[i] == 1;
     }
-    long rmax = 0;
-    for (int i = 0; i < n; i++) {
-        long sum = 0;
+    mont_t m = mont_init(CENSUS_PRIME);
+    for (int i = 0; i < n; i++)
         for (int j = 0; j < n; j++) {
-            int d = dist[i][j], m = ecc[i] < ecc[j] ? ecc[i] : ecc[j];
-            e[i * n + j] = (i != j && d == m) ? d : 0;
-            sum += e[i * n + j];
+            int d = dist[i][j], mn = ecc[i] < ecc[j] ? ecc[i] : ecc[j];
+            e[i * n + j] = (i != j && d == mn) ? d : 0;
+            a[i * n + j] = mont_of(e[i * n + j], &m);
         }
-        if (sum > rmax)
-            rmax = sum;
-    }
     int m1 = n - rank_shift(n, e, 1);
     int m2 = n - rank_shift(n, e, 2);
     int m0 = n - rank_shift(n, e, 0);
-    PyObject *R = PyLong_FromLong(rmax), *coeffs = NULL;
-    if (R != NULL)
-        coeffs = charpoly_core(n, e, NULL, R);
-    Py_XDECREF(R);
+    berkowitz_mod(n, a, &m, c, work);
+    PyObject *coeffs = PyTuple_New(n + 1);
+    for (int i = 0; coeffs != NULL && i <= n; i++) {
+        uint64_t r = c[n - i];
+        PyObject *ci = PyLong_FromLongLong(r > CENSUS_PRIME / 2
+                                           ? (long long)r - (long long)CENSUS_PRIME
+                                           : (long long)r);
+        if (ci == NULL)
+            Py_CLEAR(coeffs);
+        else
+            PyTuple_SET_ITEM(coeffs, i, ci);
+    }
     if (coeffs == NULL)
         return NULL;
     return Py_BuildValue("(iiiiiN)", diam, v1, m1, m2, m0, coeffs);
-}
-
-/* ------------------------------------------------------------------------
- * characteristic polynomial of any square integer matrix (multimodular)
- *
- * charpoly_core runs the division-free Samuelson-Berkowitz recurrence
- * modulo word-size primes and lifts the residues of each coefficient to an
- * integer by Garner's mixed-radix CRT, built as Python ints.  charpoly and
- * census_stats both reach it.  Any order and any entry size is accepted,
- * symmetric or not: int64 entries take a fast path, larger ones are reduced
- * by PyNumber_Remainder.
- *
- * Modular bound, beside the int128 Bareiss one above.  Let R be the largest
- * absolute row sum of M.  Every eigenvalue l of M, symmetric or not, has
- * |l| <= R: for an eigenvector x and i with |x_i| maximal,
- * |l| |x_i| = |sum_j m_ij x_j| <= R |x_i|.  The coefficient of x^(n-k) in
- * det(xI - M) is (-1)^k e_k(l_1, ..., l_n), so its absolute value is at
- * most C(n,k) R^k <= (1+R)^n.  Primes are taken, in the fixed order below,
- * until their product P exceeds 2 (1+R)^n.  Every coefficient then lies
- * strictly inside (-P/2, P/2), where a residue class mod P has exactly one
- * member: the symmetric residue Garner's lift returns is the coefficient.
- *
- * Word arithmetic.  The primes lie below 2^56, and sums of products of
- * residues reduce by Montgomery's REDC with R = 2^64: for T < p 2^64,
- * REDC(T) = T R^-1 mod p in two multiplications and no division.  A sum of
- * 255 products of residues is below 255 p^2 < p 2^64, so dot products
- * accumulate 255 terms at a time in unsigned __int128 before each REDC.
- * The matrix is kept in Montgomery form (a R mod p), so a dot product of a
- * row with a plain vector comes out plain.
- */
-
-#define PRIME_TOP ((uint64_t)1 << 56)
-#define DOT_BLOCK 255
-
-static uint64_t
-mulmod(uint64_t a, uint64_t b, uint64_t p)
-{
-    return (uint64_t)((u128)a * b % p);
-}
-
-static uint64_t
-powmod(uint64_t a, uint64_t e, uint64_t p)
-{
-    uint64_t r = 1;
-    for (; e; e >>= 1, a = mulmod(a, a, p))
-        if (e & 1)
-            r = mulmod(r, a, p);
-    return r;
-}
-
-/* A prime p with its Montgomery constants: pneg = -p^-1 mod 2^64 and
- * r2 = R^2 mod p, R = 2^64. */
-typedef struct {
-    uint64_t p, pneg, r2;
-} mont_t;
-
-static mont_t
-mont_init(uint64_t p)
-{
-    uint64_t inv = p;  /* Newton's iteration doubles the correct low bits */
-    for (int i = 0; i < 5; i++)
-        inv *= 2 - p * inv;
-    uint64_t r = (uint64_t)0 - p;  /* 2^64 - p */
-    r %= p;
-    mont_t m = {p, (uint64_t)0 - inv, mulmod(r, r, p)};
-    return m;
-}
-
-/* T R^-1 mod p for T < p 2^64 */
-static inline uint64_t
-redc(u128 t, const mont_t *m)
-{
-    uint64_t q = (uint64_t)t * m->pneg;
-    uint64_t s = (uint64_t)((t + (u128)q * m->p) >> 64);
-    return s >= m->p ? s - m->p : s;
-}
-
-/* Miller-Rabin with the first twelve prime bases: deterministic below
- * 3.3e24, so exact for every 64-bit odd m > 37. */
-static int
-is_prime_u64(uint64_t m)
-{
-    static const uint64_t bases[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
-    uint64_t d = m - 1;
-    int s = 0;
-    for (; !(d & 1); d >>= 1)
-        s++;
-    for (int b = 0; b < 12; b++) {
-        uint64_t x = powmod(bases[b], d, m);
-        if (x == 1 || x == m - 1)
-            continue;
-        int i = 1;
-        for (; i < s; i++) {
-            x = mulmod(x, x, m);
-            if (x == m - 1)
-                break;
-        }
-        if (i == s)
-            return 0;
-    }
-    return 1;
-}
-
-/* The primes below 2^56 in decreasing order, found on demand and kept for
- * the life of the process, with ginv[j] = (p_0 p_1 ... p_{j-1})^-1 mod p_j,
- * the constants of Garner's lift. */
-static uint64_t *gprimes, *ginv;
-static Py_ssize_t gcount, gcap;
-
-static int
-ensure_primes(Py_ssize_t k)
-{
-    if (k > gcap) {
-        Py_ssize_t cap = gcap ? gcap : 16;
-        while (cap < k)
-            cap *= 2;
-        uint64_t *p = PyMem_Realloc(gprimes, (size_t)cap * sizeof(uint64_t));
-        if (p == NULL)
-            goto nomem;
-        gprimes = p;
-        uint64_t *q = PyMem_Realloc(ginv, (size_t)cap * sizeof(uint64_t));
-        if (q == NULL)
-            goto nomem;
-        ginv = q;
-        gcap = cap;
-    }
-    while (gcount < k) {
-        uint64_t m = gcount ? gprimes[gcount - 1] - 2 : PRIME_TOP - 1;
-        while (!is_prime_u64(m))
-            m -= 2;
-        uint64_t prod = 1;
-        for (Py_ssize_t i = 0; i < gcount; i++)
-            prod = mulmod(prod, gprimes[i] % m, m);
-        gprimes[gcount] = m;
-        ginv[gcount] = powmod(prod, m - 2, m);
-        gcount++;
-    }
-    return 0;
-nomem:
-    PyErr_NoMemory();
-    return -1;
-}
-
-/* The number of primes charpoly takes for an n x n matrix whose largest
- * absolute row sum is R (a Python int): the fewest whose product exceeds
- * 2 (1+R)^n.  Stores that product in *prod (a new reference). */
-static Py_ssize_t
-choose_primes(Py_ssize_t n, PyObject *R, PyObject **prod)
-{
-    PyObject *one = NULL, *two = NULL, *base = NULL, *exp = NULL, *pw = NULL,
-             *bound = NULL, *acc = NULL;
-    Py_ssize_t k = -1;
-    *prod = NULL;
-    if ((one = PyLong_FromLong(1)) == NULL || (two = PyLong_FromLong(2)) == NULL
-        || (base = PyNumber_Add(R, one)) == NULL
-        || (exp = PyLong_FromSsize_t(n)) == NULL
-        || (pw = PyNumber_Power(base, exp, Py_None)) == NULL
-        || (bound = PyNumber_Multiply(pw, two)) == NULL)
-        goto done;
-    acc = one;
-    Py_INCREF(acc);
-    for (Py_ssize_t i = 0;; i++) {
-        int more = PyObject_RichCompareBool(acc, bound, Py_LE);
-        if (more < 0)
-            goto done;
-        if (!more) {
-            k = i;
-            break;
-        }
-        if (ensure_primes(i + 1) < 0)
-            goto done;
-        PyObject *p = PyLong_FromUnsignedLongLong(gprimes[i]), *next = NULL;
-        if (p != NULL)
-            next = PyNumber_Multiply(acc, p);
-        Py_XDECREF(p);
-        if (next == NULL)
-            goto done;
-        Py_SETREF(acc, next);
-    }
-    *prod = acc;
-    acc = NULL;
-done:
-    Py_XDECREF(one);
-    Py_XDECREF(two);
-    Py_XDECREF(base);
-    Py_XDECREF(exp);
-    Py_XDECREF(pw);
-    Py_XDECREF(bound);
-    Py_XDECREF(acc);
-    return k;
-}
-
-/* sum x[j] y[j] R^-1 mod p over residues */
-static inline uint64_t
-dot_mont(const uint64_t *x, const uint64_t *y, Py_ssize_t len, const mont_t *m)
-{
-    uint64_t s = 0;
-    for (Py_ssize_t j = 0; j < len;) {
-        Py_ssize_t end = len - j > DOT_BLOCK ? j + DOT_BLOCK : len;
-        u128 acc = 0;
-        for (; j < end; j++)
-            acc += (u128)x[j] * y[j];
-        s += redc(acc, m);
-        if (s >= m->p)
-            s -= m->p;
-    }
-    return s;
-}
-
-/* det(xI - A) mod p by the division-free Samuelson-Berkowitz recurrence: a
- * holds the n x n residues row-major in Montgomery form, c[0..n] receives the
- * plain descending coefficients, work has room for 5n + 4 residues. */
-static void
-berkowitz_mod(Py_ssize_t n, const uint64_t *a, const mont_t *m, uint64_t *c,
-              uint64_t *work)
-{
-    uint64_t p = m->p, *t = work, *tr = t + n + 1, *v = tr + n + 1,
-             *v2 = v + n, *cnew = v2 + n;
-    uint64_t a00 = redc(a[0], m);
-    c[0] = 1;
-    c[1] = a00 ? p - a00 : 0;
-    for (Py_ssize_t r = 1; r < n; r++) {
-        const uint64_t *top = a + r * n;
-        uint64_t arr = redc(top[r], m);
-        t[0] = 1;
-        t[1] = arr ? p - arr : 0;
-        for (Py_ssize_t i = 0; i < r; i++)
-            v[i] = redc(a[i * n + r], m);
-        for (Py_ssize_t k = 0; k < r; k++) {
-            uint64_t s = dot_mont(top, v, r, m);
-            t[k + 2] = s ? p - s : 0;
-            if (k + 1 == r)
-                break;
-            for (Py_ssize_t i = 0; i < r; i++)
-                v2[i] = dot_mont(a + i * n, v, r, m);
-            uint64_t *tmp = v;
-            v = v2;
-            v2 = tmp;
-        }
-        /* c has r+1 coefficients, t has r+2: their product truncated to r+2,
-         * each term a dot product of c with t reversed (in Montgomery form) */
-        for (Py_ssize_t i = 0; i < r + 2; i++)
-            tr[i] = redc((u128)t[r + 1 - i] * m->r2, m);
-        for (Py_ssize_t i = 0; i < r + 2; i++) {
-            Py_ssize_t jlo = i - r - 1 > 0 ? i - r - 1 : 0, jhi = i < r ? i : r;
-            cnew[i] = dot_mont(c + jlo, tr + r + 1 - i + jlo, jhi - jlo + 1, m);
-        }
-        memcpy(c, cnew, (size_t)(r + 2) * sizeof(uint64_t));
-    }
-}
-
-/* Integer with residues res[j * stride] mod p_j (j < k), in the symmetric
- * range (-P/2, P/2) of the odd P = p_0 ... p_{k-1}: Garner's mixed-radix digits
- * d_j, then d_0 + p_0 (d_1 + p_1 (d_2 + ...)) in Python ints.  pys[j] holds
- * p_j as a Python int; digits has room for k residues. */
-static PyObject *
-garner(Py_ssize_t k, const uint64_t *res, Py_ssize_t stride, uint64_t *digits,
-       PyObject *const *pys, PyObject *prod, PyObject *half)
-{
-    for (Py_ssize_t j = 0; j < k; j++) {
-        uint64_t p = gprimes[j], s = 0;
-        for (Py_ssize_t i = j - 1; i >= 0; i--)
-            s = (uint64_t)(((u128)s * (gprimes[i] % p) + digits[i] % p) % p);
-        uint64_t r = res[j * stride];
-        digits[j] = mulmod(r >= s ? r - s : r + (p - s), ginv[j], p);
-    }
-    PyObject *x = PyLong_FromUnsignedLongLong(digits[k - 1]);
-    for (Py_ssize_t j = k - 2; j >= 0 && x != NULL; j--) {
-        PyObject *d = PyLong_FromUnsignedLongLong(digits[j]), *y = NULL, *z = NULL;
-        if (d != NULL && (y = PyNumber_Multiply(x, pys[j])) != NULL)
-            z = PyNumber_Add(y, d);
-        Py_XDECREF(d);
-        Py_XDECREF(y);
-        Py_SETREF(x, z);
-    }
-    if (x == NULL)
-        return NULL;
-    int big = PyObject_RichCompareBool(x, half, Py_GT);
-    if (big < 0)
-        Py_CLEAR(x);
-    else if (big)
-        Py_SETREF(x, PyNumber_Subtract(x, prod));
-    return x;
-}
-
-/* Ascending coefficients of det(xI - M) for the n x n integer matrix M,
- * n >= 1.  small[] holds the entries row-major; big[], unless NULL, holds a
- * reference to each entry outside int64 (with 0 in small[] there) and NULL
- * elsewhere.  R is the largest absolute row sum of M as a Python int. */
-static PyObject *
-charpoly_core(Py_ssize_t n, const int64_t *small, PyObject *const *big,
-              PyObject *R)
-{
-    PyObject *prod = NULL, *one = NULL, *half = NULL, **pys = NULL,
-             *out = NULL;
-    uint64_t *a = NULL, *res = NULL, *work = NULL;
-    Py_ssize_t k = choose_primes(n, R, &prod);
-    if (k < 0)
-        return NULL;
-    if ((one = PyLong_FromLong(1)) == NULL
-        || (half = PyNumber_Rshift(prod, one)) == NULL)
-        goto done;
-    a = PyMem_Malloc((size_t)n * n * sizeof(uint64_t));
-    res = PyMem_Malloc((size_t)k * (n + 1) * sizeof(uint64_t));
-    work = PyMem_Malloc(((size_t)5 * n + 4 + k) * sizeof(uint64_t));
-    pys = PyMem_Calloc((size_t)k, sizeof(PyObject *));
-    if (a == NULL || res == NULL || work == NULL || pys == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < k; j++) {
-        uint64_t p = gprimes[j];
-        mont_t m = mont_init(p);
-        if ((pys[j] = PyLong_FromUnsignedLongLong(p)) == NULL)
-            goto done;
-        for (Py_ssize_t e = 0; e < n * n; e++) {
-            int64_t x = small[e];
-            if (big != NULL && big[e] != NULL) {
-                PyObject *rem = PyNumber_Remainder(big[e], pys[j]);
-                if (rem == NULL)
-                    goto done;
-                a[e] = PyLong_AsUnsignedLongLong(rem);
-                Py_DECREF(rem);
-            }
-            else if (x >= 0)
-                a[e] = (uint64_t)x < p ? (uint64_t)x : (uint64_t)x % p;
-            else {
-                uint64_t r = (uint64_t)(-(i128)x % p);
-                a[e] = r ? p - r : 0;
-            }
-            a[e] = redc((u128)a[e] * m.r2, &m);
-        }
-        berkowitz_mod(n, a, &m, res + j * (n + 1), work);
-    }
-    if ((out = PyTuple_New(n + 1)) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i <= n; i++) {
-        PyObject *ci = garner(k, res + (n - i), n + 1, work, pys, prod, half);
-        if (ci == NULL) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyTuple_SET_ITEM(out, i, ci);
-    }
-done:
-    if (pys != NULL) {
-        for (Py_ssize_t j = 0; j < k; j++)
-            Py_XDECREF(pys[j]);
-        PyMem_Free(pys);
-    }
-    PyMem_Free(a);
-    PyMem_Free(res);
-    PyMem_Free(work);
-    Py_DECREF(prod);
-    Py_XDECREF(one);
-    Py_XDECREF(half);
-    return out;
-}
-
-static PyObject *
-k_charpoly(PyObject *self, PyObject *rows_obj)
-{
-    PyObject *rows = PySequence_Fast(rows_obj, "matrix rows must be a sequence");
-    if (rows == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(rows);
-    int64_t *small = NULL;
-    PyObject **big = NULL, *R = NULL, *out = NULL;
-    u128 rmax = 0;
-    if (n == 0) {
-        Py_DECREF(rows);
-        return Py_BuildValue("(i)", 1);
-    }
-    if ((size_t)n > ((size_t)1 << 28) / (size_t)n) {
-        PyErr_SetString(PyExc_MemoryError, "matrix too large");
-        goto done;
-    }
-    small = PyMem_Malloc((size_t)n * n * sizeof(int64_t));
-    if (small == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    /* load the entries into small[], keeping in big[] a reference to each
-     * entry outside int64; R is the largest absolute row sum */
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, i),
-                                        "matrix rows must be sequences");
-        if (row == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(row) != n) {
-            Py_DECREF(row);
-            PyErr_SetString(PyExc_ValueError, "matrix must be square");
-            goto done;
-        }
-        PyObject **items = PySequence_Fast_ITEMS(row);
-        u128 sum = 0;
-        for (Py_ssize_t j = 0; j < n; j++) {
-            int overflow;
-            long long x = PyLong_AsLongLongAndOverflow(items[j], &overflow);
-            if (x == -1 && PyErr_Occurred()) {
-                Py_DECREF(row);
-                goto done;
-            }
-            if (overflow)
-                x = 0;
-            small[i * n + j] = x;
-            sum += x < 0 ? -(u128)x : (u128)x;
-            if (overflow) {
-                if (big == NULL && (big = PyMem_Calloc((size_t)n * n,
-                                                       sizeof(PyObject *))) == NULL) {
-                    Py_DECREF(row);
-                    PyErr_NoMemory();
-                    goto done;
-                }
-                Py_INCREF(items[j]);
-                big[i * n + j] = items[j];
-            }
-        }
-        Py_DECREF(row);
-        if (sum > rmax)
-            rmax = sum;
-    }
-    if (big == NULL)
-        R = u128_to_py(rmax);
-    else {
-        R = PyLong_FromLong(0);
-        for (Py_ssize_t i = 0; i < n && R != NULL; i++) {
-            PyObject *sum = PyLong_FromLong(0);
-            for (Py_ssize_t j = 0; j < n && sum != NULL; j++) {
-                PyObject *x = big[i * n + j], *ax, *s2 = NULL;
-                ax = x ? PyNumber_Absolute(x) : u128_to_py(small[i * n + j] < 0
-                         ? -(u128)small[i * n + j] : (u128)small[i * n + j]);
-                if (ax != NULL)
-                    s2 = PyNumber_Add(sum, ax);
-                Py_XDECREF(ax);
-                Py_SETREF(sum, s2);
-            }
-            if (sum == NULL)
-                Py_CLEAR(R);
-            else {
-                int gt = PyObject_RichCompareBool(sum, R, Py_GT);
-                if (gt < 0)
-                    Py_CLEAR(R);
-                else if (gt)
-                    Py_SETREF(R, sum);
-                else
-                    Py_DECREF(sum);
-            }
-        }
-    }
-    if (R != NULL)
-        out = charpoly_core(n, small, big, R);
-done:
-    if (big != NULL) {
-        for (Py_ssize_t e = 0; e < n * n; e++)
-            Py_XDECREF(big[e]);
-        PyMem_Free(big);
-    }
-    PyMem_Free(small);
-    Py_XDECREF(R);
-    Py_DECREF(rows);
-    return out;
-}
-
-static PyObject *
-k_charpoly_primes(PyObject *self, PyObject *args)
-{
-    Py_ssize_t n;
-    PyObject *R, *prod;
-    if (!PyArg_ParseTuple(args, "nO!", &n, &PyLong_Type, &R))
-        return NULL;
-    PyObject *zero = PyLong_FromLong(0);
-    if (zero == NULL)
-        return NULL;
-    int neg = PyObject_RichCompareBool(R, zero, Py_LT);
-    Py_DECREF(zero);
-    if (neg < 0)
-        return NULL;
-    if (n < 0 || neg)
-        return PyErr_Format(PyExc_ValueError, "need n >= 0 and R >= 0");
-    Py_ssize_t k = choose_primes(n, R, &prod);
-    if (k < 0)
-        return NULL;
-    Py_DECREF(prod);
-    PyObject *out = PyTuple_New(k);
-    for (Py_ssize_t j = 0; out != NULL && j < k; j++) {
-        PyObject *p = PyLong_FromUnsignedLongLong(gprimes[j]);
-        if (p == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, j, p);
-    }
-    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -1108,21 +866,19 @@ static PyMethodDef kernel_methods[] = {
      "census_stats(n, adj)\n--\n\n"
      "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of a connected\n"
      "graph; multiplicities are m(c) = n - rank(E - cI)."},
-    {"charpoly", k_charpoly, METH_O,
-     "charpoly(rows)\n--\n\n"
-     "Ascending integer coefficients of det(xI - M) for the square integer\n"
-     "matrix M with these rows (any order, any entry size, symmetric or not)."},
-    {"_charpoly_primes", k_charpoly_primes, METH_VARARGS,
-     "_charpoly_primes(n, R)\n--\n\n"
-     "The primes charpoly takes for an n x n matrix whose largest absolute\n"
-     "row sum is R: the fewest whose product exceeds 2 (1+R)^n."},
+    {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
+     "charpoly_mod(rows, moduli)\n--\n\n"
+     "Ascending coefficients of det(xI - M) modulo each odd modulus\n"
+     "3 <= p < 2^56, as residues in 0..p-1, one tuple per modulus, for the\n"
+     "square integer matrix M with these rows (any order, any entry size,\n"
+     "symmetric or not)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "eccspec._kernels",
     "Compiled kernels: BFS distances, canonical labeling, census invariants,\n"
-    "characteristic polynomials.",
+    "characteristic polynomials modulo word-size moduli.",
     -1, kernel_methods,
 };
 

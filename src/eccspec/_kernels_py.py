@@ -7,7 +7,8 @@ functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
 from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
-too); ``charpoly`` is ``exactalg.berkowitz_charpoly`` on a list of rows.
+too); ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
+each modulus.
 ``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
 order, which ``graphs.graph6_decode`` shares.  Every graph kernel checks its
 order range with the compiled one's limits and messages, and works on
@@ -30,6 +31,7 @@ _STATE_CAP = 500_000
 _MAXN_CANON = 16
 _MAXN_CENSUS = 10
 _MAXN_DIST = 64
+_MODULUS_TOP = 1 << 56  # the compiled recurrence's Montgomery word bound
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
@@ -229,8 +231,14 @@ def census_stats(n, adj):
     return max(ecc), ecc.count(1), m1, m2, m0, coeffs
 
 
-def charpoly(rows):
-    """Ascending integer coefficients of det(xI - M) for the square integer
-    matrix M with these rows (any order, any entry size, symmetric or not),
-    by ``exactalg.berkowitz_charpoly``."""
-    return berkowitz_charpoly(IntMatrix(rows)).coeffs
+def charpoly_mod(rows, moduli):
+    """Ascending coefficients of det(xI - M) modulo each odd modulus
+    3 <= p < 2^56, as residues in 0..p-1, one tuple per modulus, for the
+    square integer matrix M with these rows (any order, any entry size,
+    symmetric or not)."""
+    moduli = tuple(moduli)
+    if not all(isinstance(p, int) and 3 <= p < _MODULUS_TOP and p & 1
+               for p in moduli):
+        raise ValueError("charpoly_mod needs odd int moduli 3 <= p < 2^56")
+    coeffs = berkowitz_charpoly(IntMatrix(rows)).coeffs
+    return tuple(tuple(c % p for c in coeffs) for p in moduli)

@@ -7,8 +7,10 @@ Samuelson-Berkowitz recurrence for characteristic polynomials, and Descartes'
 rule of signs on the shifted characteristic polynomial for inertia (exact
 because a symmetric matrix has only real eigenvalues).  There is no floating
 point anywhere.  ``berkowitz_charpoly`` is the reference recurrence;
-``charpoly`` is the one entry point the package uses, which asks the kernel
-backend (the compiled multimodular recurrence, or ``berkowitz_charpoly``).
+``charpoly`` is the one entry point the package uses: the multimodular
+driver, which chooses the primes, asks the kernel backend for the residues
+(``kernels.charpoly_mod``: the compiled word-size recurrence, or
+``berkowitz_charpoly`` reduced) and lifts them by CRT in Python ints.
 """
 
 from __future__ import annotations
@@ -301,11 +303,91 @@ def berkowitz_charpoly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(c[::-1])
 
 
-def charpoly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M), monic of degree n, from the kernel backend's
-    ``charpoly``: exact for any square integer matrix."""
+def _max_row_sum(m: IntMatrix) -> int:
+    """Largest absolute row sum of m: a bound on |l| for every eigenvalue l,
+    symmetric or not (for an eigenvector x and i with |x_i| maximal,
+    |l| |x_i| = |sum_j m_ij x_j| <= R |x_i|)."""
+    return max((sum(map(abs, row)) for row in m.rows), default=0)
+
+
+_PRIME_TOP = 1 << 56  # the kernels' Montgomery word bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_primes = []  # the primes below 2^56 in decreasing order, found on demand
+_products = [1]  # _products[k]: the product of the first k primes
+_crt_bases = {}  # k -> e_j = 1 mod p_j and 0 mod the other first k primes
+
+
+def _is_prime(m):
+    """Miller-Rabin with the first twelve prime bases: deterministic below
+    3.3e24, so exact for every odd m > 37 below 2^64."""
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _charpoly_primes(n, R):
+    """The primes ``charpoly`` takes for an n x n matrix whose largest
+    absolute row sum is R: the fewest of the primes below 2^56, in decreasing
+    order, whose product exceeds 2 (1+R)^n."""
+    if n < 0 or R < 0:
+        raise ValueError("need n >= 0 and R >= 0")
+    bound = 2 * (1 + R) ** n
+    k = 0
+    while _products[k] <= bound:
+        k += 1
+        if k == len(_products):
+            m = _primes[-1] - 2 if _primes else _PRIME_TOP - 1
+            while not _is_prime(m):
+                m -= 2
+            _primes.append(m)
+            _products.append(_products[-1] * m)
+    return tuple(_primes[:k])
+
+
+def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
+    """det(xI - M), monic of degree n, exact for any square integer matrix,
+    symmetric or not, by the multimodular Berkowitz recurrence.
+
+    ``radius`` is R = ``_max_row_sum(m)``, for a caller that has it
+    already.  The kernel backend's ``charpoly_mod`` gives the residues of
+    the coefficients modulo primes below 2^56: Berkowitz is division-free,
+    so they are the integer coefficients reduced mod each prime.  Bound:
+    every eigenvalue has |l| <= R, and the coefficient of x^(n-k) is
+    (-1)^k e_k(l_1, ..., l_n), so its absolute value is at most
+    C(n,k) R^k <= (1+R)^n.  ``_charpoly_primes`` takes primes until their
+    product P exceeds 2 (1+R)^n; every coefficient then lies strictly inside
+    (-P/2, P/2), where a residue class mod P has exactly one member, so the
+    symmetric CRT lift of its residues is the coefficient.
+    """
     from . import kernels  # at call time: the pure backend imports this module
-    return IntPolynomial(kernels.charpoly(m.rows))
+    if radius is None:
+        radius = _max_row_sum(m)
+    primes = _charpoly_primes(m.n, radius)
+    residues = kernels.charpoly_mod(m.rows, primes)
+    k = len(primes)
+    prod = _products[k]
+    if k == 1:
+        lifted = residues[0]
+    else:
+        basis = _crt_bases.get(k)
+        if basis is None:
+            basis = _crt_bases[k] = tuple((prod // p) * pow(prod // p, -1, p)
+                                          for p in primes)
+        lifted = [sum(map(mul, col, basis)) % prod for col in zip(*residues)]
+    half = prod >> 1
+    return IntPolynomial([x - prod if x > half else x for x in lifted])
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +463,13 @@ class SymmetricSpectrum:
         self.n = m.n
         self._inertia = {}
         self._charpoly = None
-        radius = 0
-        for i in range(m.n):
-            row_sum = sum(abs(x) for x in m.rows[i])
-            radius = max(radius, row_sum)
-        self.lower = -radius - 1
-        self.upper = radius
+        self.upper = _max_row_sum(m)
+        self.lower = -self.upper - 1
 
     @property
     def charpoly(self) -> IntPolynomial:
         if self._charpoly is None:
-            self._charpoly = charpoly(self.m)
+            self._charpoly = charpoly(self.m, self.upper)
         return self._charpoly
 
     def inertia(self, c) -> Inertia:
@@ -450,7 +528,7 @@ def eigenvalue_bracket(m: IntMatrix, i: int,
 
 
 # ---------------------------------------------------------------------------
-# polynomial division, root multiplicities, interpolation
+# polynomial division, root multiplicities
 
 def poly_divide_exact(num: IntPolynomial,
                       den: IntPolynomial) -> Optional[IntPolynomial]:
@@ -520,34 +598,3 @@ def deflate_root(coeffs, r):
         work = quot
         mult += 1
     return mult, work
-
-
-def lagrange_interpolate(points):
-    """Exact rational coefficients (ascending) of the unique polynomial of
-    degree < len(points) through the given (x, y) pairs."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x values")
-    out = [Fraction(0)]
-    for i, (xi, yi) in enumerate(pts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            # basis *= (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = yi / denom
-        if len(basis) > len(out):
-            out.extend([Fraction(0)] * (len(basis) - len(out)))
-        for k, c in enumerate(basis):
-            out[k] += c * scale
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)

@@ -1,7 +1,10 @@
 """Kernel backend selection: compiled extension if importable, else pure Python.
 
 Set ECCSPEC_KERNELS=py to force the pure-Python fallback (used by the
-benchmark and the parity tests).
+benchmark and the parity tests).  Both backends export the same functions;
+``charpoly_mod`` gives characteristic polynomials modulo word-size moduli
+only, and ``exactalg.charpoly`` chooses the moduli and lifts the residues,
+whichever backend is active.
 """
 
 import os
@@ -23,4 +26,4 @@ canon_bits = _impl.canon_bits
 children_canon = _impl.children_canon
 bits_to_adj = _impl.bits_to_adj
 census_stats = _impl.census_stats
-charpoly = _impl.charpoly
+charpoly_mod = _impl.charpoly_mod

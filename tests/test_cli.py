@@ -68,10 +68,10 @@ class TestGraphCommands:
     def test_library_value_error_is_not_usage_error(self, monkeypatch):
         from eccspec import kernels
 
-        def broken(rows):
+        def broken(rows, moduli):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(kernels, "charpoly", broken)
+        monkeypatch.setattr(kernels, "charpoly_mod", broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli_main(["charpoly", P4])
 

@@ -20,7 +20,6 @@ from eccspec.exactalg import (
     deflate_root,
     eigenvalue_bracket,
     inertia_at,
-    lagrange_interpolate,
     poly_divide_exact,
     root_multiplicity,
 )
@@ -208,13 +207,13 @@ class TestInertiaOracle:
         from eccspec import kernels
 
         calls = []
-        real = kernels.charpoly
+        real = kernels.charpoly_mod
 
-        def counting(rows):
+        def counting(rows, moduli):
             calls.append(rows)
-            return real(rows)
+            return real(rows, moduli)
 
-        monkeypatch.setattr(kernels, "charpoly", counting)
+        monkeypatch.setattr(kernels, "charpoly_mod", counting)
         rng = random.Random(23)
         m = random_symmetric(rng, 9)
         spec = SymmetricSpectrum(m)
@@ -327,32 +326,3 @@ class TestPolynomials:
     def test_descending_csv(self):
         assert IntPolynomial([16, 0, -17, 0, 1]).descending_csv() == \
             "1,0,-17,0,16"
-
-
-class TestLagrange:
-    def test_affine_through_two_points(self):
-        assert lagrange_interpolate([(16, 18), (17, 20)]) == \
-            (Fraction(-14), Fraction(2))
-
-    def test_constant(self):
-        assert lagrange_interpolate([(0, 5)]) == (Fraction(5),)
-
-    def test_square(self):
-        assert lagrange_interpolate([(1, 1), (2, 4), (3, 9)]) == \
-            (Fraction(0), Fraction(0), Fraction(1))
-
-    def test_rejects_duplicate_x(self):
-        with pytest.raises(ValueError):
-            lagrange_interpolate([(1, 1), (1, 2)])
-
-    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-20, 20)),
-                    min_size=1, max_size=5,
-                    unique_by=lambda t: t[0]))
-    @settings(max_examples=60)
-    def test_interpolant_passes_through_points(self, pts):
-        coeffs = lagrange_interpolate(pts)
-        for x, y in pts:
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            assert acc == y

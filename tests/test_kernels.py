@@ -19,7 +19,8 @@ import eccspec._kernels as compiled  # noqa: E402
 import eccspec._kernels_py as pure
 from eccspec import kernels
 from eccspec.eccentricity import ecc_matrix, matrix_multiplicity
-from eccspec.exactalg import berkowitz_charpoly
+from eccspec import exactalg
+from eccspec.exactalg import IntMatrix, berkowitz_charpoly
 from eccspec.graphs import (
     Graph,
     bfs_metrics,
@@ -249,17 +250,34 @@ def random_rows(rng, n, lo, hi, symmetric):
     return rows
 
 
+def lifted(rows):
+    """Ascending coefficients from exactalg.charpoly, the multimodular driver
+    over the active backend's charpoly_mod."""
+    return exactalg.charpoly(IntMatrix(rows)).coeffs
+
+
 def check_charpoly(rows, oracle=True):
-    got = compiled.charpoly(rows)
-    assert got == pure.charpoly(rows)
+    """charpoly_mod agrees residue by residue on both backends, over the
+    driver's primes and small odd moduli, prime or not; the driver's lift is
+    the pure Berkowitz recurrence (and sympy)."""
+    want = berkowitz_charpoly(IntMatrix(rows)).coeffs
+    n = len(want) - 1
+    primes = exactalg._charpoly_primes(n, max(
+        (sum(map(abs, row)) for row in rows), default=0))
+    moduli = primes + (3, 9, 15, (1 << 56) - 1)
+    residues = compiled.charpoly_mod(rows, moduli)
+    assert residues == pure.charpoly_mod(rows, moduli)
+    assert residues == tuple(tuple(c % p for c in want) for p in moduli)
+    got = lifted(rows)
+    assert got == want
     if oracle:
         assert got == sympy_charpoly(rows)
     return got
 
 
 class TestCharpoly:
-    """The multimodular charpoly kernel against the pure Berkowitz
-    recurrence and sympy."""
+    """The modular charpoly kernels against each other, and the multimodular
+    driver over them against the pure Berkowitz recurrence and sympy."""
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_random_matrices_up_to_order_40(self, symmetric):
@@ -320,9 +338,18 @@ class TestCharpoly:
     def test_rejects_non_square_alike(self):
         for mod in (compiled, pure):
             with pytest.raises(ValueError, match="matrix must be square"):
-                mod.charpoly([[1, 2], [3]])
+                mod.charpoly_mod([[1, 2], [3]], (7,))
             with pytest.raises(ValueError, match="matrix must be square"):
-                mod.charpoly([[1, 2]])
+                mod.charpoly_mod([[1, 2]], (7,))
+
+    @pytest.mark.parametrize("bad", [4, 2, 1, 0, 1 << 56, (1 << 56) + 1,
+                                     1 << 70, -7, 7.0, "7", None])
+    def test_rejects_bad_moduli_alike(self, bad):
+        for mod in (compiled, pure):
+            with pytest.raises(ValueError) as err:
+                mod.charpoly_mod([[1, 2], [3, 4]], (7, bad))
+            assert str(err.value) == \
+                "charpoly_mod needs odd int moduli 3 <= p < 2^56"
 
 
 def iroot(x, n):
@@ -336,15 +363,15 @@ def iroot(x, n):
 
 
 def first_primes(k):
-    """The first k primes of the fixed sequence the compiled charpoly draws
+    """The first k primes of the fixed sequence exactalg.charpoly draws
     from (any n = 1 matrix with R >= 2^(56 k) takes more than k)."""
-    primes = compiled._charpoly_primes(1, 1 << (56 * k))
+    primes = exactalg._charpoly_primes(1, 1 << (56 * k))
     assert len(primes) > k
     return primes[:k]
 
 
 class TestCharpolyCrtBound:
-    """The compiled charpoly lifts residues modulo the fewest primes whose
+    """exactalg.charpoly lifts residues modulo the fewest primes whose
     product exceeds 2 (1+R)^n, R the largest absolute row sum, which bounds
     twice every coefficient; diag(R, ..., R) has the coefficients
     C(n,k) (-R)^(n-k), the largest the bound allows up to the factor
@@ -359,7 +386,7 @@ class TestCharpolyCrtBound:
     @pytest.mark.parametrize("n,r", [(0, 0), (1, 0), (1, 7), (2, 3),
                                      (10, 9), (40, 42), (65, 2 ** 70)])
     def test_prime_count_follows_the_rule(self, n, r):
-        primes = compiled._charpoly_primes(n, r)
+        primes = exactalg._charpoly_primes(n, r)
         assert primes == first_primes(len(primes))
         assert prod(primes) > 2 * (1 + r) ** n >= prod(primes[:-1])
 
@@ -367,7 +394,7 @@ class TestCharpolyCrtBound:
                                      (40, 42), (40, 2 ** 20)])
     def test_diagonal_matrix(self, n, r):
         rows = [[r * (i == j) for j in range(n)] for i in range(n)]
-        assert compiled.charpoly(rows) == tuple(
+        assert lifted(rows) == tuple(
             comb(n, k) * (-r) ** (n - k) for k in range(n + 1))
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -379,7 +406,7 @@ class TestCharpolyCrtBound:
         head = prod(first_primes(k - 1))
         r = iroot(head // 2, n) + 1
         assert 2 * r ** n > head
-        assert len(compiled._charpoly_primes(n, r)) == k
+        assert len(exactalg._charpoly_primes(n, r)) == k
         rows = [[r * (i == j) for j in range(n)] for i in range(n)]
-        assert compiled.charpoly(rows) == tuple(
+        assert lifted(rows) == tuple(
             comb(n, j) * (-r) ** (n - j) for j in range(n + 1))
