@@ -11,6 +11,15 @@ point anywhere.  ``berkowitz_charpoly`` is the reference recurrence;
 driver, which chooses the primes, asks the kernel backend for the residues
 (``kernels.charpoly_mod``: the compiled word-size recurrence, or
 ``berkowitz_charpoly`` reduced) and lifts them by CRT in Python ints.
+
+Eigenvalue brackets take two kinds of bisection step on that one
+polynomial.  While a bracket may hold several eigenvalues, a step counts
+inertia at the midpoint.  Once it holds exactly one, a step reads the sign
+of the charpoly there instead: for monic cp and c not a root,
+sign cp(c) = (-1)^(#eigenvalues > c).  The midpoints of that phase are
+non-integers, and a monic integer polynomial has only integer rational
+roots, so no sign is ever 0 and every bracket is the one inertia counts
+alone would give.
 """
 
 from __future__ import annotations
@@ -66,8 +75,7 @@ class IntMatrix:
         return hash(self.rows)
 
     def is_symmetric(self):
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        return self.rows == tuple(zip(*self.rows))
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.n))
@@ -448,12 +456,30 @@ def inertia_at(m: IntMatrix, c) -> Inertia:
 class SymmetricSpectrum:
     """Memoized inertia queries and eigenvalue bracketing for one matrix.
 
-    Eigenvalues are indexed from the top: index 1 is the largest.  Brackets
-    are half-open rational enclosures (lo, hi] shrunk by bisection on inertia
-    counts, starting from integer Gershgorin bounds; a bisection point that
-    lands exactly on an eigenvalue certifies it and collapses the bracket.
-    Every inertia query is answered from one characteristic polynomial,
-    computed on first use.
+    Eigenvalues are indexed from the top: index 1 is the largest.  Every
+    query is answered from one characteristic polynomial cp, computed on
+    first use.  Brackets are half-open rational enclosures (lo, hi] of the
+    i-th eigenvalue xi_i, shrunk by bisection from the integer Gershgorin
+    bounds in two phases:
+
+    - an integer phase bisects at integers by inertia down to hi - lo = 1
+      and then probes hi; an integer eigenvalue is certified exactly when a
+      probe lands on it, and the bracket collapses to that point;
+    - a rational phase halves the unit interval down to ``width``.  Its
+      midpoints are dyadic non-integers, and a monic integer polynomial has
+      only integer rational roots, so no midpoint is an eigenvalue.  Each
+      step is one of two kinds.  While (lo, hi) holds more than one
+      eigenvalue (a repeated irrational one, or neighbours not yet
+      separated), the step counts inertia at the midpoint.  Once it holds
+      xi_i alone, the step reads the sign of cp at the midpoint c: for
+      monic cp and c not a root, sign cp(c) = (-1)^(#eigenvalues > c), and
+      the eigenvalues above c are the count_ge(hi) above hi plus xi_i when
+      xi_i > c.  That is the inertia the first kind would count, found by
+      one O(n) Horner evaluation instead of an O(n^2) Taylor shift.
+
+    Both kinds give the same inertia at the same midpoints, so a bracket is
+    the same whichever kind decided each step, and every midpoint's inertia
+    goes into the memo.
     """
 
     def __init__(self, m: IntMatrix):
@@ -491,32 +517,51 @@ class SymmetricSpectrum:
         """Enclosure of the i-th largest eigenvalue (1-based)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"eigenvalue index {i} out of range 1..{self.n}")
-        lo = Fraction(self.lower)  # invariant: lo < xi_i <= hi
-        hi = Fraction(self.upper)
-        # Integer phase first, probing hi once at unit width, so integer
-        # eigenvalues certify exactly instead of shrinking forever.
+        width = Fraction(width)
+        if width <= 0:
+            raise ValueError("bracket width must be positive")
+        # invariant: lo < xi_i <= hi; above_lo eigenvalues lie above lo
+        lo, hi, above_lo = self.lower, self.upper, self.n
         while hi - lo >= 2:
-            mid = Fraction((int(lo) + int(hi)) // 2)
+            mid = (lo + hi) // 2
             ine = self.inertia(mid)
             if ine.n_plus >= i:
-                lo = mid
+                lo, above_lo = mid, ine.n_plus
             elif ine.n_plus + ine.n_zero >= i:
-                return RationalInterval(mid, mid)
+                return RationalInterval(Fraction(mid), Fraction(mid))
             else:
                 hi = mid
         ine = self.inertia(hi)
-        if ine.n_plus + ine.n_zero >= i:
-            return RationalInterval(hi, hi)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            ine = self.inertia(mid)
+        above_hi = ine.n_plus + ine.n_zero  # eigenvalues at or above hi
+        if above_hi >= i:
+            return RationalInterval(Fraction(hi), Fraction(hi))
+        # rational phase, while 2^-s > width: lo = L/2^s and hi = H/2^s with
+        # H - L = 1, the midpoint is (2L + 1)/2^(s+1); xi_i < hi now, and
+        # (lo, hi) holds above_lo - above_hi eigenvalues
+        desc = self.charpoly.coeffs[-2::-1]  # a_(n-1), ..., a_0 of monic cp
+        s = 0
+        while width.denominator > width.numerator << s:
+            lo, hi, s = 2 * lo, 2 * hi, s + 1
+            mid = lo + 1
+            c = Fraction(mid, 1 << s)
+            ine = self._inertia.get(c)
+            if ine is None:
+                if above_lo - above_hi == 1:
+                    # 2^(sn) cp(mid / 2^s), whose sign is that of cp
+                    acc, shift = 1, 0
+                    for coeff in desc:
+                        shift += s
+                        acc = acc * mid + (coeff << shift)
+                    n_plus = above_hi + ((acc < 0) ^ (above_hi & 1))
+                    ine = Inertia(n_plus, 0, self.n - n_plus)
+                else:
+                    ine = charpoly_inertia(self.charpoly, c)
+                self._inertia[c] = ine
             if ine.n_plus >= i:
-                lo = mid
-            elif ine.n_plus + ine.n_zero >= i:
-                return RationalInterval(mid, mid)
+                lo, above_lo = mid, ine.n_plus
             else:
-                hi = mid
-        return RationalInterval(lo, hi)
+                hi, above_hi = mid, ine.n_plus
+        return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
 
 def eigenvalue_bracket(m: IntMatrix, i: int,

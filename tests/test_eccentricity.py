@@ -1,5 +1,7 @@
 """Eccentricity matrices and their spectra."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from eccspec.graphs import (
     join,
     join_clique_with,
     path,
+    theorem1_families,
 )
 
 
@@ -247,6 +250,42 @@ class TestSummary:
     def test_mult_table_sums_to_n_for_integral_spectra(self):
         s = spectrum_summary(complete(5), xis=(-1, 4))
         assert sum(s.mult_table.values()) == 5
+
+
+def pinned_query_graphs():
+    """Four random connected graphs per order 8..24 (edge probability
+    0.15-0.6, as in a query stream) and one characterized-family graph per
+    even order 16..40."""
+    rng = random.Random(2024)
+    out = []
+    for n in range(8, 25):
+        drawn = 0
+        while drawn < 4:
+            p = rng.uniform(0.15, 0.6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            if is_connected(g):
+                out.append(g)
+                drawn += 1
+    for n in range(16, 41, 2):
+        out.append(rng.choice(theorem1_families(n))[1])
+    return out
+
+
+#: sha256 of the JSON list of ``spectrum_summary(g).to_dict()`` over
+#: ``pinned_query_graphs()``, computed with brackets bisected by inertia
+#: counts alone; the charpoly-sign steps leave every summary byte-identical
+SUMMARY_SHA256 = \
+    "b0eda4969727f4819b068e078fcdcf4c88eeeedf86bc677c2e2eb853a6b8ca39"
+
+
+def test_query_summaries_pinned():
+    dicts = [spectrum_summary(g).to_dict() for g in pinned_query_graphs()]
+    bisected = sum(not d[k]["exact"] for d in dicts
+                   for k in ("median_upper", "median_lower"))
+    assert bisected >= 40  # the pin covers the rational phase
+    text = json.dumps(dicts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_SHA256
 
 
 def rank_multiplicities(g, xis):

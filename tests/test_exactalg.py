@@ -8,6 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eccspec import exactalg
+from eccspec.eccentricity import ecc_matrix
 from eccspec.exactalg import (
     Inertia,
     IntMatrix,
@@ -23,6 +25,7 @@ from eccspec.exactalg import (
     poly_divide_exact,
     root_multiplicity,
 )
+from eccspec.graphs import Graph, is_connected
 
 A_P4 = IntMatrix([[0, 0, 2, 3], [0, 0, 0, 2], [2, 0, 0, 0], [3, 2, 0, 0]])
 A_K5 = IntMatrix([[int(i != j) for j in range(5)] for i in range(5)])
@@ -129,6 +132,18 @@ class TestInertia:
         with pytest.raises(ValueError):
             inertia_at(IntMatrix([[0, 1], [2, 0]]), 0)
 
+    def test_is_symmetric(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            m = random_symmetric(rng, rng.randint(0, 7))
+            assert m.is_symmetric()
+            if m.n >= 2:
+                i, j = rng.sample(range(m.n), 2)
+                rows = [list(r) for r in m.rows]
+                rows[i][j] += 1
+                assert not IntMatrix(rows).is_symmetric()
+        assert A_P4.is_symmetric() and IntMatrix([]).is_symmetric()
+
     def test_counts_sum_to_n_and_match_rank(self):
         rng = random.Random(7)
         for _ in range(120):
@@ -223,6 +238,131 @@ class TestInertiaOracle:
         assert len(calls) == 1
 
 
+def diamond_join():
+    """The K4 v 2K1 eccentricity matrix; its second eigenvalue is
+    (5 - sqrt(33))/2."""
+    rows = [[1] * 6 for _ in range(6)]
+    for i in range(6):
+        rows[i][i] = 0
+    rows[4][5] = rows[5][4] = 2
+    return IntMatrix(rows)
+
+
+def inertia_bisection(m, i, width):
+    """The i-th largest eigenvalue bracketed by inertia counts alone, every
+    step an independent Descartes count on the Berkowitz charpoly: the
+    oracle for ``SymmetricSpectrum.bracket``, whose rational phase reads a
+    charpoly sign instead wherever the bracket holds one eigenvalue."""
+    cp = berkowitz_charpoly(m)
+    upper = max((sum(map(abs, row)) for row in m.rows), default=0)
+    lo = Fraction(-upper - 1)
+    hi = Fraction(upper)
+    while hi - lo >= 2:
+        mid = Fraction((int(lo) + int(hi)) // 2)
+        ine = charpoly_inertia(cp, mid)
+        if ine.n_plus >= i:
+            lo = mid
+        elif ine.n_plus + ine.n_zero >= i:
+            return mid, mid
+        else:
+            hi = mid
+    ine = charpoly_inertia(cp, hi)
+    if ine.n_plus + ine.n_zero >= i:
+        return hi, hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        ine = charpoly_inertia(cp, mid)
+        if ine.n_plus >= i:
+            lo = mid
+        elif ine.n_plus + ine.n_zero >= i:
+            return mid, mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def random_ecc_matrix(rng, n):
+    while True:
+        p = rng.uniform(0.15, 0.6)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        if is_connected(g):
+            return ecc_matrix(g).m
+
+
+def cycle_adjacency(n):
+    return IntMatrix([[int((i - j) % n in (1, n - 1)) for j in range(n)]
+                      for i in range(n)])
+
+
+class TestBracketOracle:
+    """``bracket`` equals the inertia-only bisection at every index."""
+
+    WIDTHS = (Fraction(1, 2 ** 20), Fraction(1, 2 ** 40),
+              Fraction(1, 3 * 2 ** 20))
+
+    def check(self, m):
+        spec = SymmetricSpectrum(m)
+        for width in self.WIDTHS:
+            for i in range(1, m.n + 1):
+                assert tuple(spec.bracket(i, width)) == \
+                    inertia_bisection(m, i, width), (m, i, width)
+        # every inertia the sign steps recorded is the Descartes count
+        cp = berkowitz_charpoly(m)
+        for c, ine in spec._inertia.items():
+            assert ine == charpoly_inertia(cp, c), (m, c)
+
+    def test_random_symmetric(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            self.check(random_symmetric(rng, rng.randint(1, 12)))
+
+    def test_random_eccentricity_matrices(self):
+        rng = random.Random(32)
+        for n in range(8, 25, 2):
+            self.check(random_ecc_matrix(rng, n))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_repeated_irrational_eigenvalues(self, n):
+        # C8: +-sqrt(2) double; C10: the golden-ratio values double, so
+        # some brackets never isolate one eigenvalue
+        self.check(cycle_adjacency(n))
+
+    def test_diamond_join(self):
+        self.check(diamond_join())
+
+
+class TestBracketCost:
+    def count_calls(self, monkeypatch):
+        calls = []
+        real = exactalg.charpoly_inertia
+
+        def counting(cp, c):
+            calls.append(c)
+            return real(cp, c)
+
+        monkeypatch.setattr(exactalg, "charpoly_inertia", counting)
+        return calls
+
+    def test_isolated_eigenvalue_needs_integer_phase_only(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        spec = SymmetricSpectrum(diamond_join())
+        iv = spec.bracket(2, Fraction(1, 2 ** 40))
+        # three integer probes; the 40 rational steps read charpoly signs
+        assert calls == [-1, 2, 0]
+        assert iv.width() == Fraction(1, 2 ** 40)
+        assert spec.count_gt(iv.hi) == 1 and spec.count_ge(iv.lo) == 2
+        assert spec.count_gt(iv.lo) == 2 and spec.count_ge(iv.hi) == 1
+        assert len(calls) == 3  # the ends were recorded: memo hits
+
+    def test_repeated_eigenvalue_keeps_inertia_steps(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        spec = SymmetricSpectrum(cycle_adjacency(8))
+        iv = spec.bracket(2, Fraction(1, 2 ** 20))  # sqrt(2), double
+        assert iv.lo * iv.lo < 2 < iv.hi * iv.hi
+        assert len(calls) > 20
+
+
 class TestBrackets:
     def test_k5_third_eigenvalue_is_exactly_minus_one(self):
         iv = eigenvalue_bracket(A_K5, 3)
@@ -234,11 +374,7 @@ class TestBrackets:
 
     def test_diamond_join_irrational_eigenvalue(self):
         # second eigenvalue of the K4 v 2K1 matrix is (5 - sqrt(33))/2
-        rows = [[1] * 6 for _ in range(6)]
-        for i in range(6):
-            rows[i][i] = 0
-        rows[4][5] = rows[5][4] = 2
-        iv = eigenvalue_bracket(IntMatrix(rows), 2)
+        iv = eigenvalue_bracket(diamond_join(), 2)
         assert iv.width() <= Fraction(1, 2 ** 20)
         assert -1 < iv.lo <= iv.hi < 0
         # exact sign test of x^2 - 5x - 2 at the endpoints
@@ -248,6 +384,11 @@ class TestBrackets:
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             eigenvalue_bracket(A_P4, 5)
+
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2 ** 20)])
+    def test_rejects_non_positive_width(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            eigenvalue_bracket(diamond_join(), 2, width)
 
     def test_all_brackets_ordered_and_certified(self):
         rng = random.Random(9)
