@@ -37,8 +37,6 @@ from .exactalg import (
     bareiss_rank,
     berkowitz_charpoly,
     charpoly,
-    eigenvalue_bracket,
-    inertia_at,
     poly_divide_exact,
     root_multiplicity,
 )

@@ -8,14 +8,13 @@
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
  * iff ij is an edge.  The C side does word arithmetic only; big-integer work
  * (choosing primes, lifting residues) is exactalg's, in Python ints.
- * Fixed-width arithmetic has two stated bounds, each with tests at it:
- *  - int128 Bareiss: the census_stats ranks stay below 2.6e29 (n <= 10);
- *  - Montgomery words: the one Berkowitz recurrence, which charpoly_mod and
- *    census_stats share, takes moduli below 2^56, so 255 products of
- *    residues add up in an unsigned __int128 before each reduction.
- * census_stats needs one modulus, the prime 2^56 - 5: its largest-distance
- * matrices have row sums R <= 44, so every charpoly coefficient is below
- * (1+R)^n < 2^56 / 2 in absolute value and equals its symmetric residue.
+ * Fixed-width arithmetic has one stated bound, with tests at it: the
+ * Montgomery words.  The one Berkowitz recurrence, which charpoly_mod and
+ * census_stats share, takes moduli below 2^56, so 255 products of residues
+ * add up in an unsigned __int128 before each reduction.  census_stats works
+ * modulo the one prime 2^56 - 5: its charpoly coefficients and the minors
+ * behind its ranks all lie below half that prime in absolute value, so the
+ * residues determine them (the argument is at census_stats).
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -31,7 +30,6 @@
 #define STATE_CAP 500000
 #define UNREACH (-1)
 
-typedef __int128 i128;
 typedef unsigned __int128 u128;
 
 /* ------------------------------------------------------------------------
@@ -523,7 +521,7 @@ redc(u128 t, const mont_t *m)
 static uint64_t
 mont_of(int64_t x, const mont_t *m)
 {
-    uint64_t r = (uint64_t)(x < 0 ? -(i128)x : x) % m->p;
+    uint64_t r = (x < 0 ? (uint64_t)0 - (uint64_t)x : (uint64_t)x) % m->p;
     if (x < 0 && r)
         r = m->p - r;
     return redc((u128)r * m->r2, m);
@@ -712,78 +710,65 @@ done:
  *
  * census_stats takes n <= MAXN_CENSUS = 10 connected vertices, so every
  * entry of the largest-distance matrix E lies in 0..diam <= 9, with a zero
- * diagonal.
+ * diagonal.  It reads its charpoly and its three ranks off one matrix: E
+ * modulo the prime CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime
+ * exactalg.charpoly takes), in Montgomery form.  Both are exact by one
+ * argument: each integer they stand for lies below p/2 in absolute value,
+ * so its symmetric residue mod p is the integer itself, and it is zero iff
+ * its residue is.
  *
- * One modulus for the characteristic polynomial.  Every coefficient of
- * det(xI - E) has absolute value at most (1+R)^n, R the largest row sum of
- * E (the argument is in exactalg.charpoly).  Entry uv of E is 0 or d(u,v),
- * and a vertex of eccentricity e has a vertex at each distance 1..e-1, so
- * its row sums to at most e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for
- * an end of P10 (e = 9), whose row sums to 35.  As 2 (1+44)^10 < 6.8e16 is
- * below CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime exactalg.charpoly
- * takes), the symmetric residues of berkowitz_mod modulo that one prime are
- * the coefficients themselves (the orders n <= 9 reach R = 30).
+ * The charpoly.  Every coefficient of det(xI - E) has absolute value at
+ * most (1+R)^n, R the largest row sum of E (the argument is in
+ * exactalg.charpoly).  Entry uv of E is 0 or d(u,v), and a vertex of
+ * eccentricity e has a vertex at each distance 1..e-1, so its row sums to
+ * at most e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for an end of P10
+ * (e = 9), whose row sums to 35.  As (1+44)^10 < 3.4e16 < p/2, the
+ * symmetric residues of berkowitz_mod are the coefficients (the orders
+ * n <= 9 reach R = 30).
  *
- * Fixed-width bound of the ranks.  E + sI (s <= 2) adds at most 2 on the
- * diagonal, so every column of E + sI has Euclidean norm at most
- * sqrt(10 * 81) < 28.5.  Every Bareiss intermediate a[i][j] is a minor of
- * the row- and column-permuted input, so by Hadamard's inequality
- * |a[i][j]| <= 28.5^10 < 3.6e14.  The largest value formed is the product
- * a[i][j]*piv - a[i][k]*a[k][j], before the exact division by the previous
- * pivot: at most 2 * (3.6e14)^2 < 2.6e29, far below the int128 limit 1.7e38
- * and beyond 64 bits.  Actual values are far smaller: the largest
- * intermediate over the extreme inputs the parity tests check against the
- * arbitrary-precision route (P10, C10, K10, K_{1,9}, spiders, a lollipop,
- * barbells) and 3000 random connected n=10 graphs is 3.8e12 (on C10).
+ * The ranks.  m(c) = n - rank(E - cI) for c = -1, -2, 0, and rank mod p
+ * equals rank over Q when no nonzero minor of E - cI vanishes mod p.  Its
+ * entries lie in 0..9 off the diagonal and in 0..2 on it, so every column
+ * has Euclidean norm below sqrt(9 * 81 + 4) < 28.5, and by Hadamard's
+ * inequality every minor is below 28.5^10 < 3.6e14 < p/2.  rank_mod
+ * eliminates without division, scaling each row by a nonzero pivot, which
+ * keeps the rank as p is prime; the Montgomery form scales every entry by
+ * the unit R, which keeps the zero pattern.
  */
 
 #define CENSUS_PRIME (MODULUS_TOP - 5)
 
-/* Rank of E + shift*I (e row-major n x n) by fraction-free (Bareiss)
- * elimination with full pivoting in 128-bit integers. */
+/* Rank of A + shift*I modulo the prime m->p, for A with a zero diagonal,
+ * held row-major in Montgomery form in a.  Each pivot row, once chosen,
+ * clears its column in the rows not yet chosen by
+ * row i := piv * row i - a[i][col] * pivot row; the sum of the two products
+ * is below 2 p^2 < p 2^64, within one REDC. */
 static int
-rank_shift(int n, const int64_t *e, int shift)
+rank_mod(int n, const uint64_t *a, int64_t shift, const mont_t *m)
 {
-    i128 a[MAXN_CENSUS][MAXN_CENSUS], prev = 1;
-    int rank = 0;
+    uint64_t b[MAXN_CENSUS][MAXN_CENSUS], p = m->p, s = mont_of(shift, m);
+    unsigned used = 0;
     for (int i = 0; i < n; i++) {
-        for (int j = 0; j < n; j++)
-            a[i][j] = e[i * n + j];
-        a[i][i] += shift;
+        memcpy(b[i], a + i * n, (size_t)n * sizeof(uint64_t));
+        b[i][i] = s;
     }
-    for (int k = 0; k < n; k++) {
-        int pr = -1, pc = -1;
-        for (int i = k; i < n && pr < 0; i++)
-            for (int j = k; j < n; j++)
-                if (a[i][j] != 0) {
-                    pr = i;
-                    pc = j;
-                    break;
-                }
-        if (pr < 0)
-            break;
-        if (pr != k)
-            for (int j = 0; j < n; j++) {
-                i128 t = a[k][j];
-                a[k][j] = a[pr][j];
-                a[pr][j] = t;
-            }
-        if (pc != k)
-            for (int i = 0; i < n; i++) {
-                i128 t = a[i][k];
-                a[i][k] = a[i][pc];
-                a[i][pc] = t;
-            }
-        i128 piv = a[k][k];
-        for (int i = k + 1; i < n; i++) {
-            for (int j = k + 1; j < n; j++)
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) / prev;
-            a[i][k] = 0;
+    for (int col = 0; col < n; col++) {
+        int r = 0;
+        while (r < n && ((used >> r & 1) || b[r][col] == 0))
+            r++;
+        if (r == n)
+            continue;
+        used |= 1u << r;
+        uint64_t piv = b[r][col];
+        for (int i = 0; i < n; i++) {
+            if ((used >> i & 1) || b[i][col] == 0)
+                continue;
+            uint64_t f = p - b[i][col];
+            for (int j = col + 1; j < n; j++)
+                b[i][j] = redc((u128)piv * b[i][j] + (u128)f * b[r][j], m);
         }
-        prev = piv;
-        rank++;
     }
-    return rank;
+    return __builtin_popcount(used);
 }
 
 static PyObject *
@@ -791,7 +776,6 @@ k_census_stats(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
-    int64_t e[MAXN_CENSUS * MAXN_CENSUS];
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
              work[5 * MAXN_CENSUS + 4];
     int n;
@@ -818,12 +802,11 @@ k_census_stats(PyObject *self, PyObject *args)
     for (int i = 0; i < n; i++)
         for (int j = 0; j < n; j++) {
             int d = dist[i][j], mn = ecc[i] < ecc[j] ? ecc[i] : ecc[j];
-            e[i * n + j] = (i != j && d == mn) ? d : 0;
-            a[i * n + j] = mont_of(e[i * n + j], &m);
+            a[i * n + j] = mont_of((i != j && d == mn) ? d : 0, &m);
         }
-    int m1 = n - rank_shift(n, e, 1);
-    int m2 = n - rank_shift(n, e, 2);
-    int m0 = n - rank_shift(n, e, 0);
+    int m1 = n - rank_mod(n, a, 1, &m);
+    int m2 = n - rank_mod(n, a, 2, &m);
+    int m0 = n - rank_mod(n, a, 0, &m);
     berkowitz_mod(n, a, &m, c, work);
     PyObject *coeffs = PyTuple_New(n + 1);
     for (int i = 0; coeffs != NULL && i <= n; i++) {

@@ -215,8 +215,10 @@ def ecc_rows(dist, ecc):
 def census_stats(n, adj):
     """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending).
 
-    Multiplicities are rank-based: m(c) = n - rank(E - cI) for the
-    largest-distance matrix E.  Raises ValueError on disconnected input.
+    The integer-Bareiss reference: multiplicities are m(c) = n - rank(E - cI)
+    for the largest-distance matrix E, each rank by fraction-free elimination
+    over Z (the compiled kernel eliminates modulo one prime instead), and the
+    charpoly is Berkowitz's.  Raises ValueError on disconnected input.
     """
     _check_order("census_stats", n, _MAXN_CENSUS)
     dist = all_pairs_dist(n, adj)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import kernels
-from .exactalg import IntPolynomial, deflate_root, root_multiplicity
+from .exactalg import deflate_root
 from .graphs import Graph, bits_to_graph6, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
@@ -35,10 +35,6 @@ class CanonicalForm:
     """Canonical graph6 string: equal canonical forms iff isomorphic graphs."""
 
     canon: str
-
-
-def bits_to_graph(n, bits) -> Graph:
-    return Graph.from_adj(kernels.bits_to_adj(n, bits))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -95,13 +91,6 @@ def _level_bits(n, jobs=1):
     level = tuple(sorted(seen))
     _census_cache[n] = level
     return level
-
-
-def enumerate_connected(n, jobs=1):
-    """One canonical representative per isomorphism class of connected graphs
-    of order n, in deterministic (canonical-form) order."""
-    for bits in _level_bits(n, jobs):
-        yield bits_to_graph(n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +223,6 @@ def cospectral_mates(records, target: CensusRecord):
     its canonical form (witnesses against spectral determination)."""
     return [r for r in records
             if r.charpoly == target.charpoly and r.canon != target.canon]
-
-
-def multiplicity_of(rec: CensusRecord, xi) -> int:
-    """Exact multiplicity of any rational xi, answered from the stored
-    characteristic polynomial (the record fields cover -1, -2, 0)."""
-    return root_multiplicity(IntPolynomial(rec.charpoly), xi)
 
 
 def integer_root_multiplicities(coeffs):

@@ -190,7 +190,7 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("query", help="filter a census store")
-    p.add_argument("store", help=f"store path (or set ${STORE_ENV})")
+    p.add_argument("store", help="store path")
     p.add_argument("predicates", nargs="*",
                    help="field=value filters, e.g. n=9 mult_minus1=5 diam<=2 "
                         "family=K6v3K1")

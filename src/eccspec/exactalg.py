@@ -445,14 +445,6 @@ def charpoly_inertia(cp: IntPolynomial, c) -> Inertia:
     return Inertia(n_plus, n_zero, n - n_plus - n_zero)
 
 
-def inertia_at(m: IntMatrix, c) -> Inertia:
-    """Eigenvalue counts of the symmetric matrix m relative to the rational c,
-    from its characteristic polynomial by ``charpoly_inertia``."""
-    if not m.is_symmetric():
-        raise ValueError("inertia_at requires a symmetric matrix")
-    return charpoly_inertia(charpoly(m), c)
-
-
 class SymmetricSpectrum:
     """Memoized inertia queries and eigenvalue bracketing for one matrix.
 
@@ -562,14 +554,6 @@ class SymmetricSpectrum:
             else:
                 hi, above_hi = mid, ine.n_plus
         return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
-
-
-def eigenvalue_bracket(m: IntMatrix, i: int,
-                       width=DEFAULT_BRACKET_WIDTH) -> RationalInterval:
-    """Rational interval of width <= ``width`` containing the i-th largest
-    eigenvalue of the symmetric matrix m; collapses to a point when the
-    eigenvalue is rational and certified by an exact inertia hit."""
-    return SymmetricSpectrum(m).bracket(i, width)
 
 
 # ---------------------------------------------------------------------------

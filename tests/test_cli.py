@@ -113,6 +113,14 @@ class TestCensusAndQuery:
         code, out, _ = run(capsys, "census", "4")
         assert code == 0 and store.exists()
 
+    def test_query_needs_store_argument_despite_env(self, capsys, tmp_path,
+                                                    monkeypatch):
+        store = tmp_path / "env.tsv"
+        run(capsys, "census", "4", "--store", str(store))
+        monkeypatch.setenv("ECCSPEC_STORE", str(store))
+        code, _, err = run(capsys, "query")
+        assert code == 2 and "store" in err
+
     def test_query_mates_and_json(self, capsys, tmp_path):
         store = tmp_path / "c6.tsv"
         run(capsys, "census", "6", "--store", str(store))

@@ -20,8 +20,6 @@ from eccspec.exactalg import (
     berkowitz_charpoly,
     charpoly_inertia,
     deflate_root,
-    eigenvalue_bracket,
-    inertia_at,
     poly_divide_exact,
     root_multiplicity,
 )
@@ -30,6 +28,11 @@ from eccspec.graphs import Graph, is_connected
 A_P4 = IntMatrix([[0, 0, 2, 3], [0, 0, 0, 2], [2, 0, 0, 0], [3, 2, 0, 0]])
 A_K5 = IntMatrix([[int(i != j) for j in range(5)] for i in range(5)])
 ADJ_P4 = IntMatrix([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+
+
+def spectrum_inertia(m, c):
+    """Inertia of the symmetric m at c, from its charpoly."""
+    return SymmetricSpectrum(m).inertia(c)
 
 
 def random_symmetric(rng, n, bound=5):
@@ -116,21 +119,21 @@ class TestCharpoly:
 
 class TestInertia:
     def test_p4_at_zero(self):
-        assert inertia_at(A_P4, 0) == Inertia(2, 0, 2)
+        assert spectrum_inertia(A_P4, 0) == Inertia(2, 0, 2)
 
     def test_k5_at_minus_one(self):
-        assert inertia_at(A_K5, -1) == Inertia(1, 4, 0)
+        assert spectrum_inertia(A_K5, -1) == Inertia(1, 4, 0)
 
     def test_below_gershgorin_all_plus(self):
         rng = random.Random(6)
         for _ in range(30):
             m = random_symmetric(rng, rng.randint(1, 6))
             bound = max(sum(abs(x) for x in row) for row in m.rows)
-            assert inertia_at(m, -bound - 1) == Inertia(m.n, 0, 0)
+            assert spectrum_inertia(m, -bound - 1) == Inertia(m.n, 0, 0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            inertia_at(IntMatrix([[0, 1], [2, 0]]), 0)
+            spectrum_inertia(IntMatrix([[0, 1], [2, 0]]), 0)
 
     def test_is_symmetric(self):
         rng = random.Random(10)
@@ -149,7 +152,7 @@ class TestInertia:
         for _ in range(120):
             m = random_symmetric(rng, rng.randint(1, 7))
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            ine = inertia_at(m, c)
+            ine = spectrum_inertia(m, c)
             assert ine.n_plus + ine.n_zero + ine.n_minus == m.n
             shifted = m.shifted(c.denominator, c.numerator)
             assert ine.n_zero == m.n - bareiss_rank(shifted)
@@ -159,7 +162,7 @@ class TestInertia:
         for _ in range(60):
             m = random_symmetric(rng, rng.randint(2, 6))
             cs = sorted(rng.randint(-10, 10) for _ in range(4))
-            plus = [inertia_at(m, c).n_plus for c in cs]
+            plus = [spectrum_inertia(m, c).n_plus for c in cs]
             assert all(a >= b for a, b in zip(plus, plus[1:]))
 
 
@@ -185,7 +188,7 @@ class TestInertiaOracle:
             m = random_symmetric(rng, rng.randint(1, 12), rng.choice((1, 3, 5)))
             for c in {rng.randint(-6, 6), rng.choice(m.rows[0]), 0, -1}:
                 c = Fraction(c)
-                assert inertia_at(m, c) == sympy_inertia(m, c), (m, c)
+                assert spectrum_inertia(m, c) == sympy_inertia(m, c), (m, c)
 
     def test_matches_sturm_counts_at_rational_shifts(self):
         rng = random.Random(22)
@@ -194,25 +197,25 @@ class TestInertiaOracle:
             for _ in range(3):
                 q = rng.randint(2, 2 ** 20)
                 c = Fraction(rng.randint(-8 * q, 8 * q), q)
-                assert inertia_at(m, c) == sympy_inertia(m, c), (m, c)
+                assert spectrum_inertia(m, c) == sympy_inertia(m, c), (m, c)
 
     def test_repeated_eigenvalue_at_shift(self):
         for n in range(1, 9):
             kn = IntMatrix([[int(i != j) for j in range(n)] for i in range(n)])
-            assert inertia_at(kn, -1) == Inertia(1, n - 1, 0)
+            assert spectrum_inertia(kn, -1) == Inertia(1, n - 1, 0)
 
     def test_zero_diagonal_adjacency(self):
         # zero diagonal at the shift: symmetric elimination needs 2x2 pivots
-        assert inertia_at(ADJ_P4, 0) == Inertia(2, 0, 2)
-        assert inertia_at(ADJ_P4, 0) == sympy_inertia(ADJ_P4, Fraction(0))
+        assert spectrum_inertia(ADJ_P4, 0) == Inertia(2, 0, 2)
+        assert spectrum_inertia(ADJ_P4, 0) == sympy_inertia(ADJ_P4, Fraction(0))
 
     def test_empty_and_single(self):
-        assert inertia_at(IntMatrix([]), 0) == Inertia(0, 0, 0)
-        assert inertia_at(IntMatrix([]), Fraction(-7, 3)) == Inertia(0, 0, 0)
+        assert spectrum_inertia(IntMatrix([]), 0) == Inertia(0, 0, 0)
+        assert spectrum_inertia(IntMatrix([]), Fraction(-7, 3)) == Inertia(0, 0, 0)
         one = IntMatrix([[3]])
-        assert inertia_at(one, 3) == Inertia(0, 1, 0)
-        assert inertia_at(one, Fraction(5, 2)) == Inertia(1, 0, 0)
-        assert inertia_at(one, 4) == Inertia(0, 0, 1)
+        assert spectrum_inertia(one, 3) == Inertia(0, 1, 0)
+        assert spectrum_inertia(one, Fraction(5, 2)) == Inertia(1, 0, 0)
+        assert spectrum_inertia(one, 4) == Inertia(0, 0, 1)
 
     def test_charpoly_inertia_needs_monic(self):
         with pytest.raises(ValueError):
@@ -365,16 +368,16 @@ class TestBracketCost:
 
 class TestBrackets:
     def test_k5_third_eigenvalue_is_exactly_minus_one(self):
-        iv = eigenvalue_bracket(A_K5, 3)
+        iv = SymmetricSpectrum(A_K5).bracket(3)
         assert iv.is_point() and iv.lo == -1
 
     def test_p4_top_eigenvalue_certified_four(self):
-        iv = eigenvalue_bracket(A_P4, 1)
+        iv = SymmetricSpectrum(A_P4).bracket(1)
         assert iv.is_point() and iv.lo == 4
 
     def test_diamond_join_irrational_eigenvalue(self):
         # second eigenvalue of the K4 v 2K1 matrix is (5 - sqrt(33))/2
-        iv = eigenvalue_bracket(diamond_join(), 2)
+        iv = SymmetricSpectrum(diamond_join()).bracket(2)
         assert iv.width() <= Fraction(1, 2 ** 20)
         assert -1 < iv.lo <= iv.hi < 0
         # exact sign test of x^2 - 5x - 2 at the endpoints
@@ -383,12 +386,12 @@ class TestBrackets:
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            eigenvalue_bracket(A_P4, 5)
+            SymmetricSpectrum(A_P4).bracket(5)
 
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2 ** 20)])
     def test_rejects_non_positive_width(self, width):
         with pytest.raises(ValueError, match="width must be positive"):
-            eigenvalue_bracket(diamond_join(), 2, width)
+            SymmetricSpectrum(diamond_join()).bracket(2, width)
 
     def test_all_brackets_ordered_and_certified(self):
         rng = random.Random(9)

@@ -44,7 +44,7 @@ def census_sample(max_n=6):
     out = []
     for n in range(1, max_n + 1):
         for bits in census._level_bits(n):
-            out.append(census.bits_to_graph(n, bits))
+            out.append(Graph.from_adj(kernels.bits_to_adj(n, bits)))
     return out
 
 
@@ -163,11 +163,11 @@ def barbell(clique, bridge):
     return Graph(n, edges)
 
 
-#: n=10 inputs at the extremes of the int128 Bareiss bound of the
-#: census_stats ranks in _kernels.c (their charpoly comes from the modular
-#: core charpoly shares): the largest diameter (P10), the cycle, the densest
-#: graph, the star, and long spiders, a lollipop and barbells whose
-#: eccentricity matrices carry large entries in many rows
+#: n=10 inputs at the extremes of the modular bound of census_stats in
+#: _kernels.c, which reads its ranks and its charpoly off E modulo the one
+#: prime 2^56 - 5: the largest diameter (P10), the cycle, the densest graph,
+#: the star, and long spiders, a lollipop and barbells whose eccentricity
+#: matrices carry large entries in many rows
 EXTREME_N10 = {
     "P10": path(10),
     "C10": cycle(10),
@@ -182,7 +182,7 @@ EXTREME_N10 = {
 
 
 @pytest.mark.parametrize("name", sorted(EXTREME_N10))
-def test_int128_bound_inputs_match_bigint_route(name):
+def test_modular_bound_inputs_match_bigint_route(name):
     g = EXTREME_N10[name]
     assert g.n == 10 and is_connected(g)
     got = compiled.census_stats(g.n, g.adj)
@@ -196,7 +196,7 @@ def test_int128_bound_inputs_match_bigint_route(name):
 
 
 class TestKernelVsLibrary:
-    """census_stats (int128 Bareiss ranks, modular charpoly core) must match
+    """census_stats (ranks and charpoly modulo the census prime) must match
     the bigint library route."""
 
     def test_stats_match_library_on_random_connected(self):
@@ -216,6 +216,17 @@ class TestKernelVsLibrary:
             assert m2 == matrix_multiplicity(e.m, -2)
             assert m0 == matrix_multiplicity(e.m, 0)
             assert list(coeffs) == berkowitz_charpoly(e.m).ascending_list()
+
+    def test_stats_match_pure_on_random_connected_n10(self):
+        rng = random.Random(79)
+        count = 0
+        while count < 1000:
+            g = random_graph(rng, 10, rng.uniform(0.15, 0.9))
+            if not is_connected(g):
+                continue
+            count += 1
+            assert compiled.census_stats(10, g.adj) == \
+                pure.census_stats(10, g.adj), g.adj
 
     def test_stats_reject_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
