@@ -12,14 +12,15 @@ driver, which chooses the primes, asks the kernel backend for the residues
 (``kernels.charpoly_mod``: the compiled word-size recurrence, or
 ``berkowitz_charpoly`` reduced) and lifts them by CRT in Python ints.
 
-Eigenvalue brackets take two kinds of bisection step on that one
-polynomial.  While a bracket may hold several eigenvalues, a step counts
-inertia at the midpoint.  Once it holds exactly one, a step reads the sign
-of the charpoly there instead: for monic cp and c not a root,
-sign cp(c) = (-1)^(#eigenvalues > c).  The midpoints of that phase are
-non-integers, and a monic integer polynomial has only integer rational
-roots, so no sign is ever 0 and every bracket is the one inertia counts
-alone would give.
+Eigenvalue brackets are searched on that one polynomial by exact sign
+probes.  Integer probes gallop out from 0 and then bisect, counting inertia.
+Rational probes count inertia while a bracket may hold several eigenvalues;
+once it holds exactly one, each reads the sign of the charpoly instead: for
+monic cp and c not a root, sign cp(c) = (-1)^(#eigenvalues > c), and the
+next probe is a safeguarded Newton step.  Every rational probe is a dyadic
+non-integer, and a monic integer polynomial has only integer rational
+roots, so no sign is ever 0, and every bracket is the one that inertia
+bisection alone would give.
 """
 
 from __future__ import annotations
@@ -451,27 +452,41 @@ class SymmetricSpectrum:
     Eigenvalues are indexed from the top: index 1 is the largest.  Every
     query is answered from one characteristic polynomial cp, computed on
     first use.  Brackets are half-open rational enclosures (lo, hi] of the
-    i-th eigenvalue xi_i, shrunk by bisection from the integer Gershgorin
-    bounds in two phases:
+    i-th eigenvalue xi_i inside the integer Gershgorin bounds, found by
+    exact probes in two phases:
 
-    - an integer phase bisects at integers by inertia down to hi - lo = 1
-      and then probes hi; an integer eigenvalue is certified exactly when a
-      probe lands on it, and the bracket collapses to that point;
-    - a rational phase halves the unit interval down to ``width``.  Its
-      midpoints are dyadic non-integers, and a monic integer polynomial has
-      only integer rational roots, so no midpoint is an eigenvalue.  Each
-      step is one of two kinds.  While (lo, hi) holds more than one
-      eigenvalue (a repeated irrational one, or neighbours not yet
-      separated), the step counts inertia at the midpoint.  Once it holds
-      xi_i alone, the step reads the sign of cp at the midpoint c: for
-      monic cp and c not a root, sign cp(c) = (-1)^(#eigenvalues > c), and
-      the eigenvalues above c are the count_ge(hi) above hi plus xi_i when
-      xi_i > c.  That is the inertia the first kind would count, found by
-      one O(n) Horner evaluation instead of an O(n^2) Taylor shift.
+    - the integer phase probes 0 first (its inertia needs no Taylor shift),
+      then +-1, +-2, +-4, ... towards xi_i while the far end of the bracket
+      is still the Gershgorin bound, then bisects at integers down to
+      hi - lo = 1 and probes hi.  An integer eigenvalue is certified exactly
+      when a probe lands on it, and the bracket collapses to that point.
+      Medians lie near 0, so this takes O(log |xi_i|) probes, not O(log R).
+    - the rational phase shrinks the unit interval to ``width``.  While
+      (lo, hi) holds more than one eigenvalue (a repeated irrational one,
+      or neighbours not yet separated), it halves it by inertia counts at
+      the midpoint.  Once (lo, hi) holds xi_i alone, it moves to the final
+      scale S, the least S with 2^-S <= width, and searches for the integer
+      L with L/2^S < xi_i < (L+1)/2^S.  Each probe M costs one O(n) Horner
+      evaluation of g(M) = 2^(Sn) cp(M/2^S) and g'(M); for c = M/2^S not a
+      root, sign cp(c) = (-1)^(#eigenvalues > c), and the eigenvalues above
+      c are those above hi plus xi_i when xi_i > c.  The next probe is the
+      Newton estimate (M g' - g)/g', rounded up after a probe left of xi_i
+      and down after one right of it, so that it lands on the far side,
+      and clamped into the open bracket.  It is the midpoint instead
+      whenever the last two probes did not together halve the bracket, so
+      any three probes in a row halve it, up to rounding.  J. Abbott's
+      quadratic interval refinement (2006) safeguards Newton the same way.
+      Integer floor division only chooses where to probe; every bracket
+      end comes from an exact sign.
 
-    Both kinds give the same inertia at the same midpoints, so a bracket is
-    the same whichever kind decided each step, and every midpoint's inertia
-    goes into the memo.
+    The bracket depends only on xi_i, not on the probes that found it.  The
+    integer phase ends at the point xi_i if xi_i is an integer, and at
+    (ceil(xi_i) - 1, ceil(xi_i)] otherwise.  A rational probe is a dyadic
+    non-integer, never a root of the monic integer cp; a non-integer xi_i
+    is irrational, so exactly one L fits, and (L/2^S, (L+1)/2^S) is the
+    bracket that bisection by inertia alone would give.  Every probe's
+    inertia goes into the memo, which holds the Descartes count at each of
+    its points.
     """
 
     def __init__(self, m: IntMatrix):
@@ -512,10 +527,13 @@ class SymmetricSpectrum:
         width = Fraction(width)
         if width <= 0:
             raise ValueError("bracket width must be positive")
-        # invariant: lo < xi_i <= hi; above_lo eigenvalues lie above lo
+        # integer phase, invariant lo < xi_i <= hi; above_lo eigenvalues lie
+        # above lo.  Probe 0, then double away from it while the far end is
+        # still the Gershgorin bound and the double lies short of it; any
+        # other probe (the last one is now lo or hi) is the midpoint.
         lo, hi, above_lo = self.lower, self.upper, self.n
+        mid = 0
         while hi - lo >= 2:
-            mid = (lo + hi) // 2
             ine = self.inertia(mid)
             if ine.n_plus >= i:
                 lo, above_lo = mid, ine.n_plus
@@ -523,37 +541,65 @@ class SymmetricSpectrum:
                 return RationalInterval(Fraction(mid), Fraction(mid))
             else:
                 hi = mid
+            if lo >= 0 and hi == self.upper:
+                mid = 2 * lo or 1
+            elif hi <= 0 and lo == self.lower:
+                mid = 2 * hi or -1
+            if not lo < mid < hi:
+                mid = (lo + hi) // 2
         ine = self.inertia(hi)
         above_hi = ine.n_plus + ine.n_zero  # eigenvalues at or above hi
         if above_hi >= i:
             return RationalInterval(Fraction(hi), Fraction(hi))
-        # rational phase, while 2^-s > width: lo = L/2^s and hi = H/2^s with
-        # H - L = 1, the midpoint is (2L + 1)/2^(s+1); xi_i < hi now, and
-        # (lo, hi) holds above_lo - above_hi eigenvalues
-        desc = self.charpoly.coeffs[-2::-1]  # a_(n-1), ..., a_0 of monic cp
+        # rational phase, while (lo, hi) holds more than xi_i and
+        # 2^-s > width: lo = L/2^s and hi = H/2^s with H - L = 1, the
+        # midpoint is (2L + 1)/2^(s+1); xi_i < hi now, and (lo, hi) holds
+        # above_lo - above_hi eigenvalues
         s = 0
-        while width.denominator > width.numerator << s:
+        while (above_lo - above_hi > 1
+               and width.denominator > width.numerator << s):
             lo, hi, s = 2 * lo, 2 * hi, s + 1
             mid = lo + 1
-            c = Fraction(mid, 1 << s)
-            ine = self._inertia.get(c)
-            if ine is None:
-                if above_lo - above_hi == 1:
-                    # 2^(sn) cp(mid / 2^s), whose sign is that of cp
-                    acc, shift = 1, 0
-                    for coeff in desc:
-                        shift += s
-                        acc = acc * mid + (coeff << shift)
-                    n_plus = above_hi + ((acc < 0) ^ (above_hi & 1))
-                    ine = Inertia(n_plus, 0, self.n - n_plus)
-                else:
-                    ine = charpoly_inertia(self.charpoly, c)
-                self._inertia[c] = ine
+            ine = self.inertia(Fraction(mid, 1 << s))
             if ine.n_plus >= i:
                 lo, above_lo = mid, ine.n_plus
             else:
                 hi, above_hi = mid, ine.n_plus
-        return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+        # then at the final scale S, the least S with 2^-S <= width:
+        # lo = A/2^S < xi_i < hi = B/2^S, and while B - A > 1 xi_i is alone
+        # in (lo, hi), found by safeguarded Newton steps on g below
+        S = s
+        while width.denominator > width.numerator << S:
+            S += 1
+        A, B = lo << (S - s), hi << (S - s)
+        desc = self.charpoly.coeffs[-2::-1]  # a_(n-1), ..., a_0 of monic cp
+        mid = (A + B) >> 1
+        before_last = last = B - A  # (A, B) widths before the last two probes
+        while B - A > 1:
+            # g(mid) = 2^(Sn) cp(mid / 2^S), with the sign of cp, and g'(mid)
+            g, dg, shift = 1, 0, 0
+            for coeff in desc:
+                shift += S
+                dg = dg * mid + g
+                g = g * mid + (coeff << shift)
+            left = (g < 0) ^ (above_hi & 1)  # xi_i > mid / 2^S
+            c = Fraction(mid, 1 << S)
+            if c not in self._inertia:
+                n_plus = above_hi + left
+                self._inertia[c] = Inertia(n_plus, 0, self.n - n_plus)
+            if left:
+                A = mid
+            else:
+                B = mid
+            if dg and 2 * (B - A) <= before_last:
+                # Newton's estimate (mid g' - g)/g', rounded to the far side
+                num = mid * dg - g
+                mid = -(-num // dg) if left else num // dg
+                mid = min(max(mid, A + 1), B - 1)
+            else:
+                mid = (A + B) >> 1
+            before_last, last = last, B - A
+        return RationalInterval(Fraction(A, 1 << S), Fraction(B, 1 << S))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from eccspec.exactalg import (
     poly_divide_exact,
     root_multiplicity,
 )
-from eccspec.graphs import Graph, is_connected
+from eccspec.graphs import Graph, is_connected, theorem1_families
 
 A_P4 = IntMatrix([[0, 0, 2, 3], [0, 0, 0, 2], [2, 0, 0, 0], [3, 2, 0, 0]])
 A_K5 = IntMatrix([[int(i != j) for j in range(5)] for i in range(5)])
@@ -298,16 +298,25 @@ def cycle_adjacency(n):
                       for i in range(n)])
 
 
+def wilkinson_plus(n):
+    """Wilkinson's W_n^+: tridiagonal, diagonal |m - i| for n = 2m + 1,
+    off-diagonal 1.  Its eigenvalues come in pairs that agree to many
+    digits (the top pair of W21+ to about 1e-13)."""
+    m = n // 2
+    return IntMatrix([[abs(m - i) if i == j else int(abs(i - j) == 1)
+                       for j in range(n)] for i in range(n)])
+
+
 class TestBracketOracle:
     """``bracket`` equals the inertia-only bisection at every index."""
 
     WIDTHS = (Fraction(1, 2 ** 20), Fraction(1, 2 ** 40),
-              Fraction(1, 3 * 2 ** 20))
+              Fraction(1, 3 * 2 ** 20), Fraction(1, 2 ** 60), Fraction(3, 2))
 
-    def check(self, m):
+    def check(self, m, indices=None):
         spec = SymmetricSpectrum(m)
         for width in self.WIDTHS:
-            for i in range(1, m.n + 1):
+            for i in indices or range(1, m.n + 1):
                 assert tuple(spec.bracket(i, width)) == \
                     inertia_bisection(m, i, width), (m, i, width)
         # every inertia the sign steps recorded is the Descartes count
@@ -334,6 +343,37 @@ class TestBracketOracle:
     def test_diamond_join(self):
         self.check(diamond_join())
 
+    def test_wilkinson(self):
+        # W21+: the top pair agrees to about 2^-43, so it does not separate
+        # at 2^-40; the lower pairs isolate next to a close neighbour, the
+        # Newton safeguard's hard case
+        self.check(wilkinson_plus(21))
+
+    @pytest.mark.parametrize("g", [g for _, g in theorem1_families(40)],
+                             ids=[name for name, _ in theorem1_families(40)])
+    def test_family_extremes_at_order_40(self, g):
+        # the extreme eigenvalues: the integer phase gallops out to +-R
+        m = ecc_matrix(g).m
+        self.check(m, (1, m.n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_matrices(self, data):
+        n = data.draw(st.integers(1, 7))
+        entries = st.integers(-6, 6)
+        rows = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r, n):
+                rows[r][c] = rows[c][r] = data.draw(entries)
+        m = IntMatrix(rows)
+        i = data.draw(st.integers(1, n))
+        width = Fraction(1, 2 ** data.draw(st.integers(0, 48)))
+        spec = SymmetricSpectrum(m)
+        assert tuple(spec.bracket(i, width)) == inertia_bisection(m, i, width)
+        cp = berkowitz_charpoly(m)
+        for c, ine in spec._inertia.items():
+            assert ine == charpoly_inertia(cp, c), (m, c)
+
 
 class TestBracketCost:
     def count_calls(self, monkeypatch):
@@ -351,12 +391,24 @@ class TestBracketCost:
         calls = self.count_calls(monkeypatch)
         spec = SymmetricSpectrum(diamond_join())
         iv = spec.bracket(2, Fraction(1, 2 ** 40))
-        # three integer probes; the 40 rational steps read charpoly signs
-        assert calls == [-1, 2, 0]
+        # xi_2 = (5 - sqrt(33))/2 ~ -0.37: the integer phase probes 0, where
+        # it gallops from, and -1; the rational phase reads charpoly signs
+        assert calls == [0, -1]
         assert iv.width() == Fraction(1, 2 ** 40)
         assert spec.count_gt(iv.hi) == 1 and spec.count_ge(iv.lo) == 2
         assert spec.count_gt(iv.lo) == 2 and spec.count_ge(iv.hi) == 1
-        assert len(calls) == 3  # the ends were recorded: memo hits
+        assert len(calls) == 2  # the ends were recorded: memo hits
+        # two integer probes and 14 Newton sign probes, where one sign
+        # step per bit took 3 + 40
+        assert len(spec._inertia) == 16
+
+    def test_newton_safeguard_bounds_the_probes(self):
+        # no isolated bracket of W21+ takes more than about two probes a bit
+        spec = SymmetricSpectrum(wilkinson_plus(21))
+        for i in range(1, 22):
+            before = len(spec._inertia)
+            spec.bracket(i, Fraction(1, 2 ** 60))
+            assert len(spec._inertia) - before <= 2 * 60 + 8, i
 
     def test_repeated_eigenvalue_keeps_inertia_steps(self, monkeypatch):
         calls = self.count_calls(monkeypatch)

@@ -132,6 +132,135 @@ class TestBackendParity:
                 pure.canon_bits(g.n, g.adj)
 
 
+def relabeled(g, rng):
+    """g under a uniformly random vertex permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u in range(g.n)
+                       for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1])
+
+
+def degree_preserving_switch(g, rng):
+    """g with edges ab, cd replaced by ad, cb where both are non-edges: the
+    same degree sequence, often not isomorphic; g itself if no switch is
+    found."""
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if (g.adj[u] >> v) & 1]
+    for _ in range(50):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4 or (g.adj[a] >> d) & 1 or (g.adj[c] >> b) & 1:
+            continue
+        kept = [e for e in edges if e not in ((a, b), (b, a), (c, d), (d, c))]
+        return Graph(g.n, kept + [(a, d), (c, b)])
+    return g
+
+
+def to_networkx(g):
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if (g.adj[u] >> v) & 1)
+    return h
+
+
+def cayley_z4z4(steps):
+    """The Cayley graph on Z4 x Z4 with the given steps and their inverses."""
+    conn = {((da * s) % 4, (db * s) % 4) for da, db in steps for s in (1, -1)}
+    return Graph(16, [(4 * a + b, 4 * c + d)
+                      for a in range(4) for b in range(4)
+                      for c in range(4) for d in range(4)
+                      if 4 * a + b < 4 * c + d
+                      and ((c - a) % 4, (d - b) % 4) in conn])
+
+
+def shrikhande():
+    return cayley_z4z4([(0, 1), (1, 0), (1, 1)])
+
+
+def rook_4x4():
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def generalized_petersen(k, j):
+    """GP(k, j): outer k-cycle, spokes, inner star polygon {k/j}."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    edges += [(k + i, k + (i + j) % k) for i in range(k)]
+    return Graph(2 * k, edges)
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(u, v) for u in range(q) for v in range(u + 1, q)
+                     if (v - u) % q in squares])
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if bin(u ^ v).count("1") == 1])
+
+
+#: hard inputs for canonical labeling: strongly regular, vertex-transitive
+#: and sparse symmetric graphs, where colour refinement splits nothing
+CANON_HARD = {
+    "Paley(13)": paley(13),
+    "Petersen": generalized_petersen(5, 2),
+    "Q4": hypercube(4),
+    "C16": cycle(16),
+    "Moebius-Kantor": generalized_petersen(8, 3),
+}
+
+
+class TestCanonIsomorphismOracle:
+    """canon_bits forms are equal exactly when networkx finds the graphs
+    isomorphic."""
+
+    def check_pairs(self, mod, max_n, trials, seed):
+        import networkx as nx
+        rng = random.Random(seed)
+        seen = {True: 0, False: 0}
+        for _ in range(trials):
+            n = rng.randint(1, max_n)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+            h = g if rng.random() < 0.4 else degree_preserving_switch(g, rng)
+            h = relabeled(h, rng)
+            iso = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+            same = mod.canon_bits(g.n, g.adj) == mod.canon_bits(h.n, h.adj)
+            assert same == iso, (n, g.adj, h.adj)
+            seen[iso] += 1
+        assert seen[True] and seen[False]
+
+    def test_compiled_up_to_order_16(self):
+        self.check_pairs(compiled, 16, 300, 71)
+
+    def test_pure_up_to_order_9(self):
+        self.check_pairs(pure, 9, 150, 72)
+
+    def test_shrikhande_and_rook_graph_differ(self):
+        # both strongly regular (16, 6, 2, 2), so cospectral, not isomorphic
+        import networkx as nx
+        a, b = shrikhande(), rook_4x4()
+        assert [bin(r).count("1") for r in a.adj + b.adj] == [6] * 32
+        assert not nx.is_isomorphic(to_networkx(a), to_networkx(b))
+        assert compiled.canon_bits(16, a.adj) != compiled.canon_bits(16, b.adj)
+
+    @pytest.mark.parametrize("name", sorted(CANON_HARD))
+    def test_form_survives_relabeling(self, name):
+        g = CANON_HARD[name]
+        form = compiled.canon_bits(g.n, g.adj)
+        rng = random.Random(73)
+        for _ in range(3):
+            h = relabeled(g, rng)
+            assert compiled.canon_bits(h.n, h.adj) == form
+
+
 def spider(legs):
     """A center with one pendant path of each given length."""
     edges, nxt = [], 1
