@@ -1,6 +1,6 @@
 /*
  * Compiled kernels: BFS distances, canonical labeling, census invariants,
- * characteristic polynomials modulo word-size moduli.
+ * characteristic polynomials modulo word-size primes.
  *
  * A plain CPython extension module, eccspec._kernels, with the same
  * functions, signatures, limits and exception types as the pure-Python
@@ -8,13 +8,19 @@
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
  * iff ij is an edge.  The C side does word arithmetic only; big-integer work
  * (choosing primes, lifting residues) is exactalg's, in Python ints.
- * Fixed-width arithmetic has one stated bound, with tests at it: the
- * Montgomery words.  The one Berkowitz recurrence, which charpoly_mod and
- * census_stats share, takes moduli below 2^56, so 255 products of residues
- * add up in an unsigned __int128 before each reduction.  census_stats works
- * modulo the one prime 2^56 - 5: its charpoly coefficients and the minors
- * behind its ranks all lie below half that prime in absolute value, so the
- * residues determine them (the argument is at census_stats).
+ * The one charpoly algorithm here, which charpoly_mod and census_stats share,
+ * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
+ * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
+ * division-free Berkowitz recurrence, so the parity tests compare two
+ * algorithms.)  Fixed-width arithmetic has one stated bound, with tests at
+ * it, the Montgomery word bound: residues are below p < 2^56, so each
+ * product of two residues is below p^2 < p 2^64, within one Montgomery
+ * reduction, a sum of two residues is below 2^57, and a sum of 255 products
+ * is below 255 p^2 < p 2^64, so it adds up in an unsigned __int128 before
+ * one reduction.  census_stats works modulo the one prime 2^56 - 5: its
+ * charpoly coefficients and the minors behind its ranks all lie below half
+ * that prime in absolute value, so the residues determine them (the
+ * argument is at census_stats).
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -470,22 +476,28 @@ k_bits_to_adj(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------------
- * characteristic polynomial modulo word-size odd moduli
+ * characteristic polynomial modulo word-size primes
  *
- * charpoly_mod runs the division-free Samuelson-Berkowitz recurrence modulo
- * each given odd modulus 3 <= p < 2^56, so its residues are those of the
- * integer coefficients whatever p is, prime or not.  Choosing the moduli and
- * lifting the residues to integers is exactalg.charpoly's work, in Python
- * ints.  Any order and any entry size is accepted, symmetric or not: int64
- * entries are reduced in words, larger ones by PyNumber_Remainder.
+ * charpoly_mod reduces the matrix modulo each given prime 3 <= p < 2^56 to
+ * upper Hessenberg form by similarity transformations and reads det(xI - A)
+ * off the Hessenberg matrix by the usual O(n^3) recurrence (H. Cohen, A
+ * Course in Computational Algebraic Number Theory, Alg. 2.2.9).  The
+ * reduction is a similarity over GF(p), so its charpoly is the integer
+ * charpoly reduced mod p.  It divides by one pivot per column, which must be
+ * a unit: every nonzero residue is one modulo a prime, and at a composite
+ * modulus a pivot that is not a unit raises ValueError rather than give a
+ * wrong residue.  Choosing the primes and lifting the residues to integers
+ * is exactalg.charpoly's work, in Python ints.  Any order and any entry size
+ * is accepted, symmetric or not: int64 entries are reduced in words, larger
+ * ones by PyNumber_Remainder.
  *
- * Word bound.  Sums of products of residues reduce by Montgomery's REDC with
- * R = 2^64: for T < p 2^64, REDC(T) = T R^-1 mod p in two multiplications
- * and no division.  A sum of 255 products of residues is below
- * 255 p^2 < p 2^64 for p < 2^56, so dot products accumulate 255 terms at a
- * time in unsigned __int128 before each REDC.  The matrix is kept in
- * Montgomery form (a R mod p), so a dot product of a row with a plain vector
- * comes out plain.
+ * Products reduce by Montgomery's REDC with R = 2^64: for T < p 2^64,
+ * REDC(T) = T R^-1 mod p in two multiplications and no division, within
+ * the word bound at the top of this file.  The column updates of the
+ * reduction and the sums of the recurrence are dot products, which add up
+ * to 255 products in an unsigned __int128 before each REDC.  Every residue
+ * is kept in Montgomery form (a R mod p), so a REDC of a product of two is
+ * again in Montgomery form.
  */
 
 #define MODULUS_TOP ((uint64_t)1 << 56)
@@ -527,64 +539,144 @@ mont_of(int64_t x, const mont_t *m)
     return redc((u128)r * m->r2, m);
 }
 
-/* sum x[j] y[j] R^-1 mod p over residues */
-static inline uint64_t
-dot_mont(const uint64_t *x, const uint64_t *y, Py_ssize_t len, const mont_t *m)
+/* The inverse of the Montgomery-form residue x != 0, in Montgomery form, by
+ * the extended Euclidean algorithm on its plain value a; -1 if gcd(a, p) is
+ * not 1, which a prime p rules out.  The Bezout coefficients stay below p
+ * in absolute value, so they fit an int64. */
+static int
+mont_inverse(uint64_t x, const mont_t *m, uint64_t *out)
 {
-    uint64_t s = 0;
-    for (Py_ssize_t j = 0; j < len;) {
-        Py_ssize_t end = len - j > DOT_BLOCK ? j + DOT_BLOCK : len;
-        u128 acc = 0;
-        for (; j < end; j++)
-            acc += (u128)x[j] * y[j];
-        s += redc(acc, m);
-        if (s >= m->p)
-            s -= m->p;
+    uint64_t r0 = m->p, r1 = redc(x, m);
+    int64_t s0 = 0, s1 = 1;
+    while (r1) {
+        uint64_t q = r0 / r1, r = r0 - q * r1;
+        int64_t s = s0 - (int64_t)q * s1;
+        r0 = r1;
+        r1 = r;
+        s0 = s1;
+        s1 = s;
     }
-    return s;
+    if (r0 != 1)
+        return -1;
+    uint64_t inv = s0 < 0 ? (uint64_t)(s0 + (int64_t)m->p) : (uint64_t)s0;
+    *out = redc((u128)inv * m->r2, m);
+    return 0;
 }
 
-/* det(xI - A) mod p by the division-free Samuelson-Berkowitz recurrence: a
- * holds the n x n residues row-major in Montgomery form, n >= 1, c[0..n]
- * receives the plain descending coefficients, work has room for 5n + 4
- * residues. */
 static void
-berkowitz_mod(Py_ssize_t n, const uint64_t *a, const mont_t *m, uint64_t *c,
-              uint64_t *work)
+swap_words(uint64_t *x, uint64_t *y)
 {
-    uint64_t p = m->p, *t = work, *tr = t + n + 1, *v = tr + n + 1,
-             *v2 = v + n, *cnew = v2 + n;
-    uint64_t a00 = redc(a[0], m);
-    c[0] = 1;
-    c[1] = a00 ? p - a00 : 0;
-    for (Py_ssize_t r = 1; r < n; r++) {
-        const uint64_t *top = a + r * n;
-        uint64_t arr = redc(top[r], m);
-        t[0] = 1;
-        t[1] = arr ? p - arr : 0;
-        for (Py_ssize_t i = 0; i < r; i++)
-            v[i] = redc(a[i * n + r], m);
-        for (Py_ssize_t k = 0; k < r; k++) {
-            uint64_t s = dot_mont(top, v, r, m);
-            t[k + 2] = s ? p - s : 0;
-            if (k + 1 == r)
-                break;
-            for (Py_ssize_t i = 0; i < r; i++)
-                v2[i] = dot_mont(a + i * n, v, r, m);
-            uint64_t *tmp = v;
-            v = v2;
-            v2 = tmp;
+    uint64_t t = *x;
+    *x = *y;
+    *y = t;
+}
+
+/* det(xI - A) mod p: a holds the n x n residues row-major in Montgomery
+ * form, n >= 0, and is overwritten by a Hessenberg form of A; c[0..n]
+ * receives the plain ascending coefficients; work has room for
+ * (n + 1)(n + 2)/2 + 2n residues.  Returns -1 if a pivot it must divide by
+ * is not a unit, which only a composite p allows. */
+static int
+hessenberg_mod(Py_ssize_t n, uint64_t *a, const mont_t *m, uint64_t *c,
+               uint64_t *work)
+{
+    uint64_t p = m->p, *u = work, *idx = u + n, *poly = idx + n;
+    /* Column col: bring a nonzero entry below the diagonal to (col+1, col)
+     * by swapping rows and columns, then clear the entries under it.  With
+     * u_i = a[i][col] / a[col+1][col], row i -= u_i row col+1 for every row
+     * i > col+1, then column col+1 += sum_i u_i column i: the similarity by
+     * I - sum_i u_i e_i e_(col+1)^T. */
+    for (Py_ssize_t col = 0; col + 2 < n; col++) {
+        Py_ssize_t piv = col + 1;
+        while (piv < n && a[piv * n + col] == 0)
+            piv++;
+        if (piv == n)
+            continue;
+        if (piv != col + 1) {
+            /* rows >= col + 1 are zero left of col */
+            for (Py_ssize_t j = col; j < n; j++)
+                swap_words(&a[piv * n + j], &a[(col + 1) * n + j]);
+            for (Py_ssize_t i = 0; i < n; i++)
+                swap_words(&a[i * n + piv], &a[i * n + col + 1]);
         }
-        /* c has r+1 coefficients, t has r+2: their product truncated to r+2,
-         * each term a dot product of c with t reversed (in Montgomery form) */
-        for (Py_ssize_t i = 0; i < r + 2; i++)
-            tr[i] = redc((u128)t[r + 1 - i] * m->r2, m);
-        for (Py_ssize_t i = 0; i < r + 2; i++) {
-            Py_ssize_t jlo = i - r - 1 > 0 ? i - r - 1 : 0, jhi = i < r ? i : r;
-            cnew[i] = dot_mont(c + jlo, tr + r + 1 - i + jlo, jhi - jlo + 1, m);
+        const uint64_t *prow = a + (col + 1) * n;
+        uint64_t inv;
+        Py_ssize_t k = 0;
+        for (Py_ssize_t i = col + 2; i < n; i++) {
+            uint64_t *row = a + i * n;
+            if (row[col] == 0)
+                continue;
+            /* the pivot is inverted once a row needs clearing */
+            if (k == 0 && mont_inverse(prow[col], m, &inv) < 0)
+                return -1;
+            uint64_t f = redc((u128)row[col] * inv, m), g = p - f;
+            idx[k] = (uint64_t)i;
+            u[k++] = f;
+            row[col] = 0;
+            for (Py_ssize_t j = col + 1; j < n; j++) {
+                uint64_t s = row[j] + redc((u128)g * prow[j], m);
+                row[j] = s >= p ? s - p : s;
+            }
         }
-        memcpy(c, cnew, (size_t)(r + 2) * sizeof(uint64_t));
+        for (Py_ssize_t i = 0; k && i < n; i++) {
+            uint64_t *row = a + i * n, s = row[col + 1];
+            for (Py_ssize_t j = 0; j < k;) {
+                Py_ssize_t end = k - j > DOT_BLOCK ? j + DOT_BLOCK : k;
+                u128 acc = 0;
+                for (; j < end; j++)
+                    acc += (u128)u[j] * row[idx[j]];
+                s += redc(acc, m);
+                if (s >= p)
+                    s -= p;
+            }
+            row[col + 1] = s;
+        }
     }
+    /* poly + j(j+1)/2 holds the j + 1 ascending coefficients of the charpoly
+     * of the leading j x j block H_j, from
+     * det(xI - H_j) = (x - h[j-1][j-1]) det(xI - H_(j-1))
+     *                 - sum_(r < j-1) h[r][j-1] t_r det(xI - H_r),
+     * t_r = h[r+1][r] h[r+2][r+1] ... h[j-1][j-2].  Once t_r is 0, so is
+     * every later one: u[r] = -h[r][j-1] t_r for lo <= r < j-1, and each
+     * coefficient is a dot product of u with the coefficients of the
+     * det(xI - H_r). */
+    poly[0] = redc(m->r2, m);  /* 1 */
+    for (Py_ssize_t j = 1; j <= n; j++) {
+        const uint64_t *prev = poly + (j - 1) * j / 2;
+        uint64_t *cur = poly + j * (j + 1) / 2, d = a[(j - 1) * n + j - 1];
+        uint64_t nd = d ? p - d : 0, t = poly[0];
+        Py_ssize_t lo = j - 1;
+        while (lo > 0) {
+            t = redc((u128)t * a[lo * n + lo - 1], m);
+            if (t == 0)
+                break;
+            lo--;
+            uint64_t w = redc((u128)a[lo * n + j - 1] * t, m);
+            u[lo] = w ? p - w : 0;
+        }
+        for (Py_ssize_t k = 0; k < j; k++) {
+            uint64_t s = redc((u128)nd * prev[k], m) + (k ? prev[k - 1] : 0);
+            if (s >= p)
+                s -= p;
+            Py_ssize_t r = k > lo ? k : lo;
+            size_t off = (size_t)r * (r + 1) / 2 + k;
+            while (r < j - 1) {
+                Py_ssize_t end = j - 1 - r > DOT_BLOCK ? r + DOT_BLOCK : j - 1;
+                u128 acc = 0;
+                for (; r < end; off += ++r)
+                    acc += (u128)u[r] * poly[off];
+                s += redc(acc, m);
+                if (s >= p)
+                    s -= p;
+            }
+            cur[k] = s;
+        }
+        cur[j] = prev[j - 1];
+    }
+    const uint64_t *top = poly + n * (n + 1) / 2;
+    for (Py_ssize_t k = 0; k <= n; k++)
+        c[k] = redc(top[k], m);
+    return 0;
 }
 
 static PyObject *
@@ -619,7 +711,8 @@ k_charpoly_mod(PyObject *self, PyObject *args)
     }
     small = PyMem_Malloc((size_t)n * n * sizeof(int64_t));
     a = PyMem_Malloc((size_t)n * n * sizeof(uint64_t));
-    work = PyMem_Malloc(((size_t)6 * n + 5) * sizeof(uint64_t));
+    work = PyMem_Malloc(((size_t)(n + 1) * (n + 2) / 2 + 3 * (size_t)n + 1)
+                        * sizeof(uint64_t));
     if (small == NULL || a == NULL || work == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -660,7 +753,7 @@ k_charpoly_mod(PyObject *self, PyObject *args)
     }
     if ((out = PyTuple_New(k)) == NULL)
         goto done;
-    uint64_t *c = work + 5 * n + 4;
+    uint64_t *c = work + (n + 1) * (n + 2) / 2 + 2 * n;
     for (Py_ssize_t j = 0; j < k; j++) {
         mont_t m = mont_init(PyLong_AsUnsignedLongLong(mitems[j]));
         for (Py_ssize_t e = 0; e < n * n; e++) {
@@ -674,15 +767,18 @@ k_charpoly_mod(PyObject *self, PyObject *args)
             else
                 a[e] = mont_of(small[e], &m);
         }
-        c[0] = 1;
-        if (n > 0)
-            berkowitz_mod(n, a, &m, c, work);
+        if (hessenberg_mod(n, a, &m, c, work) < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "charpoly_mod: a pivot is not a unit modulo %llu; "
+                         "the moduli must be prime", (unsigned long long)m.p);
+            goto fail;
+        }
         PyObject *res = PyTuple_New(n + 1);
         if (res == NULL)
             goto fail;
         PyTuple_SET_ITEM(out, j, res);
         for (Py_ssize_t i = 0; i <= n; i++) {
-            PyObject *ci = PyLong_FromUnsignedLongLong(c[n - i]);
+            PyObject *ci = PyLong_FromUnsignedLongLong(c[i]);
             if (ci == NULL)
                 goto fail;
             PyTuple_SET_ITEM(res, i, ci);
@@ -723,8 +819,8 @@ done:
  * eccentricity e has a vertex at each distance 1..e-1, so its row sums to
  * at most e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for an end of P10
  * (e = 9), whose row sums to 35.  As (1+44)^10 < 3.4e16 < p/2, the
- * symmetric residues of berkowitz_mod are the coefficients (the orders
- * n <= 9 reach R = 30).
+ * symmetric residues of hessenberg_mod, the charpoly of E mod p, are the
+ * coefficients (the orders n <= 9 reach R = 30).
  *
  * The ranks.  m(c) = n - rank(E - cI) for c = -1, -2, 0, and rank mod p
  * equals rank over Q when no nonzero minor of E - cI vanishes mod p.  Its
@@ -777,7 +873,7 @@ k_census_stats(PyObject *self, PyObject *args)
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
-             work[5 * MAXN_CENSUS + 4];
+             work[(MAXN_CENSUS + 1) * (MAXN_CENSUS + 2) / 2 + 2 * MAXN_CENSUS];
     int n;
     if (parse_graph(args, MAXN_CENSUS, "census_stats", &n, adj) < 0)
         return NULL;
@@ -807,10 +903,12 @@ k_census_stats(PyObject *self, PyObject *args)
     int m1 = n - rank_mod(n, a, 1, &m);
     int m2 = n - rank_mod(n, a, 2, &m);
     int m0 = n - rank_mod(n, a, 0, &m);
-    berkowitz_mod(n, a, &m, c, work);
+    /* after the ranks: the reduction overwrites a; it cannot fail, as
+     * CENSUS_PRIME is prime */
+    hessenberg_mod(n, a, &m, c, work);
     PyObject *coeffs = PyTuple_New(n + 1);
     for (int i = 0; coeffs != NULL && i <= n; i++) {
-        uint64_t r = c[n - i];
+        uint64_t r = c[i];
         PyObject *ci = PyLong_FromLongLong(r > CENSUS_PRIME / 2
                                            ? (long long)r - (long long)CENSUS_PRIME
                                            : (long long)r);
@@ -851,17 +949,19 @@ static PyMethodDef kernel_methods[] = {
      "graph; multiplicities are m(c) = n - rank(E - cI)."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
-     "Ascending coefficients of det(xI - M) modulo each odd modulus\n"
-     "3 <= p < 2^56, as residues in 0..p-1, one tuple per modulus, for the\n"
-     "square integer matrix M with these rows (any order, any entry size,\n"
-     "symmetric or not)."},
+     "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"
+     "as residues in 0..p-1, one tuple per modulus, for the square integer\n"
+     "matrix M with these rows (any order, any entry size, symmetric or not),\n"
+     "by reduction to Hessenberg form modulo p.  The reduction divides by its\n"
+     "pivots: at a composite odd modulus it raises ValueError naming the\n"
+     "modulus when a pivot is not a unit, and is exact otherwise."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "eccspec._kernels",
     "Compiled kernels: BFS distances, canonical labeling, census invariants,\n"
-    "characteristic polynomials modulo word-size moduli.",
+    "characteristic polynomials modulo word-size primes.",
     -1, kernel_methods,
 };
 

@@ -8,7 +8,9 @@ importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
 from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
 too); ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
-each modulus.
+each modulus.  The compiled charpolys come from a different algorithm, a
+reduction to Hessenberg form modulo each prime, so the parity tests check
+two algorithms against each other, not two copies of one.
 ``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
 order, which ``graphs.graph6_decode`` shares.  Every graph kernel checks its
 order range with the compiled one's limits and messages, and works on
@@ -234,10 +236,12 @@ def census_stats(n, adj):
 
 
 def charpoly_mod(rows, moduli):
-    """Ascending coefficients of det(xI - M) modulo each odd modulus
+    """Ascending coefficients of det(xI - M) modulo each prime
     3 <= p < 2^56, as residues in 0..p-1, one tuple per modulus, for the
     square integer matrix M with these rows (any order, any entry size,
-    symmetric or not)."""
+    symmetric or not).  Berkowitz is division-free, so this is exact at a
+    composite odd modulus too, where the compiled kernel may raise
+    ValueError instead."""
     moduli = tuple(moduli)
     if not all(isinstance(p, int) and 3 <= p < _MODULUS_TOP and p & 1
                for p in moduli):

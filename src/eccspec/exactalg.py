@@ -9,8 +9,9 @@ because a symmetric matrix has only real eigenvalues).  There is no floating
 point anywhere.  ``berkowitz_charpoly`` is the reference recurrence;
 ``charpoly`` is the one entry point the package uses: the multimodular
 driver, which chooses the primes, asks the kernel backend for the residues
-(``kernels.charpoly_mod``: the compiled word-size recurrence, or
-``berkowitz_charpoly`` reduced) and lifts them by CRT in Python ints.
+(``kernels.charpoly_mod``: the compiled reduction to Hessenberg form modulo
+each prime, or ``berkowitz_charpoly`` reduced) and lifts them by CRT in
+Python ints.
 
 Eigenvalue brackets are searched on that one polynomial by exact sign
 probes.  Integer probes gallop out from 0 and then bisect, counting inertia.
@@ -60,10 +61,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n):
-        return cls([[0] * n for _ in range(n)])
 
     def __getitem__(self, idx):
         i, j = idx
@@ -367,12 +364,14 @@ def _charpoly_primes(n, R):
 
 def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
     """det(xI - M), monic of degree n, exact for any square integer matrix,
-    symmetric or not, by the multimodular Berkowitz recurrence.
+    symmetric or not, from its residues modulo several primes.
 
     ``radius`` is R = ``_max_row_sum(m)``, for a caller that has it
     already.  The kernel backend's ``charpoly_mod`` gives the residues of
-    the coefficients modulo primes below 2^56: Berkowitz is division-free,
-    so they are the integer coefficients reduced mod each prime.  Bound:
+    the coefficients modulo primes below 2^56.  The compiled backend reduces
+    M mod p to Hessenberg form; the reduction is a similarity over GF(p), so
+    its charpoly is the integer charpoly reduced mod p (the pure backend
+    reduces the integer Berkowitz charpoly instead).  Bound:
     every eigenvalue has |l| <= R, and the coefficient of x^(n-k) is
     (-1)^k e_k(l_1, ..., l_n), so its absolute value is at most
     C(n,k) R^k <= (1+R)^n.  ``_charpoly_primes`` takes primes until their

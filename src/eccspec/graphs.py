@@ -79,20 +79,6 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if self.has_edge(u, v)]
 
-    def edge_count(self):
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def max_degree(self):
-        return max(self.degree(v) for v in range(self.n))
-
-    def relabel(self, perm):
-        """New graph with vertex v renamed perm[v]."""
-        rows = [0] * self.n
-        for u, v in self.edges():
-            rows[perm[u]] |= 1 << perm[v]
-            rows[perm[v]] |= 1 << perm[u]
-        return Graph.from_adj(rows)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
 
@@ -512,9 +498,3 @@ def parse_edge_list(text) -> Graph:
     if n is None:
         raise ValueError("missing 'n=<count>' header")
     return Graph(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,8 @@
 
 Set ECCSPEC_KERNELS=py to force the pure-Python fallback (used by the
 benchmark and the parity tests).  Both backends export the same functions;
-``charpoly_mod`` gives characteristic polynomials modulo word-size moduli
-only, and ``exactalg.charpoly`` chooses the moduli and lifts the residues,
+``charpoly_mod`` gives characteristic polynomials modulo word-size primes
+only, and ``exactalg.charpoly`` chooses the primes and lifts the residues,
 whichever backend is active.
 """
 

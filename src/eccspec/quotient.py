@@ -70,20 +70,6 @@ class BlockSpec:
             " ".join(map(str, self.p)),
         ])
 
-    @classmethod
-    def from_text(cls, text):
-        chunks = [c.strip() for c in text.split(";")]
-        if len(chunks) != 4:
-            raise ValueError("expected 'l; sizes; s matrix; p vector'")
-        l = int(chunks[0])
-        sizes = tuple(int(x) for x in chunks[1].split())
-        flat = [int(x) for x in chunks[2].split()]
-        p = tuple(int(x) for x in chunks[3].split())
-        if len(sizes) != l or len(flat) != l * l or len(p) != l:
-            raise ValueError("inconsistent block counts in spec text")
-        s = tuple(tuple(flat[i * l + j] for j in range(l)) for i in range(l))
-        return cls(sizes, s, p)
-
 
 @dataclass(frozen=True)
 class QuotientResult:

@@ -9,7 +9,6 @@ iff all of its entries pass.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -77,11 +76,6 @@ class CheckEntry:
                 "expected": self.expected, "actual": self.actual,
                 "pass": self.passed}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["claim"], d["instance"], d["expected"], d["actual"],
-                   d["pass"])
-
 
 @dataclass
 class VerificationReport:
@@ -123,17 +117,6 @@ class VerificationReport:
             "notes": list(self.notes),
             "wall_time_s": self.wall_time_s,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        rep = cls(d["suite"], d["params"],
-                  [CheckEntry.from_dict(e) for e in d["entries"]],
-                  list(d["notes"]), d["wall_time_s"])
-        return rep
 
     def text_summary(self):
         lines = [f"suite {self.suite}: "

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from eccspec.cli import cli_main
-from eccspec.graphs import format_edge_list, graph6_encode, path, complete
+from eccspec.graphs import graph6_encode, path, complete
 
 
 def run(capsys, *argv):
@@ -45,7 +45,7 @@ class TestGraphCommands:
 
     def test_edge_list_file_input(self, capsys, tmp_path):
         f = tmp_path / "g.edges"
-        f.write_text(format_edge_list(path(4)))
+        f.write_text("n=4\n0 1\n1 2\n2 3\n")
         code, out, _ = run(capsys, "charpoly", str(f))
         assert code == 0 and out.strip() == "1,0,-17,0,16"
 

@@ -397,14 +397,16 @@ def lifted(rows):
 
 
 def check_charpoly(rows, oracle=True):
-    """charpoly_mod agrees residue by residue on both backends, over the
-    driver's primes and small odd moduli, prime or not; the driver's lift is
-    the pure Berkowitz recurrence (and sympy)."""
+    """charpoly_mod agrees residue by residue on both backends (compiled
+    Hessenberg reduction, pure Berkowitz), over the driver's primes and the
+    small primes 3, 5 and 7, at which zero pivots, row and column swaps and
+    zero subdiagonal entries are common; the driver's lift is the pure
+    Berkowitz recurrence (and sympy)."""
     want = berkowitz_charpoly(IntMatrix(rows)).coeffs
     n = len(want) - 1
     primes = exactalg._charpoly_primes(n, max(
         (sum(map(abs, row)) for row in rows), default=0))
-    moduli = primes + (3, 9, 15, (1 << 56) - 1)
+    moduli = primes + (3, 5, 7)
     residues = compiled.charpoly_mod(rows, moduli)
     assert residues == pure.charpoly_mod(rows, moduli)
     assert residues == tuple(tuple(c % p for c in want) for p in moduli)
@@ -474,6 +476,88 @@ class TestCharpoly:
         check_charpoly([[big] * 8 for _ in range(8)])
         check_charpoly([[-big, 2 ** 63, -(2 ** 63)], [2 ** 64, 1, 0],
                         [big, big, big]])
+
+    def test_word_bound(self):
+        """Entries at the int64 limits and past them (2^63 and 2^70 take
+        the PyNumber_Remainder path), at the first primes exactalg.charpoly
+        takes, the largest of which, 2^56 - 5, is the census prime."""
+        assert exactalg._charpoly_primes(1, 1)[0] == (1 << 56) - 5
+        top = 2 ** 63 - 1
+        check_charpoly([[top, -top], [-top, top]])
+        check_charpoly([[top, -top, 2 ** 63], [-(2 ** 63), 2 ** 70, top],
+                        [-(2 ** 70), -top, -(2 ** 63)]])
+        rng = random.Random(83)
+        for n in (4, 9, 16):
+            check_charpoly([[rng.choice((top, -top, 2 ** 63, -(2 ** 70), 0, 1))
+                             for _ in range(n)] for _ in range(n)])
+
+    def test_block_diagonal(self):
+        """A reducible matrix: its Hessenberg form has a zero subdiagonal
+        entry between the blocks, where the recurrence stops summing."""
+        rng = random.Random(89)
+        for sizes in ((3, 4), (1, 5, 2, 6), (7, 7, 7)):
+            n = sum(sizes)
+            rows = [[0] * n for _ in range(n)]
+            start = 0
+            for size in sizes:
+                for i in range(start, start + size):
+                    for j in range(start, start + size):
+                        rows[i][j] = rng.randint(-9, 9)
+                start += size
+            check_charpoly(rows)
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 30])
+    def test_swap_at_every_column(self, n):
+        """A dense upper Hessenberg H with a nonzero subdiagonal, conjugated
+        by the transpositions (c+1, r_c), r_c > c+1, for c = n-3 down to 0.
+        Column c of the matrix the reduction reaches at step c then has one
+        nonzero entry below the diagonal, in row r_c (checked by replaying
+        the swaps), so the reduction swaps at every column and eliminates
+        nothing, and the charpoly is that of H."""
+        rng = random.Random(97 + n)
+        h = [[rng.randint(-9, 9) if i <= j else 0 for j in range(n)]
+             for i in range(n)]
+        for c in range(n - 1):
+            h[c + 1][c] = rng.choice((-1, 1)) * rng.randint(1, 9)
+
+        def conjugate(rows, i, j):
+            rows[i], rows[j] = rows[j], rows[i]
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+
+        rows = [row[:] for row in h]
+        for c in range(n - 3, -1, -1):
+            conjugate(rows, c + 1, rng.randint(c + 2, n - 1))
+        replay = [row[:] for row in rows]
+        for c in range(n - 2):
+            below = [r for r in range(c + 1, n) if replay[r][c]]
+            assert len(below) == 1 and below[0] > c + 1
+            conjugate(replay, c + 1, below[0])
+        assert replay == h
+        assert check_charpoly(rows, oracle=n <= 17) == \
+            berkowitz_charpoly(IntMatrix(h)).coeffs
+
+    @pytest.mark.parametrize("modulus,pivot", [(9, 3), (15, 5), (15, 3)])
+    def test_composite_modulus_with_non_unit_pivot_raises(self, modulus,
+                                                          pivot):
+        """The compiled reduction divides by its pivots, so a pivot that is
+        not a unit modulo a composite modulus raises rather than give a
+        wrong residue; the pure Berkowitz kernel is division-free and
+        exact there."""
+        rows = [[1, 2, 4], [pivot, 0, 1], [7, 1, 3]]
+        with pytest.raises(ValueError,
+                           match=f"not a unit modulo {modulus};"):
+            compiled.charpoly_mod(rows, (7, modulus))
+        want = berkowitz_charpoly(IntMatrix(rows)).coeffs
+        assert pure.charpoly_mod(rows, (modulus,)) == \
+            (tuple(c % modulus for c in want),)
+
+    def test_composite_modulus_with_unit_pivots_is_exact(self):
+        rows = [[1, 2, 4], [2, 0, 1], [7, 1, 3]]
+        want = berkowitz_charpoly(IntMatrix(rows)).coeffs
+        moduli = (9, 15, (1 << 56) - 1)
+        assert compiled.charpoly_mod(rows, moduli) == \
+            tuple(tuple(c % p for c in want) for p in moduli)
 
     def test_rejects_non_square_alike(self):
         for mod in (compiled, pure):
