@@ -19,11 +19,10 @@ if os.environ.get("ECCSPEC_PURE") != "1":
     ext_modules = [Extension("eccspec._kernels", ["src/eccspec/_kernels.c"],
                              extra_compile_args=["-O3"])]
 
-# the explicit src mapping and entry point keep legacy (pre-PEP-660)
-# editable installs working; modern setuptools reads the same from pyproject
+# the package layout lives here, the console script in pyproject's
+# [project.scripts]; neither is stated twice
 setup(
     package_dir={"": "src"},
     packages=["eccspec"],
-    entry_points={"console_scripts": ["eccspec = eccspec.cli:main"]},
     ext_modules=ext_modules,
 )

@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .graphs import (
     Graph,
     Metrics,
-    FamilyId,
     bfs_metrics,
-    build_family,
     bull,
     complete,
     complete_multipartite,

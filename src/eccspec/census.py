@@ -121,16 +121,29 @@ class CensusRecord:
 
     @classmethod
     def from_line(cls, line: str):
+        """Parse one store line.  Raises ValueError unless the line has seven
+        invariant fields, a monic charpoly of length n+1 and a canon whose
+        graph6 size byte and length fit n; these checks are O(1), the canon
+        is not decoded."""
         canon, inv, poly = line.rstrip("\n").split("\t")
         fields = inv.split(",")
-        tags = tuple(t for t in fields[6].split(";") if t)
+        if len(fields) != 7:
+            raise ValueError(f"{len(fields)} invariant fields, expected 7")
+        n = int(fields[0])
+        coeffs = tuple(int(c) for c in poly.split(","))
+        if len(coeffs) != n + 1 or coeffs[-1] != 1:
+            raise ValueError(f"charpoly is not monic of degree n={n}")
+        if canon[:1] != chr(n + 63) or \
+                len(canon) != 1 + (n * (n - 1) // 2 + 5) // 6:
+            raise ValueError(f"canon {canon!r} is not a graph6 string of "
+                             f"order n={n}")
         return cls(
             canon=canon,
-            n=int(fields[0]), diam=int(fields[1]), v1_size=int(fields[2]),
+            n=n, diam=int(fields[1]), v1_size=int(fields[2]),
             mult_minus1=int(fields[3]), mult_minus2=int(fields[4]),
             mult_zero=int(fields[5]),
-            charpoly=tuple(int(c) for c in poly.split(",")),
-            family_tags=tags,
+            charpoly=coeffs,
+            family_tags=tuple(t for t in fields[6].split(";") if t),
         )
 
 
@@ -205,18 +218,6 @@ def read_store(path):
 
 # ---------------------------------------------------------------------------
 # queries
-
-def query(records, predicate=None, **field_eq):
-    """Filter records by a callable predicate and/or field equality kwargs."""
-    out = []
-    for rec in records:
-        if predicate is not None and not predicate(rec):
-            continue
-        if any(getattr(rec, key) != val for key, val in field_eq.items()):
-            continue
-        out.append(rec)
-    return out
-
 
 def cospectral_mates(records, target: CensusRecord):
     """Records sharing the target's exact characteristic polynomial but not

@@ -29,13 +29,18 @@ from .eccentricity import (
     spectrum_summary,
 )
 from .graphs import (
-    FamilyId,
+    CLIQUE_JOINS,
     Graph,
-    build_family,
+    complete,
+    complete_multipartite,
+    cycle,
     graph6_decode,
     graph6_encode,
     is_connected,
+    join_clique_with,
+    mixed_extension_star,
     parse_edge_list,
+    path,
 )
 
 STORE_ENV = "ECCSPEC_STORE"
@@ -65,32 +70,43 @@ def _load_graph(text) -> Graph:
     return g
 
 
-def _parse_family(text) -> FamilyId:
-    """Family grammar: K<n>, P<n>, C<n>, K(a,b,...), K<r>v<descriptor>,
-    S(t0,-p,t1,...), g1:<i>@<n>, thm5:<i>@<n>."""
+def _indexed_join(kind, index, n):
+    """The index-th clique join of the m(-1) = n-5 class at order n: among
+    its seven K_{n-4} joins for ``g1``, among all ten for ``thm5``."""
+    joins = CLIQUE_JOINS[5]
+    if kind == "g1":
+        joins = [(k, h) for k, h in joins if k == 4]
+    if not 0 <= index < len(joins):
+        raise ValueError(f"{kind} index {index} out of range "
+                         f"0..{len(joins) - 1}")
+    k, h = joins[index]
+    return join_clique_with(n - k, h)
+
+
+def _parse_family(text):
+    """(builder, arguments) of a family id.  Grammar: K<n>, P<n>, C<n>,
+    K(a,b,...), K<r>v<descriptor>, S(t0,-p,t1,...), g1:<i>@<n>,
+    thm5:<i>@<n>."""
     text = text.strip()
     try:
         if text.startswith("g1:") or text.startswith("thm5:"):
             head, rest = text.split(":", 1)
             idx, n = rest.split("@")
-            if head == "g1":
-                return FamilyId.g1(int(idx), int(n))
-            return FamilyId.thm5(int(idx), int(n))
+            return _indexed_join, (head, int(idx), int(n))
         if text.startswith("S(") and text.endswith(")"):
             nums = [int(x) for x in text[2:-1].split(",") if x.strip()]
             if len(nums) < 2 or nums[1] > 0:
                 raise ValueError("mixed star needs S(t0,-p,...)")
-            return FamilyId.mixed_star(nums[0], -nums[1], nums[2:])
+            return mixed_extension_star, (nums[0], -nums[1], nums[2:])
         if text.startswith("K(") and text.endswith(")"):
             parts = [int(x) for x in text[2:-1].split(",") if x.strip()]
-            return FamilyId.multipartite(parts)
+            return complete_multipartite, (parts,)
         if "v" in text and text.startswith("K"):
             head, desc = text.split("v", 1)
-            return FamilyId.join_clique(int(head[1:]), desc)
-        kind = {"K": FamilyId.complete, "P": FamilyId.path,
-                "C": FamilyId.cycle}.get(text[0])
-        if kind is not None:
-            return kind(int(text[1:]))
+            return join_clique_with, (int(head[1:]), desc)
+        build = {"K": complete, "P": path, "C": cycle}.get(text[0])
+        if build is not None:
+            return build, (int(text[1:]),)
     except (ValueError, IndexError) as exc:
         raise UsageError(f"cannot parse family id {text!r}: {exc}")
     raise UsageError(f"cannot parse family id {text!r}")
@@ -259,9 +275,9 @@ def _cmd_hl(args):
 
 
 def _cmd_family(args):
-    fid = _parse_family(args.id)
+    build, params = _parse_family(args.id)
     try:
-        text = graph6_encode(build_family(fid)).decode("ascii")
+        text = graph6_encode(build(*params)).decode("ascii")
     except ValueError as exc:
         raise UsageError(f"cannot build family {args.id!r}: {exc}")
     print(text)

@@ -58,10 +58,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.rows[i][j]
@@ -114,10 +110,6 @@ class IntPolynomial:
         return cls(())
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def x_minus(cls, r):
         return cls((-r, 1))
 
@@ -130,11 +122,6 @@ class IntPolynomial:
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __call__(self, x):
         acc = 0

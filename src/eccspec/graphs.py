@@ -234,11 +234,16 @@ H_DESCRIPTORS = {
     "H1": bull,
 }
 
-# The seven order-4 descriptors paired with K_{n-4}, in catalog order.
-G1_DESCRIPTORS = ("4K1", "2K1uK2", "P3uK1", "2K2", "P4", "K3uK1", "C4")
-
-# The three order-5 descriptors paired with K_{n-5}.
-ORDER5_DESCRIPTORS = ("C5", "K1uP4", "H1")
+# The clique joins K_{n-k} v H of the m(-1) = n-i characterization, as
+# i -> its (k, H) pairs in catalog order; H names an H_DESCRIPTORS entry on k
+# vertices.  No connected graph has m(-1) = n-2, and the classes for i = 1
+# and i = 3 also hold K_n and P4, which are not joins.
+CLIQUE_JOINS = {
+    3: ((2, "2K1"),),
+    4: ((3, "K2uK1"), (3, "3K1")),
+    5: ((4, "4K1"), (4, "2K1uK2"), (4, "P3uK1"), (4, "2K2"), (4, "P4"),
+        (4, "K3uK1"), (4, "C4"), (5, "C5"), (5, "K1uP4"), (5, "H1")),
+}
 
 
 def join_clique_with(r, descriptor):
@@ -250,83 +255,17 @@ def join_clique_with(r, descriptor):
     return join(complete(r), H_DESCRIPTORS[descriptor]())
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    """Named graph constructions used throughout the verification suites."""
-
-    kind: str
-    params: tuple
-
-    @classmethod
-    def complete(cls, n):
-        return cls("complete", (n,))
-
-    @classmethod
-    def path(cls, n):
-        return cls("path", (n,))
-
-    @classmethod
-    def cycle(cls, n):
-        return cls("cycle", (n,))
-
-    @classmethod
-    def multipartite(cls, parts):
-        return cls("multipartite", tuple(parts))
-
-    @classmethod
-    def join_clique(cls, r, descriptor):
-        return cls("join_clique", (r, descriptor))
-
-    @classmethod
-    def mixed_star(cls, t0, p, ts):
-        return cls("mixed_star", (t0, p, tuple(ts)))
-
-    @classmethod
-    def g1(cls, index, n):
-        return cls("g1", (index, n))
-
-    @classmethod
-    def thm5(cls, index, n):
-        return cls("thm5", (index, n))
-
-
-def build_family(fid: FamilyId) -> Graph:
-    """Materialize a FamilyId; order-validity ranges are deliberately not
-    enforced so callers can probe outside them."""
-    kind, params = fid.kind, fid.params
-    if kind == "complete":
-        return complete(params[0])
-    if kind == "path":
-        return path(params[0])
-    if kind == "cycle":
-        return cycle(params[0])
-    if kind == "multipartite":
-        return complete_multipartite(params)
-    if kind == "join_clique":
-        return join_clique_with(*params)
-    if kind == "mixed_star":
-        return mixed_extension_star(*params)
-    if kind == "g1":
-        index, n = params
-        if not 0 <= index < len(G1_DESCRIPTORS):
-            raise ValueError(f"g1 index {index} out of range 0..6")
-        return join_clique_with(n - 4, G1_DESCRIPTORS[index])
-    if kind == "thm5":
-        index, n = params
-        if not 0 <= index < len(G1_DESCRIPTORS) + len(ORDER5_DESCRIPTORS):
-            raise ValueError(f"thm5 index {index} out of range 0..9")
-        if index < len(G1_DESCRIPTORS):
-            return join_clique_with(n - 4, G1_DESCRIPTORS[index])
-        return join_clique_with(n - 5,
-                                ORDER5_DESCRIPTORS[index - len(G1_DESCRIPTORS)])
-    raise ValueError(f"unknown family kind {kind!r}")
+def clique_joins(i, n):
+    """The joins K_{n-k} v H of the m(-1) = n-i class that exist at order n
+    (n > k), as (name, Graph) pairs in catalog order."""
+    return [(f"K{n-k}v{h}", join_clique_with(n - k, h))
+            for k, h in CLIQUE_JOINS.get(i, ()) if n > k]
 
 
 def max_mult_families(n):
-    """The ten (name, Graph) pairs attaining m(-1) = n-5 at large orders."""
-    fams = [(f"K{n-4}v{d}", join_clique_with(n - 4, d)) for d in G1_DESCRIPTORS]
-    fams += [(f"K{n-5}v{d}", join_clique_with(n - 5, d)) for d in ORDER5_DESCRIPTORS]
-    return fams
+    """The ten (name, Graph) pairs attaining m(-1) = n-5; all exist for
+    n >= 6."""
+    return clique_joins(5, n)
 
 
 def theorem1_families(n):
@@ -335,17 +274,8 @@ def theorem1_families(n):
     fams = [(f"K{n}", complete(n))]
     if n == 4:
         fams.append(("P4", path(4)))
-    if n >= 3:
-        fams.append((f"K{n-2}v2K1", join_clique_with(n - 2, "2K1")))
-    if n >= 4:
-        fams.append((f"K{n-3}vK2uK1", join_clique_with(n - 3, "K2uK1")))
-        fams.append((f"K{n-3}v3K1", join_clique_with(n - 3, "3K1")))
-    if n >= 5:
-        fams.extend((f"K{n-4}v{d}", join_clique_with(n - 4, d))
-                    for d in G1_DESCRIPTORS)
-    if n >= 6:
-        fams.extend((f"K{n-5}v{d}", join_clique_with(n - 5, d))
-                    for d in ORDER5_DESCRIPTORS)
+    for i in sorted(CLIQUE_JOINS):
+        fams += clique_joins(i, n)
     return fams
 
 

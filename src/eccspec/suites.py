@@ -39,8 +39,10 @@ from .exactalg import (
     root_multiplicity,
 )
 from .graphs import (
+    CLIQUE_JOINS,
     Graph,
     bfs_metrics,
+    clique_joins,
     complete,
     complete_multipartite,
     cycle,
@@ -48,12 +50,11 @@ from .graphs import (
     is_mixed_star_shape,
     join,
     join_clique_with,
-    max_mult_families,
     mixed_extension_star,
     path,
     theorem1_families,
 )
-from .quotient import BlockSpec, spec_charpoly, realize
+from .quotient import BlockSpec, verify_spectrum_identity
 
 REPORT_FORMAT_VERSION = 1
 
@@ -152,7 +153,7 @@ def _census_records(n, cache=None, jobs=1):
 # ---------------------------------------------------------------------------
 # multiplicity characterization suite (parts i..v)
 
-THM1_DEFAULT_N = {
+THM1_DEFAULT_N = {  # the parts in order, i = 1..5
     "i": tuple(range(2, 10)),
     "ii": tuple(range(4, 10)),
     "iii": tuple(range(4, 10)),
@@ -163,29 +164,18 @@ THM1_DEFAULT_N = {
 
 def _expected_class(part, n):
     """The family graphs that should attain the part's multiplicity at order
-    n, as (name, Graph) pairs, plus the multiplicity value.  Below the
-    family's minimum constructible order the list is empty."""
-    if part == "i":
+    n, as (name, Graph) pairs, plus the multiplicity value.  A class is
+    claimed only when every one of its joins exists at order n; below that
+    the list is empty."""
+    i = list(THM1_DEFAULT_N).index(part) + 1
+    if i == 1:
         return n - 1, [(f"K{n}", complete(n))]
-    if part == "ii":
-        return n - 2, []
-    if part == "iii":
-        if n < 3:
-            return n - 3, []
-        fams = [(f"K{n-2}v2K1", join_clique_with(n - 2, "2K1"))]
-        if n == 4:
-            fams.append(("P4", path(4)))
-        return n - 3, fams
-    if part == "iv":
-        if n < 4:
-            return n - 4, []
-        return n - 4, [(f"K{n-3}vK2uK1", join_clique_with(n - 3, "K2uK1")),
-                       (f"K{n-3}v3K1", join_clique_with(n - 3, "3K1"))]
-    if part == "v":
-        if n < 6:
-            return n - 5, []
-        return n - 5, max_mult_families(n)
-    raise ValueError(f"unknown part {part!r}")
+    fams = clique_joins(i, n)
+    if len(fams) < len(CLIQUE_JOINS.get(i, ())):
+        fams = []
+    if i == 3 and n == 4:
+        fams.append(("P4", path(4)))
+    return n - i, fams
 
 
 @_timed
@@ -251,44 +241,43 @@ _QUAD = IntPolynomial((-4, 2, 1))  # x^2 + 2x - 4
 
 @dataclass(frozen=True)
 class TableRow:
-    label: str
-    clique: int  # clique order is n - clique
+    clique: int  # the row is K_{n-clique} v descriptor
     descriptor: str
-    one_exp: int  # exponent of (x+1) is n - one_exp
     fixed: tuple  # additional fixed factors as (IntPolynomial, exponent)
     quotient_affine: tuple  # ascending coeffs as (a, b) meaning a*n + b
     informational: str = ""
 
+    @property
+    def label(self):
+        return f"K{{n-{self.clique}}}v{self.descriptor}"
+
+    @property
+    def one_exp(self):
+        """i of the row's m(-1) = n-i class: (x+1) has exponent n - i."""
+        return next(i for i, joins in CLIQUE_JOINS.items()
+                    if (self.clique, self.descriptor) in joins)
+
 
 TABLE_ROWS = (
-    TableRow("K{n-4}v4K1", 4, "4K1", 5, ((_XP2, 3),),
-             ((2, -14), (-1, -1), (0, 1))),
-    TableRow("K{n-4}v2K1uK2", 4, "2K1uK2", 5, ((_XP2, 1), (_X, 1)),
+    TableRow(4, "4K1", ((_XP2, 3),), ((2, -14), (-1, -1), (0, 1))),
+    TableRow(4, "2K1uK2", ((_XP2, 1), (_X, 1)),
              ((4, -32), (-2, -10), (-1, 3), (0, 1))),
-    TableRow("K{n-4}vP3uK1", 4, "P3uK1", 5, ((_XP2, 1),),
+    TableRow(4, "P3uK1", ((_XP2, 1),),
              ((0, 8), (4, -20), (-2, -6), (-1, 3), (0, 1))),
-    TableRow("K{n-4}v2K2", 4, "2K2", 5, ((_X, 2), (_XP2, 1)),
-             ((-2, 6), (-1, 3), (0, 1))),
-    TableRow("K{n-4}vP4", 4, "P4", 5, (),
+    TableRow(4, "2K2", ((_X, 2), (_XP2, 1)), ((-2, 6), (-1, 3), (0, 1))),
+    TableRow(4, "P4", (),
              ((0, 16), (8, -16), (0, -12), (-4, 4), (-1, 5), (0, 1))),
-    TableRow("K{n-4}vK3uK1", 4, "K3uK1", 5, ((_X, 2),),
-             ((0, -12), (-4, 4), (-1, 5), (0, 1))),
-    TableRow("K{n-4}vC4", 4, "C4", 5, ((_XP2, 2),),
-             ((4, -12), (0, 0), (-1, 1), (0, 1))),
-    TableRow("K{n-5}vC5", 5, "C5", 5, ((_QUAD, 2),),
-             ((-1, 1), (0, 1))),
-    TableRow("K{n-5}vK1uP4", 5, "K1uP4", 5, ((_QUAD, 1),),
+    TableRow(4, "K3uK1", ((_X, 2),), ((0, -12), (-4, 4), (-1, 5), (0, 1))),
+    TableRow(4, "C4", ((_XP2, 2),), ((4, -12), (0, 0), (-1, 1), (0, 1))),
+    TableRow(5, "C5", ((_QUAD, 2),), ((-1, 1), (0, 1))),
+    TableRow(5, "K1uP4", ((_QUAD, 1),),
              ((4, -36), (-2, -10), (-1, 3), (0, 1))),
-    TableRow("K{n-5}vH1", 5, "H1", 5, ((_QUAD, 1),),
-             ((4, -20), (-2, -2), (-1, 3), (0, 1))),
-    TableRow("K{n-3}vK2uK1", 3, "K2uK1", 4, ((_X, 1),),
-             ((0, -8), (-3, 1), (-1, 4), (0, 1))),
-    TableRow("K{n-3}v3K1", 3, "3K1", 4, ((_XP2, 2),),
-             ((1, -7), (-1, 0), (0, 1))),
+    TableRow(5, "H1", ((_QUAD, 1),), ((4, -20), (-2, -2), (-1, 3), (0, 1))),
+    TableRow(3, "K2uK1", ((_X, 1),), ((0, -8), (-3, 1), (-1, 4), (0, 1))),
+    TableRow(3, "3K1", ((_XP2, 2),), ((1, -7), (-1, 0), (0, 1))),
     # The published 2K2 row fails its (x+2) division; this derived row is the
     # identity the matrix actually satisfies and is reported separately.
-    TableRow("K{n-4}v2K2", 4, "2K2", 5, ((_X, 2),),
-             ((0, -16), (-4, 0), (-1, 5), (0, 1)),
+    TableRow(4, "2K2", ((_X, 2),), ((0, -16), (-4, 0), (-1, 5), (0, 1)),
              informational="derived replacement for the failing printed row"),
 )
 
@@ -473,7 +462,7 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
                 s[i][j] = s[j][i] = rng.randint(0, 3)
         p = tuple(rng.randint(-3, 3) for _ in range(l))
         spec = BlockSpec(sizes, tuple(map(tuple, s)), p)
-        if charpoly(realize(spec)) != spec_charpoly(spec):
+        if not verify_spectrum_identity(spec):
             bad.append(spec.to_text())
     rep.check("P(M) = P(Q) * prod (x - p_i)^(n_i - 1) for J/I block matrices",
               f"{counts['block_identity']} seeded random specs", [], bad)

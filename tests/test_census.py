@@ -24,6 +24,9 @@ KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 N8_STORE_SHA256 = (
     "97cbee773cdb0bc898975a00d8fcded8637e1f006abeb3523607bc7e3897eb6a")
 
+#: the store line of K4 (canon, invariants with its family tag, charpoly)
+K4_LINE = "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1"
+
 
 def level_graphs(n):
     """The connected graphs of order n, one per class, in canonical order."""
@@ -239,6 +242,31 @@ class TestClassify:
             with pytest.raises(ValueError, match=r"bad\.tsv, line 3"):
                 census.read_store(path)
 
+    def test_k4_line_parses(self):
+        rec = census.CensusRecord.from_line(K4_LINE)
+        assert rec.canon == census.canonical_form(complete(4)).canon
+        assert rec.to_line() == K4_LINE
+
+    @pytest.mark.parametrize("line", [
+        "C~\t4,1,4,3,0,0,K4,extra\t-3,-8,-6,0,1",  # an 8th invariant field
+        "C~\t4,1,4,3,0,0\t-3,-8,-6,0,1",           # six invariant fields
+        "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0",          # charpoly one short
+        "C~\t4,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # charpoly one too long
+        "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,2",        # not monic
+        "E~~o\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",      # an order-6 canon
+        "C~?\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",       # canon one byte long
+        "!!!!\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",
+        "C~\t5,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # n disagrees with canon
+    ], ids=["8-fields", "6-fields", "short-poly", "long-poly", "non-monic",
+            "canon-order", "canon-length", "canon-bangs", "n-vs-canon"])
+    def test_from_line_rejects_inconsistent_line(self, line, tmp_path):
+        with pytest.raises(ValueError):
+            census.CensusRecord.from_line(line)
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{K4_LINE}\n{line}\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"bad\.tsv, line 2"):
+            census.read_store(path)
+
     def test_parallel_matches_serial(self):
         serial = census.classify(6, jobs=1)
         parallel = census.classify(6, jobs=2)
@@ -246,10 +274,6 @@ class TestClassify:
 
 
 class TestQueries:
-    def test_diameter_one_is_complete_only(self, census_records):
-        recs = census.query(census_records(7), diam=1)
-        assert [r.family_tags for r in recs] == [("K7",)]
-
     def test_cospectral_mates_exist_somewhere(self, census_records):
         # cospectral pairs for this matrix exist at order 6 and the mate
         # relation must be symmetric and canonical-form-disjoint

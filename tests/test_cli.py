@@ -5,7 +5,7 @@ import json
 import pytest
 
 from eccspec.cli import cli_main
-from eccspec.graphs import graph6_encode, path, complete
+from eccspec.graphs import complete, graph6_encode, join_clique_with, path
 
 
 def run(capsys, *argv):
@@ -76,7 +76,42 @@ class TestGraphCommands:
             cli_main(["charpoly", P4])
 
 
+#: ``eccspec family`` output, byte for byte: graph6 for valid ids, the usage
+#: error for invalid ones (exit 2)
+FAMILY_GRAPH6 = {
+    "K5": "D~{", "P4": "Ch", "C7": "FhCKG", "K(2,2,3)": "F]~v_",
+    "K4v2K1": "E~~o", "S(3,-2,2)": "F~zfG", "g1:0@9": "H~~~vrw",
+    "g1:6@9": "H~~~~v|", "thm5:0@16": "O~~~~~~~~~~~~~~~^~f~w",
+    "thm5:9@16": "O~~~~~~~~~~~~~~~~~V~q", "thm5:7@6": "E|fG",
+    "g1:0@5": "Ds_", "K1v2K1": "Bo",
+}
+FAMILY_ERRORS = {
+    "g1:0@4": "cannot build family 'g1:0@4': clique part must be nonempty",
+    "g1:9@9": "cannot build family 'g1:9@9': g1 index 9 out of range 0..6",
+    "g1:-1@9": "cannot build family 'g1:-1@9': g1 index -1 out of range 0..6",
+    "thm5:10@16": "cannot build family 'thm5:10@16': thm5 index 10 out of "
+                  "range 0..9",
+    "K4vBOGUS": "cannot build family 'K4vBOGUS': unknown descriptor 'BOGUS'",
+    "Q7": "cannot parse family id 'Q7'",
+    "S(3,2)": "cannot parse family id 'S(3,2)': mixed star needs "
+              "S(t0,-p,...)",
+    "K63": "cannot build family 'K63': graph6 single-byte header supports "
+           "n <= 62",
+}
+
+
 class TestFamilyCommand:
+    def test_family_grammar_pinned(self, capsys):
+        for fam, text in FAMILY_GRAPH6.items():
+            assert run(capsys, "family", fam) == (0, text + "\n", ""), fam
+        for fam, message in FAMILY_ERRORS.items():
+            assert run(capsys, "family", fam) == (2, "", f"error: {message}\n")
+        # g1 indexes the seven K_{n-4} joins, thm5 all ten in catalog order
+        for fam, r, h in (("g1:0@9", 5, "4K1"), ("thm5:7@6", 1, "C5"),
+                          ("thm5:9@16", 11, "H1")):
+            assert FAMILY_GRAPH6[fam] == graph6_encode(
+                join_clique_with(r, h)).decode()
+
     @pytest.mark.parametrize("fam,expect_n", [
         ("K5", 5), ("P4", 4), ("C7", 7), ("K(2,2,3)", 7),
         ("K4v2K1", 6), ("S(3,-2,2)", 7), ("g1:0@9", 9), ("thm5:9@16", 16),
@@ -106,6 +141,24 @@ class TestCensusAndQuery:
         code, out, _ = run(capsys, "query", str(store), "diam=1")
         assert code == 0
         assert out.strip().endswith("[K6]")
+
+    def test_query_diameter_one_is_complete_only(self, capsys, tmp_path):
+        store = tmp_path / "c7.tsv"
+        run(capsys, "census", "7", "--store", str(store))
+        code, out, _ = run(capsys, "query", str(store), "diam=1",
+                           "--format", "json")
+        assert code == 0
+        assert [m["family_tags"] for m in json.loads(out)["matches"]] == \
+            [["K7"]]
+
+    def test_query_store_line_with_8_fields_is_usage_error(self, capsys,
+                                                           tmp_path):
+        store = tmp_path / "c4.tsv"
+        run(capsys, "census", "4", "--store", str(store))
+        with open(store, "a", encoding="ascii") as fh:
+            fh.write("C~\t4,1,4,3,0,0,K4,extra\t-3,-8,-6,0,1\n")
+        code, out, err = run(capsys, "query", str(store), "n=4")
+        assert code == 2 and out == "" and "c4.tsv, line 7" in err
 
     def test_census_store_env_default(self, capsys, tmp_path, monkeypatch):
         store = tmp_path / "env.tsv"

@@ -7,9 +7,10 @@ import networkx as nx
 import pytest
 
 from eccspec.graphs import (
+    CLIQUE_JOINS,
+    H_DESCRIPTORS,
     Graph,
     bfs_metrics,
-    build_family,
     bull,
     complete,
     complete_multipartite,
@@ -30,7 +31,6 @@ from eccspec.graphs import (
     parse_edge_list,
     path,
     theorem1_families,
-    FamilyId,
 )
 
 
@@ -183,14 +183,6 @@ class TestBuilders:
 
 
 class TestFamilies:
-    def test_g1_member(self):
-        g = build_family(FamilyId.g1(0, 9))
-        assert g == join_clique_with(5, "4K1")
-
-    def test_part_v_members(self):
-        assert build_family(FamilyId.thm5(7, 16)) == join_clique_with(11, "C5")
-        assert build_family(FamilyId.thm5(9, 16)) == join_clique_with(11, "H1")
-
     def test_family_graphs_are_connected(self):
         for n in (6, 9, 16, 20):
             for name, g in theorem1_families(n):
@@ -201,6 +193,19 @@ class TestFamilies:
         fams = max_mult_families(16)
         assert len(fams) == 10
         assert len({name for name, _ in fams}) == 10
+
+    def test_clique_join_table_names_graphs_of_order_k(self):
+        for i, joins in CLIQUE_JOINS.items():
+            for k, h in joins:
+                assert H_DESCRIPTORS[h]().n == k, (i, h)
+
+    def test_theorem1_families_catalog_order(self):
+        assert [name for name, _ in theorem1_families(4)] == [
+            "K4", "P4", "K2v2K1", "K1vK2uK1", "K1v3K1"]
+        # the seven K1 v H joins exist at n=5, the order-5 H do not
+        assert [name for name, _ in theorem1_families(5)] == [
+            "K5", "K3v2K1", "K2vK2uK1", "K2v3K1", "K1v4K1", "K1v2K1uK2",
+            "K1vP3uK1", "K1v2K2", "K1vP4", "K1vK3uK1", "K1vC4"]
 
     def test_bull_shape(self):
         b = bull()

@@ -11,6 +11,8 @@ import random
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 if os.environ.get("ECCSPEC_PURE") == "1":
     pytest.skip("ECCSPEC_PURE=1: no compiled extension", allow_module_level=True)
@@ -259,6 +261,30 @@ class TestCanonIsomorphismOracle:
         for _ in range(3):
             h = relabeled(g, rng)
             assert compiled.canon_bits(h.n, h.adj) == form
+
+
+@st.composite
+def relabeled_pairs(draw, max_n=10):
+    """(n, adjacency rows of a graph on n <= max_n vertices, the same graph
+    under a vertex permutation)."""
+    n = draw(st.integers(1, max_n))
+    g = Graph.from_adj(kernels.bits_to_adj(
+        n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
+    perm = draw(st.permutations(range(n)))
+    h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return n, g.adj, h.adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_pairs())
+def test_canon_bits_invariant_under_relabeling(case):
+    """Both backends give a relabeled graph the form of the original, and
+    they give the same form."""
+    n, g_adj, h_adj = case
+    form = compiled.canon_bits(n, g_adj)
+    assert compiled.canon_bits(n, h_adj) == form
+    assert pure.canon_bits(n, g_adj) == form
+    assert pure.canon_bits(n, h_adj) == form
 
 
 def spider(legs):

@@ -71,6 +71,17 @@ class TestTheorem1Suite:
         with pytest.raises(ValueError):
             suites.suite_theorem1("vi")
 
+    def test_part_iii_at_4_checks_the_join_then_p4(self, shared_cache):
+        rep = suites.suite_theorem1("iii", [4], census_cache=shared_cache)
+        assert [e.instance for e in rep.entries[:2]] == ["n=4 K2v2K1",
+                                                        "n=4 P4"]
+
+    def test_part_v_claimed_only_when_all_ten_joins_exist(self, shared_cache):
+        rep = suites.suite_theorem1("v", [5, 6], census_cache=shared_cache)
+        assert rep.notes[0] == "n=5 below the family's minimum order; skipped"
+        assert len([e for e in rep.entries if e.instance.startswith("n=6 ")]) \
+            == 10
+
     def test_part_v_reports_small_orders_without_asserting(self, shared_cache):
         rep = suites.suite_theorem1("v", [7, 16], census_cache=shared_cache)
         assert rep.passed
