@@ -6,6 +6,7 @@ import random
 import networkx as nx
 import pytest
 
+from eccspec.cli import _indexed_join
 from eccspec.graphs import (
     CLIQUE_JOINS,
     H_DESCRIPTORS,
@@ -183,6 +184,17 @@ class TestBuilders:
 
 
 class TestFamilies:
+    def test_g1_member(self):
+        assert _indexed_join("g1", 0, 9) == join_clique_with(5, "4K1")
+        assert max_mult_families(9)[0] == ("K5v4K1", join_clique_with(5, "4K1"))
+
+    def test_part_v_members(self):
+        assert _indexed_join("thm5", 7, 16) == join_clique_with(11, "C5")
+        assert _indexed_join("thm5", 9, 16) == join_clique_with(11, "H1")
+        fams = max_mult_families(16)
+        assert fams[7] == ("K11vC5", join_clique_with(11, "C5"))
+        assert fams[9] == ("K11vH1", join_clique_with(11, "H1"))
+
     def test_family_graphs_are_connected(self):
         for n in (6, 9, 16, 20):
             for name, g in theorem1_families(n):
