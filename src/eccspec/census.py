@@ -15,6 +15,7 @@ characteristic-polynomial coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -23,49 +24,39 @@ from .exactalg import deflate_root
 from .graphs import Graph, bits_to_graph6, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
-CANONICAL_LIMIT = 16
 
 #: connected graphs per order, used as enumeration self-checks
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
                     8: 11117, 9: 261080, 10: 11716571}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical graph6 string: equal canonical forms iff isomorphic graphs."""
-
-    canon: str
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Deterministic canonical labeling by iterated neighborhood refinement
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 string: equal strings iff isomorphic graphs.
+    Deterministic canonical labeling by iterated neighborhood refinement
     and backtracking over the remaining cell orderings, minimizing the
     adjacency bit string."""
-    return CanonicalForm(bits_to_graph6(g.n, canonical_bits(g)))
+    return bits_to_graph6(g.n, canonical_bits(g))
 
 
 def canonical_bits(g: Graph) -> int:
-    if g.n > CANONICAL_LIMIT:
-        raise ValueError(f"canonical labeling supports n <= {CANONICAL_LIMIT}")
     return kernels.canon_bits(g.n, g.adj)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-_census_cache = {1: (0,)}
-
-
-def _chunk_results(func, n, items, jobs):
-    """func((n, chunk)) for each chunk of items: strided chunks mapped over a
-    Pool of ``jobs`` workers, in no fixed order, or one serial chunk of all
-    items when jobs == 1 or there are fewer items than jobs."""
+def _chunk_results(func, args, items, jobs):
+    """func(args + (chunk,)) for contiguous chunks of items, in order: mapped
+    over a Pool of ``jobs`` workers, or one serial chunk of all items when
+    jobs == 1 or there are fewer items than jobs."""
     if jobs > 1 and len(items) >= jobs:
-        chunks = [(n, items[i::jobs * 4]) for i in range(jobs * 4)]
+        step = -(-len(items) // (jobs * 4))
+        chunks = [args + (items[i:i + step],)
+                  for i in range(0, len(items), step)]
         with Pool(jobs) as pool:
-            yield from pool.imap_unordered(func, chunks)
+            yield from pool.imap(func, chunks)
     else:
-        yield func((n, items))
+        yield func(args + (items,))
 
 
 def _enum_chunk(args):
@@ -78,18 +69,16 @@ def _enum_chunk(args):
 
 
 def _level_bits(n, jobs=1):
-    """Sorted canonical bit forms of all connected graphs of order n."""
+    """Sorted canonical bit forms of all connected graphs of order n, built
+    level by level from K1; only the parent level is held."""
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    cached = _census_cache.get(n)
-    if cached is not None:
-        return cached
-    parents = _level_bits(n - 1, jobs)
-    seen = set()
-    for part in _chunk_results(_enum_chunk, n - 1, parents, jobs):
-        seen |= part
-    level = tuple(sorted(seen))
-    _census_cache[n] = level
+    level = (0,)
+    for n_parent in range(1, n):
+        seen = set()
+        for part in _chunk_results(_enum_chunk, (n_parent,), level, jobs):
+            seen |= part
+        level = tuple(sorted(seen))
     return level
 
 
@@ -148,34 +137,11 @@ class CensusRecord:
 
 
 def _classify_chunk(args):
-    n, bits_list = args
-    return [(bits, kernels.census_stats(n, kernels.bits_to_adj(n, bits)))
-            for bits in bits_list]
-
-
-def family_tag_map(n):
-    """canonical bits -> sorted tag names of the multiplicity-family graphs
-    of order n."""
-    tags = {}
-    for name, g in theorem1_families(n):
-        if g.n > CANONICAL_LIMIT:
-            continue
-        bits = kernels.canon_bits(g.n, g.adj)
-        tags.setdefault(bits, set()).add(name)
-    return {bits: tuple(sorted(names)) for bits, names in tags.items()}
-
-
-def classify(n, store_path=None, jobs=1):
-    """One CensusRecord per connected graph of order n, sorted by canonical
-    form; optionally persisted (idempotent: re-runs write identical bytes)."""
-    level = _level_bits(n, jobs)
-    tag_map = family_tag_map(n)
+    n, tag_map, bits_list = args
     records = []
-    results = [item for part in _chunk_results(_classify_chunk, n, level, jobs)
-               for item in part]
-    # bits order is canon order: fixed-n graph6 reads the bits big-endian
-    results.sort()  # orders parallel chunks; serial results already are
-    for bits, (diam, v1, m1, m2, m0, coeffs) in results:
+    for bits in bits_list:
+        diam, v1, m1, m2, m0, coeffs = kernels.census_stats(
+            n, kernels.bits_to_adj(n, bits))
         records.append(CensusRecord(
             canon=bits_to_graph6(n, bits),
             n=n, diam=diam, v1_size=v1,
@@ -183,6 +149,29 @@ def classify(n, store_path=None, jobs=1):
             charpoly=coeffs,
             family_tags=tag_map.get(bits, ()),
         ))
+    return records
+
+
+def family_tag_map(n):
+    """canonical bits -> sorted tag names of the multiplicity-family graphs
+    of order n."""
+    tags = {}
+    for name, g in theorem1_families(n):
+        bits = kernels.canon_bits(g.n, g.adj)
+        tags.setdefault(bits, set()).add(name)
+    return {bits: tuple(sorted(names)) for bits, names in tags.items()}
+
+
+def classify(n, store_path=None, jobs=1):
+    """One CensusRecord per connected graph of order n, sorted by canonical
+    form; optionally persisted (idempotent: re-runs write identical bytes).
+    Every call enumerates and classifies from scratch."""
+    level = _level_bits(n, jobs)
+    tag_map = family_tag_map(n)
+    # bits order is canon order: fixed-n graph6 reads the bits big-endian,
+    # so the contiguous chunks of the sorted level come back sorted
+    records = [rec for part in _chunk_results(
+        _classify_chunk, (n, tag_map), level, jobs) for rec in part]
     if store_path is not None:
         write_store(records, store_path)
     return records
@@ -235,8 +224,11 @@ def integer_root_multiplicities(coeffs):
         out[0] = zero_mult
     if len(work) <= 1:
         return out
+    # every integer root divides the constant term; divisors pair up around
+    # its square root, so the ascending list costs O(sqrt(|tail|)) steps
     tail = abs(work[0])
-    candidates = sorted({d for d in range(1, tail + 1) if tail % d == 0})
+    small = [d for d in range(1, math.isqrt(tail) + 1) if tail % d == 0]
+    candidates = small + [tail // d for d in reversed(small) if d * d != tail]
     for base in candidates:
         for r in (base, -base):
             mult, work = deflate_root(work, r)

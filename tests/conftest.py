@@ -24,15 +24,21 @@ def pytest_configure(config):
 
 
 @pytest.fixture(scope="session")
-def census_records():
-    """Session-wide cache of classified census levels, keyed by order."""
+def census_cache():
+    """Census records shared by the whole run, keyed by order, so that each
+    order is classified at most once; a suite takes it as ``census_cache``."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def census_records(census_cache):
+    """The records of order n from the session census, classified on first
+    use."""
     from eccspec import census
 
-    cache = {}
-
     def get(n):
-        if n not in cache:
-            cache[n] = census.classify(n)
-        return cache[n]
+        if n not in census_cache:
+            census_cache[n] = census.classify(n)
+        return census_cache[n]
 
     return get

@@ -38,10 +38,10 @@ def _report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def timed_census():
-    """Cold full census builds: orders 2..8 together, then 9, both timed."""
-    census._census_cache.clear()
-    census._census_cache[1] = (0,)
+def timed_census(census_cache):
+    """Cold full census builds: orders 2..8 together, then 9, both timed.
+    Every classify call builds from scratch; the records then serve the
+    session census."""
     by_n = {}
     t0 = time.perf_counter()
     for n in range(2, 9):
@@ -50,6 +50,7 @@ def timed_census():
     t0 = time.perf_counter()
     by_n[9] = census.classify(9)
     t9 = time.perf_counter() - t0
+    census_cache.update(by_n)
     return by_n, t_upto8, t9
 
 
@@ -84,9 +85,9 @@ def test_criterion_03_n_minus_3_class_exact_and_spectrally_determined(
     ok = True
     for n in range(4, 10):
         hits = _mult_class(by_n[n], n - 3)
-        want = {census.canonical_form(join_clique_with(n - 2, "2K1")).canon}
+        want = {census.canonical_form(join_clique_with(n - 2, "2K1"))}
         if n == 4:
-            want.add(census.canonical_form(path(4)).canon)
+            want.add(census.canonical_form(path(4)))
         ok &= {r.canon for r in hits} == want
         for rec in hits:
             ok &= census.cospectral_mates(by_n[n], rec) == []
@@ -98,8 +99,8 @@ def test_criterion_03_n_minus_3_class_exact_and_spectrally_determined(
 def test_criterion_04_n_minus_4_class_at_order_9(timed_census):
     by_n, _, _ = timed_census
     hits = _mult_class(by_n[9], 5)
-    want = {census.canonical_form(join_clique_with(6, "K2uK1")).canon,
-            census.canonical_form(join_clique_with(6, "3K1")).canon}
+    want = {census.canonical_form(join_clique_with(6, "K2uK1")),
+            census.canonical_form(join_clique_with(6, "3K1"))}
     ok = {r.canon for r in hits} == want
     for rec in hits:
         ok &= census.cospectral_mates(by_n[9], rec) == []
@@ -154,8 +155,8 @@ def test_criterion_06_table_suite_time_and_derived_row(tables_report):
 
 
 @pytest.fixture(scope="module")
-def lemmas_report():
-    return suites.suite_lemmas(seed=0, census_cache={})
+def lemmas_report(census_cache):
+    return suites.suite_lemmas(seed=0, census_cache=census_cache)
 
 
 def _entry(rep, fragment):

@@ -75,7 +75,7 @@ class TestCanonicalForm:
     def test_p4_invariant_under_relabeling(self):
         forms = set()
         for perm in itertools.permutations(range(4)):
-            forms.add(census.canonical_form(relabel(path(4), perm)).canon)
+            forms.add(census.canonical_form(relabel(path(4), perm)))
         assert len(forms) == 1
 
     def test_c4_equals_its_other_presentation(self):
@@ -91,8 +91,7 @@ class TestCanonicalForm:
                 for _ in range(4):
                     perm = list(range(n))
                     rng.shuffle(perm)
-                    assert census.canonical_form(relabel(g, perm)).canon == \
-                        rec.canon
+                    assert census.canonical_form(relabel(g, perm)) == rec.canon
 
     def test_distinct_on_non_isomorphic(self, census_records):
         for n in (6, 7, 8):
@@ -145,12 +144,11 @@ class TestEnumeration:
         from eccspec.graphs import is_connected
         for g in level_graphs(6):
             assert is_connected(g)
-            assert census.canonical_form(g).canon == \
-                census.canonical_form(g).canon
+            assert census.canonical_form(g) == census.canonical_form(g)
 
     def test_deterministic_order(self):
-        first = [census.canonical_form(g).canon for g in level_graphs(6)]
-        second = [census.canonical_form(g).canon for g in level_graphs(6)]
+        first = [census.canonical_form(g) for g in level_graphs(6)]
+        second = [census.canonical_form(g) for g in level_graphs(6)]
         assert first == second == sorted(first)
 
     def test_oversize_rejected(self):
@@ -163,9 +161,8 @@ class TestClassify:
         recs = census_records(4)
         assert len(recs) == 6
         with_m1 = sorted(r.canon for r in recs if r.mult_minus1 == 1)
-        p4 = census.canonical_form(path(4)).canon
-        diamond = census.canonical_form(
-            join_clique_with(2, "2K1")).canon
+        p4 = census.canonical_form(path(4))
+        diamond = census.canonical_form(join_clique_with(2, "2K1"))
         assert with_m1 == sorted([p4, diamond])
         assert sum(1 for r in recs if r.mult_minus1 == 3) == 1
         assert sum(1 for r in recs if r.mult_minus1 == 2) == 0
@@ -244,7 +241,7 @@ class TestClassify:
 
     def test_k4_line_parses(self):
         rec = census.CensusRecord.from_line(K4_LINE)
-        assert rec.canon == census.canonical_form(complete(4)).canon
+        assert rec.canon == census.canonical_form(complete(4))
         assert rec.to_line() == K4_LINE
 
     @pytest.mark.parametrize("line", [
@@ -267,10 +264,18 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"bad\.tsv, line 2"):
             census.read_store(path)
 
-    def test_parallel_matches_serial(self):
-        serial = census.classify(6, jobs=1)
-        parallel = census.classify(6, jobs=2)
-        assert serial == parallel
+    def test_parallel_matches_serial(self, tmp_path):
+        """The pooled enumeration and classification give the serial
+        results, in the serial order, also on levels smaller than the chunk
+        count."""
+        assert census._level_bits(7, jobs=2) == census._level_bits(7, jobs=1)
+        for jobs in (1, 2):
+            census.classify(7, store_path=tmp_path / f"jobs{jobs}.tsv",
+                            jobs=jobs)
+        assert (tmp_path / "jobs2.tsv").read_bytes() == \
+            (tmp_path / "jobs1.tsv").read_bytes()
+        for n, jobs in ((3, 4), (4, 2)):
+            assert census.classify(n, jobs=jobs) == census.classify(n), n
 
 
 class TestQueries:
@@ -288,7 +293,7 @@ class TestQueries:
     def test_high_multiplicity_scan_finds_c6(self, census_records):
         recs = census_records(6)
         hits = census.high_multiplicity_hits(recs, i_bound=3)
-        c6 = census.canonical_form(cycle(6)).canon
+        c6 = census.canonical_form(cycle(6))
         flagged = {rec.canon: flagged for rec, flagged, _ in hits}
         assert c6 in flagged
         assert flagged[c6] == {3: 3, -3: 3}
@@ -308,7 +313,7 @@ class TestQueries:
         for n in range(4, 9):
             by_canon = {r.canon: r for r in census_records(n)}
             for name, g in theorem1_families(n):
-                rec = by_canon[census.canonical_form(g).canon]
+                rec = by_canon[census.canonical_form(g)]
                 assert rec.mult_minus1 == multiplicity(g, -1), (n, name)
                 assert name in rec.family_tags
 
@@ -326,3 +331,24 @@ class TestQueries:
         # (x+1)^2 (x-2) = x^3 - 3x - 2
         assert census.integer_root_multiplicities((-2, -3, 0, 1)) == \
             {-1: 2, 2: 1}
+        # (x - p) (x + 1) with p = 2^31 - 1 prime: a trial of every integer
+        # up to |p| would take 2^31 steps
+        p = 2 ** 31 - 1
+        assert census.integer_root_multiplicities((-p, 1 - p, 1)) == \
+            {-1: 1, p: 1}
+
+    def test_integer_roots_match_sympy(self, census_records):
+        """The integer roots of every census charpoly up to order 6, against
+        the linear factors of sympy's factorization over the integers."""
+        import sympy
+        x = sympy.Symbol("x")
+        for n in range(1, 7):
+            for rec in census_records(n):
+                poly = sympy.Poly(list(reversed(rec.charpoly)), x)
+                want = {}
+                for factor, mult in poly.factor_list()[1]:
+                    if factor.degree() == 1:
+                        lead, const = factor.all_coeffs()
+                        want[int(-const / lead)] = mult
+                assert census.integer_root_multiplicities(rec.charpoly) == \
+                    want, rec.canon

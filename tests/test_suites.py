@@ -8,11 +8,6 @@ import pytest
 from eccspec import suites
 
 
-@pytest.fixture(scope="module")
-def shared_cache():
-    return {}
-
-
 class TestReports:
     def test_json_round_trip_is_identity(self):
         """The JSON form `verify --format json` prints holds every field."""
@@ -27,9 +22,9 @@ class TestReports:
         assert again == rep
         assert json.dumps(again.to_dict(), indent=2, sort_keys=True) == text
 
-    def test_entries_deterministic_given_seed(self):
-        a = suites.suite_lemmas(seed=7, trials=5)
-        b = suites.suite_lemmas(seed=7, trials=5)
+    def test_entries_deterministic_given_seed(self, census_cache):
+        a = suites.suite_lemmas(seed=7, trials=5, census_cache=census_cache)
+        b = suites.suite_lemmas(seed=7, trials=5, census_cache=census_cache)
         assert a.entries == b.entries
         assert a.notes == b.notes
 
@@ -42,20 +37,20 @@ class TestReports:
 
 
 class TestTheorem1Suite:
-    def test_part_i_small(self, shared_cache):
-        rep = suites.suite_theorem1("i", [2, 3, 4], census_cache=shared_cache)
+    def test_part_i_small(self, census_cache):
+        rep = suites.suite_theorem1("i", [2, 3, 4], census_cache=census_cache)
         assert rep.passed
         assert rep.params == {"part": "i", "n": [2, 3, 4]}
 
-    def test_part_iii_census_window(self, shared_cache):
+    def test_part_iii_census_window(self, census_cache):
         rep = suites.suite_theorem1("iii", [4, 5, 6],
-                                    census_cache=shared_cache)
+                                    census_cache=census_cache)
         assert rep.passed
         census_entries = [e for e in rep.entries if "census" in e.instance]
         assert len(census_entries) == 3
 
-    def test_part_iii_beyond_census_range_runs_family_only(self, shared_cache):
-        rep = suites.suite_theorem1("iii", [12], census_cache=shared_cache)
+    def test_part_iii_beyond_census_range_runs_family_only(self, census_cache):
+        rep = suites.suite_theorem1("iii", [12], census_cache=census_cache)
         assert rep.passed
         assert all("census" not in e.instance for e in rep.entries)
 
@@ -71,19 +66,19 @@ class TestTheorem1Suite:
         with pytest.raises(ValueError):
             suites.suite_theorem1("vi")
 
-    def test_part_iii_at_4_checks_the_join_then_p4(self, shared_cache):
-        rep = suites.suite_theorem1("iii", [4], census_cache=shared_cache)
+    def test_part_iii_at_4_checks_the_join_then_p4(self, census_cache):
+        rep = suites.suite_theorem1("iii", [4], census_cache=census_cache)
         assert [e.instance for e in rep.entries[:2]] == ["n=4 K2v2K1",
                                                         "n=4 P4"]
 
-    def test_part_v_claimed_only_when_all_ten_joins_exist(self, shared_cache):
-        rep = suites.suite_theorem1("v", [5, 6], census_cache=shared_cache)
+    def test_part_v_claimed_only_when_all_ten_joins_exist(self, census_cache):
+        rep = suites.suite_theorem1("v", [5, 6], census_cache=census_cache)
         assert rep.notes[0] == "n=5 below the family's minimum order; skipped"
         assert len([e for e in rep.entries if e.instance.startswith("n=6 ")]) \
             == 10
 
-    def test_part_v_reports_small_orders_without_asserting(self, shared_cache):
-        rep = suites.suite_theorem1("v", [7, 16], census_cache=shared_cache)
+    def test_part_v_reports_small_orders_without_asserting(self, census_cache):
+        rep = suites.suite_theorem1("v", [7, 16], census_cache=census_cache)
         assert rep.passed
         assert any("informational" in note for note in rep.notes)
 
@@ -165,9 +160,9 @@ class TestCheckArgs:
 
 
 class TestRunner:
-    def test_run_suite_dispatch(self, shared_cache):
+    def test_run_suite_dispatch(self, census_cache):
         rep = suites.run_suite("thm1-i", n_values=[3],
-                               census_cache=shared_cache)
+                               census_cache=census_cache)
         assert rep.suite == "thm1-i" and rep.passed
 
     def test_unknown_suite(self):
