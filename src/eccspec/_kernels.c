@@ -12,8 +12,10 @@
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
  * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
  * division-free Berkowitz recurrence, so the parity tests compare two
- * algorithms.)  Fixed-width arithmetic has one stated bound, with tests at
- * it, the Montgomery word bound: residues are below p < 2^56, so each
+ * algorithms.)  Fixed-width arithmetic has two stated bounds, with tests at
+ * each.  The refinement keys of canonical labeling pack 4-bit fields into
+ * 64 bits, which holds for n <= 16 (the argument is at wl_colors).  The
+ * Montgomery word bound: residues are below p < 2^56, so each
  * product of two residues is below p^2 < p 2^64, within one Montgomery
  * reduction, a sum of two residues is below 2^57, and a sum of 255 products
  * is below 255 p^2 < p 2^64, so it adds up in an unsigned __int128 before
@@ -173,37 +175,36 @@ k_is_connected(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------------
  * canonical labeling */
 
-static int
-sig_cmp(const int *a, const int *b, int len)
-{
-    for (int i = 0; i < len; i++)
-        if (a[i] != b[i])
-            return a[i] < b[i] ? -1 : 1;
-    return 0;
-}
-
 /* Neighborhood-refinement colors, densely ranked by the signature
  * (own color, neighbor-color count vector) in lexicographic order, iterated
  * to a fixed point.  The ranking is isomorphism-invariant and matches the
- * tuple ordering of the reference, so canonical forms agree bit for bit. */
+ * reference's, so canonical forms agree bit for bit.  Each signature is
+ * packed into one integer key, 4 bits per field with the own color on top,
+ * so numeric order of the keys is lexicographic order of the signatures.
+ * The fields fit because n <= 16: a color is below the class count ncol and
+ * a count is at most the degree, 15.  A round takes 4 (ncol + 1) bits, and
+ * ncol <= 15 in every round: once all n vertices are in classes of their
+ * own the partition is stable (the own color alone orders the keys), so
+ * the round with ncol = n = 16, which would need 68 bits, is never run. */
 static void
 wl_colors(int n, const uint64_t *adj, int *colors)
 {
-    int sig[MAXN_CANON][MAXN_CANON + 1], order[MAXN_CANON], newc[MAXN_CANON];
+    uint64_t key[MAXN_CANON];
+    int order[MAXN_CANON], newc[MAXN_CANON];
     int ncol = 1;
     for (int v = 0; v < n; v++)
         colors[v] = 0;
-    for (;;) {
+    while (ncol < n) {
         for (int v = 0; v < n; v++) {
-            sig[v][0] = colors[v];
-            memset(&sig[v][1], 0, ncol * sizeof(int));
+            uint64_t k = (uint64_t)colors[v] << (4 * ncol);
             for (uint64_t m = adj[v]; m; m &= m - 1)
-                sig[v][1 + colors[__builtin_ctzll(m)]]++;
+                k += (uint64_t)1 << (4 * (ncol - 1 - colors[__builtin_ctzll(m)]));
+            key[v] = k;
         }
-        /* insertion sort of the vertices by signature */
+        /* insertion sort of the vertices by key */
         for (int i = 0; i < n; i++) {
             int v = order[i] = i, j = i - 1;
-            while (j >= 0 && sig_cmp(sig[order[j]], sig[v], ncol + 1) > 0) {
+            while (j >= 0 && key[order[j]] > key[v]) {
                 order[j + 1] = order[j];
                 j--;
             }
@@ -212,7 +213,7 @@ wl_colors(int n, const uint64_t *adj, int *colors)
         int rank = 0, changed = 0;
         newc[order[0]] = 0;
         for (int i = 1; i < n; i++) {
-            if (sig_cmp(sig[order[i - 1]], sig[order[i]], ncol + 1) != 0)
+            if (key[order[i - 1]] != key[order[i]])
                 rank++;
             newc[order[i]] = rank;
         }
@@ -287,6 +288,14 @@ merge_states(statebuf_t *b)
     b->count = j;
 }
 
+/* Twins: u and v have equal neighborhoods apart from each other (equal open
+ * or closed neighborhoods), so the transposition (u v) is an automorphism. */
+static inline int
+are_twins(const uint64_t *adj, int u, int v)
+{
+    return (adj[u] & ~((uint64_t)1 << v)) == (adj[v] & ~((uint64_t)1 << u));
+}
+
 /* Candidates for the next position in one state: the remaining vertices of
  * color class `cls`, keeping only the first of each set of twins (vertices
  * with equal open or closed neighborhoods are exchanged by an automorphism
@@ -307,9 +316,12 @@ kept_candidates(uint64_t cand, const uint64_t *twin)
  * vertex orderings consistent with the refined color classes, found by a
  * breadth-first search that keeps only the states achieving the minimal row
  * at each position (state merging, twin pruning).  Equal results iff the
- * graphs are isomorphic.  Returns -1 with an exception set on failure. */
+ * graphs are isomorphic.  cur and nxt are the caller's frontier buffers,
+ * grown here and reused across calls; the caller frees them.  Returns -1
+ * with an exception set on failure. */
 static int
-canon_impl(int n, const uint64_t *adj, u128 *result)
+canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
+           u128 *result)
 {
     int colors[MAXN_CANON], cnt[MAXN_CANON] = {0}, block[MAXN_CANON];
     uint64_t clsmask[MAXN_CANON] = {0}, twin[MAXN_CANON] = {0};
@@ -328,24 +340,22 @@ canon_impl(int n, const uint64_t *adj, u128 *result)
     /* twins always share a refined color */
     for (int v = 0; v < n; v++)
         for (int u = 0; u < v; u++)
-            if (colors[u] == colors[v]
-                && (adj[u] & ~((uint64_t)1 << v)) == (adj[v] & ~((uint64_t)1 << u))) {
+            if (colors[u] == colors[v] && are_twins(adj, u, v)) {
                 twin[u] |= (uint64_t)1 << v;
                 twin[v] |= (uint64_t)1 << u;
             }
 
-    statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
-    int status = -1;
-    if (buf_push(&cur) < 0)
-        goto done;
-    memset(&cur.s[0], 0, sizeof(state_t));
-    cur.s[0].rem = ((uint64_t)1 << n) - 1;
-    cur.count = 1;
+    cur->count = 0;
+    if (buf_push(cur) < 0)
+        return -1;
+    memset(&cur->s[0], 0, sizeof(state_t));
+    cur->s[0].rem = ((uint64_t)1 << n) - 1;
+    cur->count = 1;
     for (int k = 0; k < n; k++) {
         uint64_t cls = clsmask[block[k]], best = UINT64_MAX;
         /* pass 1: the minimal candidate row over all states */
-        for (int si = 0; si < cur.count; si++) {
-            const state_t *st = &cur.s[si];
+        for (int si = 0; si < cur->count; si++) {
+            const state_t *st = &cur->s[si];
             for (uint64_t m = kept_candidates(st->rem & cls, twin); m; m &= m - 1) {
                 uint64_t r = st->rows[__builtin_ctzll(m)];
                 if (r < best)
@@ -356,16 +366,16 @@ canon_impl(int n, const uint64_t *adj, u128 *result)
             out = (out << k) | (u128)(best >> (64 - k));
         /* pass 2: expand every candidate achieving it */
         uint64_t bit = (uint64_t)1 << (63 - k);
-        nxt.count = 0;
-        for (int si = 0; si < cur.count; si++) {
-            const state_t *st = &cur.s[si];
+        nxt->count = 0;
+        for (int si = 0; si < cur->count; si++) {
+            const state_t *st = &cur->s[si];
             for (uint64_t m = kept_candidates(st->rem & cls, twin); m; m &= m - 1) {
                 int v = __builtin_ctzll(m);
                 if (st->rows[v] != best)
                     continue;
-                if (buf_push(&nxt) < 0)
-                    goto done;
-                state_t *ch = &nxt.s[nxt.count++];
+                if (buf_push(nxt) < 0)
+                    return -1;
+                state_t *ch = &nxt->s[nxt->count++];
                 memset(ch, 0, sizeof(state_t));
                 ch->rem = st->rem & ~((uint64_t)1 << v);
                 for (uint64_t r = ch->rem; r; r &= r - 1) {
@@ -374,54 +384,96 @@ canon_impl(int n, const uint64_t *adj, u128 *result)
                 }
             }
         }
-        merge_states(&nxt);
-        statebuf_t tmp = cur;
-        cur = nxt;
-        nxt = tmp;
+        merge_states(nxt);
+        statebuf_t tmp = *cur;
+        *cur = *nxt;
+        *nxt = tmp;
     }
     *result = out;
-    status = 0;
-done:
-    PyMem_Free(cur.s);
-    PyMem_Free(nxt.s);
-    return status;
+    return 0;
 }
 
 static PyObject *
 k_canon_bits(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CANON];
-    int n;
+    statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
+    int n, status = -1;
     u128 bits;
-    if (parse_graph(args, MAXN_CANON, "canonical labeling", &n, adj) < 0
-        || canon_impl(n, adj, &bits) < 0)
-        return NULL;
-    return u128_to_py(bits);
+    if (parse_graph(args, MAXN_CANON, "canonical labeling", &n, adj) == 0)
+        status = canon_impl(n, adj, &cur, &nxt, &bits);
+    PyMem_Free(cur.s);
+    PyMem_Free(nxt.s);
+    return status < 0 ? NULL : u128_to_py(bits);
 }
 
+static int
+u128_cmp(const void *a, const void *b)
+{
+    u128 x = *(const u128 *)a, y = *(const u128 *)b;
+    return (x > y) - (x < y);
+}
+
+/* The sorted distinct canonical forms of the one-vertex extensions: the new
+ * vertex n joined to a nonempty subset S of 0..n-1.  Only subsets closed
+ * downward in each twin class of the parent are labeled (v in S implies
+ * u in S for twins u < v).  Twinhood is an
+ * equivalence relation and any permutation of a twin class is a parent
+ * automorphism, which carries every other subset onto a labeled one of the
+ * same size in each class, so every skipped child is isomorphic to a
+ * labeled one and the set of forms is unchanged. */
 static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
-    uint64_t adj[MAXN_CANON], work[MAXN_CANON];
+    uint64_t adj[MAXN_CANON], work[MAXN_CANON], prev[MAXN_CANON] = {0};
     int n;
     if (parse_graph(args, MAXN_CANON - 1, "children_canon", &n, adj) < 0)
         return NULL;
+    /* prev[v]: the bit of the nearest twin u < v, 0 if v has none */
+    for (int v = 1; v < n; v++)
+        for (int u = v - 1; u >= 0; u--)
+            if (are_twins(adj, u, v)) {
+                prev[v] = (uint64_t)1 << u;
+                break;
+            }
     uint64_t full = ((uint64_t)1 << n) - 1;
-    PyObject *out = PyList_New((Py_ssize_t)full);
-    if (out == NULL)
-        return NULL;
+    u128 *forms = PyMem_Malloc((size_t)full * sizeof(u128));
+    if (forms == NULL)
+        return PyErr_NoMemory();
+    statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
+    PyObject *out = NULL;
+    Py_ssize_t count = 0;
     for (uint64_t sub = 1; sub <= full; sub++) {
-        u128 bits;
+        uint64_t need = 0;
+        for (uint64_t m = sub; m; m &= m - 1)
+            need |= prev[__builtin_ctzll(m)];
+        if (need & ~sub)
+            continue;
         for (int i = 0; i < n; i++)
             work[i] = adj[i] | (((sub >> i) & 1) << n);
         work[n] = sub;
-        PyObject *item = NULL;
-        if (canon_impl(n + 1, work, &bits) < 0 || (item = u128_to_py(bits)) == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, (Py_ssize_t)(sub - 1), item);
+        if (canon_impl(n + 1, work, &cur, &nxt, &forms[count++]) < 0)
+            goto done;
     }
+    qsort(forms, count, sizeof(u128), u128_cmp);
+    Py_ssize_t distinct = count ? 1 : 0;
+    for (Py_ssize_t i = 1; i < count; i++)
+        if (forms[i] != forms[distinct - 1])
+            forms[distinct++] = forms[i];
+    if ((out = PyList_New(distinct)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < distinct; i++) {
+        PyObject *item = u128_to_py(forms[i]);
+        if (item == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyList_SET_ITEM(out, i, item);
+    }
+done:
+    PyMem_Free(forms);
+    PyMem_Free(cur.s);
+    PyMem_Free(nxt.s);
     return out;
 }
 
@@ -936,9 +988,10 @@ static PyMethodDef kernel_methods[] = {
      "Canonical form of the graph, packed as an int of n(n-1)/2 bits."},
     {"children_canon", k_children_canon, METH_VARARGS,
      "children_canon(n, adj)\n--\n\n"
-     "Canonical forms of every one-vertex extension of an n-vertex graph: the\n"
-     "new vertex n is attached to each nonempty subset of 0..n-1, in increasing\n"
-     "subset order (2^n - 1 forms, with repeats)."},
+     "Sorted distinct canonical forms of the one-vertex extensions of an\n"
+     "n-vertex graph: the new vertex n attached to each nonempty subset of\n"
+     "0..n-1.  Subsets that a permutation of the parent's twins carries onto\n"
+     "another are labeled once."},
     {"bits_to_adj", k_bits_to_adj, METH_VARARGS,
      "bits_to_adj(n, bits)\n--\n\n"
      "Adjacency rows of the graph whose packed lower triangle is bits (the\n"

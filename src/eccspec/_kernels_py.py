@@ -86,24 +86,30 @@ def _wl_colors(n, adj):
     """Canonically ranked neighborhood-refinement color classes.
 
     Signatures are (own color, neighbor-color count vector); ranks are dense
-    and stable under isomorphism.  The count-vector ordering matches the
-    compiled kernel exactly, which keeps canonical forms backend-independent.
+    and stable under isomorphism.  Each signature is packed into one int key,
+    4 bits per field with the own color on top, as in the compiled kernel:
+    every field is below 16 for n <= 16, so numeric order of the keys is the
+    lexicographic order of the signatures and the ranks, hence the canonical
+    forms, are backend-independent.  A discrete partition (ncol = n) is
+    stable, so no round runs with ncol = n.
     """
     colors = [0] * n
     ncol = 1
-    while True:
-        sigs = []
+    while ncol < n:
+        weight = [1 << (4 * (ncol - 1 - c)) for c in colors]
+        keys = []
         for v in range(n):
-            counts = [0] * ncol
+            key = colors[v] << (4 * ncol)
             for u in _bits(adj[v]):
-                counts[colors[u]] += 1
-            sigs.append((colors[v], tuple(counts)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
+                key += weight[u]
+            keys.append(key)
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
         if new == colors:
-            return colors
+            break
         colors = new
         ncol = len(rank)
+    return colors
 
 
 def canon_bits(n, adj):
@@ -165,19 +171,35 @@ def canon_bits(n, adj):
 
 
 def children_canon(n, adj):
-    """Canonical forms of every one-vertex extension of an n-vertex graph.
+    """Sorted distinct canonical forms of the one-vertex extensions of an
+    n-vertex graph: the new vertex n attached to a nonempty subset S of
+    0..n-1.
 
-    The new vertex n is attached to each nonempty subset of 0..n-1; returns
-    2^n - 1 canonical forms (with repeats; callers deduplicate).
+    Only subsets closed downward in each twin class of the parent are
+    labeled: v in S implies u in S for twins u < v (equal neighborhoods
+    apart from each other, as in ``canon_bits``).  Twinhood is an
+    equivalence relation and any permutation of a twin class is a parent
+    automorphism, which carries every other subset onto a labeled one, so
+    every skipped child is isomorphic to a labeled one.
     """
     _check_order("children_canon", n, _MAXN_CANON - 1)
-    res = []
-    base = list(adj) + [0]
+    prev = [0] * n  # the bit of the nearest twin u < v, 0 if none
+    for v in range(1, n):
+        for u in range(v - 1, -1, -1):
+            if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
+                prev[v] = 1 << u
+                break
+    forms = set()
     for sub in range(1, 1 << n):
-        cadj = [base[v] | (((sub >> v) & 1) << n) for v in range(n)]
+        need = 0
+        for v in _bits(sub):
+            need |= prev[v]
+        if need & ~sub:
+            continue
+        cadj = [adj[v] | (((sub >> v) & 1) << n) for v in range(n)]
         cadj.append(sub)
-        res.append(canon_bits(n + 1, cadj))
-    return res
+        forms.add(canon_bits(n + 1, cadj))
+    return sorted(forms)
 
 
 def bits_to_adj(n, bits):

@@ -8,6 +8,17 @@ vertex), and a global canonical-form set removes isomorphs.  Canonical forms
 are exact -- partition refinement plus backtracking, never hash-probabilistic
 -- because the verification counts are exact claims.
 
+``kernels.children_canon`` need not label all 2^m - 1 subsets of a parent
+on m vertices.  Twins of the parent (u, v with N(u) - v = N(v) - u) form
+equivalence classes, and any permutation of a class is an automorphism of
+the parent; it maps the child built on a subset S onto the child built on
+the permuted S.  So only the subsets that take each twin class as a prefix
+(v in S implies u in S for twins u < v) need labeling -- one subset per
+orbit of these permutations -- and the set of the children's forms is
+unchanged.  This is isomorph rejection by parent automorphisms in the
+sense of McKay, "Isomorph-free exhaustive generation" (J. Algorithms 26,
+1998), restricted to twin transpositions, which take O(m^2) to find.
+
 The persisted store is newline-delimited and greppable: one graph per line,
 canonical graph6, TAB, CSV of invariants, TAB, the exact ascending
 characteristic-polynomial coefficients.
@@ -16,8 +27,8 @@ characteristic-polynomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from . import kernels
 from .exactalg import deflate_root
@@ -85,9 +96,10 @@ def _level_bits(n, jobs=1):
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class CensusRecord:
-    """Canonical key plus the exact spectral invariants of one graph."""
+class CensusRecord(NamedTuple):
+    """Canonical key plus the exact spectral invariants of one graph.  A
+    census builds one per graph, and a named tuple is several times cheaper
+    to build than a frozen dataclass."""
 
     canon: str
     n: int
@@ -119,21 +131,16 @@ class CensusRecord:
         if len(fields) != 7:
             raise ValueError(f"{len(fields)} invariant fields, expected 7")
         n = int(fields[0])
-        coeffs = tuple(int(c) for c in poly.split(","))
+        coeffs = tuple(map(int, poly.split(",")))
         if len(coeffs) != n + 1 or coeffs[-1] != 1:
             raise ValueError(f"charpoly is not monic of degree n={n}")
         if canon[:1] != chr(n + 63) or \
                 len(canon) != 1 + (n * (n - 1) // 2 + 5) // 6:
             raise ValueError(f"canon {canon!r} is not a graph6 string of "
                              f"order n={n}")
-        return cls(
-            canon=canon,
-            n=n, diam=int(fields[1]), v1_size=int(fields[2]),
-            mult_minus1=int(fields[3]), mult_minus2=int(fields[4]),
-            mult_zero=int(fields[5]),
-            charpoly=coeffs,
-            family_tags=tuple(t for t in fields[6].split(";") if t),
-        )
+        return cls(canon, n, int(fields[1]), int(fields[2]), int(fields[3]),
+                   int(fields[4]), int(fields[5]), coeffs,
+                   tuple(filter(None, fields[6].split(";"))))
 
 
 def _classify_chunk(args):
@@ -142,13 +149,9 @@ def _classify_chunk(args):
     for bits in bits_list:
         diam, v1, m1, m2, m0, coeffs = kernels.census_stats(
             n, kernels.bits_to_adj(n, bits))
-        records.append(CensusRecord(
-            canon=bits_to_graph6(n, bits),
-            n=n, diam=diam, v1_size=v1,
-            mult_minus1=m1, mult_minus2=m2, mult_zero=m0,
-            charpoly=coeffs,
-            family_tags=tag_map.get(bits, ()),
-        ))
+        records.append(CensusRecord(bits_to_graph6(n, bits), n, diam, v1,
+                                    m1, m2, m0, coeffs,
+                                    tag_map.get(bits, ())))
     return records
 
 

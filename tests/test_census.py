@@ -141,10 +141,15 @@ class TestEnumeration:
         assert brute_force_connected_count(7) == KNOWN_COUNTS[7]
 
     def test_all_yielded_graphs_connected_and_canonical(self):
+        """Every yielded bit form is its graph's canonical form, by the
+        active backend and by the pure-Python reference."""
+        from eccspec import _kernels_py
         from eccspec.graphs import is_connected
-        for g in level_graphs(6):
+        for bits in census._level_bits(6):
+            g = Graph.from_adj(kernels.bits_to_adj(6, bits))
             assert is_connected(g)
-            assert census.canonical_form(g) == census.canonical_form(g)
+            assert census.canonical_bits(g) == bits
+            assert _kernels_py.canon_bits(g.n, g.adj) == bits
 
     def test_deterministic_order(self):
         first = [census.canonical_form(g) for g in level_graphs(6)]

@@ -24,8 +24,10 @@ from eccspec.eccentricity import ecc_matrix, matrix_multiplicity
 from eccspec import exactalg
 from eccspec.exactalg import IntMatrix, berkowitz_charpoly
 from eccspec.graphs import (
+    CLIQUE_JOINS,
     Graph,
     bfs_metrics,
+    clique_joins,
     complete,
     complete_multipartite,
     cycle,
@@ -132,6 +134,114 @@ class TestBackendParity:
                   complete_multipartite((2, 2, 2, 2))):
             assert compiled.canon_bits(g.n, g.adj) == \
                 pure.canon_bits(g.n, g.adj)
+
+
+def children_oracle(g):
+    """Brute force: the sorted distinct canonical forms of all 2^n - 1
+    one-vertex extensions, with no pruning."""
+    n = g.n
+    forms = set()
+    for sub in range(1, 1 << n):
+        cadj = [g.adj[v] | (((sub >> v) & 1) << n) for v in range(n)] + [sub]
+        forms.add(compiled.canon_bits(n + 1, cadj))
+    return sorted(forms)
+
+
+def twin_heavy_graphs():
+    """Graphs whose vertices fall into few twin classes, where the twin
+    pruning of children_canon skips the most subsets."""
+    out = [complete(n) for n in range(1, 9)]
+    out += [complete_multipartite((1, n)) for n in range(1, 8)]  # stars
+    out += [complete_multipartite(p) for p in
+            ((2, 2), (2, 3), (3, 3), (1, 2, 3), (2, 2, 2), (1, 1, 2, 4))]
+    out += [g for i in CLIQUE_JOINS for n in (6, 7, 8)
+            for _, g in clique_joins(i, n)]
+    return out
+
+
+class TestChildrenCanonOracle:
+    """children_canon returns exactly the sorted distinct forms of every
+    one-vertex extension, on both backends, although it labels only the
+    subsets closed downward in each twin class of the parent."""
+
+    def test_twin_heavy_parents(self):
+        for g in twin_heavy_graphs():
+            want = children_oracle(g)
+            assert compiled.children_canon(g.n, g.adj) == want, g.adj
+            assert pure.children_canon(g.n, g.adj) == want, g.adj
+
+    def test_random_connected_parents(self):
+        rng = random.Random(53)
+        count = 0
+        while count < 30:
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
+            if not is_connected(g):
+                continue
+            count += 1
+            want = children_oracle(g)
+            assert compiled.children_canon(g.n, g.adj) == want, g.adj
+            assert pure.children_canon(g.n, g.adj) == want, g.adj
+
+
+def signature_colors(n, adj):
+    """Refinement colors ranked by (own color, neighbor-color count tuple)
+    signatures, the unpacked definition, with the class count of each
+    round."""
+    colors, ncol, counts = [0] * n, 1, [1]
+    while True:
+        sigs = []
+        for v in range(n):
+            hist = [0] * ncol
+            for u in range(n):
+                if (adj[v] >> u) & 1:
+                    hist[colors[u]] += 1
+            sigs.append((colors[v], tuple(hist)))
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [rank[sig] for sig in sigs]
+        if new == colors:
+            return colors, counts
+        colors, ncol = new, len(rank)
+        counts.append(ncol)
+
+
+class TestRefinementKeyBound:
+    """Refinement packs each signature into 4-bit fields: at n = 16 a count
+    reaches 15 (a vertex of degree 15) and a round at 15 classes fills all
+    64 bits of the key; the round after the partition reaches 16 classes
+    would need 68 bits and is skipped, as a discrete partition is stable."""
+
+    @staticmethod
+    def universal_vertex_graph():
+        """A random graph on 15 vertices plus a vertex joined to all of
+        them, whose refinement passes through 15 classes to 16."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            g = random_graph(rng, 15)
+            adj = [row | (1 << 15) for row in g.adj] + [(1 << 15) - 1]
+            _, counts = signature_colors(16, adj)
+            if 15 in counts and counts[-1] == 16:
+                return Graph.from_adj(adj)
+        raise AssertionError("no graph reaching 16 classes via 15")
+
+    def test_packed_keys_rank_like_signatures(self):
+        g = self.universal_vertex_graph()
+        assert pure._wl_colors(16, g.adj) == signature_colors(16, g.adj)[0]
+        rng = random.Random(61)
+        for _ in range(40):
+            h = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.9))
+            assert pure._wl_colors(h.n, h.adj) == \
+                signature_colors(h.n, h.adj)[0]
+
+    def test_backends_agree_at_the_bound(self):
+        g = self.universal_vertex_graph()
+        assert max(bin(r).count("1") for r in g.adj) == 15
+        form = compiled.canon_bits(16, g.adj)
+        assert pure.canon_bits(16, g.adj) == form
+        rng = random.Random(67)
+        for _ in range(5):
+            h = relabeled(g, rng)
+            assert compiled.canon_bits(16, h.adj) == form
+            assert pure.canon_bits(16, h.adj) == form
 
 
 def relabeled(g, rng):

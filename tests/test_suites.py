@@ -1,6 +1,5 @@
 """Verification suites and their reports."""
 
-import dataclasses
 import json
 
 import pytest
@@ -120,8 +119,7 @@ class TestCensusPropertyChecks:
         cache = {n: list(census_records(n)) for n in range(2, 9)}
         recs = cache[5]
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
-        recs[i] = dataclasses.replace(recs[i],
-                                      mult_minus1=recs[i].mult_minus1 - 1)
+        recs[i] = recs[i]._replace(mult_minus1=recs[i].mult_minus1 - 1)
         rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
         failed = {e.claim: e.actual for e in rep.entries if not e.passed}
         assert sorted(failed) == [
