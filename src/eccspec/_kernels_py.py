@@ -231,9 +231,9 @@ def ecc_rows(dist, ecc):
     distance rows and eccentricities: entry d(u,v) iff d(u,v) equals
     min(ecc(u), ecc(v)), else 0.  As d(u,v) never exceeds either
     eccentricity, that is d(u,v) equal to ecc(u) or to ecc(v)."""
-    return tuple(tuple([d if d == eu or d == ev else 0
-                        for d, ev in zip(row, ecc)])
-                 for row, eu in zip(dist, ecc))
+    return tuple([tuple([d if d == eu or d == ev else 0
+                         for d, ev in zip(row, ecc)])
+                  for row, eu in zip(dist, ecc)])
 
 
 def census_stats(n, adj):

@@ -128,16 +128,15 @@ def twin_eigenvalue_predictions(g: Graph):
 
 def _twin_predictions(g: Graph, ecc):
     """``twin_eigenvalue_predictions`` from the eccentricity sequence; every
-    predicted eigenvalue is -2, -1 or 0."""
+    predicted eigenvalue is the int -2, -1 or 0."""
     out = []
     for vs, kind in duplicate_classes(g):
-        k = len(vs)
         e = ecc[min(vs)]
         if kind == "duplicate":
-            xi = Fraction(-2) if e == 2 else Fraction(0)
+            xi = -2 if e == 2 else 0
         else:
-            xi = Fraction(-1) if e == 1 else Fraction(0)
-        out.append((xi, k - 1))
+            xi = -1 if e == 1 else 0
+        out.append((xi, len(vs) - 1))
     return out
 
 

@@ -59,6 +59,15 @@ class Graph:
         object.__setattr__(g, "adj", tuple(rows))
         return g
 
+    @classmethod
+    def _trusted(cls, rows):
+        """Wrap adjacency rows with no checks.  Only for rows a kernel built
+        (``kernels.bits_to_adj``), which are symmetric and loop-free."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", len(rows))
+        object.__setattr__(g, "adj", tuple(rows))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 

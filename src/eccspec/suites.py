@@ -47,6 +47,7 @@ from .graphs import (
     complete_multipartite,
     cycle,
     graph6_bits,
+    is_connected,
     is_mixed_star_shape,
     join,
     join_clique_with,
@@ -381,7 +382,6 @@ def _random_connected(rng, nmax=10):
     while True:
         n = rng.randint(2, nmax)
         g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
-        from .graphs import is_connected
         if is_connected(g):
             return g
 
@@ -633,13 +633,20 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
 
 
 def _census_property_checks(rep, census_cache, jobs):
-    """Census-wide structure checks at orders up to 8.
+    """Census-wide structure checks at orders up to 8, in one pass per record.
 
     Each graph starts from its record: canonical bits, then adjacency rows
     and distances from the kernels.  The multiplicities at -2, -1 and 0 are
-    the record's, which the kernel computed by rank; they are checked
-    against the stored charpoly's root multiplicities, and the twin-class
-    bounds are checked against them.
+    the record's, which the kernel computed by rank; the twin-class bounds
+    are checked against them, and they are checked against the stored
+    charpoly's root multiplicities.  Those at -1 and 0 are the ``n_zero``
+    counts of the two ``charpoly_inertia`` calls the inertia checks make
+    anyway: ``n_zero`` counts the vanishing low coefficients of cp(y + c),
+    and that is the multiplicity of the root y = 0 of cp(y + c), that is of
+    c in cp, exactly, for any polynomial; unlike the sign counts it needs no
+    real-rootedness.  Only -2 takes a ``root_multiplicity``.  The matrix
+    check compares the whole of ``ecc_rows`` with the definition, entry
+    d(u,v) iff d(u,v) = min(ecc(u), ecc(v)), else 0.
     """
     bad_levels = []
     bad_v1card = []
@@ -652,50 +659,48 @@ def _census_property_checks(rep, census_cache, jobs):
     bad_ecc_def = []
     bad_onepos = []
     for n in range(2, 9):
-        recs = _census_records(n, census_cache, jobs)
         kn_canon = census_mod.canonical_form(complete(n))
-        for rec in recs:
-            adj = kernels.bits_to_adj(*graph6_bits(rec.canon))
+        for rec in _census_records(n, census_cache, jobs):
+            canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
+            adj = kernels.bits_to_adj(*graph6_bits(canon))
             dist = kernels.all_pairs_dist(n, adj)
-            ecc = [max(row) for row in dist]
-            g = Graph.from_adj(adj)
-            cp = IntPolynomial(rec.charpoly)
-            k = n - rec.mult_minus1
-            if rec.v1_size and rec.diam > 2:
-                bad_levels.append(rec.canon)
-            if (rec.diam == 1) != (rec.canon == kn_canon):
-                bad_complete.append(rec.canon)
-            if rec.v1_size and rec.canon != kn_canon:
-                if rec.v1_size not in (n - k, n - k + 1):
-                    bad_v1card.append(rec.canon)
-            if rec.v1_size == 0 and rec.diam >= 2:
-                kmax = (n - 1) // (rec.diam - 1) if rec.diam > 1 else 0
-                if kmax >= 1 and rec.mult_minus1 > n - kmax - 1:
-                    bad_empty_v1.append(rec.canon)
-            if rec.diam >= 4 and rec.mult_minus1 > n - 5:
-                bad_diam_bound.append(rec.canon)
-            if rec.mult_minus1 == n - 5 and not 2 <= rec.diam <= 4:
-                bad_diam_bound.append(rec.canon)
-            mults = {-2: rec.mult_minus2, -1: rec.mult_minus1,
-                     0: rec.mult_zero}
+            ecc = list(map(max, dist))
+            is_kn = canon == kn_canon
+            k = n - m1
+            if v1 and diam > 2:
+                bad_levels.append(canon)
+            if (diam == 1) != is_kn:
+                bad_complete.append(canon)
+            if v1 and not is_kn and v1 not in (n - k, n - k + 1):
+                bad_v1card.append(canon)
+            if v1 == 0 and diam >= 2:
+                kmax = (n - 1) // (diam - 1)
+                if kmax >= 1 and m1 > n - kmax - 1:
+                    bad_empty_v1.append(canon)
+            if diam >= 4 and m1 > n - 5:
+                bad_diam_bound.append(canon)
+            if m1 == n - 5 and not 2 <= diam <= 4:
+                bad_diam_bound.append(canon)
+            g = Graph._trusted(adj)
+            mults = {-2: m2, -1: m1, 0: m0}
             for xi, lower in _twin_predictions(g, ecc):
                 if mults[xi] < lower:
-                    bad_twins.append((rec.canon, str(xi)))
-            ine = charpoly_inertia(cp, -1)
-            if ((ine.n_minus == 0 and ine.n_zero >= 1)
-                    != (rec.canon == kn_canon)):
-                bad_minimum.append(rec.canon)
-            if (charpoly_inertia(cp, 0).n_plus == 1
-                    and not is_mixed_star_shape(g)):
-                bad_onepos.append(rec.canon)
-            if any(root_multiplicity(cp, xi) != m for xi, m in mults.items()):
-                bad_mults.append(rec.canon)
-            rows = ecc_rows(dist, ecc)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    keep = dist[u][v] == min(ecc[u], ecc[v])
-                    if (rows[u][v] != 0) != keep:
-                        bad_ecc_def.append(rec.canon)
+                    bad_twins.append((canon, str(xi)))
+            cp = IntPolynomial(coeffs)
+            at_minus1 = charpoly_inertia(cp, -1)
+            at_zero = charpoly_inertia(cp, 0)
+            if (at_minus1.n_minus == 0 and at_minus1.n_zero >= 1) != is_kn:
+                bad_minimum.append(canon)
+            if at_zero.n_plus == 1 and not is_mixed_star_shape(g):
+                bad_onepos.append(canon)
+            if (at_minus1.n_zero != m1 or at_zero.n_zero != m0
+                    or root_multiplicity(cp, -2) != m2):
+                bad_mults.append(canon)
+            if ecc_rows(dist, ecc) != tuple([
+                    tuple([d if d == (eu if eu < ev else ev) else 0
+                           for d, ev in zip(row, ecc)])
+                    for row, eu in zip(dist, ecc)]):
+                bad_ecc_def.append(canon)
     rep.check("a vertex of eccentricity 1 forces diameter <= 2",
               "census n<=8", [], bad_levels)
     rep.check("diameter 1 exactly for the complete graph",

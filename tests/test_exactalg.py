@@ -157,6 +157,34 @@ class TestInertia:
             shifted = m.shifted(c.denominator, c.numerator)
             assert ine.n_zero == m.n - bareiss_rank(shifted)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_n_zero_is_root_multiplicity(self, data):
+        """n_zero counts the vanishing low coefficients of cp(y + c), which
+        is the multiplicity of c in cp; the census lemma checks read m(-1)
+        and m(0) off it.  Repeating indices of a random symmetric base and
+        adding s to the diagonal makes s an eigenvalue of multiplicity at
+        least the number of repeats, so multiplicities above 1 occur."""
+        k = data.draw(st.integers(1, 5))
+        base = [[0] * k for _ in range(k)]
+        for r in range(k):
+            for c in range(r, k):
+                base[r][c] = base[c][r] = data.draw(st.integers(-2, 2))
+        idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=8))
+        s = data.draw(st.sampled_from((-2, -1, 0)))
+        cp = berkowitz_charpoly(IntMatrix(
+            [[base[a][b] + (s if i == j else 0) for j, b in enumerate(idx)]
+             for i, a in enumerate(idx)]))
+        for c in (-2, -1, 0, Fraction(1, 2)):
+            assert charpoly_inertia(cp, c).n_zero == root_multiplicity(cp, c)
+
+    def test_n_zero_needs_no_real_roots(self):
+        cp = IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1)) ** 2
+        for c, mult in ((-1, 2), (0, 0), (1, 0)):
+            assert charpoly_inertia(cp, c).n_zero == mult
+            assert root_multiplicity(cp, c) == mult
+
     def test_monotone_in_shift(self):
         rng = random.Random(8)
         for _ in range(60):

@@ -1,5 +1,6 @@
 """Verification suites and their reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -111,22 +112,88 @@ class TestMedianSuite:
         assert rep.passed
 
 
+MATRIX_CLAIM = ("nonzero matrix entries are exactly the distances attaining "
+                "min eccentricity")
+MINIMUM_CLAIM = "-1 is the smallest eigenvalue exactly for the complete graph"
+MULTS_CLAIM = "rank-based multiplicities equal charpoly root multiplicities"
+TWINS_CLAIM = "twin classes force their predicted eigenvalue multiplicities"
+# sha256 of the seed-0, 5-trial lemmas report as JSON, wall_time_s dropped
+LEMMAS_REPORT_SHA256 = \
+    "2248c9b72e6b6a95a61b5a210dbe1e3e8d112ad25b0c97b74cbb412311948b36"
+
+
 class TestCensusPropertyChecks:
+    """Each mutation of a census record, or of the matrix rule, fails exactly
+    the census-wide checks that read what it changed."""
+
+    @staticmethod
+    def failed(cache):
+        rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
+        return {e.claim: e.actual for e in rep.entries if not e.passed}
+
+    @staticmethod
+    def copied(census_records):
+        return {n: list(census_records(n)) for n in range(2, 9)}
+
     def test_tampered_record_fails_twin_and_multiplicity_checks(
             self, census_records):
         """The census-wide checks read the record's multiplicities, so a
         record whose m(-1) disagrees with its graph must be caught."""
-        cache = {n: list(census_records(n)) for n in range(2, 9)}
+        cache = self.copied(census_records)
         recs = cache[5]
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
         recs[i] = recs[i]._replace(mult_minus1=recs[i].mult_minus1 - 1)
-        rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
-        failed = {e.claim: e.actual for e in rep.entries if not e.passed}
-        assert sorted(failed) == [
-            "rank-based multiplicities equal charpoly root multiplicities",
-            "twin classes force their predicted eigenvalue multiplicities",
-        ]
+        failed = self.failed(cache)
+        assert sorted(failed) == [MULTS_CLAIM, TWINS_CLAIM]
         assert all(recs[i].canon in actual for actual in failed.values())
+
+    def test_tampered_m_minus2_fails_the_multiplicity_check(
+            self, census_records):
+        """m(-2) is checked against the root multiplicity of the charpoly;
+        raising it breaks no twin lower bound."""
+        cache = self.copied(census_records)
+        recs = cache[6]
+        i = next(i for i, r in enumerate(recs) if r.diam == 2)
+        recs[i] = recs[i]._replace(mult_minus2=recs[i].mult_minus2 + 1)
+        failed = self.failed(cache)
+        assert sorted(failed) == [MULTS_CLAIM]
+        assert recs[i].canon in failed[MULTS_CLAIM]
+
+    def test_foreign_charpoly_on_k5_fails_the_charpoly_checks(
+            self, census_records):
+        """K5 given another order-5 graph's charpoly: -1 is no longer its
+        smallest eigenvalue, and m(-1) = 4 is no longer a root multiplicity."""
+        cache = self.copied(census_records)
+        recs = cache[5]
+        i = next(i for i, r in enumerate(recs) if r.diam == 1)
+        other = next(r for r in recs if r.diam != 1)
+        recs[i] = recs[i]._replace(charpoly=other.charpoly)
+        failed = self.failed(cache)
+        assert sorted(failed) == [MINIMUM_CLAIM, MULTS_CLAIM]
+        assert all(recs[i].canon in actual for actual in failed.values())
+
+    def test_max_rule_matrix_fails_only_the_definition_check(
+            self, census_records, monkeypatch):
+        """A matrix that keeps d(u,v) = max(ecc(u), ecc(v)) instead of the
+        min is caught by the definition check and by no other."""
+        def max_rule_rows(dist, ecc):
+            return tuple([tuple([d if d == max(eu, ev) else 0
+                                 for d, ev in zip(row, ecc)])
+                          for row, eu in zip(dist, ecc)])
+
+        monkeypatch.setattr(suites, "ecc_rows", max_rule_rows)
+        failed = self.failed(self.copied(census_records))
+        assert sorted(failed) == [MATRIX_CLAIM]
+
+    def test_lemmas_report_bytes_pinned(self, census_cache):
+        """The report, apart from its wall time, keeps the bytes it had
+        before the census checks became one pass per record."""
+        rep = suites.suite_lemmas(seed=0, trials=5, census_cache=census_cache)
+        d = rep.to_dict()
+        del d["wall_time_s"]
+        text = json.dumps(d, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            LEMMAS_REPORT_SHA256
 
 
 class TestCheckArgs:
