@@ -39,7 +39,6 @@ from .exactalg import (
     root_multiplicity,
 )
 from .eccentricity import (
-    EccMatrix,
     acharpoly,
     ecc_matrix,
     hl_index,
@@ -51,7 +50,6 @@ from .eccentricity import (
 from .quotient import (
     BlockSpec,
     QuotientResult,
-    detect_join_blockspec,
     quotient,
     realize,
     verify_spectrum_identity,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -112,15 +113,21 @@ def _parse_family(text):
     raise UsageError(f"cannot parse family id {text!r}")
 
 
-_QUERY_OPS = ("<=", ">=", "!=", "<", ">", "=")
+# two-character operators first, so "<=" is not read as "<"
+_QUERY_OPS = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
+              "<": operator.lt, ">": operator.gt, "=": operator.eq}
+_FAMILY_OPS = {"=": operator.contains,
+               "!=": lambda tags, name: name not in tags}
 _QUERY_FIELDS = ("n", "diam", "v1_size", "mult_minus1", "mult_minus2",
                  "mult_zero", "family")
 
 
 def _parse_predicates(tokens):
+    """(record attribute, comparison, value) triples; a record matches a
+    triple when comparison(getattr(record, attribute), value) holds."""
     preds = []
     for tok in tokens:
-        for op in _QUERY_OPS:
+        for op, test in _QUERY_OPS.items():
             if op in tok:
                 field, value = tok.split(op, 1)
                 field = field.strip()
@@ -130,12 +137,12 @@ def _parse_predicates(tokens):
                         f"unknown query field {field!r}; expected one of "
                         f"{', '.join(_QUERY_FIELDS)}")
                 if field == "family":
-                    if op not in ("=", "!="):
+                    if op not in _FAMILY_OPS:
                         raise UsageError("family supports only = and !=")
-                    preds.append((field, op, value))
+                    preds.append(("family_tags", _FAMILY_OPS[op], value))
                 else:
                     try:
-                        preds.append((field, op, int(value)))
+                        preds.append((field, test, int(value)))
                     except ValueError:
                         raise UsageError(f"predicate {tok!r}: {value!r} is "
                                          "not an integer")
@@ -146,15 +153,8 @@ def _parse_predicates(tokens):
 
 
 def _match(rec, preds):
-    import operator
-    ops = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-           ">": operator.gt, "<=": operator.le, ">=": operator.ge}
-    for field, op, value in preds:
-        if field == "family":
-            hit = value in rec.family_tags
-            if (op == "=") != hit:
-                return False
-        elif not ops[op](getattr(rec, field), value):
+    for field, test, value in preds:
+        if not test(getattr(rec, field), value):
             return False
     return True
 
@@ -232,9 +232,9 @@ def _cmd_ecc(args):
     g = _load_graph(args.graph)
     e = ecc_matrix(g)
     if args.format == "json":
-        print(json.dumps({"n": g.n, "matrix": [list(r) for r in e.m.rows]}))
+        print(json.dumps({"n": g.n, "matrix": [list(r) for r in e.rows]}))
     else:
-        for row in e.m.rows:
+        for row in e.rows:
             print(" ".join(str(x) for x in row))
     return 0
 

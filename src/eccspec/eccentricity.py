@@ -30,31 +30,21 @@ from .exactalg import (
     charpoly,
     root_multiplicity,
 )
-from .graphs import Graph, Metrics, bfs_metrics, duplicate_classes
+from .graphs import Graph, bfs_metrics, duplicate_classes
 
 
-@dataclass(frozen=True)
-class EccMatrix:
-    """Eccentricity matrix of a connected graph together with its metrics."""
-
-    base: Graph
-    metrics: Metrics
-    m: IntMatrix
-
-
-def ecc_matrix(g: Graph) -> EccMatrix:
+def ecc_matrix(g: Graph) -> IntMatrix:
     """Largest-distance matrix: entry d(u,v) iff d(u,v) = min(ecc(u), ecc(v))."""
     met = bfs_metrics(g)
     if met.diam < 0:
         raise ValueError("eccentricity matrix requires a connected graph")
-    return EccMatrix(g, met, IntMatrix._trusted(ecc_rows(met.dist, met.ecc)))
+    return IntMatrix._trusted(ecc_rows(met.dist, met.ecc))
 
 
 def multiplicity(g: Graph, xi) -> int:
     """m(xi): eigenvalue multiplicity of xi = p/q in the eccentricity
     spectrum, as n - rank(q*E - p*I)."""
-    e = ecc_matrix(g)
-    return matrix_multiplicity(e.m, xi)
+    return matrix_multiplicity(ecc_matrix(g), xi)
 
 
 def matrix_multiplicity(m: IntMatrix, xi) -> int:
@@ -65,15 +55,15 @@ def matrix_multiplicity(m: IntMatrix, xi) -> int:
 
 def acharpoly(g: Graph) -> IntPolynomial:
     """Characteristic polynomial of the eccentricity matrix, exact and monic."""
-    return charpoly(ecc_matrix(g).m)
+    return charpoly(ecc_matrix(g))
 
 
-def is_irreducible(e: EccMatrix) -> bool:
+def is_irreducible(e: IntMatrix) -> bool:
     """True iff the nonzero-support graph of the matrix is connected, which
     for symmetric matrices is exactly irreducibility."""
     support = [sum(1 << v for v, x in enumerate(row) if x and v != u)
-               for u, row in enumerate(e.m.rows)]
-    return kernels.is_connected(e.m.n, support)
+               for u, row in enumerate(e.rows)]
+    return kernels.is_connected(e.n, support)
 
 
 def median_positions(n):
@@ -84,7 +74,7 @@ def median_positions(n):
 def median_eigenvalue_is(g: Graph, xi):
     """Whether xi occupies the median positions H and L of the eccentricity
     spectrum (eigenvalues ordered decreasingly); returns (at_H, at_L)."""
-    return spectrum_median_is(SymmetricSpectrum(ecc_matrix(g).m), xi)
+    return spectrum_median_is(SymmetricSpectrum(ecc_matrix(g)), xi)
 
 
 def spectrum_median_is(spec: SymmetricSpectrum, xi):
@@ -98,7 +88,7 @@ def spectrum_median_is(spec: SymmetricSpectrum, xi):
 def hl_index(g: Graph, width=DEFAULT_BRACKET_WIDTH) -> RationalInterval:
     """Enclosure of max(|xi_H|, |xi_L|); a point when both medians are
     certified rational by inertia."""
-    return median_brackets(SymmetricSpectrum(ecc_matrix(g).m), width)[2]
+    return median_brackets(SymmetricSpectrum(ecc_matrix(g)), width)[2]
 
 
 def median_brackets(spec: SymmetricSpectrum, width=DEFAULT_BRACKET_WIDTH):
@@ -166,8 +156,7 @@ class SpectrumSummary:
 
 
 def spectrum_summary(g: Graph, xis=(-2, -1, 0), width=DEFAULT_BRACKET_WIDTH):
-    e = ecc_matrix(g)
-    spec = SymmetricSpectrum(e.m)
+    spec = SymmetricSpectrum(ecc_matrix(g))
     bh, bl, hl = median_brackets(spec, width)
     cp = spec.charpoly
     table = {Fraction(x): root_multiplicity(cp, x) for x in xis}
@@ -175,7 +164,6 @@ def spectrum_summary(g: Graph, xis=(-2, -1, 0), width=DEFAULT_BRACKET_WIDTH):
 
 
 __all__ = [
-    "EccMatrix",
     "SpectrumSummary",
     "acharpoly",
     "ecc_matrix",

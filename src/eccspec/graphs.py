@@ -100,20 +100,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class Metrics:
-    """All-pairs distances, eccentricities, diameter, eccentricity levels.
+    """All-pairs distances, eccentricities and diameter.
 
     On disconnected graphs every unreachable distance, each affected
-    eccentricity, and the diameter carry the UNREACHABLE sentinel (-1) and
-    ``levels`` is empty; metric consumers must check connectivity first.
+    eccentricity, and the diameter carry the UNREACHABLE sentinel (-1);
+    metric consumers must check connectivity first.
     """
 
     dist: tuple
     ecc: tuple
     diam: int
-    levels: dict
-
-    def level(self, i):
-        return self.levels.get(i, frozenset())
 
 
 def is_connected(g: Graph) -> bool:
@@ -125,14 +121,9 @@ def bfs_metrics(g: Graph) -> Metrics:
     dist = kernels.all_pairs_dist(g.n, g.adj)
     if any(UNREACHABLE in row for row in dist):
         ecc = tuple(UNREACHABLE for _ in range(g.n))
-        return Metrics(tuple(map(tuple, dist)), ecc, UNREACHABLE, {})
+        return Metrics(tuple(map(tuple, dist)), ecc, UNREACHABLE)
     ecc = tuple(max(row) for row in dist)
-    diam = max(ecc)
-    levels = {}
-    for v, e in enumerate(ecc):
-        levels.setdefault(e, set()).add(v)
-    levels = {e: frozenset(vs) for e, vs in levels.items()}
-    return Metrics(tuple(map(tuple, dist)), ecc, diam, levels)
+    return Metrics(tuple(map(tuple, dist)), ecc, max(ecc))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +262,6 @@ def clique_joins(i, n):
             for k, h in CLIQUE_JOINS.get(i, ()) if n > k]
 
 
-def max_mult_families(n):
-    """The ten (name, Graph) pairs attaining m(-1) = n-5; all exist for
-    n >= 6."""
-    return clique_joins(5, n)
-
-
 def theorem1_families(n):
     """Every family graph named by the m(-1) = n-i (i <= 5) characterization
     that exists at order n, as (name, Graph) pairs."""
@@ -291,40 +276,24 @@ def theorem1_families(n):
 def is_mixed_star_shape(g: Graph) -> bool:
     """Whether g is a star mixed extension: a nonempty clique of universal
     vertices joined onto pairwise non-adjacent cells that are cliques or
-    independent vertices.  Equivalently, diameter <= 2, the eccentricity-1
-    set is nonempty, and every component of the remainder is a clique."""
-    met = bfs_metrics(g)
-    if met.diam == 1:
-        return True
-    if met.diam != 2 or not met.level(1):
+    independent vertices.  Equivalently, g has a universal vertex, n >= 2,
+    and every component of the non-universal remainder is a clique: each
+    remainder vertex shares its closed neighborhood within the remainder
+    with every remainder neighbor."""
+    full = (1 << g.n) - 1
+    rest = 0
+    for v, row in enumerate(g.adj):
+        if row | (1 << v) != full:
+            rest |= 1 << v
+    if rest == full or g.n == 1:
         return False
-    rest = set(range(g.n)) - met.level(1)
-    return all(is_clique(g, comp) for comp in components(g, rest))
-
-
-def components(g: Graph, vertices):
-    """Connected components of the subgraph induced on ``vertices``, each a
-    sorted list, ordered by their least vertex."""
-    verts = set(vertices)
-    comps = []
-    while verts:
-        start = min(verts)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            for u in g.neighbors(frontier.pop()):
-                if u in verts and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(sorted(comp))
-        verts -= comp
-    return comps
-
-
-def is_clique(g: Graph, vertices):
-    """Whether the listed vertices are pairwise adjacent."""
-    return all(g.has_edge(u, v) for i, u in enumerate(vertices)
-               for v in vertices[i + 1:])
+    for v in range(g.n):
+        if rest >> v & 1:
+            cell = (g.adj[v] | 1 << v) & rest
+            for u in range(g.n):
+                if cell >> u & 1 and (g.adj[u] | 1 << u) & rest != cell:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,13 @@ q_ii = s_ii * n_i + p_i carries the remaining spectrum exactly:
 
 verify_spectrum_identity checks that identity as exact polynomials, with the
 full n x n characteristic polynomial as the brute-force side.
-
-Block detection is deliberately restricted to the join shapes the
-multiplicity families use: a clique of eccentricity-1 vertices joined to a
-graph whose remaining vertices all have eccentricity 2.  Non-clique tail
-components fall back to singleton blocks, which always satisfy the J/I form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .eccentricity import ecc_matrix
 from .exactalg import IntMatrix, IntPolynomial, charpoly
-from .graphs import Graph, components, is_clique
 
 
 @dataclass(frozen=True)
@@ -122,62 +114,3 @@ def verify_spectrum_identity(spec: BlockSpec) -> bool:
     """Exact polynomial identity between the full matrix charpoly and the
     quotient-plus-leftover factorization."""
     return charpoly(realize(spec)) == spec_charpoly(spec)
-
-
-def detect_join_blockspec(g: Graph) -> Optional[BlockSpec]:
-    """BlockSpec of the eccentricity matrix when g is a clique of
-    eccentricity-1 vertices joined onto an eccentricity-2 remainder.
-
-    Cells: the eccentricity-1 clique; each clique component of the remainder;
-    all isolated remainder vertices as one independent cell; vertices of
-    non-clique components individually (singleton blocks keep the J/I form
-    applicable).  Returns None when the graph has no such join structure.
-    The realized spec equals the eccentricity matrix with vertices grouped
-    cell by cell, which for the clique-first family builders is the identity
-    grouping, so the equality is entrywise there; it is asserted on every
-    success.
-    """
-    e = ecc_matrix(g)
-    met = e.metrics
-    if met.diam == 1:
-        spec = BlockSpec((g.n,), ((1,),), (-1,))
-        assert realize(spec) == e.m
-        return spec
-    if met.diam != 2:
-        return None
-    v1 = sorted(met.level(1))
-    if not v1:
-        return None
-    v2 = sorted(met.level(2))
-    tail_cells = []
-    isolated = []
-    for comp in components(g, v2):
-        if len(comp) == 1:
-            isolated.extend(comp)
-        elif is_clique(g, comp):
-            tail_cells.append(comp)
-        else:
-            tail_cells.extend([v] for v in comp)
-    if isolated:
-        tail_cells.append(sorted(isolated))
-    tail_cells.sort(key=lambda c: c[0])
-    cells = [list(v1)] + tail_cells
-    sizes = tuple(len(c) for c in cells)
-    l = len(cells)
-    s = [[0] * l for _ in range(l)]
-    p = [0] * l
-    for i, ci in enumerate(cells):
-        u = ci[0]
-        if len(ci) > 1:
-            w = ci[1]
-            s[i][i] = e.m[u, w]
-            p[i] = -s[i][i]
-        for j in range(i + 1, l):
-            v = cells[j][0]
-            s[i][j] = s[j][i] = e.m[u, v]
-    spec = BlockSpec(sizes, tuple(map(tuple, s)), tuple(p))
-    order = [v for cell in cells for v in cell]
-    regrouped = IntMatrix([[e.m[u, v] for v in order] for u in order])
-    assert realize(spec) == regrouped, \
-        "detected block spec must realize the matrix"
-    return spec

@@ -20,7 +20,7 @@ import pytest
 from eccspec import census, kernels, suites
 from eccspec.eccentricity import acharpoly, ecc_matrix, is_irreducible, multiplicity
 from eccspec.exactalg import IntPolynomial
-from eccspec.graphs import complete, join_clique_with, max_mult_families, path
+from eccspec.graphs import clique_joins, complete, join_clique_with, path
 
 RUN_SLOW = kernels.BACKEND == "compiled" or os.environ.get(
     "ECCSPEC_FORCE_ACCEPT") == "1"
@@ -112,7 +112,7 @@ def test_criterion_05_all_ten_families_attain_n_minus_5():
     t0 = time.perf_counter()
     bad = []
     for n in (16, 20, 33):
-        for name, g in max_mult_families(n):
+        for name, g in clique_joins(5, n):
             if multiplicity(g, -1) != n - 5:
                 bad.append((n, name))
     elapsed = time.perf_counter() - t0
@@ -214,7 +214,7 @@ def test_criterion_12_golden_polynomials_and_irreducibility():
         * IntPolynomial((2, -9, 1))
     ok &= acharpoly(join_clique_with(6, "3K1")) == want
     for n in (16, 20):
-        for name, g in max_mult_families(n):
+        for name, g in clique_joins(5, n):
             ok &= is_irreducible(ecc_matrix(g))
     _report(12, ok, "golden charpolys (P4, C4, K6v3K1) and irreducibility of "
                     "all ten families at n in {16,20}")

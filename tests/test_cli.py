@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import operator
 
 import pytest
 
+from eccspec.census import read_store
 from eccspec.cli import cli_main
 from eccspec.graphs import complete, graph6_encode, join_clique_with, path
 
@@ -114,7 +116,33 @@ class TestFamilyCommand:
         assert FAMILY_GRAPH6["K5"] == K5
 
 
+@pytest.fixture(scope="module")
+def store5(tmp_path_factory):
+    store = tmp_path_factory.mktemp("c5") / "c5.tsv"
+    assert cli_main(["census", "5", "--store", str(store)]) == 0
+    return store
+
+
 class TestCensusAndQuery:
+    @pytest.mark.parametrize("pred,field,test,value", [
+        ("diam<3", "diam", operator.lt, 3),
+        ("v1_size<=1", "v1_size", operator.le, 1),
+        ("diam>2", "diam", operator.gt, 2),
+        ("mult_minus1>=1", "mult_minus1", operator.ge, 1),
+        ("mult_zero!=0", "mult_zero", operator.ne, 0),
+        ("family!=K1v4K1", "family_tags",
+         lambda tags, name: name not in tags, "K1v4K1"),
+    ])
+    def test_query_comparisons_match_store_filter(self, capsys, store5, pred,
+                                                  field, test, value):
+        records = read_store(store5)
+        want = [r.canon for r in records if test(getattr(r, field), value)]
+        assert 0 < len(want) < len(records)
+        code, out, _ = run(capsys, "query", str(store5), pred,
+                           "--format", "json")
+        assert code == 0
+        assert [m["canon"] for m in json.loads(out)["matches"]] == want
+
     def test_census_and_query_round_trip(self, capsys, tmp_path):
         store = tmp_path / "c6.tsv"
         code, out, _ = run(capsys, "census", "6", "--store", str(store))

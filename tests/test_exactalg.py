@@ -318,7 +318,7 @@ def random_ecc_matrix(rng, n):
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < p])
         if is_connected(g):
-            return ecc_matrix(g).m
+            return ecc_matrix(g)
 
 
 def cycle_adjacency(n):
@@ -381,7 +381,7 @@ class TestBracketOracle:
                              ids=[name for name, _ in theorem1_families(40)])
     def test_family_extremes_at_order_40(self, g):
         # the extreme eigenvalues: the integer phase gallops out to +-R
-        m = ecc_matrix(g).m
+        m = ecc_matrix(g)
         self.check(m, (1, m.n))
 
     @settings(max_examples=60, deadline=None)

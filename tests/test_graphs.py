@@ -13,6 +13,7 @@ from eccspec.graphs import (
     Graph,
     bfs_metrics,
     bull,
+    clique_joins,
     complete,
     complete_multipartite,
     cycle,
@@ -27,7 +28,6 @@ from eccspec.graphs import (
     is_mixed_star_shape,
     join,
     join_clique_with,
-    max_mult_families,
     mixed_extension_star,
     parse_edge_list,
     path,
@@ -59,14 +59,11 @@ class TestMetrics:
         met = bfs_metrics(complete(5))
         assert met.ecc == (1,) * 5
         assert met.diam == 1
-        assert met.level(1) == frozenset(range(5))
 
     def test_diamond_levels(self):
         g = join(complete(2), empty_graph(2))
         met = bfs_metrics(g)
         assert met.ecc == (1, 1, 2, 2)
-        assert met.level(1) == frozenset({0, 1})
-        assert met.level(2) == frozenset({2, 3})
         oracle = floyd_warshall(g)
         assert all(met.dist[i][j] == oracle[i][j]
                    for i in range(4) for j in range(4))
@@ -75,7 +72,7 @@ class TestMetrics:
         g = disjoint_union(complete(2), complete(3))
         met = bfs_metrics(g)
         assert met.diam == -1
-        assert met.levels == {}
+        assert met.ecc == (-1,) * 5
         assert met.dist[0][2] == -1
 
     def test_bfs_matches_floyd_warshall_on_random_graphs(self):
@@ -186,12 +183,12 @@ class TestBuilders:
 class TestFamilies:
     def test_g1_member(self):
         assert _indexed_join("g1", 0, 9) == join_clique_with(5, "4K1")
-        assert max_mult_families(9)[0] == ("K5v4K1", join_clique_with(5, "4K1"))
+        assert clique_joins(5, 9)[0] == ("K5v4K1", join_clique_with(5, "4K1"))
 
     def test_part_v_members(self):
         assert _indexed_join("thm5", 7, 16) == join_clique_with(11, "C5")
         assert _indexed_join("thm5", 9, 16) == join_clique_with(11, "H1")
-        fams = max_mult_families(16)
+        fams = clique_joins(5, 16)
         assert fams[7] == ("K11vC5", join_clique_with(11, "C5"))
         assert fams[9] == ("K11vH1", join_clique_with(11, "H1"))
 
@@ -201,8 +198,8 @@ class TestFamilies:
                 assert g.n == n, name
                 assert is_connected(g), name
 
-    def test_ten_max_mult_families(self):
-        fams = max_mult_families(16)
+    def test_ten_n_minus_5_clique_joins(self):
+        fams = clique_joins(5, 16)
         assert len(fams) == 10
         assert len({name for name, _ in fams}) == 10
 
@@ -230,6 +227,8 @@ class TestFamilies:
         assert not is_mixed_star_shape(path(4))
         assert not is_mixed_star_shape(cycle(5))
         assert not is_mixed_star_shape(join_clique_with(3, "P4"))
+        assert not is_mixed_star_shape(disjoint_union(complete(2),
+                                                      complete(3)))
 
     def test_mixed_star_shape_matches_networkx_on_census(self, census_records):
         """The docstring's equivalent statement, evaluated by networkx on

@@ -7,17 +7,16 @@ import pytest
 from eccspec.eccentricity import ecc_matrix
 from eccspec.exactalg import IntMatrix, berkowitz_charpoly
 from eccspec.graphs import (
-    Graph,
+    CLIQUE_JOINS,
+    H_DESCRIPTORS,
+    clique_joins,
     complete,
-    cycle,
     empty_graph,
     join,
     join_clique_with,
-    path,
 )
 from eccspec.quotient import (
     BlockSpec,
-    detect_join_blockspec,
     quotient,
     realize,
     spec_charpoly,
@@ -25,15 +24,27 @@ from eccspec.quotient import (
 )
 
 
+def clique_join_spec(r, desc):
+    """BlockSpec of E(K_r v H), H the named descriptor: the clique as one
+    cell (s = 1, p = -1), then every H vertex as a singleton cell whose
+    entries are read off ``ecc_matrix``.  It realizes E entrywise because
+    ``join_clique_with`` puts the clique first and H in its own order."""
+    e = ecc_matrix(join_clique_with(r, desc))
+    hv = range(r, e.n)
+    s = [[1] * (1 + len(hv))] + [[1] + [e[u, v] for v in hv] for u in hv]
+    return BlockSpec((r,) + (1,) * len(hv), tuple(map(tuple, s)),
+                     (-1,) + (0,) * len(hv))
+
+
 class TestRealize:
     def test_single_block_is_complete_graph_matrix(self):
         spec = BlockSpec((4,), ((1,),), (-1,))
-        assert realize(spec) == ecc_matrix(complete(4)).m
+        assert realize(spec) == ecc_matrix(complete(4))
 
     def test_split_graph_block_form(self):
         spec = BlockSpec((4, 2), ((1, 1), (1, 2)), (-1, -2))
         assert realize(spec) == ecc_matrix(join(complete(4),
-                                                empty_graph(2))).m
+                                                empty_graph(2)))
 
     def test_pure_off_diagonal(self):
         spec = BlockSpec((1, 1), ((0, 3), (3, 0)), (0, 0))
@@ -61,7 +72,8 @@ class TestQuotient:
         assert res.leftover == ((3, 4),)
 
     def test_k5_join_4k1(self):
-        spec = detect_join_blockspec(join_clique_with(5, "4K1"))
+        spec = BlockSpec((5, 4), ((1, 1), (1, 2)), (-1, -2))
+        assert realize(spec) == ecc_matrix(join_clique_with(5, "4K1"))
         res = quotient(spec)
         assert res.q.rows == ((4, 4), (5, 6))
         assert res.leftover == ((-1, 4), (-2, 3))
@@ -88,9 +100,9 @@ class TestSpectrumIdentity:
     def test_table_specs_at_several_orders(self):
         for n in range(16, 21):
             for desc in ("4K1", "2K1uK2", "2K2", "C4"):
-                spec = detect_join_blockspec(join_clique_with(n - 4, desc))
+                spec = clique_join_spec(n - 4, desc)
                 assert verify_spectrum_identity(spec), (n, desc)
-            spec = detect_join_blockspec(join_clique_with(n - 5, "C5"))
+            spec = clique_join_spec(n - 5, "C5")
             assert verify_spectrum_identity(spec), n
 
     def test_random_specs(self):
@@ -109,55 +121,56 @@ class TestSpectrumIdentity:
 
 
 class TestDetect:
+    """Block specs of the clique joins K_r v H, built from H directly.  E of
+    K_r v H depends on r only through the clique cell: clique vertices have
+    eccentricity 1, an H vertex has eccentricity 1 if it is universal in H
+    and 2 otherwise, and H distances are 1 or 2."""
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    @pytest.mark.parametrize("desc", sorted(H_DESCRIPTORS))
+    def test_clique_join_spec_matches_ecc_matrix(self, desc, r):
+        spec = clique_join_spec(r, desc)
+        e = ecc_matrix(join_clique_with(r, desc))
+        assert realize(spec) == e
+        assert spec_charpoly(spec) == berkowitz_charpoly(e)
+
     def test_complete_graph(self):
-        spec = detect_join_blockspec(complete(6))
-        assert spec.sizes == (6,) and spec.p == (-1,)
-
-    def test_path_not_applicable(self):
-        assert detect_join_blockspec(path(5)) is None
-
-    def test_no_universal_vertex_not_applicable(self):
-        assert detect_join_blockspec(cycle(4)) is None
+        spec = BlockSpec((6,), ((1,),), (-1,))
+        assert realize(spec) == ecc_matrix(complete(6))
+        assert spec_charpoly(spec) == berkowitz_charpoly(ecc_matrix(
+            complete(6)))
 
     def test_c5_tail_refines_to_singletons(self):
-        spec = detect_join_blockspec(join_clique_with(11, "C5"))
+        spec = clique_join_spec(11, "C5")
         assert spec.sizes == (11, 1, 1, 1, 1, 1)
-        assert realize(spec) == ecc_matrix(join_clique_with(11, "C5")).m
+        assert realize(spec) == ecc_matrix(join_clique_with(11, "C5"))
 
     def test_clique_and_isolated_cells(self):
-        g = join_clique_with(5, "2K1uK2")
-        spec = detect_join_blockspec(g)
-        assert spec.sizes == (5, 2, 2)
-        assert spec.p == (-1, -2, 0)
-        assert realize(spec) == ecc_matrix(g).m
+        # 2K1uK2: the two isolated H vertices sit at distance 2 (entry 2),
+        # the K2 edge is shorter than both eccentricities (entry 0)
+        spec = clique_join_spec(5, "2K1uK2")
+        assert spec.sizes == (5, 1, 1, 1, 1)
+        assert spec.p == (-1, 0, 0, 0, 0)
+        assert spec.s[1:] == ((1, 0, 2, 2, 2), (1, 2, 0, 2, 2),
+                              (1, 2, 2, 0, 0), (1, 2, 2, 0, 0))
 
     def test_detected_spec_charpoly_matches_direct(self):
-        for desc in ("4K1", "3K1", "2K2", "K3uK1", "C4", "C5", "H1"):
-            r = 5 if desc not in ("C5", "H1") else 6
-            g = join_clique_with(r, desc)
-            spec = detect_join_blockspec(g)
-            assert spec is not None
-            assert spec_charpoly(spec) == berkowitz_charpoly(ecc_matrix(g).m)
+        # the premise at clique sizes well past the parametrized range
+        for desc in sorted(H_DESCRIPTORS):
+            for r in (11, 16):
+                e = ecc_matrix(join_clique_with(r, desc))
+                spec = clique_join_spec(r, desc)
+                assert realize(spec) == e, (desc, r)
+                assert spec_charpoly(spec) == berkowitz_charpoly(e), (desc, r)
 
     def test_family_builders_realize_entrywise(self):
-        # clique-first builders lay vertices out cell-contiguously, so the
-        # detected spec realizes the eccentricity matrix literally
-        for desc in ("4K1", "2K1uK2", "P3uK1", "2K2", "K3uK1", "C4", "C5",
-                     "H1", "3K1", "K2uK1"):
-            g = join_clique_with(6, desc)
-            spec = detect_join_blockspec(g)
-            assert realize(spec) == ecc_matrix(g).m, desc
-
-    def test_detect_on_scrambled_vertex_order(self):
-        import random
-        rng = random.Random(7)
-        g = join_clique_with(5, "K3uK1")
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        spec = detect_join_blockspec(
-            Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-        assert spec is not None
-        assert spec_charpoly(spec) == berkowitz_charpoly(ecc_matrix(g).m)
+        # the catalog's family graphs lay vertices out as the spec does
+        n = 16
+        for i, joins in CLIQUE_JOINS.items():
+            fams = clique_joins(i, n)
+            for (k, desc), (_, g) in zip(joins, fams):
+                assert realize(clique_join_spec(n - k, desc)) == \
+                    ecc_matrix(g), desc
 
 
 def spec_from_text(text):
