@@ -55,4 +55,22 @@ from .quotient import (
     verify_spectrum_identity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# written out, so that the submodules bound by the imports above, and any
+# helper imported here later, are not exported
+__all__ = [
+    # graphs
+    "Graph", "Metrics", "bfs_metrics", "bull", "complete",
+    "complete_multipartite", "cycle", "disjoint_union", "duplicate_classes",
+    "empty_graph", "graph6_decode", "graph6_encode", "is_connected", "join",
+    "join_clique_with", "mixed_extension_star", "path",
+    # exactalg
+    "Inertia", "IntMatrix", "IntPolynomial", "bareiss_rank",
+    "berkowitz_charpoly", "charpoly", "poly_divide_exact",
+    "root_multiplicity",
+    # eccentricity
+    "acharpoly", "ecc_matrix", "hl_index", "is_irreducible",
+    "median_eigenvalue_is", "multiplicity", "twin_eigenvalue_predictions",
+    # quotient
+    "BlockSpec", "QuotientResult", "quotient", "realize",
+    "verify_spectrum_identity",
+]

@@ -1,6 +1,6 @@
 /*
- * Compiled kernels: BFS distances, canonical labeling, census invariants,
- * characteristic polynomials modulo word-size primes.
+ * Compiled kernels: BFS distances, canonical labeling, census invariants
+ * and structure, characteristic polynomials modulo word-size primes.
  *
  * A plain CPython extension module, eccspec._kernels, with the same
  * functions, signatures, limits and exception types as the pure-Python
@@ -22,7 +22,11 @@
  * one reduction.  census_stats works modulo the one prime 2^56 - 5: its
  * charpoly coefficients and the minors behind its ranks all lie below half
  * that prime in absolute value, so the residues determine them (the
- * argument is at census_stats).
+ * argument is at census_stats).  census_structure gives the graph side of
+ * the census-wide lemma checks (the matrix rule, twin predictions, the
+ * mixed-star shape) with distances and counts only; it shares census_metrics,
+ * the BFS and eccentricities, and min_rule_entry, the matrix census_stats
+ * ranks, with census_stats.
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -919,6 +923,40 @@ rank_mod(int n, const uint64_t *a, int64_t shift, const mont_t *m)
     return __builtin_popcount(used);
 }
 
+/* Parse a graph of order 1 <= n <= MAXN_CENSUS, then fill dist with its
+ * BFS distances and ecc with its eccentricities: the one BFS that
+ * census_stats and census_structure share.  Raises ValueError naming what
+ * on an order out of range or a disconnected graph. */
+static int
+census_metrics(PyObject *args, const char *what, int *n, uint64_t *adj,
+               int dist[][MAXN_CENSUS], int *ecc)
+{
+    if (parse_graph(args, MAXN_CENSUS, what, n, adj) < 0)
+        return -1;
+    for (int i = 0; i < *n; i++) {
+        bfs(*n, adj, i, dist[i]);
+        ecc[i] = 0;
+        for (int j = 0; j < *n; j++) {
+            if (dist[i][j] == UNREACH) {
+                PyErr_Format(PyExc_ValueError,
+                             "%s requires a connected graph", what);
+                return -1;
+            }
+            if (dist[i][j] > ecc[i])
+                ecc[i] = dist[i][j];
+        }
+    }
+    return 0;
+}
+
+/* Entry uv of the largest-distance matrix by its definition: d(u,v) iff it
+ * equals min(ecc(u), ecc(v)), else 0 (0 on the diagonal either way). */
+static inline int
+min_rule_entry(int d, int eu, int ev)
+{
+    return d == (eu < ev ? eu : ev) ? d : 0;
+}
+
 static PyObject *
 k_census_stats(PyObject *self, PyObject *args)
 {
@@ -927,31 +965,19 @@ k_census_stats(PyObject *self, PyObject *args)
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
              work[(MAXN_CENSUS + 1) * (MAXN_CENSUS + 2) / 2 + 2 * MAXN_CENSUS];
     int n;
-    if (parse_graph(args, MAXN_CENSUS, "census_stats", &n, adj) < 0)
+    if (census_metrics(args, "census_stats", &n, adj, dist, ecc) < 0)
         return NULL;
     int diam = 0, v1 = 0;
     for (int i = 0; i < n; i++) {
-        bfs(n, adj, i, dist[i]);
-        ecc[i] = 0;
-        for (int j = 0; j < n; j++) {
-            if (dist[i][j] == UNREACH) {
-                PyErr_SetString(PyExc_ValueError,
-                                "census_stats requires a connected graph");
-                return NULL;
-            }
-            if (dist[i][j] > ecc[i])
-                ecc[i] = dist[i][j];
-        }
         if (ecc[i] > diam)
             diam = ecc[i];
         v1 += ecc[i] == 1;
     }
     mont_t m = mont_init(CENSUS_PRIME);
     for (int i = 0; i < n; i++)
-        for (int j = 0; j < n; j++) {
-            int d = dist[i][j], mn = ecc[i] < ecc[j] ? ecc[i] : ecc[j];
-            a[i * n + j] = mont_of((i != j && d == mn) ? d : 0, &m);
-        }
+        for (int j = 0; j < n; j++)
+            a[i * n + j] = mont_of(min_rule_entry(dist[i][j], ecc[i], ecc[j]),
+                                   &m);
     int m1 = n - rank_mod(n, a, 1, &m);
     int m2 = n - rank_mod(n, a, 2, &m);
     int m0 = n - rank_mod(n, a, 0, &m);
@@ -972,6 +998,101 @@ k_census_stats(PyObject *self, PyObject *args)
     if (coeffs == NULL)
         return NULL;
     return Py_BuildValue("(iiiiiN)", diam, v1, m1, m2, m0, coeffs);
+}
+
+/* ------------------------------------------------------------------------
+ * census structure
+ *
+ * census_structure gives the graph side of the census-wide lemma checks, by
+ * other algorithms than the rank and charpoly routes behind a census
+ * record, and with no fixed-width bound of its own: it handles only
+ * distances and vertex counts.
+ *  - rule_holds: whether the rule that ecc_rows (and so ecc_matrix) uses,
+ *    keep d(u,v) iff it equals ecc(u) or ecc(v), gives the min-rule matrix
+ *    that census_stats ranks (min_rule_entry), entry by entry.
+ *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
+ *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
+ *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
+ *    co-duplicates first, as _kernels_py.twin_predictions orders them.  The
+ *    two kinds never overlap.  xi is -1 for co-duplicates of eccentricity 1,
+ *    -2 for duplicates of eccentricity 2, else 0.
+ *  - the mixed-star shape, on bitset cells: some vertex is universal,
+ *    n >= 2, and each vertex of the non-universal remainder has, within the
+ *    remainder, the closed neighborhood of each of its remainder
+ *    neighbors. */
+
+static int
+append_twin(PyObject *list, int xi, int lower)
+{
+    PyObject *pair = Py_BuildValue("(ii)", xi, lower);
+    if (pair == NULL)
+        return -1;
+    int rc = PyList_Append(list, pair);
+    Py_DECREF(pair);
+    return rc;
+}
+
+static PyObject *
+k_census_structure(PyObject *self, PyObject *args)
+{
+    uint64_t adj[MAXN_CENSUS];
+    int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
+    if (census_metrics(args, "census_structure", &n, adj, dist, ecc) < 0)
+        return NULL;
+    int rule_holds = 1;
+    for (int i = 0; rule_holds && i < n; i++)
+        for (int j = 0; j < n; j++) {
+            int d = dist[i][j];
+            if ((d == ecc[i] || d == ecc[j] ? d : 0)
+                    != min_rule_entry(d, ecc[i], ecc[j])) {
+                rule_holds = 0;
+                break;
+            }
+        }
+    PyObject *twins = PyList_New(0);
+    if (twins == NULL)
+        return NULL;
+    for (int v = 0; v < n; v++) {
+        uint64_t closed = adj[v] | (uint64_t)1 << v;
+        int nopen = 1, nclosed = 1, open_least = 1, closed_least = 1;
+        for (int u = 0; u < n; u++) {
+            if (u == v)
+                continue;
+            if (adj[u] == adj[v]) {
+                nopen++;
+                open_least &= u > v;
+            }
+            if ((adj[u] | (uint64_t)1 << u) == closed) {
+                nclosed++;
+                closed_least &= u > v;
+            }
+        }
+        if ((closed_least && nclosed > 1
+             && append_twin(twins, ecc[v] == 1 ? -1 : 0, nclosed - 1) < 0)
+            || (open_least && nopen > 1
+                && append_twin(twins, ecc[v] == 2 ? -2 : 0, nopen - 1) < 0)) {
+            Py_DECREF(twins);
+            return NULL;
+        }
+    }
+    uint64_t full = ((uint64_t)1 << n) - 1, rest = 0;
+    for (int v = 0; v < n; v++)
+        if ((adj[v] | (uint64_t)1 << v) != full)
+            rest |= (uint64_t)1 << v;
+    int star = rest != full && n > 1;
+    for (uint64_t mv = rest; star && mv; mv &= mv - 1) {
+        int v = __builtin_ctzll(mv);
+        uint64_t cell = (adj[v] | (uint64_t)1 << v) & rest;
+        for (uint64_t mu = cell; mu; mu &= mu - 1) {
+            int u = __builtin_ctzll(mu);
+            if (((adj[u] | (uint64_t)1 << u) & rest) != cell) {
+                star = 0;
+                break;
+            }
+        }
+    }
+    return Py_BuildValue("(ONO)", rule_holds ? Py_True : Py_False, twins,
+                         star ? Py_True : Py_False);
 }
 
 /* ------------------------------------------------------------------------
@@ -1000,6 +1121,12 @@ static PyMethodDef kernel_methods[] = {
      "census_stats(n, adj)\n--\n\n"
      "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of a connected\n"
      "graph; multiplicities are m(c) = n - rank(E - cI)."},
+    {"census_structure", k_census_structure, METH_VARARGS,
+     "census_structure(n, adj)\n--\n\n"
+     "(rule_holds, twin predictions, star shape) of a connected graph:\n"
+     "whether the ecc_rows rule gives the min-eccentricity matrix, the\n"
+     "(xi, lower) pairs of its twin classes, and whether it is a star mixed\n"
+     "extension."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"
@@ -1013,8 +1140,8 @@ static PyMethodDef kernel_methods[] = {
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "eccspec._kernels",
-    "Compiled kernels: BFS distances, canonical labeling, census invariants,\n"
-    "characteristic polynomials modulo word-size primes.",
+    "Compiled kernels: BFS distances, canonical labeling, census invariants\n"
+    "and structure, characteristic polynomials modulo word-size primes.",
     -1, kernel_methods,
 };
 

@@ -1,21 +1,29 @@
-"""Pure-Python kernels: BFS distances, canonical labeling, census invariants,
-characteristic polynomials.
+"""Pure-Python kernels: BFS distances, canonical labeling, census invariants
+and structure, characteristic polynomials.
 
 This module is the reference implementation of the BFS and canonical-labeling
 kernels.  The compiled extension ``eccspec._kernels`` implements the same
 functions with the same semantics; ``eccspec.kernels`` picks whichever is
-importable.  ``census_stats`` here takes fraction-free rank and the Berkowitz
+importable, and ``__all__`` names the functions and constants both export.
+``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
 from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
 too); ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
 each modulus.  The compiled charpolys come from a different algorithm, a
 reduction to Hessenberg form modulo each prime, so the parity tests check
 two algorithms against each other, not two copies of one.
+``census_structure`` gives what the census-wide lemma checks read from the
+graph rather than the record: whether ``ecc_rows`` gives the definitional
+min-eccentricity matrix, the twin-class predictions and the mixed-star
+shape.  It shares ``_census_metrics``, the BFS and eccentricities, with
+``census_stats``, as the compiled pair shares ``census_metrics``.
 ``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
-order, which ``graphs.graph6_decode`` shares.  Every graph kernel checks its
-order range with the compiled one's limits and messages, and works on
-adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of n ints
-where bit j of ``adj[i]`` is set iff ij is an edge.
+order, which ``graphs.graph6_decode`` shares; ``twin_classes``,
+``twin_predictions`` and ``mixed_star_shape`` are the one definition of
+those, which ``graphs`` and ``eccentricity`` share.  Every graph kernel
+checks its order range with the compiled one's limits and messages, and
+works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
+n ints where bit j of ``adj[i]`` is set iff ij is an edge.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -26,6 +34,12 @@ their placed-adjacency histories are merged.
 """
 
 from .exactalg import IntMatrix, bareiss_rank, berkowitz_charpoly
+
+__all__ = [
+    "BACKEND", "UNREACHABLE", "all_pairs_dist", "bits_to_adj", "canon_bits",
+    "census_stats", "census_structure", "charpoly_mod", "children_canon",
+    "is_connected",
+]
 
 BACKEND = "pure-python"
 
@@ -236,6 +250,18 @@ def ecc_rows(dist, ecc):
                   for row, eu in zip(dist, ecc)])
 
 
+def _census_metrics(what, n, adj):
+    """Distance rows and eccentricities of a connected graph of order
+    1 <= n <= 10, the BFS ``census_stats`` and ``census_structure`` share;
+    ValueError, naming ``what``, on any other order or a disconnected
+    graph."""
+    _check_order(what, n, _MAXN_CENSUS)
+    dist = [_dist_row(n, adj, v) for v in range(n)]
+    if any(UNREACHABLE in row for row in dist):
+        raise ValueError(f"{what} requires a connected graph")
+    return dist, [max(row) for row in dist]
+
+
 def census_stats(n, adj):
     """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending).
 
@@ -244,17 +270,92 @@ def census_stats(n, adj):
     over Z (the compiled kernel eliminates modulo one prime instead), and the
     charpoly is Berkowitz's.  Raises ValueError on disconnected input.
     """
-    _check_order("census_stats", n, _MAXN_CENSUS)
-    dist = all_pairs_dist(n, adj)
-    if any(UNREACHABLE in row for row in dist):
-        raise ValueError("census_stats requires a connected graph")
-    ecc = [max(row) for row in dist]
+    dist, ecc = _census_metrics("census_stats", n, adj)
     mat = IntMatrix._trusted(ecc_rows(dist, ecc))
     m1 = n - bareiss_rank(mat.shifted(1, -1))
     m2 = n - bareiss_rank(mat.shifted(1, -2))
     m0 = n - bareiss_rank(mat)
     coeffs = berkowitz_charpoly(mat).coeffs
     return max(ecc), ecc.count(1), m1, m2, m0, coeffs
+
+
+def census_structure(n, adj):
+    """(rule_holds, twin predictions, star shape) of a connected graph: the
+    graph-side facts the census-wide lemma checks compare with a record.
+
+    ``rule_holds`` is whether ``ecc_rows``, the rule that keeps d(u,v) when
+    it equals ecc(u) or ecc(v), gives the definitional matrix, entry d(u,v)
+    iff d(u,v) = min(ecc(u), ecc(v)), else 0.  The twin predictions are
+    ``twin_predictions`` and the star shape ``mixed_star_shape``.  Raises
+    ValueError on disconnected input, as ``census_stats`` does.
+    """
+    dist, ecc = _census_metrics("census_structure", n, adj)
+    rule_holds = ecc_rows(dist, ecc) == tuple([
+        tuple([d if d == (eu if eu < ev else ev) else 0
+               for d, ev in zip(row, ecc)])
+        for row, eu in zip(dist, ecc)])
+    return (rule_holds, twin_predictions(adj, ecc),
+            mixed_star_shape(n, adj))
+
+
+def twin_classes(adj):
+    """Maximal classes of >= 2 vertices with equal open neighborhoods
+    ("duplicate", pairwise non-adjacent) or equal closed neighborhoods
+    ("co-duplicate", pairwise adjacent), ordered by (least vertex, kind).
+    The two kinds never overlap."""
+    open_groups = {}
+    closed_groups = {}
+    for v, row in enumerate(adj):
+        open_groups.setdefault(row, []).append(v)
+        closed_groups.setdefault(row | (1 << v), []).append(v)
+    out = []
+    for vs in open_groups.values():
+        if len(vs) >= 2:
+            out.append((frozenset(vs), "duplicate"))
+    for vs in closed_groups.values():
+        if len(vs) >= 2:
+            out.append((frozenset(vs), "co-duplicate"))
+    out.sort(key=lambda cl: (min(cl[0]), cl[1]))
+    return out
+
+
+def twin_predictions(adj, ecc):
+    """(xi, lower) int pairs, one per ``twin_classes`` class in its order: a
+    class of size k forces multiplicity >= k-1 at the eigenvalue xi, which
+    its kind and common eccentricity determine: -2 for duplicates of
+    eccentricity 2, -1 for co-duplicates of eccentricity 1, else 0."""
+    out = []
+    for vs, kind in twin_classes(adj):
+        e = ecc[min(vs)]
+        if kind == "duplicate":
+            xi = -2 if e == 2 else 0
+        else:
+            xi = -1 if e == 1 else 0
+        out.append((xi, len(vs) - 1))
+    return out
+
+
+def mixed_star_shape(n, adj):
+    """Whether the graph is a star mixed extension: a nonempty clique of
+    universal vertices joined onto pairwise non-adjacent cells that are
+    cliques or independent vertices.  Equivalently, it has a universal
+    vertex, n >= 2, and every component of the non-universal remainder is a
+    clique: each remainder vertex shares its closed neighborhood within the
+    remainder with every remainder neighbor."""
+    full = (1 << n) - 1
+    rest = 0
+    for v, row in enumerate(adj):
+        if row | (1 << v) != full:
+            rest |= 1 << v
+    if rest == full or n == 1:
+        return False
+    for v in range(n):
+        if rest >> v & 1:
+            cell = (adj[v] | 1 << v) & rest
+            for u in range(n):
+                if cell >> u & 1 and (adj[u] | 1 << u) & rest != cell:
+                    return False
+    return True
 
 
 def charpoly_mod(rows, moduli):

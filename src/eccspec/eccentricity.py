@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from ._kernels_py import ecc_rows
+from ._kernels_py import ecc_rows, twin_predictions
 from .exactalg import (
     DEFAULT_BRACKET_WIDTH,
     IntMatrix,
@@ -30,7 +30,7 @@ from .exactalg import (
     charpoly,
     root_multiplicity,
 )
-from .graphs import Graph, bfs_metrics, duplicate_classes
+from .graphs import Graph, bfs_metrics
 
 
 def ecc_matrix(g: Graph) -> IntMatrix:
@@ -112,22 +112,9 @@ def _abs_interval(iv: RationalInterval) -> RationalInterval:
 def twin_eigenvalue_predictions(g: Graph):
     """Guaranteed eigenvalue lower bounds from duplicate / co-duplicate
     classes: each class of size k forces multiplicity >= k-1 at the
-    eigenvalue determined by the class kind and its common eccentricity."""
-    return _twin_predictions(g, bfs_metrics(g).ecc)
-
-
-def _twin_predictions(g: Graph, ecc):
-    """``twin_eigenvalue_predictions`` from the eccentricity sequence; every
-    predicted eigenvalue is the int -2, -1 or 0."""
-    out = []
-    for vs, kind in duplicate_classes(g):
-        e = ecc[min(vs)]
-        if kind == "duplicate":
-            xi = -2 if e == 2 else 0
-        else:
-            xi = -1 if e == 1 else 0
-        out.append((xi, len(vs) - 1))
-    return out
+    eigenvalue determined by the class kind and its common eccentricity, as
+    (xi, lower) int pairs (``_kernels_py.twin_predictions``)."""
+    return twin_predictions(g.adj, bfs_metrics(g).ecc)
 
 
 @dataclass(frozen=True)

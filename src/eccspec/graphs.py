@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import lower_triangle_rows
+from ._kernels_py import lower_triangle_rows, mixed_star_shape, twin_classes
 
 MAX_VERTICES = 64
 
@@ -56,15 +56,6 @@ class Graph:
                 if ((rows[u] >> v) & 1) != ((rows[v] >> u) & 1):
                     raise ValueError(f"asymmetric adjacency at ({u},{v})")
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(rows))
-        return g
-
-    @classmethod
-    def _trusted(cls, rows):
-        """Wrap adjacency rows with no checks.  Only for rows a kernel built
-        (``kernels.bits_to_adj``), which are symmetric and loop-free."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", len(rows))
         object.__setattr__(g, "adj", tuple(rows))
         return g
 
@@ -276,24 +267,8 @@ def theorem1_families(n):
 def is_mixed_star_shape(g: Graph) -> bool:
     """Whether g is a star mixed extension: a nonempty clique of universal
     vertices joined onto pairwise non-adjacent cells that are cliques or
-    independent vertices.  Equivalently, g has a universal vertex, n >= 2,
-    and every component of the non-universal remainder is a clique: each
-    remainder vertex shares its closed neighborhood within the remainder
-    with every remainder neighbor."""
-    full = (1 << g.n) - 1
-    rest = 0
-    for v, row in enumerate(g.adj):
-        if row | (1 << v) != full:
-            rest |= 1 << v
-    if rest == full or g.n == 1:
-        return False
-    for v in range(g.n):
-        if rest >> v & 1:
-            cell = (g.adj[v] | 1 << v) & rest
-            for u in range(g.n):
-                if cell >> u & 1 and (g.adj[u] | 1 << u) & rest != cell:
-                    return False
-    return True
+    independent vertices (``_kernels_py.mixed_star_shape``)."""
+    return mixed_star_shape(g.n, g.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +277,9 @@ def is_mixed_star_shape(g: Graph) -> bool:
 def duplicate_classes(g: Graph):
     """Maximal classes of >= 2 vertices with equal open neighborhoods
     ("duplicate", pairwise non-adjacent) or equal closed neighborhoods
-    ("co-duplicate", pairwise adjacent).  The two kinds never overlap."""
-    open_groups = {}
-    closed_groups = {}
-    for v in range(g.n):
-        open_groups.setdefault(g.adj[v], []).append(v)
-        closed_groups.setdefault(g.adj[v] | (1 << v), []).append(v)
-    out = []
-    for vs in open_groups.values():
-        if len(vs) >= 2:
-            out.append((frozenset(vs), "duplicate"))
-    for vs in closed_groups.values():
-        if len(vs) >= 2:
-            out.append((frozenset(vs), "co-duplicate"))
-    out.sort(key=lambda cl: (min(cl[0]), cl[1]))
-    return out
+    ("co-duplicate", pairwise adjacent), as (frozenset, kind) pairs
+    (``_kernels_py.twin_classes``).  The two kinds never overlap."""
+    return twin_classes(g.adj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Kernel backend selection: compiled extension if importable, else pure Python.
 
 Set ECCSPEC_KERNELS=py to force the pure-Python fallback (used by the
-benchmark and the parity tests).  Both backends export the same functions;
+benchmark and the parity tests).  Both backends export the same functions,
+the names in ``_kernels_py.__all__``, and this module binds each one;
 ``charpoly_mod`` gives characteristic polynomials modulo word-size primes
 only, and ``exactalg.charpoly`` chooses the primes and lifts the residues,
-whichever backend is active.
+whichever backend is active.  ``census_stats`` gives a census record's
+invariants and ``census_structure`` the graph side of the census-wide lemma
+checks (the matrix rule, twin predictions, mixed-star shape); both run on
+one BFS helper in each backend.
 """
 
 import os
@@ -26,4 +30,5 @@ canon_bits = _impl.canon_bits
 children_canon = _impl.children_canon
 bits_to_adj = _impl.bits_to_adj
 census_stats = _impl.census_stats
+census_structure = _impl.census_structure
 charpoly_mod = _impl.charpoly_mod

@@ -16,9 +16,7 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import kernels
-from ._kernels_py import ecc_rows
 from .eccentricity import (
-    _twin_predictions,
     acharpoly,
     ecc_matrix,
     matrix_multiplicity,
@@ -48,7 +46,6 @@ from .graphs import (
     cycle,
     graph6_bits,
     is_connected,
-    is_mixed_star_shape,
     join,
     join_clique_with,
     mixed_extension_star,
@@ -634,17 +631,21 @@ def _census_property_checks(rep, census_cache, jobs):
     """Census-wide structure checks at orders up to 8, in one pass per record.
 
     Each graph starts from its record: canonical bits, then adjacency rows
-    and distances from the kernels.  The multiplicities at -2, -1 and 0 are
-    the record's, which the kernel computed by rank; the twin-class bounds
-    are checked against them, and they are checked against the stored
-    charpoly's root multiplicities.  Those at -1 and 0 are the ``n_zero``
-    counts of the two ``charpoly_inertia`` calls the inertia checks make
-    anyway: ``n_zero`` counts the vanishing low coefficients of cp(y + c),
-    and that is the multiplicity of the root y = 0 of cp(y + c), that is of
-    c in cp, exactly, for any polynomial; unlike the sign counts it needs no
-    real-rootedness.  Only -2 takes a ``root_multiplicity``.  The matrix
-    check compares the whole of ``ecc_rows`` with the definition, entry
-    d(u,v) iff d(u,v) = min(ecc(u), ecc(v)), else 0.
+    from the kernels.  The graph side comes from one
+    ``kernels.census_structure`` call, which uses other algorithms than the
+    rank and charpoly routes behind the record: whether the ``ecc_rows``
+    rule (d = ecc(u) or d = ecc(v)) gives the definitional matrix, entry
+    d(u,v) iff d(u,v) = min(ecc(u), ecc(v)), else 0; the twin-class
+    predictions, from adjacency equality; and the mixed-star shape.  The
+    multiplicities at -2, -1 and 0 are the record's, which the kernel
+    computed by rank; the twin-class bounds are checked against them, and
+    they are checked against the stored charpoly's root multiplicities, on
+    exact ints here.  Those at -1 and 0 are the ``n_zero`` counts of the two
+    ``charpoly_inertia`` calls the inertia checks make anyway: ``n_zero``
+    counts the vanishing low coefficients of cp(y + c), and that is the
+    multiplicity of the root y = 0 of cp(y + c), that is of c in cp,
+    exactly, for any polynomial; unlike the sign counts it needs no
+    real-rootedness.  Only -2 takes a ``root_multiplicity``.
     """
     bad_levels = []
     bad_v1card = []
@@ -661,8 +662,7 @@ def _census_property_checks(rep, census_cache, jobs):
         for rec in _census_records(n, census_cache, jobs):
             canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
             adj = kernels.bits_to_adj(*graph6_bits(canon))
-            dist = kernels.all_pairs_dist(n, adj)
-            ecc = list(map(max, dist))
+            rule_holds, twins, star = kernels.census_structure(n, adj)
             is_kn = canon == kn_canon
             k = n - m1
             if v1 and diam > 2:
@@ -679,9 +679,8 @@ def _census_property_checks(rep, census_cache, jobs):
                 bad_diam_bound.append(canon)
             if m1 == n - 5 and not 2 <= diam <= 4:
                 bad_diam_bound.append(canon)
-            g = Graph._trusted(adj)
             mults = {-2: m2, -1: m1, 0: m0}
-            for xi, lower in _twin_predictions(g, ecc):
+            for xi, lower in twins:
                 if mults[xi] < lower:
                     bad_twins.append((canon, str(xi)))
             cp = IntPolynomial(coeffs)
@@ -689,15 +688,12 @@ def _census_property_checks(rep, census_cache, jobs):
             at_zero = charpoly_inertia(cp, 0)
             if (at_minus1.n_minus == 0 and at_minus1.n_zero >= 1) != is_kn:
                 bad_minimum.append(canon)
-            if at_zero.n_plus == 1 and not is_mixed_star_shape(g):
+            if at_zero.n_plus == 1 and not star:
                 bad_onepos.append(canon)
             if (at_minus1.n_zero != m1 or at_zero.n_zero != m0
                     or root_multiplicity(cp, -2) != m2):
                 bad_mults.append(canon)
-            if ecc_rows(dist, ecc) != tuple([
-                    tuple([d if d == (eu if eu < ev else ev) else 0
-                           for d, ev in zip(row, ecc)])
-                    for row, eu in zip(dist, ecc)]):
+            if not rule_holds:
                 bad_ecc_def.append(canon)
     rep.check("a vertex of eccentricity 1 forces diameter <= 2",
               "census n<=8", [], bad_levels)

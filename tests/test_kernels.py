@@ -100,6 +100,7 @@ class TestBackendParity:
         ("canon_bits", 0), ("canon_bits", 17),
         ("children_canon", 0), ("children_canon", 16),
         ("census_stats", 0), ("census_stats", 11),
+        ("census_structure", 0), ("census_structure", 11),
         ("bits_to_adj", 0), ("bits_to_adj", 17),
     ])
     def test_out_of_range_orders_rejected_alike(self, name, n):
@@ -111,6 +112,54 @@ class TestBackendParity:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert "supports 1 <= n <= " in messages[0]
+
+    @pytest.mark.parametrize("name", ["census_stats", "census_structure"])
+    def test_disconnected_rejected_alike(self, name):
+        g = Graph(4, [(0, 1), (2, 3)])
+        messages = []
+        for mod in (compiled, pure):
+            with pytest.raises(ValueError) as exc:
+                getattr(mod, name)(g.n, g.adj)
+            messages.append(str(exc.value))
+        assert messages == [f"{name} requires a connected graph"] * 2
+
+    def test_census_structure_agrees_on_census(self):
+        # every connected graph of order 1..8: 1 + 12 112 graphs
+        count = 0
+        for g in census_sample(8):
+            assert compiled.census_structure(g.n, g.adj) == \
+                pure.census_structure(g.n, g.adj), g.adj
+            count += 1
+        assert count == 12_113
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_census_structure_agrees_on_random_connected(self, n):
+        rng = random.Random(83 + n)
+        count = 0
+        while count < 300:
+            g = random_graph(rng, n, rng.uniform(0.15, 0.9))
+            if not is_connected(g):
+                continue
+            count += 1
+            assert compiled.census_structure(n, g.adj) == \
+                pure.census_structure(n, g.adj), g.adj
+
+    @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
+    def test_census_structure_pinned(self, mod):
+        assert mod.census_structure(1, [0]) == (True, [], False)
+        star = complete_multipartite((1, 3))  # K1,3, center 0
+        assert mod.census_structure(star.n, star.adj) == \
+            (True, [(-2, 2)], True)
+
+    def test_kernel_names_match_across_backends(self):
+        """Both backends export the same kernels and ``kernels`` binds each,
+        so a compiled function without a reference, or the reverse, fails."""
+        names = sorted(pure.__all__)
+        assert names == sorted(n for n in dir(compiled)
+                               if not n.startswith("_"))
+        for name in names:
+            assert hasattr(pure, name)
+            assert getattr(kernels, name) is getattr(kernels._impl, name)
 
     def test_bits_to_adj_agree_and_invert_canon(self):
         rng = random.Random(59)
