@@ -6,8 +6,10 @@ provide); there is no code generator.  ``python setup.py build_ext --inplace``
 puts the module next to the sources, where the tests and ``PYTHONPATH=src``
 pick it up.  The package is fully functional without it (a pure-Python
 fallback is selected at import), but the census-scale checks need the
-compiled kernels to meet their stated time budgets.  Set ECCSPEC_PURE=1 to
-skip compilation.
+compiled kernels to meet their stated time budgets.  ECCSPEC_PURE=1 is the
+install-time setting for machines without a C compiler: it compiles nothing.
+The tests do not read it; they build in place themselves, and
+ECCSPEC_KERNELS=py runs them on the pure-Python kernels.
 """
 
 import os

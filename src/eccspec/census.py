@@ -122,11 +122,16 @@ class CensusRecord(NamedTuple):
 
     @classmethod
     def from_line(cls, line: str):
-        """Parse one store line.  Raises ValueError unless the line has seven
-        invariant fields, a monic charpoly of length n+1 and a canon whose
-        graph6 size byte and length fit n; these checks are O(1), the canon
-        is not decoded."""
-        canon, inv, poly = line.rstrip("\n").split("\t")
+        """Parse one store line.  Raises ValueError unless the line has three
+        tab-separated fields, seven invariant fields, a monic charpoly of
+        length n+1 and a canon whose graph6 size byte and length fit n; these
+        checks are O(1), the canon is not decoded."""
+        parts = line.rstrip("\n").split("\t")
+        try:
+            canon, inv, poly = parts
+        except ValueError:
+            raise ValueError(f"{len(parts)} tab-separated fields, "
+                             f"expected 3") from None
         fields = inv.split(",")
         if len(fields) != 7:
             raise ValueError(f"{len(fields)} invariant fields, expected 7")

@@ -159,14 +159,14 @@ def _match(rec, preds):
     return True
 
 
-def _jobs(text):
+def _positive_int(text):
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -199,7 +199,7 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("--store", default=None,
                    help=f"output path (default ${STORE_ENV})")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--big", action="store_true",
                    help="allow the best-effort n=10 run (11.7M graphs; "
                         "hours, not minutes)")
@@ -222,8 +222,8 @@ def build_parser():
                                  "or 'all'")
     p.add_argument("--n", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

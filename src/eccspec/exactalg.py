@@ -135,21 +135,6 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(tuple(other * c for c in self.coeffs))

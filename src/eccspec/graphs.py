@@ -68,13 +68,6 @@ class Graph:
     def degree(self, v):
         return bin(self.adj[v]).count("1")
 
-    def neighbors(self, v):
-        mask = self.adj[v]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def edges(self):
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if self.has_edge(u, v)]

@@ -1,8 +1,9 @@
 """Kernel backend selection: compiled extension if importable, else pure Python.
 
-Set ECCSPEC_KERNELS=py to force the pure-Python fallback (used by the
-benchmark and the parity tests).  Both backends export the same functions,
-the names in ``_kernels_py.__all__``, and this module binds each one;
+Set ECCSPEC_KERNELS=py to force the pure-Python fallback; it is also the one
+switch the test suite reads (it then builds no extension).  Both backends
+export the same functions, the names in ``_kernels_py.__all__``, and this
+module binds each one;
 ``charpoly_mod`` gives characteristic polynomials modulo word-size primes
 only, and ``exactalg.charpoly`` chooses the primes and lifts the residues,
 whichever backend is active.  ``census_stats`` gives a census record's

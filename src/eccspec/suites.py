@@ -426,7 +426,9 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
     eccentricity-level structure facts, and the diameter bounds."""
     counts = dict(LEMMA_TRIALS)
     if trials is not None:
-        counts = {k: max(1, int(trials)) for k in counts}
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        counts = {k: int(trials) for k in counts}
     rng = random.Random(seed)
     rep = VerificationReport("lemmas", {"seed": seed, "trials": counts})
 

@@ -1,26 +1,54 @@
 import os
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = os.path.join(ROOT, "src", "eccspec")
+SOURCE = os.path.join(PKG, "_kernels.c")
+MODULE = os.path.join(PKG, "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+def _mtime_ns(path):
+    try:
+        return os.stat(path).st_mtime_ns
+    except FileNotFoundError:
+        return None
 
 
 def pytest_configure(config):
     """Build the C kernel extension in place before any test imports
-    eccspec, so the suite runs (and parity-tests) the compiled backend.
-    setuptools skips the compile when the module is newer than its source.
-    ECCSPEC_PURE=1 or ECCSPEC_KERNELS=py skip the build."""
-    if os.environ.get("ECCSPEC_PURE") == "1" or \
-            os.environ.get("ECCSPEC_KERNELS") == "py":
+    eccspec, and refuse to run unless the module is not older than
+    ``_kernels.c``, so the suite runs (and parity-tests) the extension built
+    from the source in the tree.
+
+    ECCSPEC_KERNELS=py is the one switch: it builds nothing, the library runs
+    the pure-Python kernels and ``tests/test_kernels.py`` skips.  setuptools
+    compiles only when the source's whole-second mtime is later than the
+    built module's, so a missing module or a same-second tie is built with
+    ``--force``; an up-to-date tree compiles nothing."""
+    if os.environ.get("ECCSPEC_KERNELS") == "py":
         return
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    cmd = [sys.executable, "setup.py", "-q", "build_ext", "--inplace"]
+    module_ns = _mtime_ns(MODULE)
+    if module_ns is None or module_ns // 10**9 <= _mtime_ns(SOURCE) // 10**9:
+        cmd.append("--force")
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
     if proc.returncode != 0:
         raise pytest.UsageError(
             "building the C kernel extension failed:\n" + proc.stdout)
+    # the in-place copy keeps only the whole seconds of the build's mtime,
+    # so this reads a build ending in the edit's own second as older; the
+    # next run forces a build that ends later
+    module_ns = _mtime_ns(MODULE)
+    if module_ns is None or module_ns < _mtime_ns(SOURCE):
+        raise pytest.UsageError(
+            f"after the in-place build the kernel module {MODULE} is missing "
+            f"or older than {SOURCE}; set ECCSPEC_KERNELS=py for a "
+            f"pure-Python run")
 
 
 @pytest.fixture(scope="session")

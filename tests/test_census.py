@@ -269,6 +269,14 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"bad\.tsv, line 2"):
             census.read_store(path)
 
+    def test_two_field_line_names_line_and_field_count(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{K4_LINE}\n\nC~\t4,1,4,3,0,0,K4\n",
+                        encoding="ascii")
+        with pytest.raises(ValueError, match=r"bad\.tsv, line 3: 2 "
+                           r"tab-separated fields, expected 3$"):
+            census.read_store(path)
+
     def test_parallel_matches_serial(self, tmp_path):
         """The pooled enumeration and classification give the serial
         results, in the serial order, also on levels smaller than the chunk

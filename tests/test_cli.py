@@ -322,6 +322,12 @@ class TestVerifyCommand:
                            "--jobs", jobs)
         assert code == 2 and "--jobs" in err and "at least 1" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_rejects_nonpositive_trials(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "lemmas", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "--trials" in err and "at least 1" in err
+
     def test_no_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "")
         assert code == 2

@@ -1,6 +1,9 @@
-"""The package's public surface."""
+"""The package's public surface and its kernel backend."""
+
+import os
 
 import eccspec
+from eccspec import kernels
 
 
 def test_public_names_pinned():
@@ -17,3 +20,10 @@ def test_public_names_pinned():
         "quotient", "realize", "root_multiplicity",
         "twin_eigenvalue_predictions", "verify_spectrum_identity",
     ]
+
+
+def test_backend_selection():
+    if os.environ.get("ECCSPEC_KERNELS") == "py":
+        assert kernels.BACKEND == "pure-python"
+    else:
+        assert kernels.BACKEND == "compiled"

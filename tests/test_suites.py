@@ -28,6 +28,11 @@ class TestReports:
         assert a.entries == b.entries
         assert a.notes == b.notes
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_lemmas_reject_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            suites.suite_lemmas(trials=trials)
+
     def test_text_summary_mentions_failures(self):
         rep = suites.VerificationReport("demo", {})
         rep.check("claim", "instance", 1, 2)
