@@ -212,7 +212,8 @@ def build_parser():
                         "family=K6v3K1")
     p.add_argument("--mates", action="store_true",
                    help="also list cospectral mates of every match")
-    p.add_argument("--high-mult", type=int, default=None, metavar="I",
+    p.add_argument("--high-mult", type=_positive_int, default=None,
+                   metavar="I",
                    help="exploratory scan for eigenvalues outside {-2,-1,0} "
                         "with multiplicity >= n-I")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -71,9 +71,6 @@ class IntMatrix:
     def is_symmetric(self):
         return self.rows == tuple(zip(*self.rows))
 
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def shifted(self, q, p):
         """q*M - p*I; the integer matrix whose kernel dimension is m(p/q)."""
         return IntMatrix([[q * self.rows[i][j] - (p if i == j else 0)
@@ -195,15 +192,18 @@ class RationalInterval(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# rank and determinant (fraction-free elimination, full pivoting)
+# rank (fraction-free elimination, full pivoting)
 
-def _bareiss(rows, n):
-    """Shared elimination; returns (rank, last pivot, swap parity)."""
-    a = [list(row) for row in rows]
+def bareiss_rank(m: IntMatrix) -> int:
+    """Exact rank over the rationals; the input matrix is not mutated.
+
+    Pivots are chosen as the first row-major nonzero of the remaining
+    submatrix, so the elimination is deterministic.
+    """
+    n = m.n
+    a = [list(row) for row in m.rows]
     prev = 1
     rank = 0
-    parity = 1
-    piv = 1
     for k in range(n):
         pr = pc = -1
         for i in range(k, n):
@@ -217,11 +217,9 @@ def _bareiss(rows, n):
             break
         if pr != k:
             a[k], a[pr] = a[pr], a[k]
-            parity = -parity
         if pc != k:
             for row in a:
                 row[k], row[pc] = row[pc], row[k]
-            parity = -parity
         piv = a[k][k]
         for i in range(k + 1, n):
             aik = a[i][k]
@@ -230,24 +228,7 @@ def _bareiss(rows, n):
             a[i][k] = 0
         prev = piv
         rank += 1
-    return rank, piv, parity
-
-
-def bareiss_rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals; the input matrix is not mutated.
-
-    Pivots are chosen as the first row-major nonzero of the remaining
-    submatrix, so the elimination is deterministic.
-    """
-    rank, _, _ = _bareiss(m.rows, m.n)
     return rank
-
-
-def bareiss_det(m: IntMatrix) -> int:
-    rank, piv, parity = _bareiss(m.rows, m.n)
-    if rank < m.n:
-        return 0
-    return parity * piv
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .exactalg import (
     IntMatrix,
     IntPolynomial,
     SymmetricSpectrum,
-    bareiss_det,
     bareiss_rank,
     charpoly,
     charpoly_inertia,
@@ -45,7 +44,6 @@ from .graphs import (
     complete_multipartite,
     cycle,
     graph6_bits,
-    is_connected,
     join,
     join_clique_with,
     mixed_extension_star,
@@ -363,32 +361,15 @@ LEMMA_TRIALS = {
     "interlacing": 200,
     "mixed_stars": 100,
     "multipartite": 100,
-    "triangle": 1000,
-    "rank_charpoly": 500,
-    "poly_roundtrip": 200,
 }
 
 
-def _random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
-
-
-def _random_connected(rng, nmax=10):
-    while True:
-        n = rng.randint(2, nmax)
-        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
-        if is_connected(g):
-            return g
-
-
-def _random_symmetric(rng, nmax=8, bound=5):
-    n = rng.randint(2, nmax)
+def _random_symmetric(rng):
+    n = rng.randint(2, 8)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
     return IntMatrix(rows)
 
 
@@ -570,59 +551,6 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
                 bad.append((r, extra))
     rep.check("K_r joined to an independent set has m(-1) = r - 1",
               "r in 1..8, independent part 2..6", [], bad)
-
-    # triangle inequality over random connected graphs
-    bad = []
-    for t in range(counts["triangle"]):
-        g = _random_connected(rng, 10)
-        met = bfs_metrics(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                for w in range(g.n):
-                    if met.dist[u][w] > met.dist[u][v] + met.dist[v][w]:
-                        bad.append((t, u, v, w))
-    rep.check("hop distances satisfy the triangle inequality",
-              f"{counts['triangle']} seeded random connected graphs", [], bad)
-
-    # rank / charpoly consistency and coefficient identities
-    bad = []
-    for t in range(counts["rank_charpoly"]):
-        m = _random_symmetric(rng)
-        cp = charpoly(m)
-        if bareiss_rank(m) != m.n - root_multiplicity(cp, 0):
-            bad.append((t, "rank"))
-        if cp.coeffs[m.n - 1] != -m.trace():
-            bad.append((t, "trace"))
-        if cp.coeffs[0] != (-1) ** m.n * bareiss_det(m):
-            bad.append((t, "det"))
-    rep.check("rank = n - m(0), charpoly subleading coefficient = -trace, "
-              "constant term = (-1)^n det",
-              f"{counts['rank_charpoly']} seeded random symmetric matrices",
-              [], bad)
-
-    # inertia monotonicity in the shift point
-    bad = []
-    for t in range(50):
-        m = _random_symmetric(rng, 7, 4)
-        cs = sorted(rng.randint(-12, 12) for _ in range(3))
-        spec = SymmetricSpectrum(m)
-        plus = [spec.count_gt(c) for c in cs]
-        if any(plus[i] < plus[i + 1] for i in range(len(plus) - 1)):
-            bad.append(t)
-    rep.check("raising the shift point never increases the count of larger "
-              "eigenvalues", "50 seeded random matrices", [], bad)
-
-    # exact polynomial division round trip
-    bad = []
-    for t in range(counts["poly_roundtrip"]):
-        a = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
-                          + [1])
-        b = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
-                          + [1])
-        if poly_divide_exact(a * b, b) != a:
-            bad.append(t)
-    rep.check("poly_divide_exact(a*b, b) = a for monic a, b",
-              f"{counts['poly_roundtrip']} seeded random pairs", [], bad)
 
     _census_property_checks(rep, census_cache, jobs)
     _diameter_bound_checks(rep)

@@ -51,6 +51,23 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "charpoly", str(f))
         assert code == 0 and out.strip() == "1,0,-17,0,16"
 
+    def test_json_outputs_pinned(self, capsys):
+        assert run(capsys, "ecc", P4, "--format", "json") == (
+            0, '{"n": 4, "matrix": [[0, 0, 2, 3], [0, 0, 0, 2], '
+               '[2, 0, 0, 0], [3, 2, 0, 0]]}\n', "")
+        assert run(capsys, "charpoly", P4, "--format", "json") == (
+            0, '{"n": 4, "charpoly_descending": "1,0,-17,0,16"}\n', "")
+        assert run(capsys, "mult", K5, "-1", "--format", "json") == (
+            0, '{"xi": "-1", "multiplicity": 4}\n', "")
+
+    def test_edge_list_file_with_bad_line_is_usage_error(self, capsys,
+                                                          tmp_path):
+        f = tmp_path / "bad.edges"
+        f.write_text("n=3\n0 1\n1 x\n")
+        code, out, err = run(capsys, "ecc", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read edge-list file {str(f)!r}")
+
     def test_mult_rational_xi(self, capsys):
         code, out, _ = run(capsys, "mult", K5, "3/2")
         assert code == 0 and out.strip() == "0"
@@ -99,6 +116,9 @@ FAMILY_ERRORS = {
               "S(t0,-p,...)",
     "K63": "cannot build family 'K63': graph6 single-byte header supports "
            "n <= 62",
+    "C2": "cannot build family 'C2': cycle needs at least 3 vertices",
+    "K(3)": "cannot build family 'K(3)': need at least 2 parts",
+    "K(2,0)": "cannot build family 'K(2,0)': part sizes must be positive",
 }
 
 
@@ -198,6 +218,76 @@ class TestCensusAndQuery:
         run(capsys, "census", "6", "--store", str(store))
         code, out, _ = run(capsys, "query", str(store), "--high-mult", "3")
         assert code == 0 and "'3': 3" in out
+
+    def test_census_json_pinned(self, capsys, tmp_path):
+        store = tmp_path / "c5.tsv"
+        code, out, err = run(capsys, "census", "5", "--store", str(store),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {
+            "n": 5, "graphs": 21, "store": str(store),
+            "mult_minus1_histogram": {"0": 17, "1": 2, "2": 1, "4": 1}}
+
+    def test_census_n10_needs_big_before_any_work(self, capsys, monkeypatch):
+        from eccspec import census
+
+        def never(*args, **kwargs):
+            raise AssertionError("the census ran without --big")
+
+        monkeypatch.setattr(census, "classify", never)
+        code, out, err = run(capsys, "census", "10")
+        assert code == 2 and out == ""
+        assert err == ("error: the n=10 census is best-effort (11.7M graphs); "
+                       "pass --big to run it\n")
+
+    def test_census_unwritable_store_exits_one(self, capsys, tmp_path):
+        store = tmp_path / "no-such-dir" / "c4.tsv"
+        code, out, err = run(capsys, "census", "4", "--store", str(store))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write census store {store}: ")
+
+    def test_query_mates_text_pinned(self, capsys, store5):
+        code, out, _ = run(capsys, "query", str(store5), "diam=3", "--mates")
+        assert code == 0
+        assert out.splitlines() == [
+            "D@s  n=5 diam=3 v1=0 m(-1)=0 m(-2)=0 m(0)=1  mates=['DK[']",
+            "DBk  n=5 diam=3 v1=0 m(-1)=0 m(-2)=0 m(0)=1  mates=[]",
+            "DBw  n=5 diam=3 v1=0 m(-1)=0 m(-2)=1 m(0)=0  mates=[]",
+            "DJk  n=5 diam=3 v1=0 m(-1)=0 m(-2)=0 m(0)=1  mates=[]",
+            "DK[  n=5 diam=3 v1=0 m(-1)=0 m(-2)=0 m(0)=1  mates=['D@s']",
+        ]
+
+    def test_query_high_mult_json_pinned(self, capsys, store5):
+        code, out, _ = run(capsys, "query", str(store5), "diam>=3",
+                           "--high-mult", "3", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["high_multiplicity", "matches"]
+        assert payload["matches"][0] == {
+            "canon": "D@s", "n": 5, "diam": 3, "v1_size": 0,
+            "mult_minus1": 0, "mult_minus2": 0, "mult_zero": 1,
+            "family_tags": []}
+        assert [m["canon"] for m in payload["matches"]] == \
+            ["D@s", "DBg", "DBk", "DBw", "DJk", "DK["]
+        assert payload["high_multiplicity"] == [
+            {"canon": c, "eigenvalues": {},
+             "note": "non-integer residual of degree 4"}
+            for c in ("D@s", "DBg", "DJk", "DK[")]
+
+    @pytest.mark.parametrize("value", ["0", "-7"])
+    def test_query_rejects_nonpositive_high_mult(self, capsys, store5, value):
+        code, out, err = run(capsys, "query", str(store5), "--high-mult",
+                             value)
+        assert code == 2 and out == ""
+        assert "--high-mult" in err and "at least 1" in err
+
+    @pytest.mark.parametrize("pred,message", [
+        ("n=abc", "error: predicate 'n=abc': 'abc' is not an integer\n"),
+        ("family<x", "error: family supports only = and !=\n"),
+    ])
+    def test_query_bad_value_or_family_operator(self, capsys, store5, pred,
+                                                message):
+        assert run(capsys, "query", str(store5), pred) == (2, "", message)
 
     def test_query_missing_store(self, capsys, tmp_path):
         code, _, err = run(capsys, "query", str(tmp_path / "no.tsv"), "n=6")
@@ -327,6 +417,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "lemmas", "--trials", trials)
         assert code == 2 and out == ""
         assert "--trials" in err and "at least 1" in err
+
+    def test_verify_rejects_non_integer_trials(self, capsys):
+        code, out, err = run(capsys, "verify", "lemmas", "--trials", "x")
+        assert code == 2 and out == ""
+        assert err.endswith("error: argument --trials: 'x' is not an "
+                            "integer\n")
 
     def test_no_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -77,10 +78,11 @@ class TestMetrics:
 
     def test_bfs_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(11)
-        for _ in range(150):
-            n = rng.randint(2, 9)
+        for _ in range(1000):
+            n = rng.randint(2, 10)
+            p = rng.uniform(0.1, 0.9)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < 0.4])
+                          if rng.random() < p])
             met = bfs_metrics(g)
             oracle = floyd_warshall(g)
             for i in range(n):
@@ -173,6 +175,16 @@ class TestBuilders:
             Graph(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph.from_adj([0b010, 0b000, 0b000])
+
+    @pytest.mark.parametrize("rows,message", [
+        ([], "vertex count must be in 1..64, got 0"),
+        ([0] * 65, "vertex count must be in 1..64, got 65"),
+        ([0b000, 0b010, 0b000], "self-loop at vertex 1"),
+        ([0b1000, 0b000, 0b000], "adjacency row 0 references vertices >= 3"),
+    ])
+    def test_from_adj_rejects(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph.from_adj(rows)
 
     def test_graph_is_immutable(self):
         g = path(3)
@@ -356,6 +368,15 @@ class TestGraph6:
         with pytest.raises(ValueError):
             graph6_decode(bad)
         with pytest.raises(ValueError):
+            graph6_bits(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("~?", "graph6 multi-byte headers (n > 62) not supported"),
+        ("?", "graph6 order must be >= 1"),
+        ("A@", "nonzero padding bits in graph6 data"),
+    ])
+    def test_bits_reject_header_and_padding(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph6_bits(bad)
 
     def test_encode_rejects_oversize(self):

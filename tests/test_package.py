@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 import eccspec
 from eccspec import kernels
 
@@ -27,3 +29,11 @@ def test_backend_selection():
         assert kernels.BACKEND == "pure-python"
     else:
         assert kernels.BACKEND == "compiled"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert eccspec.__version__ == project["version"]

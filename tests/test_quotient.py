@@ -58,6 +58,16 @@ class TestRealize:
         with pytest.raises(ValueError):
             BlockSpec((0, 2), ((0, 0), (0, 0)), (0, 0))
 
+    def test_rejects_s_not_l_by_l(self):
+        with pytest.raises(ValueError, match="s must be l x l"):
+            BlockSpec((1, 1), ((0, 1),), (0, 0))
+        with pytest.raises(ValueError, match="s must be l x l"):
+            BlockSpec((1, 1), ((0, 1), (1,)), (0, 0))
+
+    def test_rejects_p_of_wrong_length(self):
+        with pytest.raises(ValueError, match="one entry per block"):
+            BlockSpec((1, 1), ((0, 1), (1, 0)), (0,))
+
 
 class TestQuotient:
     def test_split_graph_quotient(self):
