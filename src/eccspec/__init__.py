@@ -18,7 +18,6 @@ from .graphs import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    duplicate_classes,
     empty_graph,
     graph6_decode,
     graph6_encode,
@@ -60,8 +59,8 @@ from .quotient import (
 __all__ = [
     # graphs
     "Graph", "Metrics", "bfs_metrics", "bull", "complete",
-    "complete_multipartite", "cycle", "disjoint_union", "duplicate_classes",
-    "empty_graph", "graph6_decode", "graph6_encode", "is_connected", "join",
+    "complete_multipartite", "cycle", "disjoint_union", "empty_graph",
+    "graph6_decode", "graph6_encode", "is_connected", "join",
     "join_clique_with", "mixed_extension_star", "path",
     # exactalg
     "Inertia", "IntMatrix", "IntPolynomial", "bareiss_rank",

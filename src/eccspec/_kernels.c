@@ -12,8 +12,8 @@
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
  * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
  * division-free Berkowitz recurrence, so the parity tests compare two
- * algorithms.)  Fixed-width arithmetic has two stated bounds, with tests at
- * each.  The refinement keys of canonical labeling pack 4-bit fields into
+ * algorithms.)  Fixed-width arithmetic has three stated bounds, with tests
+ * at each.  The refinement keys of canonical labeling pack 4-bit fields into
  * 64 bits, which holds for n <= 16 (the argument is at wl_colors).  The
  * Montgomery word bound: residues are below p < 2^56, so each
  * product of two residues is below p^2 < p 2^64, within one Montgomery
@@ -22,16 +22,21 @@
  * one reduction.  census_stats works modulo the one prime 2^56 - 5: its
  * charpoly coefficients and the minors behind its ranks all lie below half
  * that prime in absolute value, so the residues determine them (the
- * argument is at census_stats).  census_structure gives the graph side of
- * the census-wide lemma checks (the matrix rule, twin predictions, the
- * mixed-star shape) with distances and counts only; it shares census_metrics,
- * the BFS and eccentricities, and min_rule_entry, the matrix census_stats
- * ranks, with census_stats.
+ * argument is at census_stats).  census_structure gives the census-wide
+ * lemma checks both their sides: the graph side (the matrix rule, twin
+ * predictions, the mixed-star shape) with distances and counts only, and
+ * the inertia of the record's charpoly at -1, 0 and -2 by a Taylor shift in
+ * signed __int128, exact for coefficients below 2^63 in absolute value at
+ * n <= 10, |c| <= 2, where every value it holds stays below 2^83 (the
+ * argument is at census_structure).  It shares census_metrics, the BFS and
+ * eccentricities, and min_rule_entry, the matrix census_stats ranks, with
+ * census_stats.
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -118,6 +123,17 @@ bfs(int n, const uint64_t *adj, int src, int *dist)
     }
 }
 
+/* Check 1 <= n <= maxn and load the rows. */
+static int
+load_graph(int n, PyObject *rows, int maxn, const char *what, uint64_t *adj)
+{
+    if (n < 1 || n > maxn) {
+        PyErr_Format(PyExc_ValueError, "%s supports 1 <= n <= %d", what, maxn);
+        return -1;
+    }
+    return load_adj(n, rows, adj);
+}
+
 /* Parse the (n, adj) arguments, 1 <= n <= maxn, and load the rows. */
 static int
 parse_graph(PyObject *args, int maxn, const char *what, int *n, uint64_t *adj)
@@ -125,11 +141,7 @@ parse_graph(PyObject *args, int maxn, const char *what, int *n, uint64_t *adj)
     PyObject *rows;
     if (!PyArg_ParseTuple(args, "iO", n, &rows))
         return -1;
-    if (*n < 1 || *n > maxn) {
-        PyErr_Format(PyExc_ValueError, "%s supports 1 <= n <= %d", what, maxn);
-        return -1;
-    }
-    return load_adj(*n, rows, adj);
+    return load_graph(*n, rows, maxn, what, adj);
 }
 
 static PyObject *
@@ -923,20 +935,20 @@ rank_mod(int n, const uint64_t *a, int64_t shift, const mont_t *m)
     return __builtin_popcount(used);
 }
 
-/* Parse a graph of order 1 <= n <= MAXN_CENSUS, then fill dist with its
+/* Load a graph of order 1 <= n <= MAXN_CENSUS, then fill dist with its
  * BFS distances and ecc with its eccentricities: the one BFS that
  * census_stats and census_structure share.  Raises ValueError naming what
  * on an order out of range or a disconnected graph. */
 static int
-census_metrics(PyObject *args, const char *what, int *n, uint64_t *adj,
+census_metrics(int n, PyObject *rows, const char *what, uint64_t *adj,
                int dist[][MAXN_CENSUS], int *ecc)
 {
-    if (parse_graph(args, MAXN_CENSUS, what, n, adj) < 0)
+    if (load_graph(n, rows, MAXN_CENSUS, what, adj) < 0)
         return -1;
-    for (int i = 0; i < *n; i++) {
-        bfs(*n, adj, i, dist[i]);
+    for (int i = 0; i < n; i++) {
+        bfs(n, adj, i, dist[i]);
         ecc[i] = 0;
-        for (int j = 0; j < *n; j++) {
+        for (int j = 0; j < n; j++) {
             if (dist[i][j] == UNREACH) {
                 PyErr_Format(PyExc_ValueError,
                              "%s requires a connected graph", what);
@@ -965,7 +977,9 @@ k_census_stats(PyObject *self, PyObject *args)
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
              work[(MAXN_CENSUS + 1) * (MAXN_CENSUS + 2) / 2 + 2 * MAXN_CENSUS];
     int n;
-    if (census_metrics(args, "census_stats", &n, adj, dist, ecc) < 0)
+    PyObject *rows;
+    if (!PyArg_ParseTuple(args, "iO", &n, &rows)
+            || census_metrics(n, rows, "census_stats", adj, dist, ecc) < 0)
         return NULL;
     int diam = 0, v1 = 0;
     for (int i = 0; i < n; i++) {
@@ -1003,10 +1017,9 @@ k_census_stats(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------------
  * census structure
  *
- * census_structure gives the graph side of the census-wide lemma checks, by
+ * census_structure gives both sides of the census-wide lemma checks, by
  * other algorithms than the rank and charpoly routes behind a census
- * record, and with no fixed-width bound of its own: it handles only
- * distances and vertex counts.
+ * record.  The graph side handles only distances and vertex counts:
  *  - rule_holds: whether the rule that ecc_rows (and so ecc_matrix) uses,
  *    keep d(u,v) iff it equals ecc(u) or ecc(v), gives the min-rule matrix
  *    that census_stats ranks (min_rule_entry), entry by entry.
@@ -1019,7 +1032,91 @@ k_census_stats(PyObject *self, PyObject *args)
  *  - the mixed-star shape, on bitset cells: some vertex is universal,
  *    n >= 2, and each vertex of the non-universal remainder has, within the
  *    remainder, the closed neighborhood of each of its remainder
- *    neighbors. */
+ *    neighbors.
+ * The spectral side reads the record's charpoly, not the graph: the inertia
+ * triples (n_plus, n_zero, n_minus) of the monic ascending coefficients at
+ * c = -1, 0 and -2, by exactalg.charpoly_inertia's algorithm, an in-place
+ * Taylor shift by c and a Descartes count (see inertia_at).
+ *
+ * The shift's bound.  The coefficients a_k must satisfy |a_k| < 2^63 (a
+ * census charpoly lies below 2^55, by the CENSUS_PRIME argument), n <=
+ * MAXN_CENSUS = 10 and |c| <= 2.  Pass i of the shift is a synthetic
+ * division by x - c, so every value it holds is an input coefficient, a
+ * Taylor coefficient sum_m C(m, j) c^(m-j) a_m, or a coefficient
+ * sum_m C(m-t-1, s-1) c^(m-t-s) a_m of the quotient of the polynomial by
+ * (x - c)^s, s >= 1.  Each factor C(.,.) |c|^. is at most (1 + |c|)^m <=
+ * 3^10 and there are at most n + 1 = 11 terms, so every value is below
+ * 2^63 * 3^10 * 11 < 2^83, and c times it below 2^85: the shift runs in
+ * __int128 without overflow. */
+
+/* Inertia of the monic polynomial a[0..n] (ascending) relative to the
+ * integer c, |c| <= 2, into out as (n_plus, n_zero, n_minus): the zero roots
+ * of a(y + c) are its vanishing low coefficients, and as every root is real
+ * (a is a symmetric matrix's charpoly) the sign changes of the rest count
+ * its positive roots exactly.  n_zero is the root multiplicity of c in a
+ * whether or not a is real-rooted. */
+static void
+inertia_at(int n, const long long *a, int c, int *out)
+{
+    __int128 b[MAXN_CENSUS + 1];
+    for (int k = 0; k <= n; k++)
+        b[k] = a[k];
+    if (c)
+        for (int i = 0; i < n; i++)
+            for (int k = n - 1; k >= i; k--)
+                b[k] += c * b[k + 1];
+    int zero = 0, plus = 0;
+    while (zero < n && b[zero] == 0)  /* b[n] = 1 */
+        zero++;
+    int positive = b[zero] > 0;
+    for (int k = zero + 1; k <= n; k++)
+        if (b[k] != 0 && (b[k] > 0) != positive) {
+            plus++;
+            positive = !positive;
+        }
+    out[0] = plus;
+    out[1] = zero;
+    out[2] = n - plus - zero;
+}
+
+/* Load the n + 1 ascending coefficients of a monic polynomial, each below
+ * 2^63 in absolute value: ValueError on a wrong count or a leading
+ * coefficient other than 1, OverflowError on a coefficient out of range. */
+static int
+load_charpoly(int n, PyObject *coeffs, const char *what, long long *a)
+{
+    PyObject *seq = PySequence_Fast(
+        coeffs, "charpoly coefficients must be a sequence");
+    if (seq == NULL)
+        return -1;
+    int rc = -1;
+    if (PySequence_Fast_GET_SIZE(seq) != n + 1) {
+        PyErr_Format(PyExc_ValueError, "%s needs n + 1 charpoly coefficients",
+                     what);
+        goto done;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (int k = 0; k <= n; k++) {
+        int overflow;
+        a[k] = PyLong_AsLongLongAndOverflow(items[k], &overflow);
+        if (a[k] == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || a[k] == LLONG_MIN) {
+            PyErr_Format(PyExc_OverflowError,
+                         "%s needs charpoly coefficients below 2^63 in "
+                         "absolute value", what);
+            goto done;
+        }
+    }
+    if (a[n] != 1) {
+        PyErr_Format(PyExc_ValueError, "%s needs a monic charpoly", what);
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(seq);
+    return rc;
+}
 
 static int
 append_twin(PyObject *list, int xi, int lower)
@@ -1037,8 +1134,16 @@ k_census_structure(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
-    if (census_metrics(args, "census_structure", &n, adj, dist, ecc) < 0)
+    long long a[MAXN_CENSUS + 1];
+    int at_m1[3], at_0[3], at_m2[3];
+    PyObject *rows, *coeffs;
+    if (!PyArg_ParseTuple(args, "iOO", &n, &rows, &coeffs)
+            || census_metrics(n, rows, "census_structure", adj, dist, ecc) < 0
+            || load_charpoly(n, coeffs, "census_structure", a) < 0)
         return NULL;
+    inertia_at(n, a, -1, at_m1);
+    inertia_at(n, a, 0, at_0);
+    inertia_at(n, a, -2, at_m2);
     int rule_holds = 1;
     for (int i = 0; rule_holds && i < n; i++)
         for (int j = 0; j < n; j++) {
@@ -1091,8 +1196,11 @@ k_census_structure(PyObject *self, PyObject *args)
             }
         }
     }
-    return Py_BuildValue("(ONO)", rule_holds ? Py_True : Py_False, twins,
-                         star ? Py_True : Py_False);
+    return Py_BuildValue("(ONO(iii)(iii)(iii))",
+                         rule_holds ? Py_True : Py_False, twins,
+                         star ? Py_True : Py_False,
+                         at_m1[0], at_m1[1], at_m1[2], at_0[0], at_0[1],
+                         at_0[2], at_m2[0], at_m2[1], at_m2[2]);
 }
 
 /* ------------------------------------------------------------------------
@@ -1122,11 +1230,14 @@ static PyMethodDef kernel_methods[] = {
      "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of a connected\n"
      "graph; multiplicities are m(c) = n - rank(E - cI)."},
     {"census_structure", k_census_structure, METH_VARARGS,
-     "census_structure(n, adj)\n--\n\n"
-     "(rule_holds, twin predictions, star shape) of a connected graph:\n"
+     "census_structure(n, adj, coeffs)\n--\n\n"
+     "(rule_holds, twin predictions, star shape, inertia at -1, at 0,\n"
+     "at -2) of a connected graph and its monic ascending charpoly coeffs:\n"
      "whether the ecc_rows rule gives the min-eccentricity matrix, the\n"
-     "(xi, lower) pairs of its twin classes, and whether it is a star mixed\n"
-     "extension."},
+     "(xi, lower) pairs of its twin classes, whether it is a star mixed\n"
+     "extension, and the (n_plus, n_zero, n_minus) triples of the charpoly\n"
+     "at c = -1, 0, -2.  Coefficients must lie below 2^63 in absolute\n"
+     "value (OverflowError)."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"

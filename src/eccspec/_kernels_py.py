@@ -12,15 +12,18 @@ too); ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
 each modulus.  The compiled charpolys come from a different algorithm, a
 reduction to Hessenberg form modulo each prime, so the parity tests check
 two algorithms against each other, not two copies of one.
-``census_structure`` gives what the census-wide lemma checks read from the
-graph rather than the record: whether ``ecc_rows`` gives the definitional
-min-eccentricity matrix, the twin-class predictions and the mixed-star
-shape.  It shares ``_census_metrics``, the BFS and eccentricities, with
+``census_structure`` gives what the census-wide lemma checks derive
+independently of a record's multiplicities: from the graph, whether
+``ecc_rows`` gives the definitional min-eccentricity matrix, the twin-class
+predictions and the mixed-star shape; from the record's charpoly, its
+inertia at -1, 0 and -2 by ``exactalg.charpoly_inertia``, the one Python
+definition, which the compiled kernel reimplements in ``__int128``.  It
+shares ``_census_metrics``, the BFS and eccentricities, with
 ``census_stats``, as the compiled pair shares ``census_metrics``.
 ``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
 order, which ``graphs.graph6_decode`` shares; ``twin_classes``,
 ``twin_predictions`` and ``mixed_star_shape`` are the one definition of
-those, which ``graphs`` and ``eccentricity`` share.  Every graph kernel
+those, and ``eccentricity`` shares ``twin_predictions``.  Every graph kernel
 checks its order range with the compiled one's limits and messages, and
 works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
 n ints where bit j of ``adj[i]`` is set iff ij is an edge.
@@ -33,7 +36,15 @@ single branch, and frontier states that agree on the remaining vertices and
 their placed-adjacency histories are merged.
 """
 
-from .exactalg import IntMatrix, bareiss_rank, berkowitz_charpoly
+from operator import index
+
+from .exactalg import (
+    IntMatrix,
+    IntPolynomial,
+    bareiss_rank,
+    berkowitz_charpoly,
+    charpoly_inertia,
+)
 
 __all__ = [
     "BACKEND", "UNREACHABLE", "all_pairs_dist", "bits_to_adj", "canon_bits",
@@ -48,6 +59,7 @@ _MAXN_CANON = 16
 _MAXN_CENSUS = 10
 _MAXN_DIST = 64
 _MODULUS_TOP = 1 << 56  # the compiled recurrence's Montgomery word bound
+_COEFF_TOP = 1 << 63  # the compiled Taylor shift's input bound
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
@@ -279,23 +291,37 @@ def census_stats(n, adj):
     return max(ecc), ecc.count(1), m1, m2, m0, coeffs
 
 
-def census_structure(n, adj):
-    """(rule_holds, twin predictions, star shape) of a connected graph: the
-    graph-side facts the census-wide lemma checks compare with a record.
+def census_structure(n, adj, coeffs):
+    """(rule_holds, twin predictions, star shape, inertia at -1, at 0, at -2)
+    of a connected graph and its monic ascending charpoly ``coeffs``: the
+    facts the census-wide lemma checks compare with a record.
 
     ``rule_holds`` is whether ``ecc_rows``, the rule that keeps d(u,v) when
     it equals ecc(u) or ecc(v), gives the definitional matrix, entry d(u,v)
     iff d(u,v) = min(ecc(u), ecc(v)), else 0.  The twin predictions are
-    ``twin_predictions`` and the star shape ``mixed_star_shape``.  Raises
-    ValueError on disconnected input, as ``census_stats`` does.
+    ``twin_predictions`` and the star shape ``mixed_star_shape``.  Each
+    inertia is the (n_plus, n_zero, n_minus) tuple of ``charpoly_inertia``.
+    Raises ValueError on disconnected input, as ``census_stats`` does, or on
+    a count other than n + 1 or a non-monic ``coeffs``, and OverflowError on
+    a coefficient of 2^63 or more in absolute value, the compiled kernel's
+    bound.
     """
     dist, ecc = _census_metrics("census_structure", n, adj)
+    coeffs = [index(a) for a in coeffs]
+    if len(coeffs) != n + 1:
+        raise ValueError("census_structure needs n + 1 charpoly coefficients")
+    if not all(-_COEFF_TOP < a < _COEFF_TOP for a in coeffs):
+        raise OverflowError("census_structure needs charpoly coefficients "
+                            "below 2^63 in absolute value")
+    if coeffs[n] != 1:
+        raise ValueError("census_structure needs a monic charpoly")
     rule_holds = ecc_rows(dist, ecc) == tuple([
         tuple([d if d == (eu if eu < ev else ev) else 0
                for d, ev in zip(row, ecc)])
         for row, eu in zip(dist, ecc)])
-    return (rule_holds, twin_predictions(adj, ecc),
-            mixed_star_shape(n, adj))
+    cp = IntPolynomial(coeffs)
+    return (rule_holds, twin_predictions(adj, ecc), mixed_star_shape(n, adj),
+            *(tuple(charpoly_inertia(cp, c)) for c in (-1, 0, -2)))
 
 
 def twin_classes(adj):

@@ -173,7 +173,15 @@ def family_tag_map(n):
 def classify(n, store_path=None, jobs=1):
     """One CensusRecord per connected graph of order n, sorted by canonical
     form; optionally persisted (idempotent: re-runs write identical bytes).
-    Every call enumerates and classifies from scratch."""
+    Every call enumerates and classifies from scratch.  The store path is
+    opened first, so an unwritable path fails before any work; appending
+    nothing leaves an existing store as it is until ``write_store``
+    replaces it."""
+    if store_path is not None:
+        try:
+            open(store_path, "a", encoding="ascii").close()
+        except OSError as exc:
+            raise _unwritable(store_path, exc) from exc
     level = _level_bits(n, jobs)
     tag_map = family_tag_map(n)
     # bits order is canon order: fixed-n graph6 reads the bits big-endian,
@@ -185,13 +193,17 @@ def classify(n, store_path=None, jobs=1):
     return records
 
 
+def _unwritable(path, exc):
+    return OSError(f"cannot write census store {path}: {exc}")
+
+
 def write_store(records, path):
     try:
         with open(path, "w", encoding="ascii") as fh:
             for rec in records:
                 fh.write(rec.to_line() + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write census store {path}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
 
 
 def read_store(path):

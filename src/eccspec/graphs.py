@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import lower_triangle_rows, mixed_star_shape, twin_classes
+from ._kernels_py import lower_triangle_rows
 
 MAX_VERTICES = 64
 
@@ -257,24 +257,6 @@ def theorem1_families(n):
     return fams
 
 
-def is_mixed_star_shape(g: Graph) -> bool:
-    """Whether g is a star mixed extension: a nonempty clique of universal
-    vertices joined onto pairwise non-adjacent cells that are cliques or
-    independent vertices (``_kernels_py.mixed_star_shape``)."""
-    return mixed_star_shape(g.n, g.adj)
-
-
-# ---------------------------------------------------------------------------
-# twin (duplicate / co-duplicate) vertex classes
-
-def duplicate_classes(g: Graph):
-    """Maximal classes of >= 2 vertices with equal open neighborhoods
-    ("duplicate", pairwise non-adjacent) or equal closed neighborhoods
-    ("co-duplicate", pairwise adjacent), as (frozenset, kind) pairs
-    (``_kernels_py.twin_classes``).  The two kinds never overlap."""
-    return twin_classes(g.adj)
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec (n <= 62, single-byte size header)
 
@@ -344,21 +326,26 @@ def graph6_decode(data) -> Graph:
 # edge-list text fixtures ("n=K" header, one "u v" edge per line, 0-indexed)
 
 def parse_edge_list(text) -> Graph:
+    """Graph of an edge-list text; a malformed line raises ValueError
+    naming its 1-based number."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n is None:
-            if not line.startswith("n="):
-                raise ValueError(f"line {lineno}: expected 'n=<count>' header")
-            n = int(line[2:])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if n is None:
+                if not line.startswith("n="):
+                    raise ValueError("expected 'n=<count>' header")
+                n = int(line[2:])
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError("expected 'u v'")
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing 'n=<count>' header")
     return Graph(n, edges)

@@ -7,9 +7,12 @@ module binds each one;
 ``charpoly_mod`` gives characteristic polynomials modulo word-size primes
 only, and ``exactalg.charpoly`` chooses the primes and lifts the residues,
 whichever backend is active.  ``census_stats`` gives a census record's
-invariants and ``census_structure`` the graph side of the census-wide lemma
-checks (the matrix rule, twin predictions, mixed-star shape); both run on
-one BFS helper in each backend.
+invariants, and ``census_structure`` what the census-wide lemma checks
+compare them with: from the graph, the matrix rule, twin predictions and
+mixed-star shape; from the record's charpoly, its inertia triples at -1, 0
+and -2, a Taylor shift in Python ints or, compiled, in ``__int128`` for
+coefficients below 2^63 in absolute value.  Both run on one BFS helper in
+each backend.
 """
 
 import os

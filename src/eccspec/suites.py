@@ -31,9 +31,7 @@ from .exactalg import (
     SymmetricSpectrum,
     bareiss_rank,
     charpoly,
-    charpoly_inertia,
     poly_divide_exact,
-    root_multiplicity,
 )
 from .graphs import (
     CLIQUE_JOINS,
@@ -561,21 +559,22 @@ def _census_property_checks(rep, census_cache, jobs):
     """Census-wide structure checks at orders up to 8, in one pass per record.
 
     Each graph starts from its record: canonical bits, then adjacency rows
-    from the kernels.  The graph side comes from one
-    ``kernels.census_structure`` call, which uses other algorithms than the
-    rank and charpoly routes behind the record: whether the ``ecc_rows``
-    rule (d = ecc(u) or d = ecc(v)) gives the definitional matrix, entry
-    d(u,v) iff d(u,v) = min(ecc(u), ecc(v)), else 0; the twin-class
-    predictions, from adjacency equality; and the mixed-star shape.  The
-    multiplicities at -2, -1 and 0 are the record's, which the kernel
-    computed by rank; the twin-class bounds are checked against them, and
-    they are checked against the stored charpoly's root multiplicities, on
-    exact ints here.  Those at -1 and 0 are the ``n_zero`` counts of the two
-    ``charpoly_inertia`` calls the inertia checks make anyway: ``n_zero``
-    counts the vanishing low coefficients of cp(y + c), and that is the
-    multiplicity of the root y = 0 of cp(y + c), that is of c in cp,
-    exactly, for any polynomial; unlike the sign counts it needs no
-    real-rootedness.  Only -2 takes a ``root_multiplicity``.
+    from the kernels.  One ``kernels.census_structure`` call per record
+    gives everything the checks derive independently of the record's
+    multiplicities, by other algorithms than the rank and charpoly routes
+    behind the record.  From the graph: whether the ``ecc_rows`` rule
+    (d = ecc(u) or d = ecc(v)) gives the definitional matrix, entry d(u,v)
+    iff d(u,v) = min(ecc(u), ecc(v)), else 0; the twin-class predictions,
+    from adjacency equality; and the mixed-star shape.  From the record's
+    charpoly: its inertia at -1, 0 and -2, by a Taylor shift and a Descartes
+    count (``exactalg.charpoly_inertia``).  The multiplicities at -2, -1 and
+    0 are the record's, which the kernel computed by rank; the twin-class
+    bounds are checked against them, and they are checked against the
+    ``n_zero`` of the three inertias.  ``n_zero`` counts the vanishing low
+    coefficients of cp(y + c), and that is the multiplicity of the root
+    y = 0 of cp(y + c), that is of c in cp, exactly, for any polynomial;
+    unlike the sign counts it needs no real-rootedness.  No exact algebra
+    runs here.
     """
     bad_levels = []
     bad_v1card = []
@@ -592,7 +591,9 @@ def _census_property_checks(rep, census_cache, jobs):
         for rec in _census_records(n, census_cache, jobs):
             canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
             adj = kernels.bits_to_adj(*graph6_bits(canon))
-            rule_holds, twins, star = kernels.census_structure(n, adj)
+            (rule_holds, twins, star, (_, zero_m1, neg_m1),
+             (pos_0, zero_0, _), (_, zero_m2, _)) = \
+                kernels.census_structure(n, adj, coeffs)
             is_kn = canon == kn_canon
             k = n - m1
             if v1 and diam > 2:
@@ -613,15 +614,11 @@ def _census_property_checks(rep, census_cache, jobs):
             for xi, lower in twins:
                 if mults[xi] < lower:
                     bad_twins.append((canon, str(xi)))
-            cp = IntPolynomial(coeffs)
-            at_minus1 = charpoly_inertia(cp, -1)
-            at_zero = charpoly_inertia(cp, 0)
-            if (at_minus1.n_minus == 0 and at_minus1.n_zero >= 1) != is_kn:
+            if (neg_m1 == 0 and zero_m1 >= 1) != is_kn:
                 bad_minimum.append(canon)
-            if at_zero.n_plus == 1 and not star:
+            if pos_0 == 1 and not star:
                 bad_onepos.append(canon)
-            if (at_minus1.n_zero != m1 or at_zero.n_zero != m0
-                    or root_multiplicity(cp, -2) != m2):
+            if zero_m1 != m1 or zero_0 != m0 or zero_m2 != m2:
                 bad_mults.append(canon)
             if not rule_holds:
                 bad_ecc_def.append(canon)

@@ -68,6 +68,18 @@ class TestGraphCommands:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read edge-list file {str(f)!r}")
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("n=abc\n0 1\n", 1), ("n=3\n0 1\n0 x\n", 3),
+    ], ids=["header", "vertex"])
+    def test_edge_list_non_integer_names_its_line(self, capsys, tmp_path,
+                                                  text, lineno):
+        f = tmp_path / "bad.edges"
+        f.write_text(text)
+        code, out, err = run(capsys, "ecc", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read edge-list file {str(f)!r}: "
+                              f"line {lineno}: ")
+
     def test_mult_rational_xi(self, capsys):
         code, out, _ = run(capsys, "mult", K5, "3/2")
         assert code == 0 and out.strip() == "0"
@@ -243,6 +255,20 @@ class TestCensusAndQuery:
     def test_census_unwritable_store_exits_one(self, capsys, tmp_path):
         store = tmp_path / "no-such-dir" / "c4.tsv"
         code, out, err = run(capsys, "census", "4", "--store", str(store))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write census store {store}: ")
+
+    def test_census_unwritable_store_fails_before_enumerating(
+            self, capsys, monkeypatch, tmp_path):
+        from eccspec import census
+
+        def never(*args, **kwargs):
+            raise AssertionError("the census enumerated before opening "
+                                 "its store")
+
+        monkeypatch.setattr(census, "_level_bits", never)
+        store = tmp_path / "no-such-dir" / "c8.tsv"
+        code, out, err = run(capsys, "census", "8", "--store", str(store))
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write census store {store}: ")
 

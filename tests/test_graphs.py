@@ -7,6 +7,8 @@ import re
 import networkx as nx
 import pytest
 
+from eccspec import kernels
+from eccspec._kernels_py import mixed_star_shape, twin_classes
 from eccspec.cli import _indexed_join
 from eccspec.graphs import (
     CLIQUE_JOINS,
@@ -19,14 +21,12 @@ from eccspec.graphs import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    duplicate_classes,
     bits_to_graph6,
     empty_graph,
     graph6_bits,
     graph6_decode,
     graph6_encode,
     is_connected,
-    is_mixed_star_shape,
     join,
     join_clique_with,
     mixed_extension_star,
@@ -234,17 +234,20 @@ class TestFamilies:
         assert sorted(b.degree(v) for v in range(5)) == [1, 1, 2, 3, 3]
 
     def test_mixed_star_shape_recognizer(self):
-        assert is_mixed_star_shape(complete(7))
-        assert is_mixed_star_shape(mixed_extension_star(2, 3, [2, 2]))
-        assert not is_mixed_star_shape(path(4))
-        assert not is_mixed_star_shape(cycle(5))
-        assert not is_mixed_star_shape(join_clique_with(3, "P4"))
-        assert not is_mixed_star_shape(disjoint_union(complete(2),
-                                                      complete(3)))
+        def star(g):
+            return mixed_star_shape(g.n, g.adj)
+
+        assert star(complete(7))
+        assert star(mixed_extension_star(2, 3, [2, 2]))
+        assert not star(path(4))
+        assert not star(cycle(5))
+        assert not star(join_clique_with(3, "P4"))
+        assert not star(disjoint_union(complete(2), complete(3)))
 
     def test_mixed_star_shape_matches_networkx_on_census(self, census_records):
         """The docstring's equivalent statement, evaluated by networkx on
-        every connected graph up to order 7."""
+        every connected graph up to order 7; the active backend's
+        ``census_structure`` gives the same shape."""
         for n in range(1, 8):
             for rec in census_records(n):
                 g = graph6_decode(rec.canon)
@@ -257,7 +260,9 @@ class TestFamilies:
                     rest.subgraph(c).number_of_edges()
                     == len(c) * (len(c) - 1) // 2
                     for c in nx.connected_components(rest)))
-                assert is_mixed_star_shape(g) == want, rec.canon
+                assert mixed_star_shape(g.n, g.adj) == want, rec.canon
+                assert kernels.census_structure(
+                    g.n, g.adj, rec.charpoly)[2] == want, rec.canon
 
 
 def test_bull_identification_oracle():
@@ -286,15 +291,15 @@ def test_bull_identification_oracle():
 
 class TestTwinClasses:
     def test_complete_graph_one_closed_class(self):
-        classes = duplicate_classes(complete(4))
+        classes = twin_classes(complete(4).adj)
         assert classes == [(frozenset({0, 1, 2, 3}), "co-duplicate")]
 
     def test_star_leaves_are_duplicates(self):
-        classes = duplicate_classes(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+        classes = twin_classes(Graph(4, [(0, 1), (0, 2), (0, 3)]).adj)
         assert classes == [(frozenset({1, 2, 3}), "duplicate")]
 
     def test_path4_has_no_classes(self):
-        assert duplicate_classes(path(4)) == []
+        assert twin_classes(path(4).adj) == []
 
     def test_classes_verify_their_neighborhoods(self):
         rng = random.Random(3)
@@ -302,7 +307,7 @@ class TestTwinClasses:
             n = rng.randint(2, 9)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < 0.5])
-            for vs, kind in duplicate_classes(g):
+            for vs, kind in twin_classes(g.adj):
                 vs = sorted(vs)
                 for u, v in itertools.combinations(vs, 2):
                     if kind == "duplicate":

@@ -25,7 +25,13 @@ import eccspec._kernels_py as pure
 from eccspec import kernels
 from eccspec.eccentricity import ecc_matrix, matrix_multiplicity
 from eccspec import exactalg
-from eccspec.exactalg import IntMatrix, berkowitz_charpoly
+from eccspec.exactalg import (
+    IntMatrix,
+    IntPolynomial,
+    berkowitz_charpoly,
+    charpoly_inertia,
+    root_multiplicity,
+)
 from eccspec.graphs import (
     CLIQUE_JOINS,
     Graph,
@@ -34,6 +40,7 @@ from eccspec.graphs import (
     complete,
     complete_multipartite,
     cycle,
+    graph6_bits,
     is_connected,
     path,
     theorem1_families,
@@ -102,10 +109,12 @@ class TestBackendParity:
     ])
     def test_out_of_range_orders_rejected_alike(self, name, n):
         messages = []
+        args = (n, 0 if name == "bits_to_adj" else [0] * n)
+        if name == "census_structure":
+            args += ((0,) * n + (1,),)
         for mod in (compiled, pure):
-            arg = 0 if name == "bits_to_adj" else [0] * n
             with pytest.raises(ValueError) as exc:
-                getattr(mod, name)(n, arg)
+                getattr(mod, name)(*args)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert "supports 1 <= n <= " in messages[0]
@@ -113,20 +122,31 @@ class TestBackendParity:
     @pytest.mark.parametrize("name", ["census_stats", "census_structure"])
     def test_disconnected_rejected_alike(self, name):
         g = Graph(4, [(0, 1), (2, 3)])
+        args = (g.n, g.adj)
+        if name == "census_structure":
+            args += ((0, 0, 0, 0, 1),)
         messages = []
         for mod in (compiled, pure):
             with pytest.raises(ValueError) as exc:
-                getattr(mod, name)(g.n, g.adj)
+                getattr(mod, name)(*args)
             messages.append(str(exc.value))
         assert messages == [f"{name} requires a connected graph"] * 2
 
-    def test_census_structure_agrees_on_census(self):
-        # every connected graph of order 1..8: 1 + 12 112 graphs
+    def test_census_structure_agrees_on_census(self, census_records):
+        """Every connected graph of order 1..8 with its record's charpoly:
+        1 + 12 112 records.  The inertia n_zero is the charpoly's root
+        multiplicity, a second algorithm."""
         count = 0
-        for g in census_sample(8):
-            assert compiled.census_structure(g.n, g.adj) == \
-                pure.census_structure(g.n, g.adj), g.adj
-            count += 1
+        for n in range(1, 9):
+            for rec in census_records(n):
+                adj = kernels.bits_to_adj(*graph6_bits(rec.canon))
+                got = compiled.census_structure(n, adj, rec.charpoly)
+                assert got == pure.census_structure(n, adj, rec.charpoly), \
+                    rec.canon
+                cp = IntPolynomial(rec.charpoly)
+                assert [ine[1] for ine in got[3:]] == \
+                    [root_multiplicity(cp, c) for c in (-1, 0, -2)], rec.canon
+                count += 1
         assert count == 12_113
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -138,15 +158,19 @@ class TestBackendParity:
             if not is_connected(g):
                 continue
             count += 1
-            assert compiled.census_structure(n, g.adj) == \
-                pure.census_structure(n, g.adj), g.adj
+            coeffs = compiled.census_stats(n, g.adj)[5]
+            assert compiled.census_structure(n, g.adj, coeffs) == \
+                pure.census_structure(n, g.adj, coeffs), g.adj
 
     @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
     def test_census_structure_pinned(self, mod):
-        assert mod.census_structure(1, [0]) == (True, [], False)
-        star = complete_multipartite((1, 3))  # K1,3, center 0
-        assert mod.census_structure(star.n, star.adj) == \
-            (True, [(-2, 2)], True)
+        # K1: charpoly x
+        assert mod.census_structure(1, [0], (0, 1)) == \
+            (True, [], False, (1, 0, 0), (0, 1, 0), (1, 0, 0))
+        # K1,3, center 0: eccentricity spectrum -2, -2, 2 +- sqrt(7)
+        star = complete_multipartite((1, 3))
+        assert mod.census_structure(star.n, star.adj, (-12, -28, -15, 0, 1)) \
+            == (True, [(-2, 2)], True, (2, 0, 2), (1, 0, 3), (2, 2, 0))
 
     def test_kernel_names_match_across_backends(self):
         """Both backends export the same kernels and ``kernels`` binds each,
@@ -288,6 +312,78 @@ class TestRefinementKeyBound:
             h = relabeled(g, rng)
             assert compiled.canon_bits(16, h.adj) == form
             assert pure.canon_bits(16, h.adj) == form
+
+
+class TestCensusInertia:
+    """The inertia triples ``census_structure`` reads off a charpoly at -1,
+    0 and -2: the compiled Taylor shift in __int128 against the reference,
+    ``exactalg.charpoly_inertia``, at the stated bound and beyond it."""
+
+    TOP = 2 ** 63 - 1  # the largest coefficient magnitude the kernel takes
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agree_on_charpolys_with_repeated_eigenvalues(self, data):
+        """Repeating indices of a random symmetric base and adding s to the
+        diagonal makes s an eigenvalue of multiplicity at least the number
+        of repeats.  The graph is any connected one of the same order: the
+        inertia reads only the coefficients."""
+        k = data.draw(st.integers(1, 5))
+        base = [[0] * k for _ in range(k)]
+        for r in range(k):
+            for c in range(r, k):
+                base[r][c] = base[c][r] = data.draw(st.integers(-3, 3))
+        idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=10))
+        s = data.draw(st.sampled_from((-2, -1, 0)))
+        cp = berkowitz_charpoly(IntMatrix(
+            [[base[a][b] + (s if i == j else 0) for j, b in enumerate(idx)]
+             for i, a in enumerate(idx)]))
+        n = len(idx)
+        g = path(n)
+        got = compiled.census_structure(n, g.adj, cp.coeffs)
+        assert got == pure.census_structure(n, g.adj, cp.coeffs)
+        for c, ine in zip((-1, 0, -2), got[3:]):
+            assert ine == tuple(charpoly_inertia(cp, c))
+            assert ine[1] == root_multiplicity(cp, c)
+
+    def test_backends_agree_at_the_coefficient_bound(self):
+        """Degree-10 monic polynomials whose other coefficients are
+        +-(2^63 - 1) or 0: the shift's values reach about 2^80, so a 64-bit
+        shift would wrap."""
+        g = path(10)
+        rng = random.Random(73)
+        patterns = [[1] * 10, [-1] * 10, [(-1) ** k for k in range(10)],
+                    [0] * 9 + [-1]]
+        patterns += [[rng.choice((-1, 0, 1)) for _ in range(10)]
+                     for _ in range(60)]
+        for signs in patterns:
+            coeffs = tuple(sg * self.TOP for sg in signs) + (1,)
+            got = compiled.census_structure(10, g.adj, coeffs)
+            assert got == pure.census_structure(10, g.adj, coeffs), signs
+            cp = IntPolynomial(coeffs)
+            assert got[3:] == tuple(tuple(charpoly_inertia(cp, c))
+                                    for c in (-1, 0, -2))
+
+    @pytest.mark.parametrize("coeffs,exc", [
+        ((2 ** 63,) + (0,) * 9 + (1,), OverflowError),
+        ((0,) * 5 + (-2 ** 63,) + (0,) * 4 + (1,), OverflowError),
+        ((0,) * 10 + (2 ** 63,), OverflowError),
+        ((0,) * 10 + (2,), ValueError),
+        ((0,) * 10 + (-1,), ValueError),
+        ((0,) * 10, ValueError),
+        ((0,) * 11 + (1,), ValueError),
+    ], ids=["2^63", "-2^63", "leading-2^63", "leading-2", "leading-minus-1",
+            "short", "long"])
+    def test_rejected_alike(self, coeffs, exc):
+        g = path(10)
+        messages = []
+        for mod in (compiled, pure):
+            with pytest.raises(exc) as info:
+                mod.census_structure(10, g.adj, coeffs)
+            assert type(info.value) is exc
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def relabeled(g, rng):

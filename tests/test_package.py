@@ -15,7 +15,7 @@ def test_public_names_pinned():
         "Metrics", "QuotientResult", "acharpoly", "bareiss_rank",
         "berkowitz_charpoly", "bfs_metrics", "bull", "charpoly", "complete",
         "complete_multipartite", "cycle", "disjoint_union",
-        "duplicate_classes", "ecc_matrix", "empty_graph", "graph6_decode",
+        "ecc_matrix", "empty_graph", "graph6_decode",
         "graph6_encode", "hl_index", "is_connected", "is_irreducible",
         "join", "join_clique_with", "median_eigenvalue_is",
         "mixed_extension_star", "multiplicity", "path", "poly_divide_exact",

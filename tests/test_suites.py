@@ -2,10 +2,30 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from eccspec import _kernels_py, suites
+
+
+def kernel_backend(name):
+    """The kernel module named "compiled" or "pure"; the compiled one is
+    skipped under ECCSPEC_KERNELS=py, which builds no extension."""
+    if name == "pure":
+        return _kernels_py
+    if os.environ.get("ECCSPEC_KERNELS") == "py":
+        pytest.skip("ECCSPEC_KERNELS=py: no compiled extension was built")
+    from eccspec import _kernels
+    return _kernels
+
+
+def kernel_backends():
+    """Every kernel module the run has: only the pure one under
+    ECCSPEC_KERNELS=py."""
+    if os.environ.get("ECCSPEC_KERNELS") == "py":
+        return [_kernels_py]
+    return [kernel_backend("compiled"), _kernels_py]
 
 
 class TestReports:
@@ -129,43 +149,54 @@ LEMMAS_REPORT_SHA256 = \
 
 class TestCensusPropertyChecks:
     """Each mutation of a census record, or of the matrix rule, fails exactly
-    the census-wide checks that read what it changed."""
+    the census-wide checks that read what it changed, on each kernel
+    backend."""
 
     @staticmethod
     def failed(cache):
         rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
         return {e.claim: e.actual for e in rep.entries if not e.passed}
 
+    @classmethod
+    def failed_on_each_backend(cls, cache, monkeypatch):
+        """The failed claims, the same on every backend the run has."""
+        seen = []
+        for mod in kernel_backends():
+            monkeypatch.setattr(suites, "kernels", mod)
+            seen.append(cls.failed(cache))
+        assert all(f == seen[0] for f in seen)
+        return seen[0]
+
     @staticmethod
     def copied(census_records):
         return {n: list(census_records(n)) for n in range(2, 9)}
 
     def test_tampered_record_fails_twin_and_multiplicity_checks(
-            self, census_records):
+            self, census_records, monkeypatch):
         """The census-wide checks read the record's multiplicities, so a
         record whose m(-1) disagrees with its graph must be caught."""
         cache = self.copied(census_records)
         recs = cache[5]
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
         recs[i] = recs[i]._replace(mult_minus1=recs[i].mult_minus1 - 1)
-        failed = self.failed(cache)
+        failed = self.failed_on_each_backend(cache, monkeypatch)
         assert sorted(failed) == [MULTS_CLAIM, TWINS_CLAIM]
         assert all(recs[i].canon in actual for actual in failed.values())
 
     def test_tampered_m_minus2_fails_the_multiplicity_check(
-            self, census_records):
+            self, census_records, monkeypatch):
         """m(-2) is checked against the root multiplicity of the charpoly;
         raising it breaks no twin lower bound."""
         cache = self.copied(census_records)
         recs = cache[6]
         i = next(i for i, r in enumerate(recs) if r.diam == 2)
         recs[i] = recs[i]._replace(mult_minus2=recs[i].mult_minus2 + 1)
-        failed = self.failed(cache)
+        failed = self.failed_on_each_backend(cache, monkeypatch)
         assert sorted(failed) == [MULTS_CLAIM]
         assert recs[i].canon in failed[MULTS_CLAIM]
 
     def test_foreign_charpoly_on_k5_fails_the_charpoly_checks(
-            self, census_records):
+            self, census_records, monkeypatch):
         """K5 given another order-5 graph's charpoly: -1 is no longer its
         smallest eigenvalue, and m(-1) = 4 is no longer a root multiplicity."""
         cache = self.copied(census_records)
@@ -173,7 +204,7 @@ class TestCensusPropertyChecks:
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
         other = next(r for r in recs if r.diam != 1)
         recs[i] = recs[i]._replace(charpoly=other.charpoly)
-        failed = self.failed(cache)
+        failed = self.failed_on_each_backend(cache, monkeypatch)
         assert sorted(failed) == [MINIMUM_CLAIM, MULTS_CLAIM]
         assert all(recs[i].canon in actual for actual in failed.values())
 
@@ -192,10 +223,13 @@ class TestCensusPropertyChecks:
         failed = self.failed(self.copied(census_records))
         assert sorted(failed) == [MATRIX_CLAIM]
 
-    def test_lemmas_report_bytes_pinned(self, census_cache):
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    def test_lemmas_report_bytes_pinned(self, census_cache, monkeypatch,
+                                        backend):
         """The report, apart from its wall time, is byte-for-byte the one
-        pinned here; a change that should leave its entries alone must keep
-        this digest."""
+        pinned here, on either kernel backend; a change that should leave
+        its entries alone must keep this digest."""
+        monkeypatch.setattr(suites, "kernels", kernel_backend(backend))
         rep = suites.suite_lemmas(seed=0, trials=5, census_cache=census_cache)
         d = rep.to_dict()
         del d["wall_time_s"]
