@@ -5,12 +5,10 @@ irreducibility, median eigenvalues and the HL-index.
 The matrix keeps the entry d(u,v) exactly when it equals the smaller of the
 two eccentricities and zeroes it otherwise, so every row retains at least one
 largest distance.  Multiplicities are exact, never from floating
-eigensolvers.  ``multiplicity`` and ``matrix_multiplicity`` take the rank of
-the shifted integer matrix, m(p/q) = n - rank(qE - pI).  ``spectrum_summary``
-reads each multiplicity off the characteristic polynomial it computes anyway,
-as a root multiplicity; for a symmetric matrix the two agree.  A monic
-integer characteristic polynomial has only integer rational roots, so every
-non-integer rational has multiplicity 0.
+eigensolvers: m(xi) is the root multiplicity of xi in the one exact
+characteristic polynomial, which for a symmetric matrix is the nullity of
+E - xi*I.  A monic integer characteristic polynomial has only integer
+rational roots, so every non-integer rational has multiplicity 0.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .exactalg import (
     IntPolynomial,
     RationalInterval,
     SymmetricSpectrum,
-    bareiss_rank,
     charpoly,
     root_multiplicity,
 )
@@ -42,15 +39,9 @@ def ecc_matrix(g: Graph) -> IntMatrix:
 
 
 def multiplicity(g: Graph, xi) -> int:
-    """m(xi): eigenvalue multiplicity of xi = p/q in the eccentricity
-    spectrum, as n - rank(q*E - p*I)."""
-    return matrix_multiplicity(ecc_matrix(g), xi)
-
-
-def matrix_multiplicity(m: IntMatrix, xi) -> int:
-    xi = Fraction(xi)
-    shifted = m.shifted(xi.denominator, xi.numerator)
-    return m.n - bareiss_rank(shifted)
+    """m(xi): eigenvalue multiplicity of the rational xi in the eccentricity
+    spectrum, as a root multiplicity of the characteristic polynomial."""
+    return root_multiplicity(acharpoly(g), xi)
 
 
 def acharpoly(g: Graph) -> IntPolynomial:
@@ -156,7 +147,6 @@ __all__ = [
     "ecc_matrix",
     "hl_index",
     "is_irreducible",
-    "matrix_multiplicity",
     "median_brackets",
     "median_eigenvalue_is",
     "median_positions",

@@ -286,6 +286,9 @@ def graph6_encode(g: Graph) -> bytes:
     return bits_to_graph6(n, bits).encode("ascii")
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
 def graph6_bits(data):
     """(n, packed lower-triangle bits) of a graph6 string, the inverse of
     ``bits_to_graph6``.  Accepts str or bytes, an optional ``>>graph6<<``
@@ -298,7 +301,7 @@ def graph6_bits(data):
     data = data.rstrip(b"\n")
     if not data:
         raise ValueError("empty graph6 string")
-    if any(b < 63 or b > 126 for b in data):
+    if data.translate(None, _GRAPH6_BYTES):
         raise ValueError("graph6 byte outside 63..126")
     n = data[0] - 63
     if n > 62:

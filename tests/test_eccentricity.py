@@ -12,7 +12,6 @@ from eccspec.eccentricity import (
     ecc_matrix,
     hl_index,
     is_irreducible,
-    matrix_multiplicity,
     median_eigenvalue_is,
     median_positions,
     multiplicity,
@@ -222,9 +221,10 @@ class TestTwinPredictions:
             if not is_connected(g):
                 continue
             count += 1
-            e = ecc_matrix(g)
-            for xi, lower in twin_eigenvalue_predictions(g):
-                assert matrix_multiplicity(e, xi) >= lower
+            preds = twin_eigenvalue_predictions(g)
+            ranks = rank_multiplicities(g, [xi for xi, _ in preds])
+            for xi, lower in preds:
+                assert ranks[xi] >= lower
 
 
 def test_one_positive_eigenvalue_counterexample_pin():
@@ -236,7 +236,7 @@ def test_one_positive_eigenvalue_counterexample_pin():
         g = join(complete(r), empty_graph(m))
         e = ecc_matrix(g)
         assert SymmetricSpectrum(e).count_gt(0) == n_plus, (r, m)
-        assert matrix_multiplicity(e, -1) == r - 1, (r, m)
+        assert rank_multiplicities(g, [-1])[-1] == r - 1, (r, m)
 
 
 class TestSummary:
@@ -290,13 +290,24 @@ def test_query_summaries_pinned():
 
 def rank_multiplicities(g, xis):
     """m(p/q) = n - rank(qE - pI) for each xi, by fraction-free elimination:
-    the oracle for the root multiplicities ``spectrum_summary`` reads off the
-    characteristic polynomial."""
+    the oracle for the root multiplicities ``multiplicity`` and
+    ``spectrum_summary`` read off the characteristic polynomial."""
     m = ecc_matrix(g)
     out = {}
     for xi in map(Fraction, xis):
         out[xi] = m.n - bareiss_rank(m.shifted(xi.denominator, xi.numerator))
     return out
+
+
+@pytest.mark.parametrize("n", [16, 20, 33])
+def test_family_multiplicities_match_ranks(n):
+    """The thm1 suites' membership claims above the census orders rest on
+    ``multiplicity``, a charpoly root multiplicity; elimination checks it
+    on every family graph."""
+    xis = (-2, -1, 0, Fraction(3, 2))
+    for name, g in theorem1_families(n):
+        assert {xi: multiplicity(g, xi) for xi in xis} == \
+            rank_multiplicities(g, xis), name
 
 
 class TestSummaryMultiplicities:

@@ -1,5 +1,7 @@
 """The package's public surface and its kernel backend."""
 
+import ast
+import glob
 import os
 
 import pytest
@@ -37,3 +39,34 @@ def test_version_matches_pyproject():
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert eccspec.__version__ == project["version"]
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, bar those in its
+    ``__all__``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = set()
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_no_unused_imports():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "src", "eccspec", "*.py")))
+    assert paths
+    unused = {os.path.basename(p): _unused_imports(p) for p in paths}
+    assert {k: v for k, v in unused.items() if v} == {}

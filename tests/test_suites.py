@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from eccspec import _kernels_py, suites
+from eccspec import _kernels_py, kernels, suites
 
 
 def kernel_backend(name):
@@ -18,6 +18,14 @@ def kernel_backend(name):
         pytest.skip("ECCSPEC_KERNELS=py: no compiled extension was built")
     from eccspec import _kernels
     return _kernels
+
+
+def report_sha256(rep):
+    """sha256 of a report's JSON, wall_time_s dropped."""
+    d = rep.to_dict()
+    del d["wall_time_s"]
+    text = json.dumps(d, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def kernel_backends():
@@ -231,11 +239,38 @@ class TestCensusPropertyChecks:
         its entries alone must keep this digest."""
         monkeypatch.setattr(suites, "kernels", kernel_backend(backend))
         rep = suites.suite_lemmas(seed=0, trials=5, census_cache=census_cache)
-        d = rep.to_dict()
-        del d["wall_time_s"]
-        text = json.dumps(d, indent=2, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            LEMMAS_REPORT_SHA256
+        assert report_sha256(rep) == LEMMAS_REPORT_SHA256
+
+
+#: sha256 of reports whose entries are eigenvalue multiplicities, as JSON
+#: with wall_time_s dropped, computed when every multiplicity was still a
+#: rank by fraction-free elimination
+MULTIPLICITY_REPORTS = {
+    "thm1-iv": (
+        lambda cache: suites.suite_theorem1("iv", (16, 20)),
+        "1ac55df3af3fc8b97b6e90da465b6648e1fc2261ad77646c2952a5f38caec139"),
+    "thm1-v": (
+        lambda cache: suites.suite_theorem1("v", (16, 20, 33)),
+        "2cf317967b30888e1b1b62c957d91a771b23c26d5f2a21a5250957d41bcbffda"),
+    "lemmas": (
+        lambda cache: suites.suite_lemmas(seed=0, trials=50,
+                                          census_cache=cache),
+        "be2042fb566d048d5f0a633e4fdb5afd3b007ef04847092126e32d5a60333bdf"),
+}
+
+
+@pytest.mark.parametrize("report", sorted(MULTIPLICITY_REPORTS))
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_multiplicity_reports_pinned(census_cache, monkeypatch, backend,
+                                     report):
+    """Every kernel call, the charpolys the multiplicities are read off
+    included, runs on one backend, and the report keeps its pinned bytes."""
+    mod = kernel_backend(backend)
+    for name in _kernels_py.__all__:
+        monkeypatch.setattr(kernels, name, getattr(mod, name))
+    monkeypatch.setattr(suites, "kernels", mod)
+    run, digest = MULTIPLICITY_REPORTS[report]
+    assert report_sha256(run(census_cache)) == digest
 
 
 class TestCheckArgs:
