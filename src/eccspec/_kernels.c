@@ -1,6 +1,7 @@
 /*
  * Compiled kernels: BFS distances, canonical labeling, census invariants
- * and structure, characteristic polynomials modulo word-size primes.
+ * and structure, characteristic polynomials modulo word-size primes, the
+ * census store codec.
  *
  * A plain CPython extension module, eccspec._kernels, with the same
  * functions, signatures, limits and exception types as the pure-Python
@@ -30,7 +31,13 @@
  * n <= 10, |c| <= 2, where every value it holds stays below 2^83 (the
  * argument is at census_structure).  It shares census_metrics, the BFS and
  * eccentricities, and min_rule_entry, the matrix census_stats ranks, with
- * census_stats.
+ * census_stats.  format_store and parse_store are the census store codec:
+ * one call formats a batch of records as store lines, one parses a block of
+ * store bytes, and any line outside the strict form to_line writes goes
+ * back to CensusRecord.from_line.  The writer handles ints within int64
+ * itself, which holds every census record: the charpoly coefficients lie
+ * below 2^55 in absolute value, the other ints are at most 10 (the
+ * argument is at the codec).
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -1204,6 +1211,377 @@ k_census_structure(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------------
+ * census store codec
+ *
+ * format_store and parse_store carry a census store's round trip in bulk.
+ * census.CensusRecord.to_line and from_line stay the one definition of a
+ * store line and of every error message; the pure backend is those two
+ * methods.  A line, as to_line writes it, is
+ *     canon TAB n,diam,v1,m1,m2,m0,tags TAB a_0,a_1,...,a_n
+ * with the family tags joined by ';' and the charpoly's coefficients
+ * ascending.
+ *
+ * format_store writes a record of exactly the given record type itself
+ * when its canon and tags are exact ASCII str, its tags and charpoly exact
+ * tuples and its ints exact ints within int64; it hands any other record to
+ * its own to_line.  A census record always takes the first path: its ints
+ * other than the coefficients are at most 10, and by the CENSUS_PRIME
+ * argument its coefficients lie below 45^10 < 3.4e16 < 2^55 in absolute
+ * value.
+ *
+ * parse_store accepts only the strict form that to_line writes: ASCII;
+ * canonical decimal ints, "0" or an optional '-' and 1..STORE_DIGITS digits
+ * with no leading zero (so |x| < 10^18 < 2^63); a canon of graph6 bytes
+ * 63..126 whose size byte is n + 63 and whose length is
+ * 1 + (n(n-1)/2 + 5) / 6, for 0 <= n <= STORE_MAXN; 7 invariant fields
+ * whose tags are nonempty runs of printable bytes other than ',' and ';';
+ * exactly n + 1 coefficients, the last 1; and '\n', or the end of the data,
+ * ending the line.  These are from_line's O(1) checks on a stricter lexical
+ * form, so a line accepted here is one from_line parses, to an equal
+ * record.  Every other line (blank, CRLF-ended, "+5", " 5", non-ASCII, an
+ * int of 19 digits, or malformed) is handed back as its raw bytes, newline
+ * included, for from_line to parse or reject. */
+
+#define STORE_MAXN 62    /* size byte n + 63 stays below '~' */
+#define STORE_DIGITS 18  /* 10^18 - 1 < 2^63 */
+#define STORE_FIELDS 9   /* canon, 6 ints, charpoly, tags */
+
+typedef struct {
+    char *p;
+    size_t len, cap;
+} strbuf;
+
+static int
+buf_put(strbuf *b, const char *s, size_t len)
+{
+    if (b->cap - b->len < len) {
+        size_t cap = b->cap ? b->cap : 1 << 16;
+        while (cap - b->len < len)
+            cap *= 2;
+        char *p = PyMem_Realloc(b->p, cap);
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        b->p = p;
+        b->cap = cap;
+    }
+    memcpy(b->p + b->len, s, len);
+    b->len += len;
+    return 0;
+}
+
+/* Append str(obj) for an exact int obj within int64: 1 done, 0 for any
+ * other obj, -1 on a memory error. */
+static int
+put_int(strbuf *b, PyObject *obj)
+{
+    int overflow;
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow)
+        return 0;
+    char tmp[24], *d = tmp + sizeof tmp;
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v
+                                 : (unsigned long long)v;
+    do
+        *--d = (char)('0' + u % 10);
+    while ((u /= 10) != 0);
+    if (v < 0)
+        *--d = '-';
+    return buf_put(b, d, (size_t)(tmp + sizeof tmp - d)) < 0 ? -1 : 1;
+}
+
+/* Append an exact ASCII str: 1 done, 0 for any other obj, -1 on error. */
+static int
+put_ascii(strbuf *b, PyObject *obj)
+{
+    if (!PyUnicode_CheckExact(obj) || !PyUnicode_IS_ASCII(obj))
+        return 0;
+    return buf_put(b, (const char *)PyUnicode_1BYTE_DATA(obj),
+                   (size_t)PyUnicode_GET_LENGTH(obj)) < 0 ? -1 : 1;
+}
+
+/* Append the exact-typed items of an exact tuple joined by sep, each by
+ * put (put_int or put_ascii): 1 done, 0 if obj or an item is of another
+ * type, -1 on error. */
+static int
+put_joined(strbuf *b, PyObject *obj, char sep,
+           int (*put)(strbuf *, PyObject *))
+{
+    if (!PyTuple_CheckExact(obj))
+        return 0;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(obj); k++) {
+        int rc;
+        if (k && buf_put(b, &sep, 1) < 0)
+            return -1;
+        if ((rc = put(b, PyTuple_GET_ITEM(obj, k))) <= 0)
+            return rc;
+    }
+    return 1;
+}
+
+/* Append the store line of rec, the fields of a record, without its
+ * newline: 1 done, 0 if a field is not of a form handled here, -1 on
+ * error. */
+static int
+put_record(strbuf *b, PyObject *rec)
+{
+    int rc;
+    if ((rc = put_ascii(b, PyTuple_GET_ITEM(rec, 0))) <= 0)
+        return rc;
+    for (int i = 1; i <= 6; i++) {
+        if (buf_put(b, i == 1 ? "\t" : ",", 1) < 0)
+            return -1;
+        if ((rc = put_int(b, PyTuple_GET_ITEM(rec, i))) <= 0)
+            return rc;
+    }
+    if (buf_put(b, ",", 1) < 0)
+        return -1;
+    if ((rc = put_joined(b, PyTuple_GET_ITEM(rec, 8), ';', put_ascii)) <= 0)
+        return rc;
+    if (buf_put(b, "\t", 1) < 0)
+        return -1;
+    return put_joined(b, PyTuple_GET_ITEM(rec, 7), ',', put_int);
+}
+
+static PyObject *
+k_format_store(PyObject *self, PyObject *args)
+{
+    PyObject *records, *type, *seq, *out = NULL;
+    if (!PyArg_ParseTuple(args, "OO", &records, &type))
+        return NULL;
+    if ((seq = PySequence_Fast(records, "records must be iterable")) == NULL)
+        return NULL;
+    strbuf b = {NULL, 0, 0};
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *rec = items[i];
+        size_t start = b.len;
+        int rc = Py_IS_TYPE(rec, (PyTypeObject *)type)
+                 && PyTuple_Check(rec)
+                 && PyTuple_GET_SIZE(rec) == STORE_FIELDS
+                 ? put_record(&b, rec) : 0;
+        if (rc < 0)
+            goto done;
+        if (rc == 0) {
+            b.len = start;
+            PyObject *line = PyObject_CallMethod(rec, "to_line", NULL);
+            if (line == NULL)
+                goto done;
+            PyObject *ascii = PyUnicode_AsASCIIString(line);
+            Py_DECREF(line);
+            if (ascii == NULL)
+                goto done;
+            rc = buf_put(&b, PyBytes_AS_STRING(ascii),
+                         (size_t)PyBytes_GET_SIZE(ascii));
+            Py_DECREF(ascii);
+            if (rc < 0)
+                goto done;
+        }
+        if (buf_put(&b, "\n", 1) < 0)
+            goto done;
+    }
+    out = PyBytes_FromStringAndSize(b.p, (Py_ssize_t)b.len);
+done:
+    PyMem_Free(b.p);
+    Py_DECREF(seq);
+    return out;
+}
+
+/* The fields of a line in the strict form. */
+typedef struct {
+    const char *canon, *tags;
+    Py_ssize_t canon_len, tags_len, ntags;
+    long long inv[6], coeffs[STORE_MAXN + 1];
+} store_line;
+
+/* Scan a canonical decimal int at s (before end): the position after it,
+ * or NULL if s does not start with one. */
+static const char *
+scan_int(const char *s, const char *end, long long *out)
+{
+    int neg = s < end && *s == '-';
+    s += neg;
+    if (s == end || *s < '0' || *s > '9' || (neg && *s == '0'))
+        return NULL;
+    if (*s == '0') {
+        *out = 0;
+        return s + 1;
+    }
+    const char *first = s;
+    unsigned long long v = 0;
+    for (; s < end && *s >= '0' && *s <= '9'; s++) {
+        if (s - first == STORE_DIGITS)
+            return NULL;
+        v = v * 10 + (unsigned long long)(*s - '0');
+    }
+    *out = neg ? -(long long)v : (long long)v;
+    return s;
+}
+
+/* Scan a canonical decimal int followed by sep: the position after sep,
+ * or NULL. */
+static const char *
+scan_field(const char *s, const char *end, char sep, long long *out)
+{
+    s = scan_int(s, end, out);
+    return s != NULL && s < end && *s == sep ? s + 1 : NULL;
+}
+
+/* 1 if the line s..end (its newline excluded) has the strict form, with
+ * its fields in out, else 0. */
+static int
+scan_line(const char *s, const char *end, store_line *out)
+{
+    const char *tab = memchr(s, '\t', (size_t)(end - s)), *q;
+    if (tab == NULL)
+        return 0;
+    q = tab + 1;
+    for (int i = 0; i < 6; i++)
+        if ((q = scan_field(q, end, ',', &out->inv[i])) == NULL)
+            return 0;
+    long long n = out->inv[0];
+    if (n < 0 || n > STORE_MAXN || *s != n + 63
+            || tab - s != 1 + (n * (n - 1) / 2 + 5) / 6)
+        return 0;
+    for (const char *c = s + 1; c < tab; c++)
+        if (*c < 63 || *c > 126)
+            return 0;
+    out->canon = s;
+    out->canon_len = tab - s;
+    out->tags = q;
+    out->ntags = 0;
+    for (; q < end && *q != '\t'; q++) {
+        if (*q == ';' ? q == out->tags || q[-1] == ';'
+                      : *q <= ' ' || *q > '~' || *q == ',')
+            return 0;
+        out->ntags += *q == ';';
+    }
+    if (q == end || (q > out->tags && q[-1] == ';'))
+        return 0;
+    out->tags_len = q - out->tags;
+    out->ntags += out->tags_len > 0;
+    q++;
+    for (int k = 0; k <= n; k++) {
+        if (k && (q == end || *q++ != ','))
+            return 0;
+        if ((q = scan_int(q, end, &out->coeffs[k])) == NULL)
+            return 0;
+    }
+    return q == end && out->coeffs[n] == 1;
+}
+
+static PyObject *
+ascii_str(const char *s, Py_ssize_t len)
+{
+    PyObject *str = PyUnicode_New(len, 127);
+    if (str != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(str), s, (size_t)len);
+    return str;
+}
+
+/* A new instance of the tuple subclass type holding the fields of L. */
+static PyObject *
+build_record(PyTypeObject *type, const store_line *L)
+{
+    int n = (int)L->inv[0];
+    PyObject *rec = type->tp_alloc(type, STORE_FIELDS), *coeffs, *tags, *v;
+    if (rec == NULL)
+        return NULL;
+    if ((v = ascii_str(L->canon, L->canon_len)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(rec, 0, v);
+    for (int i = 0; i < 6; i++) {
+        if ((v = PyLong_FromLongLong(L->inv[i])) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(rec, i + 1, v);
+    }
+    if ((coeffs = PyTuple_New(n + 1)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(rec, 7, coeffs);
+    for (int k = 0; k <= n; k++) {
+        if ((v = PyLong_FromLongLong(L->coeffs[k])) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(coeffs, k, v);
+    }
+    if ((tags = PyTuple_New(L->ntags)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(rec, 8, tags);
+    const char *t = L->tags, *end = L->tags + L->tags_len;
+    for (Py_ssize_t k = 0; k < L->ntags; k++) {
+        const char *semi = memchr(t, ';', (size_t)(end - t));
+        const char *stop = semi ? semi : end;
+        if ((v = ascii_str(t, stop - t)) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(tags, k, v);
+        t = stop + 1;
+    }
+    /* The record holds only str, int and tuples of them, so it is in no
+     * reference cycle; untracked, the collector never traverses the records
+     * of a store (CPython untracks such exact tuples itself, but only once
+     * they survive a collection, and never a tuple subclass).  A type with
+     * a __dict__ could hold more, so its records stay tracked. */
+    PyObject_GC_UnTrack(coeffs);
+    PyObject_GC_UnTrack(tags);
+    if (type->tp_dictoffset == 0)
+        PyObject_GC_UnTrack(rec);
+    return rec;
+fail:
+    Py_DECREF(rec);
+    return NULL;
+}
+
+static PyObject *
+k_parse_store(PyObject *self, PyObject *args)
+{
+    Py_buffer view;
+    PyObject *type, *items = NULL, *handed = NULL, *out = NULL;
+    if (!PyArg_ParseTuple(args, "y*O", &view, &type))
+        return NULL;
+    if (!PyType_Check(type)
+            || !PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "parse_store needs a tuple subclass as record type");
+        goto done;
+    }
+    const char *s = view.buf, *end = s + view.len;
+    Py_ssize_t nlines = 0;
+    for (const char *p = s; p < end; nlines++) {
+        const char *nl = memchr(p, '\n', (size_t)(end - p));
+        p = nl ? nl + 1 : end;
+    }
+    if ((items = PyList_New(nlines)) == NULL
+            || (handed = PyList_New(0)) == NULL)
+        goto done;
+    store_line line;
+    for (Py_ssize_t i = 0; i < nlines; i++) {
+        const char *nl = memchr(s, '\n', (size_t)(end - s));
+        const char *stop = nl ? nl : end, *next = nl ? nl + 1 : end;
+        PyObject *item;
+        if (scan_line(s, stop, &line))
+            item = build_record((PyTypeObject *)type, &line);
+        else {
+            PyObject *index = PyLong_FromSsize_t(i);
+            int rc = index == NULL ? -1 : PyList_Append(handed, index);
+            Py_XDECREF(index);
+            item = rc < 0 ? NULL : PyBytes_FromStringAndSize(s, next - s);
+        }
+        if (item == NULL)
+            goto done;
+        PyList_SET_ITEM(items, i, item);
+        s = next;
+    }
+    out = PyTuple_Pack(2, items, handed);
+done:
+    Py_XDECREF(items);
+    Py_XDECREF(handed);
+    PyBuffer_Release(&view);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
  * module */
 
 static PyMethodDef kernel_methods[] = {
@@ -1246,13 +1624,27 @@ static PyMethodDef kernel_methods[] = {
      "by reduction to Hessenberg form modulo p.  The reduction divides by its\n"
      "pivots: at a composite odd modulus it raises ValueError naming the\n"
      "modulus when a pivot is not a unit, and is exact otherwise."},
+    {"format_store", k_format_store, METH_VARARGS,
+     "format_store(records, record_type)\n--\n\n"
+     "Census store text of the records, each line ended by a newline, as\n"
+     "ASCII bytes: the bytes of ''.join(r.to_line() + '\\n').  A record of\n"
+     "exactly record_type with exact int, str and tuple fields within\n"
+     "int64 is formatted here, any other by its to_line."},
+    {"parse_store", k_parse_store, METH_VARARGS,
+     "parse_store(data, record_type)\n--\n\n"
+     "(items, handed_back) for a block of census store bytes: items has one\n"
+     "entry per '\\n'-ended line (the last may lack it); a line in the\n"
+     "strict form to_line writes becomes a record_type instance, any other\n"
+     "stays its raw bytes, and handed_back lists the indices of those, in\n"
+     "order, for CensusRecord.from_line."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "eccspec._kernels",
     "Compiled kernels: BFS distances, canonical labeling, census invariants\n"
-    "and structure, characteristic polynomials modulo word-size primes.",
+    "and structure, characteristic polynomials modulo word-size primes, the\n"
+    "census store codec.",
     -1, kernel_methods,
 };
 

@@ -1,5 +1,5 @@
 """Pure-Python kernels: BFS distances, canonical labeling, census invariants
-and structure, characteristic polynomials.
+and structure, characteristic polynomials, the census store codec.
 
 This module is the reference implementation of the BFS and canonical-labeling
 kernels.  The compiled extension ``eccspec._kernels`` implements the same
@@ -23,7 +23,12 @@ shares ``_census_metrics``, the BFS and eccentricities, with
 ``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
 order, which ``graphs.graph6_decode`` shares; ``twin_classes``,
 ``twin_predictions`` and ``mixed_star_shape`` are the one definition of
-those, and ``eccentricity`` shares ``twin_predictions``.  Every graph kernel
+those, and ``eccentricity`` shares ``twin_predictions``.  The store codec,
+``format_store`` and ``parse_store``, is ``CensusRecord.to_line`` and
+``from_line`` themselves: the writer joins each record's ``to_line()`` and
+the parser hands every line back, so that ``census`` parses it with
+``from_line``; the compiled codec does the same for lines outside its strict
+form, and formats and parses the rest in C.  Every graph kernel
 checks its order range with the compiled one's limits and messages, and
 works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
 n ints where bit j of ``adj[i]`` is set iff ij is an edge.
@@ -36,6 +41,7 @@ single branch, and frontier states that agree on the remaining vertices and
 their placed-adjacency histories are merged.
 """
 
+import io
 from operator import index
 
 from .exactalg import (
@@ -49,7 +55,7 @@ from .exactalg import (
 __all__ = [
     "BACKEND", "UNREACHABLE", "all_pairs_dist", "bits_to_adj", "canon_bits",
     "census_stats", "census_structure", "charpoly_mod", "children_canon",
-    "is_connected",
+    "format_store", "is_connected", "parse_store",
 ]
 
 BACKEND = "pure-python"
@@ -397,3 +403,22 @@ def charpoly_mod(rows, moduli):
         raise ValueError("charpoly_mod needs odd int moduli 3 <= p < 2^56")
     coeffs = berkowitz_charpoly(IntMatrix(rows)).coeffs
     return tuple(tuple(c % p for c in coeffs) for p in moduli)
+
+
+def format_store(records, record_type):
+    """Census store text of the records, each line ended by a newline, as
+    ASCII bytes: every record's own ``to_line()``.  ``record_type`` is the
+    type the compiled writer formats itself."""
+    return "".join([rec.to_line() + "\n" for rec in records]).encode("ascii")
+
+
+def parse_store(data, record_type):
+    """(items, handed_back) for a block of census store bytes: one item per
+    line split at b"\\n" (the last line may lack it), each the line's raw
+    bytes, and the indices of all of them: every line goes to
+    ``CensusRecord.from_line``.  The compiled parser turns the lines in its
+    strict form into ``record_type`` instances itself."""
+    if not (isinstance(record_type, type) and issubclass(record_type, tuple)):
+        raise TypeError("parse_store needs a tuple subclass as record type")
+    lines = io.BytesIO(data).readlines()
+    return lines, list(range(len(lines)))

@@ -21,13 +21,17 @@ sense of McKay, "Isomorph-free exhaustive generation" (J. Algorithms 26,
 
 The persisted store is newline-delimited and greppable: one graph per line,
 canonical graph6, TAB, CSV of invariants, TAB, the exact ascending
-characteristic-polynomial coefficients.
+characteristic-polynomial coefficients.  ``CensusRecord.to_line`` and
+``from_line`` define a line; ``write_store`` and ``read_store`` move records
+in bounded batches through ``kernels.format_store`` and
+``kernels.parse_store``, which hand every line outside the strict form
+``to_line`` writes back to ``from_line``.
 """
 
 from __future__ import annotations
 
 import math
-from multiprocessing import Pool
+from itertools import islice
 from typing import NamedTuple
 
 from . import kernels
@@ -35,6 +39,11 @@ from .exactalg import deflate_root
 from .graphs import Graph, bits_to_graph6, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
+
+#: records per ``write_store`` batch and bytes per ``read_store`` block,
+#: about 0.3-1 MB each: a store is never held as one string
+STORE_BATCH = 4096
+STORE_BLOCK = 1 << 20
 
 #: connected graphs per order, used as enumeration self-checks
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
@@ -61,6 +70,8 @@ def _chunk_results(func, args, items, jobs):
     over a Pool of ``jobs`` workers, or one serial chunk of all items when
     jobs == 1 or there are fewer items than jobs."""
     if jobs > 1 and len(items) >= jobs:
+        # only a pooled run pays for importing multiprocessing
+        from multiprocessing import Pool
         step = -(-len(items) // (jobs * 4))
         chunks = [args + (items[i:i + step],)
                   for i in range(0, len(items), step)]
@@ -198,31 +209,58 @@ def _unwritable(path, exc):
 
 
 def write_store(records, path):
+    """Write the records as a census store, one ``to_line()`` each.  Batches
+    of ``STORE_BATCH`` records are formatted by ``kernels.format_store``:
+    the compiled writer formats a census record itself and hands any record
+    it does not handle to its ``to_line``."""
+    batches = iter(records)
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            for rec in records:
-                fh.write(rec.to_line() + "\n")
+        with open(path, "wb") as fh:
+            while batch := list(islice(batches, STORE_BATCH)):
+                fh.write(kernels.format_store(batch, CensusRecord))
     except OSError as exc:
         raise _unwritable(path, exc) from exc
 
 
 def read_store(path):
     """Records of a census store; a malformed line raises ValueError naming
-    the path and its 1-based line number."""
+    the path and its 1-based line number.  Blocks of about ``STORE_BLOCK``
+    bytes, cut after a newline, go to ``kernels.parse_store``.  The compiled
+    parser accepts only the strict form ``to_line`` writes: ASCII, ``\\n``
+    line ends, canonical decimal ints, and ``from_line``'s O(1) checks.  It
+    hands every other line back, and ``from_line`` parses it; blank lines
+    are skipped.  So records and errors are ``from_line``'s on either
+    backend."""
     records = []
+    lineno = 0
     try:
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("ascii")
-                    if line.strip():
-                        records.append(CensusRecord.from_line(line))
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"malformed census store {path}, line "
-                                     f"{lineno}: {exc}") from exc
+            tail = b""
+            while True:
+                chunk = fh.read(STORE_BLOCK)
+                block = tail + chunk
+                # the last block is what follows the last newline
+                cut = block.rfind(b"\n") + 1 if chunk else len(block)
+                block, tail = block[:cut], block[cut:]
+                items, handed = kernels.parse_store(block, CensusRecord)
+                for i in handed:
+                    items[i] = _parse_line(path, lineno + i + 1, items[i])
+                records.extend(filter(None, items) if handed else items)
+                lineno += len(items)
+                if not chunk:
+                    return records
     except OSError as exc:
         raise OSError(f"cannot read census store {path}: {exc}") from exc
-    return records
+
+
+def _parse_line(path, lineno, raw):
+    """The record of a raw store line, None for a blank one."""
+    try:
+        line = raw.decode("ascii")
+        return CensusRecord.from_line(line) if line.strip() else None
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"malformed census store {path}, line "
+                         f"{lineno}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ mixed-star shape; from the record's charpoly, its inertia triples at -1, 0
 and -2, a Taylor shift in Python ints or, compiled, in ``__int128`` for
 coefficients below 2^63 in absolute value.  Both run on one BFS helper in
 each backend.
+``format_store`` and ``parse_store`` are the census store codec; the pure
+pair is ``CensusRecord.to_line`` and ``from_line``, which the compiled pair
+falls back on for every line outside its strict form.
 """
 
 import os
@@ -36,3 +39,5 @@ bits_to_adj = _impl.bits_to_adj
 census_stats = _impl.census_stats
 census_structure = _impl.census_structure
 charpoly_mod = _impl.charpoly_mod
+format_store = _impl.format_store
+parse_store = _impl.parse_store

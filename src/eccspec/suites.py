@@ -678,7 +678,8 @@ def _diameter_bound_checks(rep):
         if met.diam >= 4 and multiplicity(g, -1) > g.n - 5:
             bad.append(name)
     rep.check("diameter >= 4 forces m(-1) <= n-5",
-              "paths, cycles, grids, spiders up to n=14 by direct rank",
+              "paths, cycles, grids, spiders up to n=14 by charpoly root "
+              "multiplicity",
               [], bad)
 
 

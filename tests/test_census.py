@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import os
 import random
 
 import numpy as np
 import pytest
 
-from eccspec import census, kernels
+from eccspec import _kernels_py, census, kernels
+from eccspec.census import CensusRecord
 from eccspec.exactalg import IntPolynomial, root_multiplicity
 from eccspec.graphs import (
     Graph,
@@ -26,6 +28,44 @@ N8_STORE_SHA256 = (
 
 #: the store line of K4 (canon, invariants with its family tag, charpoly)
 K4_LINE = "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1"
+
+#: lines that from_line rejects though each field has the right form
+INCONSISTENT_LINES = [
+    "C~\t4,1,4,3,0,0,K4,extra\t-3,-8,-6,0,1",  # an 8th invariant field
+    "C~\t4,1,4,3,0,0\t-3,-8,-6,0,1",           # six invariant fields
+    "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0",          # charpoly one short
+    "C~\t4,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # charpoly one too long
+    "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,2",        # not monic
+    "E~~o\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",      # an order-6 canon
+    "C~?\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",       # canon one byte long
+    "!!!!\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",
+    "C~\t5,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # n disagrees with canon
+]
+INCONSISTENT_IDS = ["8-fields", "6-fields", "short-poly", "long-poly",
+                    "non-monic", "canon-order", "canon-length", "canon-bangs",
+                    "n-vs-canon"]
+
+#: every line that a store read must reject with from_line's message
+MALFORMED_LINES = INCONSISTENT_LINES + [
+    "C~\t4,1", "C~\t4,x,0,0,0,0,\t1", "C~\t4,1,0,0,0,0\t1",
+    "C\xe9\t4,1,0,0,0,0,\t1", "C~\t4,1,4,3,0,0,K4",
+    "C~\t4,1,4,3,0,0,K\xe9\t-3,-8,-6,0,1", K4_LINE + "\xe9", K4_LINE + ",",
+    K4_LINE + "\t",
+    f"C~\t{10 ** 19},1,4,3,0,0,K4\t-3,-8,-6,0,1",
+]
+
+
+@pytest.fixture(params=["compiled", "pure"])
+def codec(request, monkeypatch):
+    """census running on one kernel backend, its store codec included."""
+    if request.param == "pure":
+        mod = _kernels_py
+    elif os.environ.get("ECCSPEC_KERNELS") == "py":
+        pytest.skip("ECCSPEC_KERNELS=py: no compiled extension was built")
+    else:
+        from eccspec import _kernels as mod
+    monkeypatch.setattr(census, "kernels", mod)
+    return mod
 
 
 def level_graphs(n):
@@ -249,18 +289,7 @@ class TestClassify:
         assert rec.canon == census.canonical_form(complete(4))
         assert rec.to_line() == K4_LINE
 
-    @pytest.mark.parametrize("line", [
-        "C~\t4,1,4,3,0,0,K4,extra\t-3,-8,-6,0,1",  # an 8th invariant field
-        "C~\t4,1,4,3,0,0\t-3,-8,-6,0,1",           # six invariant fields
-        "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0",          # charpoly one short
-        "C~\t4,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # charpoly one too long
-        "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,2",        # not monic
-        "E~~o\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",      # an order-6 canon
-        "C~?\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",       # canon one byte long
-        "!!!!\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1",
-        "C~\t5,1,4,3,0,0,K4\t0,-3,-8,-6,0,1",      # n disagrees with canon
-    ], ids=["8-fields", "6-fields", "short-poly", "long-poly", "non-monic",
-            "canon-order", "canon-length", "canon-bangs", "n-vs-canon"])
+    @pytest.mark.parametrize("line", INCONSISTENT_LINES, ids=INCONSISTENT_IDS)
     def test_from_line_rejects_inconsistent_line(self, line, tmp_path):
         with pytest.raises(ValueError):
             census.CensusRecord.from_line(line)
@@ -289,6 +318,70 @@ class TestClassify:
             (tmp_path / "jobs1.tsv").read_bytes()
         for n, jobs in ((3, 4), (4, 2)):
             assert census.classify(n, jobs=jobs) == census.classify(n), n
+
+
+class TestStoreCodec:
+    """write_store and read_store on each kernel backend: the bytes of
+    ``to_line``, the records and the errors of ``from_line``."""
+
+    def test_every_order_up_to_8_round_trips(self, codec, census_records,
+                                             tmp_path):
+        path = tmp_path / "store.tsv"
+        for n in range(1, 9):
+            records = census_records(n)
+            census.write_store(records, path)
+            data = path.read_bytes()
+            assert data == "".join(rec.to_line() + "\n"
+                                   for rec in records).encode("ascii")
+            assert census.read_store(path) == records
+        assert hashlib.sha256(data).hexdigest() == N8_STORE_SHA256
+
+    def test_small_batches_and_blocks(self, codec, census_records, tmp_path,
+                                      monkeypatch):
+        """Batches of 7 records and blocks of 100 bytes, so lines straddle
+        blocks, and an error past the first block keeps its line number."""
+        monkeypatch.setattr(census, "STORE_BATCH", 7)
+        monkeypatch.setattr(census, "STORE_BLOCK", 100)
+        records = census_records(6)
+        path = tmp_path / "bad.tsv"
+        census.write_store(iter(records), path)
+        assert path.read_bytes() == "".join(
+            rec.to_line() + "\n" for rec in records).encode("ascii")
+        assert census.read_store(path) == records
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\n" + "x" * 250 + "\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv, line 114: 1 tab"):
+            census.read_store(path)
+
+    def test_lax_lines_read_back_alike(self, codec, tmp_path):
+        """Lines from_line accepts beyond the strict form: CRLF endings, a
+        plus sign, spaces around an int, whitespace-only lines and a last
+        line without a newline."""
+        path = tmp_path / "lax.tsv"
+        path.write_bytes("".join([
+            K4_LINE + "\r\n",
+            K4_LINE.replace("\t4,", "\t+4,") + "\n",
+            K4_LINE.replace(",1,4,", ", 1 ,4,") + "\r\n",
+            " \t \r\n", "\n", "  \n",
+            K4_LINE.replace(",0,1", ",0, 1 "),
+        ]).encode("ascii"))
+        assert census.read_store(path) == \
+            [CensusRecord.from_line(K4_LINE)] * 4
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
+    def test_malformed_line_fails_with_from_lines_error(self, codec, line,
+                                                        tmp_path):
+        """The error names the path and line, and its reason is what
+        decoding the line as ASCII and from_line give."""
+        raw = f"{line}\n".encode("latin-1")
+        with pytest.raises(ValueError) as reason:
+            CensusRecord.from_line(raw.decode("ascii"))
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(f"{K4_LINE}\n\n".encode() + raw + K4_LINE.encode())
+        with pytest.raises(ValueError) as info:
+            census.read_store(path)
+        assert str(info.value) == \
+            f"malformed census store {path}, line 3: {reason.value}"
 
 
 class TestQueries:

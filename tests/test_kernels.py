@@ -8,6 +8,8 @@ ECCSPEC_KERNELS=py conftest builds nothing, and the module skips rather than
 compare against whatever extension is on disk.
 """
 
+import functools
+import gc
 import os
 import random
 from math import comb, prod
@@ -23,6 +25,7 @@ if os.environ.get("ECCSPEC_KERNELS") == "py":
 import eccspec._kernels as compiled  # noqa: E402
 import eccspec._kernels_py as pure
 from eccspec import kernels
+from eccspec.census import CensusRecord
 from eccspec.eccentricity import ecc_matrix
 from eccspec import exactalg
 from eccspec.exactalg import (
@@ -179,6 +182,7 @@ class TestBackendParity:
         names = sorted(pure.__all__)
         assert names == sorted(n for n in dir(compiled)
                                if not n.startswith("_"))
+        assert {"format_store", "parse_store"} <= set(names)
         for name in names:
             assert hasattr(pure, name)
             assert getattr(kernels, name) is getattr(kernels._impl, name)
@@ -385,6 +389,157 @@ class TestCensusInertia:
             assert type(info.value) is exc
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+K4_LINE = "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1"
+K4 = CensusRecord("C~", 4, 1, 4, 3, 0, 0, (-3, -8, -6, 0, 1), ("K4",))
+#: characters that random edits of a store line insert or substitute
+EDIT_CHARS = "0123456789-+,;\t \r\n?@C~K\x7f\xe9"
+
+
+class Shouted(CensusRecord):
+    """A record type of its own line format, which only its to_line knows."""
+
+    __slots__ = ()
+
+    def to_line(self):
+        return super().to_line().lower()
+
+
+@functools.cache
+def store_lines():
+    """Store lines of every connected graph of order <= 5 and of K1 at
+    order 0, as samples to mutate."""
+    from eccspec import census
+    lines = ["?\t0,0,0,0,0,0,\t1"]
+    for n in range(1, 6):
+        lines += [rec.to_line() for rec in census.classify(n)]
+    return lines
+
+
+def store_bytes(records):
+    """The store text of the records by ``to_line``, the reference."""
+    return "".join(rec.to_line() + "\n" for rec in records).encode("ascii")
+
+
+class TestStoreCodec:
+    """The census store codec: the compiled writer gives the bytes of
+    ``to_line``, and the compiled parser gives ``from_line``'s record for
+    each line it accepts and hands every other line back as it came."""
+
+    def test_census_orders_up_to_8(self, census_records):
+        records = [rec for n in range(1, 9) for rec in census_records(n)]
+        data = store_bytes(records)
+        for mod in (compiled, pure):
+            assert mod.format_store(records, CensusRecord) == data
+        items, handed = compiled.parse_store(data, CensusRecord)
+        assert handed == [] and items == records
+        assert all(type(rec) is CensusRecord for rec in items)
+        # they hold no reference cycle, and the collector skips them
+        assert not any(map(gc.is_tracked, items))
+        lines, handed = pure.parse_store(data, CensusRecord)
+        assert b"".join(lines) == data
+        assert handed == list(range(len(records)))
+
+    @pytest.mark.parametrize("rec", [
+        K4._replace(charpoly=(2 ** 63 - 1, -2 ** 63, 0, 0, 1)),
+        K4._replace(charpoly=(2 ** 63, -2 ** 63 - 1, 0, 0, 1)),
+        K4._replace(n=True),
+        K4._replace(charpoly=[-3, -8, -6, 0, 1]),
+        K4._replace(family_tags=["K4"]),
+        K4._replace(family_tags=()),
+        K4._replace(canon=""),
+        Shouted(*K4),
+        ("not", "a", "record"),
+    ], ids=["int64-bounds", "beyond-int64", "bool", "list-charpoly",
+            "list-tags", "no-tags", "empty-canon", "subclass", "plain-tuple"])
+    def test_writer_matches_to_line_or_its_error(self, rec):
+        """A record the compiled writer does not format itself goes to its
+        own to_line, and an object without one fails alike."""
+        records = [K4, rec, K4]
+        try:
+            expected = store_bytes(records)
+        except AttributeError:
+            for mod in (compiled, pure):
+                with pytest.raises(AttributeError):
+                    mod.format_store(records, CensusRecord)
+            return
+        for mod in (compiled, pure):
+            assert mod.format_store(records, CensusRecord) == expected
+
+    def test_writer_rejects_non_ascii_alike(self):
+        for rec in (K4._replace(canon="C\xe9"),
+                    K4._replace(family_tags=("K₄",))):
+            for mod in (compiled, pure):
+                with pytest.raises(UnicodeEncodeError):
+                    mod.format_store([K4, rec], CensusRecord)
+
+    @pytest.mark.parametrize("line", [
+        "", "   ", "\r", "\t",
+        K4_LINE + "\r",
+        K4_LINE.replace("\t4,", "\t+4,"),
+        K4_LINE.replace(",1,4,", ", 1 ,4,"),
+        K4_LINE.replace("-8", "-08"),
+        K4_LINE.replace(",0,1", ",-0,1"),
+        K4_LINE.replace("-3,", f"{-10 ** 18},"),
+        K4_LINE.replace("K4", ";K4"),
+        K4_LINE.replace("K4", "K 4"),
+        K4_LINE.replace("C~", "C\x7f"),
+        K4_LINE + "\t",
+        K4_LINE + ",",
+        K4_LINE.replace("K4", "K\xe9"),
+        "}" + "?" * 317 + "\t62,1,0,0,0,0,\t" + "0," * 62 + "1",
+    ], ids=["empty", "spaces", "cr", "tab", "crlf", "plus", "spaced-int",
+            "leading-zero", "minus-zero", "19-digits", "empty-tag",
+            "spaced-tag", "canon-del", "trailing-tab", "trailing-comma",
+            "non-ascii", "canon-length"])
+    def test_parser_hands_back_lines_outside_the_strict_form(self, line):
+        raw = (line + "\n").encode("latin-1")
+        data = (K4_LINE + "\n").encode() + raw + K4_LINE.encode()
+        assert compiled.parse_store(data, CensusRecord) == \
+            ([K4, raw, K4], [1])
+        assert pure.parse_store(data, CensusRecord) == \
+            ([(K4_LINE + "\n").encode(), raw, K4_LINE.encode()], [0, 1, 2])
+
+    def test_parser_takes_the_largest_order_it_accepts(self):
+        """n = 62, the last order whose graph6 size byte is not '~'."""
+        nbytes = 1 + (62 * 61 // 2 + 5) // 6
+        line = "}" + "?" * (nbytes - 1) + "\t62,1,0,0,0,0,\t" + "0," * 62 + "1"
+        assert compiled.parse_store(line.encode(), CensusRecord) == \
+            ([CensusRecord.from_line(line)], [])
+        line = "~" + "?" * (nbytes - 1) + "\t63,1,0,0,0,0,\t" + "0," * 63 + "1"
+        assert compiled.parse_store(line.encode(), CensusRecord)[1] == [0]
+
+    def test_parser_needs_a_tuple_type(self):
+        for mod in (compiled, pure):
+            with pytest.raises(TypeError, match="tuple subclass"):
+                mod.parse_store(b"", dict)
+            assert mod.parse_store(b"", CensusRecord) == ([], [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_random_lines(self, data):
+        """Store lines with random edits: each line the compiled parser
+        accepts is a line from_line parses, to an equal record, and every
+        other line comes back as the pure parser splits it."""
+        chars = list(data.draw(st.sampled_from(store_lines())))
+        for _ in range(data.draw(st.integers(0, 3))):
+            pos = data.draw(st.integers(0, len(chars)))
+            edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+            char = data.draw(st.sampled_from(EDIT_CHARS))
+            if edit == "insert":
+                chars.insert(pos, char)
+            elif pos < len(chars):
+                chars[pos:pos + 1] = [char] if edit == "replace" else []
+        raw = "".join(chars).encode("latin-1")
+        items, handed = compiled.parse_store(raw, CensusRecord)
+        lines = pure.parse_store(raw, CensusRecord)[0]
+        assert len(items) == len(lines)
+        for i, (item, line) in enumerate(zip(items, lines)):
+            if i in handed:
+                assert item == line
+            else:
+                assert item == CensusRecord.from_line(line.decode("ascii"))
 
 
 def relabeled(g, rng):
