@@ -24,20 +24,19 @@
  * charpoly coefficients and the minors behind its ranks all lie below half
  * that prime in absolute value, so the residues determine them (the
  * argument is at census_stats).  census_structure gives the census-wide
- * lemma checks both their sides: the graph side (the matrix rule, twin
- * predictions, the mixed-star shape) with distances and counts only, and
- * the inertia of the record's charpoly at -1, 0 and -2 by a Taylor shift in
- * signed __int128, exact for coefficients below 2^63 in absolute value at
+ * lemma checks both their sides: the graph side (twin predictions, the
+ * mixed-star shape) with adjacency and eccentricities only, and the inertia
+ * of the record's charpoly at -1, 0 and -2 by a Taylor shift in signed
+ * __int128, exact for coefficients below 2^63 in absolute value at
  * n <= 10, |c| <= 2, where every value it holds stays below 2^83 (the
  * argument is at census_structure).  It shares census_metrics, the BFS and
- * eccentricities, and min_rule_entry, the matrix census_stats ranks, with
- * census_stats.  format_store and parse_store are the census store codec:
- * one call formats a batch of records as store lines, one parses a block of
- * store bytes, and any line outside the strict form to_line writes goes
- * back to CensusRecord.from_line.  The writer handles ints within int64
- * itself, which holds every census record: the charpoly coefficients lie
- * below 2^55 in absolute value, the other ints are at most 10 (the
- * argument is at the codec).
+ * eccentricities, with census_stats.  format_store and parse_store are the
+ * census store codec: one call formats a batch of records as store lines,
+ * one parses a block of store bytes, and any line outside the strict form
+ * to_line writes goes back to CensusRecord.from_line.  The writer handles
+ * ints within int64 itself, which holds every census record: the charpoly
+ * coefficients lie below 2^55 in absolute value, the other ints are at
+ * most 10 (the argument is at the codec).
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -1026,10 +1025,7 @@ k_census_stats(PyObject *self, PyObject *args)
  *
  * census_structure gives both sides of the census-wide lemma checks, by
  * other algorithms than the rank and charpoly routes behind a census
- * record.  The graph side handles only distances and vertex counts:
- *  - rule_holds: whether the rule that ecc_rows (and so ecc_matrix) uses,
- *    keep d(u,v) iff it equals ecc(u) or ecc(v), gives the min-rule matrix
- *    that census_stats ranks (min_rule_entry), entry by entry.
+ * record.  The graph side handles only adjacency and eccentricities:
  *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
  *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
  *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
@@ -1151,16 +1147,6 @@ k_census_structure(PyObject *self, PyObject *args)
     inertia_at(n, a, -1, at_m1);
     inertia_at(n, a, 0, at_0);
     inertia_at(n, a, -2, at_m2);
-    int rule_holds = 1;
-    for (int i = 0; rule_holds && i < n; i++)
-        for (int j = 0; j < n; j++) {
-            int d = dist[i][j];
-            if ((d == ecc[i] || d == ecc[j] ? d : 0)
-                    != min_rule_entry(d, ecc[i], ecc[j])) {
-                rule_holds = 0;
-                break;
-            }
-        }
     PyObject *twins = PyList_New(0);
     if (twins == NULL)
         return NULL;
@@ -1203,9 +1189,8 @@ k_census_structure(PyObject *self, PyObject *args)
             }
         }
     }
-    return Py_BuildValue("(ONO(iii)(iii)(iii))",
-                         rule_holds ? Py_True : Py_False, twins,
-                         star ? Py_True : Py_False,
+    return Py_BuildValue("(NO(iii)(iii)(iii))",
+                         twins, star ? Py_True : Py_False,
                          at_m1[0], at_m1[1], at_m1[2], at_0[0], at_0[1],
                          at_0[2], at_m2[0], at_m2[1], at_m2[2]);
 }
@@ -1609,9 +1594,8 @@ static PyMethodDef kernel_methods[] = {
      "graph; multiplicities are m(c) = n - rank(E - cI)."},
     {"census_structure", k_census_structure, METH_VARARGS,
      "census_structure(n, adj, coeffs)\n--\n\n"
-     "(rule_holds, twin predictions, star shape, inertia at -1, at 0,\n"
-     "at -2) of a connected graph and its monic ascending charpoly coeffs:\n"
-     "whether the ecc_rows rule gives the min-eccentricity matrix, the\n"
+     "(twin predictions, star shape, inertia at -1, at 0, at -2) of a\n"
+     "connected graph and its monic ascending charpoly coeffs: the\n"
      "(xi, lower) pairs of its twin classes, whether it is a star mixed\n"
      "extension, and the (n_plus, n_zero, n_minus) triples of the charpoly\n"
      "at c = -1, 0, -2.  Coefficients must lie below 2^63 in absolute\n"

@@ -7,14 +7,16 @@ functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable, and ``__all__`` names the functions and constants both export.
 ``census_stats`` here takes fraction-free rank and the Berkowitz
 characteristic polynomial from ``exactalg``, and the largest-distance matrix
-from ``ecc_rows``, the one definition of that rule (``ecc_matrix`` uses it
-too); ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
+from ``ecc_rows``, the one Python definition of that rule (``ecc_matrix``
+uses it too; its docstring proves it equal to the min-eccentricity form of
+the compiled ``min_rule_entry``, and the test suite checks ``ecc_matrix``
+against that form on distances from an independent all-pairs algorithm);
+``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
 each modulus.  The compiled charpolys come from a different algorithm, a
 reduction to Hessenberg form modulo each prime, so the parity tests check
 two algorithms against each other, not two copies of one.
 ``census_structure`` gives what the census-wide lemma checks derive
-independently of a record's multiplicities: from the graph, whether
-``ecc_rows`` gives the definitional min-eccentricity matrix, the twin-class
+independently of a record's multiplicities: from the graph, the twin-class
 predictions and the mixed-star shape; from the record's charpoly, its
 inertia at -1, 0 and -2 by ``exactalg.charpoly_inertia``, the one Python
 definition, which the compiled kernel reimplements in ``__int128``.  It
@@ -298,21 +300,18 @@ def census_stats(n, adj):
 
 
 def census_structure(n, adj, coeffs):
-    """(rule_holds, twin predictions, star shape, inertia at -1, at 0, at -2)
-    of a connected graph and its monic ascending charpoly ``coeffs``: the
-    facts the census-wide lemma checks compare with a record.
+    """(twin predictions, star shape, inertia at -1, at 0, at -2) of a
+    connected graph and its monic ascending charpoly ``coeffs``: the facts
+    the census-wide lemma checks compare with a record.
 
-    ``rule_holds`` is whether ``ecc_rows``, the rule that keeps d(u,v) when
-    it equals ecc(u) or ecc(v), gives the definitional matrix, entry d(u,v)
-    iff d(u,v) = min(ecc(u), ecc(v)), else 0.  The twin predictions are
-    ``twin_predictions`` and the star shape ``mixed_star_shape``.  Each
-    inertia is the (n_plus, n_zero, n_minus) tuple of ``charpoly_inertia``.
-    Raises ValueError on disconnected input, as ``census_stats`` does, or on
-    a count other than n + 1 or a non-monic ``coeffs``, and OverflowError on
-    a coefficient of 2^63 or more in absolute value, the compiled kernel's
-    bound.
+    The twin predictions are ``twin_predictions`` and the star shape
+    ``mixed_star_shape``.  Each inertia is the (n_plus, n_zero, n_minus)
+    tuple of ``charpoly_inertia``.  Raises ValueError on disconnected input,
+    as ``census_stats`` does, or on a count other than n + 1 or a non-monic
+    ``coeffs``, and OverflowError on a coefficient of 2^63 or more in
+    absolute value, the compiled kernel's bound.
     """
-    dist, ecc = _census_metrics("census_structure", n, adj)
+    _, ecc = _census_metrics("census_structure", n, adj)
     coeffs = [index(a) for a in coeffs]
     if len(coeffs) != n + 1:
         raise ValueError("census_structure needs n + 1 charpoly coefficients")
@@ -321,12 +320,8 @@ def census_structure(n, adj, coeffs):
                             "below 2^63 in absolute value")
     if coeffs[n] != 1:
         raise ValueError("census_structure needs a monic charpoly")
-    rule_holds = ecc_rows(dist, ecc) == tuple([
-        tuple([d if d == (eu if eu < ev else ev) else 0
-               for d, ev in zip(row, ecc)])
-        for row, eu in zip(dist, ecc)])
     cp = IntPolynomial(coeffs)
-    return (rule_holds, twin_predictions(adj, ecc), mixed_star_shape(n, adj),
+    return (twin_predictions(adj, ecc), mixed_star_shape(n, adj),
             *(tuple(charpoly_inertia(cp, c)) for c in (-1, 0, -2)))
 
 

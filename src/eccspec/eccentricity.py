@@ -30,11 +30,18 @@ from .exactalg import (
 from .graphs import Graph, bfs_metrics
 
 
-def ecc_matrix(g: Graph) -> IntMatrix:
-    """Largest-distance matrix: entry d(u,v) iff d(u,v) = min(ecc(u), ecc(v))."""
+def _connected_metrics(g: Graph):
+    """``bfs_metrics`` of a connected graph; ValueError on a disconnected
+    one, which has no eccentricity matrix."""
     met = bfs_metrics(g)
     if met.diam < 0:
         raise ValueError("eccentricity matrix requires a connected graph")
+    return met
+
+
+def ecc_matrix(g: Graph) -> IntMatrix:
+    """Largest-distance matrix: entry d(u,v) iff d(u,v) = min(ecc(u), ecc(v))."""
+    met = _connected_metrics(g)
     return IntMatrix._trusted(ecc_rows(met.dist, met.ecc))
 
 
@@ -104,8 +111,9 @@ def twin_eigenvalue_predictions(g: Graph):
     """Guaranteed eigenvalue lower bounds from duplicate / co-duplicate
     classes: each class of size k forces multiplicity >= k-1 at the
     eigenvalue determined by the class kind and its common eccentricity, as
-    (xi, lower) int pairs (``_kernels_py.twin_predictions``)."""
-    return twin_predictions(g.adj, bfs_metrics(g).ecc)
+    (xi, lower) int pairs (``_kernels_py.twin_predictions``).  Raises
+    ValueError on a disconnected graph, as ``ecc_matrix`` does."""
+    return twin_predictions(g.adj, _connected_metrics(g).ecc)
 
 
 @dataclass(frozen=True)

@@ -561,10 +561,8 @@ def _census_property_checks(rep, census_cache, jobs):
     from the kernels.  One ``kernels.census_structure`` call per record
     gives everything the checks derive independently of the record's
     multiplicities, by other algorithms than the rank and charpoly routes
-    behind the record.  From the graph: whether the ``ecc_rows`` rule
-    (d = ecc(u) or d = ecc(v)) gives the definitional matrix, entry d(u,v)
-    iff d(u,v) = min(ecc(u), ecc(v)), else 0; the twin-class predictions,
-    from adjacency equality; and the mixed-star shape.  From the record's
+    behind the record.  From the graph: the twin-class predictions, from
+    adjacency equality, and the mixed-star shape.  From the record's
     charpoly: its inertia at -1, 0 and -2, by a Taylor shift and a Descartes
     count (``exactalg.charpoly_inertia``).  The multiplicities at -2, -1 and
     0 are the record's, which the kernel computed by rank; the twin-class
@@ -583,14 +581,13 @@ def _census_property_checks(rep, census_cache, jobs):
     bad_minimum = []
     bad_mults = []
     bad_complete = []
-    bad_ecc_def = []
     bad_onepos = []
     for n in range(2, 9):
         kn_canon = census_mod.canonical_form(complete(n))
         for rec in _census_records(n, census_cache, jobs):
             canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
             adj = kernels.bits_to_adj(*graph6_bits(canon))
-            (rule_holds, twins, star, (_, zero_m1, neg_m1),
+            (twins, star, (_, zero_m1, neg_m1),
              (pos_0, zero_0, _), (_, zero_m2, _)) = \
                 kernels.census_structure(n, adj, coeffs)
             is_kn = canon == kn_canon
@@ -619,8 +616,6 @@ def _census_property_checks(rep, census_cache, jobs):
                 bad_onepos.append(canon)
             if zero_m1 != m1 or zero_0 != m0 or zero_m2 != m2:
                 bad_mults.append(canon)
-            if not rule_holds:
-                bad_ecc_def.append(canon)
     rep.check("a vertex of eccentricity 1 forces diameter <= 2",
               "census n<=8", [], bad_levels)
     rep.check("diameter 1 exactly for the complete graph",
@@ -639,8 +634,6 @@ def _census_property_checks(rep, census_cache, jobs):
               "extension join shape", "census n<=8", [], bad_onepos)
     rep.check("rank-based multiplicities equal charpoly root multiplicities",
               "census n<=8, xi in {-2,-1,0}", [], bad_mults)
-    rep.check("nonzero matrix entries are exactly the distances attaining "
-              "min eccentricity", "census n<=8", [], bad_ecc_def)
 
 
 def _diameter_bound_checks(rep):

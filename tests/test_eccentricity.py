@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eccspec.eccentricity import (
@@ -39,6 +40,22 @@ def poly(*ascending):
     return IntPolynomial(ascending)
 
 
+def min_rule_matrices(n, graphs):
+    """The eccentricity matrices of connected graphs of order n, stacked,
+    by the definition on distances from Floyd-Warshall run on all of them
+    at once: entry d(u,v) iff d(u,v) = min(ecc(u), ecc(v)), else 0."""
+    dist = np.full((len(graphs), n, n), n, dtype=np.int64)
+    dist[:, range(n), range(n)] = 0
+    for i, g in enumerate(graphs):
+        for u, v in g.edges():
+            dist[i, u, v] = dist[i, v, u] = 1
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, :, k:k + 1] + dist[:, k:k + 1, :])
+    ecc = dist.max(axis=2)
+    keep = np.minimum(ecc[:, :, None], ecc[:, None, :])
+    return np.where(dist == keep, dist, 0)
+
+
 class TestEccMatrix:
     def test_p4_rows(self):
         e = ecc_matrix(path(4))
@@ -66,6 +83,28 @@ class TestEccMatrix:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             ecc_matrix(disjoint_union(complete(2), complete(2)))
+
+    def test_matches_min_rule_on_independent_distances(self, census_records):
+        """The paper's matrix by its literal rule, entry d(u,v) iff
+        d(u,v) = min(ecc(u), ecc(v)), on Floyd-Warshall distances, which
+        share nothing with the kernels' BFS: every connected graph of order
+        <= 8, and seeded random connected graphs (a random tree plus random
+        chords) of orders 9..64."""
+        by_order = {n: [graph6_decode(rec.canon) for rec in census_records(n)]
+                    for n in range(1, 9)}
+        assert sum(map(len, by_order.values())) == 12_113
+        rng = random.Random(89)
+        for _ in range(120):
+            n = rng.randint(9, 64)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            for _ in range(rng.randint(0, 2 * n)):
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+            by_order.setdefault(n, []).append(Graph(n, sorted(edges)))
+        for n, graphs in by_order.items():
+            want = min_rule_matrices(n, graphs)
+            got = np.array([ecc_matrix(g).rows for g in graphs])
+            bad = np.flatnonzero((got != want).any(axis=(1, 2)))
+            assert not bad.size, [graphs[i].edges() for i in bad[:3]]
 
     def test_every_row_has_a_nonzero_entry(self):
         rng = random.Random(31)
@@ -200,6 +239,14 @@ class TestTwinPredictions:
 
     def test_no_classes(self):
         assert twin_eigenvalue_predictions(cycle(6)) == []
+
+    def test_rejects_disconnected(self):
+        """K2 u K3 has no eccentricity matrix, so no predictions either."""
+        g = disjoint_union(complete(2), complete(3))
+        for f in (twin_eigenvalue_predictions, ecc_matrix):
+            with pytest.raises(ValueError, match="eccentricity matrix "
+                               "requires a connected graph"):
+                f(g)
 
     def test_predicted_eigenvalues_are_record_fields(self, census_records):
         """Every prediction is at -2, -1 or 0, the three multiplicities a

@@ -262,7 +262,7 @@ class TestFamilies:
                     for c in nx.connected_components(rest)))
                 assert mixed_star_shape(g.n, g.adj) == want, rec.canon
                 assert kernels.census_structure(
-                    g.n, g.adj, rec.charpoly)[2] == want, rec.canon
+                    g.n, g.adj, rec.charpoly)[1] == want, rec.canon
 
 
 def test_bull_identification_oracle():
