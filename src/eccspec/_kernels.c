@@ -21,17 +21,18 @@
  * reduction, a sum of two residues is below 2^57, and a sum of 255 products
  * is below 255 p^2 < p 2^64, so it adds up in an unsigned __int128 before
  * one reduction.  census_stats works modulo the one prime 2^56 - 5: its
- * charpoly coefficients and the minors behind its ranks all lie below half
- * that prime in absolute value, so the residues determine them (the
- * argument is at census_stats).  census_structure gives the census-wide
- * lemma checks both their sides: the graph side (twin predictions, the
- * mixed-star shape) with adjacency and eccentricities only, and the inertia
- * of the record's charpoly at -1, 0 and -2 by a Taylor shift in signed
- * __int128, exact for coefficients below 2^63 in absolute value at
- * n <= 10, |c| <= 2, where every value it holds stays below 2^83 (the
- * argument is at census_structure).  It shares census_metrics, the BFS and
- * eccentricities, with census_stats.  format_store and parse_store are the
- * census store codec: one call formats a batch of records as store lines,
+ * charpoly coefficients lie below half that prime in absolute value, so
+ * the residues determine them, and it reads its multiplicities off that
+ * charpoly (the argument is at census_stats).  census_structure gives the
+ * census-wide lemma checks both their sides: the graph side (twin
+ * predictions, the mixed-star shape) with adjacency and eccentricities
+ * only, and the inertia of the record's charpoly at -1 and 0.  Both read a
+ * charpoly's inertia by a Taylor shift in signed __int128 (inertia_at),
+ * exact for coefficients below 2^63 in absolute value at n <= 10,
+ * |c| <= 2, where every value it holds stays below 2^83 (the argument is
+ * at census_stats).  They share census_metrics, the BFS and
+ * eccentricities.  format_store and parse_store are the census store
+ * codec: one call formats a batch of records as store lines,
  * one parses a block of store bytes, and any line outside the strict form
  * to_line writes goes back to CensusRecord.from_line.  The writer handles
  * ints within int64 itself, which holds every census record: the charpoly
@@ -880,65 +881,65 @@ done:
  *
  * census_stats takes n <= MAXN_CENSUS = 10 connected vertices, so every
  * entry of the largest-distance matrix E lies in 0..diam <= 9, with a zero
- * diagonal.  It reads its charpoly and its three ranks off one matrix: E
- * modulo the prime CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime
- * exactalg.charpoly takes), in Montgomery form.  Both are exact by one
- * argument: each integer they stand for lies below p/2 in absolute value,
- * so its symmetric residue mod p is the integer itself, and it is zero iff
- * its residue is.
+ * diagonal.  It computes the charpoly of E modulo the prime
+ * CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime exactalg.charpoly
+ * takes), in Montgomery form, and reads its multiplicities off that
+ * charpoly: m(c), c = -1, -2, 0, is the root multiplicity of c, the n_zero
+ * of inertia_at.  As E is symmetric, that is its nullity n - rank(E - cI).
  *
  * The charpoly.  Every coefficient of det(xI - E) has absolute value at
  * most (1+R)^n, R the largest row sum of E (the argument is in
  * exactalg.charpoly).  Entry uv of E is 0 or d(u,v), and a vertex of
  * eccentricity e has a vertex at each distance 1..e-1, so its row sums to
  * at most e(e-1)/2 + (n-e)e <= 44 for n <= 10, except for an end of P10
- * (e = 9), whose row sums to 35.  As (1+44)^10 < 3.4e16 < p/2, the
- * symmetric residues of hessenberg_mod, the charpoly of E mod p, are the
- * coefficients (the orders n <= 9 reach R = 30).
+ * (e = 9), whose row sums to 35.  As (1+44)^10 < 3.4e16 < p/2, each
+ * coefficient lies below p/2 in absolute value, so the symmetric residues
+ * of hessenberg_mod, the charpoly of E mod p, are the coefficients (the
+ * orders n <= 9 reach R = 30).
  *
- * The ranks.  m(c) = n - rank(E - cI) for c = -1, -2, 0, and rank mod p
- * equals rank over Q when no nonzero minor of E - cI vanishes mod p.  Its
- * entries lie in 0..9 off the diagonal and in 0..2 on it, so every column
- * has Euclidean norm below sqrt(9 * 81 + 4) < 28.5, and by Hadamard's
- * inequality every minor is below 28.5^10 < 3.6e14 < p/2.  rank_mod
- * eliminates without division, scaling each row by a nonzero pivot, which
- * keeps the rank as p is prime; the Montgomery form scales every entry by
- * the unit R, which keeps the zero pattern.
+ * The shift's bound.  inertia_at needs coefficients a_k with |a_k| < 2^63
+ * (a census charpoly lies below 2^55, by the argument above), n <=
+ * MAXN_CENSUS = 10 and |c| <= 2.  Pass i of the shift is a synthetic
+ * division by x - c, so every value it holds is an input coefficient, a
+ * Taylor coefficient sum_m C(m, j) c^(m-j) a_m, or a coefficient
+ * sum_m C(m-t-1, s-1) c^(m-t-s) a_m of the quotient of the polynomial by
+ * (x - c)^s, s >= 1.  Each factor C(.,.) |c|^. is at most (1 + |c|)^m <=
+ * 3^10 and there are at most n + 1 = 11 terms, so every value is below
+ * 2^63 * 3^10 * 11 < 2^83, and c times it below 2^85: the shift runs in
+ * __int128 without overflow.
  */
 
 #define CENSUS_PRIME (MODULUS_TOP - 5)
 
-/* Rank of A + shift*I modulo the prime m->p, for A with a zero diagonal,
- * held row-major in Montgomery form in a.  Each pivot row, once chosen,
- * clears its column in the rows not yet chosen by
- * row i := piv * row i - a[i][col] * pivot row; the sum of the two products
- * is below 2 p^2 < p 2^64, within one REDC. */
-static int
-rank_mod(int n, const uint64_t *a, int64_t shift, const mont_t *m)
+/* Inertia of the monic polynomial a[0..n] (ascending) relative to the
+ * integer c, |c| <= 2, into out as (n_plus, n_zero, n_minus), by
+ * exactalg.charpoly_inertia's algorithm: the zero roots of a(y + c) are its
+ * vanishing low coefficients, and as every root is real (a is a symmetric
+ * matrix's charpoly) the sign changes of the rest count its positive roots
+ * exactly.  n_zero is the root multiplicity of c in a whether or not a is
+ * real-rooted. */
+static void
+inertia_at(int n, const long long *a, int c, int *out)
 {
-    uint64_t b[MAXN_CENSUS][MAXN_CENSUS], p = m->p, s = mont_of(shift, m);
-    unsigned used = 0;
-    for (int i = 0; i < n; i++) {
-        memcpy(b[i], a + i * n, (size_t)n * sizeof(uint64_t));
-        b[i][i] = s;
-    }
-    for (int col = 0; col < n; col++) {
-        int r = 0;
-        while (r < n && ((used >> r & 1) || b[r][col] == 0))
-            r++;
-        if (r == n)
-            continue;
-        used |= 1u << r;
-        uint64_t piv = b[r][col];
-        for (int i = 0; i < n; i++) {
-            if ((used >> i & 1) || b[i][col] == 0)
-                continue;
-            uint64_t f = p - b[i][col];
-            for (int j = col + 1; j < n; j++)
-                b[i][j] = redc((u128)piv * b[i][j] + (u128)f * b[r][j], m);
+    __int128 b[MAXN_CENSUS + 1];
+    for (int k = 0; k <= n; k++)
+        b[k] = a[k];
+    if (c)
+        for (int i = 0; i < n; i++)
+            for (int k = n - 1; k >= i; k--)
+                b[k] += c * b[k + 1];
+    int zero = 0, plus = 0;
+    while (zero < n && b[zero] == 0)  /* b[n] = 1 */
+        zero++;
+    int positive = b[zero] > 0;
+    for (int k = zero + 1; k <= n; k++)
+        if (b[k] != 0 && (b[k] > 0) != positive) {
+            plus++;
+            positive = !positive;
         }
-    }
-    return __builtin_popcount(used);
+    out[0] = plus;
+    out[1] = zero;
+    out[2] = n - plus - zero;
 }
 
 /* Load a graph of order 1 <= n <= MAXN_CENSUS, then fill dist with its
@@ -982,6 +983,8 @@ k_census_stats(PyObject *self, PyObject *args)
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
              work[(MAXN_CENSUS + 1) * (MAXN_CENSUS + 2) / 2 + 2 * MAXN_CENSUS];
+    long long cp[MAXN_CENSUS + 1];
+    int at_m1[3], at_m2[3], at_0[3];
     int n;
     PyObject *rows;
     if (!PyArg_ParseTuple(args, "iO", &n, &rows)
@@ -998,18 +1001,17 @@ k_census_stats(PyObject *self, PyObject *args)
         for (int j = 0; j < n; j++)
             a[i * n + j] = mont_of(min_rule_entry(dist[i][j], ecc[i], ecc[j]),
                                    &m);
-    int m1 = n - rank_mod(n, a, 1, &m);
-    int m2 = n - rank_mod(n, a, 2, &m);
-    int m0 = n - rank_mod(n, a, 0, &m);
-    /* after the ranks: the reduction overwrites a; it cannot fail, as
-     * CENSUS_PRIME is prime */
+    /* it cannot fail, as CENSUS_PRIME is prime */
     hessenberg_mod(n, a, &m, c, work);
+    for (int i = 0; i <= n; i++)
+        cp[i] = c[i] > CENSUS_PRIME / 2
+                ? (long long)c[i] - (long long)CENSUS_PRIME : (long long)c[i];
+    inertia_at(n, cp, -1, at_m1);
+    inertia_at(n, cp, -2, at_m2);
+    inertia_at(n, cp, 0, at_0);
     PyObject *coeffs = PyTuple_New(n + 1);
     for (int i = 0; coeffs != NULL && i <= n; i++) {
-        uint64_t r = c[i];
-        PyObject *ci = PyLong_FromLongLong(r > CENSUS_PRIME / 2
-                                           ? (long long)r - (long long)CENSUS_PRIME
-                                           : (long long)r);
+        PyObject *ci = PyLong_FromLongLong(cp[i]);
         if (ci == NULL)
             Py_CLEAR(coeffs);
         else
@@ -1017,15 +1019,16 @@ k_census_stats(PyObject *self, PyObject *args)
     }
     if (coeffs == NULL)
         return NULL;
-    return Py_BuildValue("(iiiiiN)", diam, v1, m1, m2, m0, coeffs);
+    return Py_BuildValue("(iiiiiN)", diam, v1, at_m1[1], at_m2[1], at_0[1],
+                         coeffs);
 }
 
 /* ------------------------------------------------------------------------
  * census structure
  *
- * census_structure gives both sides of the census-wide lemma checks, by
- * other algorithms than the rank and charpoly routes behind a census
- * record.  The graph side handles only adjacency and eccentricities:
+ * census_structure gives the census-wide lemma checks what they compare a
+ * census record with.  The graph side handles only adjacency and
+ * eccentricities:
  *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
  *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
  *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
@@ -1038,49 +1041,8 @@ k_census_stats(PyObject *self, PyObject *args)
  *    neighbors.
  * The spectral side reads the record's charpoly, not the graph: the inertia
  * triples (n_plus, n_zero, n_minus) of the monic ascending coefficients at
- * c = -1, 0 and -2, by exactalg.charpoly_inertia's algorithm, an in-place
- * Taylor shift by c and a Descartes count (see inertia_at).
- *
- * The shift's bound.  The coefficients a_k must satisfy |a_k| < 2^63 (a
- * census charpoly lies below 2^55, by the CENSUS_PRIME argument), n <=
- * MAXN_CENSUS = 10 and |c| <= 2.  Pass i of the shift is a synthetic
- * division by x - c, so every value it holds is an input coefficient, a
- * Taylor coefficient sum_m C(m, j) c^(m-j) a_m, or a coefficient
- * sum_m C(m-t-1, s-1) c^(m-t-s) a_m of the quotient of the polynomial by
- * (x - c)^s, s >= 1.  Each factor C(.,.) |c|^. is at most (1 + |c|)^m <=
- * 3^10 and there are at most n + 1 = 11 terms, so every value is below
- * 2^63 * 3^10 * 11 < 2^83, and c times it below 2^85: the shift runs in
- * __int128 without overflow. */
-
-/* Inertia of the monic polynomial a[0..n] (ascending) relative to the
- * integer c, |c| <= 2, into out as (n_plus, n_zero, n_minus): the zero roots
- * of a(y + c) are its vanishing low coefficients, and as every root is real
- * (a is a symmetric matrix's charpoly) the sign changes of the rest count
- * its positive roots exactly.  n_zero is the root multiplicity of c in a
- * whether or not a is real-rooted. */
-static void
-inertia_at(int n, const long long *a, int c, int *out)
-{
-    __int128 b[MAXN_CENSUS + 1];
-    for (int k = 0; k <= n; k++)
-        b[k] = a[k];
-    if (c)
-        for (int i = 0; i < n; i++)
-            for (int k = n - 1; k >= i; k--)
-                b[k] += c * b[k + 1];
-    int zero = 0, plus = 0;
-    while (zero < n && b[zero] == 0)  /* b[n] = 1 */
-        zero++;
-    int positive = b[zero] > 0;
-    for (int k = zero + 1; k <= n; k++)
-        if (b[k] != 0 && (b[k] > 0) != positive) {
-            plus++;
-            positive = !positive;
-        }
-    out[0] = plus;
-    out[1] = zero;
-    out[2] = n - plus - zero;
-}
+ * c = -1 and 0, by inertia_at, for coefficients below 2^63 in absolute
+ * value (the shift's bound is at census_stats). */
 
 /* Load the n + 1 ascending coefficients of a monic polynomial, each below
  * 2^63 in absolute value: ValueError on a wrong count or a leading
@@ -1138,7 +1100,7 @@ k_census_structure(PyObject *self, PyObject *args)
     uint64_t adj[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
     long long a[MAXN_CENSUS + 1];
-    int at_m1[3], at_0[3], at_m2[3];
+    int at_m1[3], at_0[3];
     PyObject *rows, *coeffs;
     if (!PyArg_ParseTuple(args, "iOO", &n, &rows, &coeffs)
             || census_metrics(n, rows, "census_structure", adj, dist, ecc) < 0
@@ -1146,7 +1108,6 @@ k_census_structure(PyObject *self, PyObject *args)
         return NULL;
     inertia_at(n, a, -1, at_m1);
     inertia_at(n, a, 0, at_0);
-    inertia_at(n, a, -2, at_m2);
     PyObject *twins = PyList_New(0);
     if (twins == NULL)
         return NULL;
@@ -1189,10 +1150,10 @@ k_census_structure(PyObject *self, PyObject *args)
             }
         }
     }
-    return Py_BuildValue("(NO(iii)(iii)(iii))",
+    return Py_BuildValue("(NO(iii)(iii))",
                          twins, star ? Py_True : Py_False,
                          at_m1[0], at_m1[1], at_m1[2], at_0[0], at_0[1],
-                         at_0[2], at_m2[0], at_m2[1], at_m2[2]);
+                         at_0[2]);
 }
 
 /* ------------------------------------------------------------------------
@@ -1591,15 +1552,14 @@ static PyMethodDef kernel_methods[] = {
     {"census_stats", k_census_stats, METH_VARARGS,
      "census_stats(n, adj)\n--\n\n"
      "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of a connected\n"
-     "graph; multiplicities are m(c) = n - rank(E - cI)."},
+     "graph; each m(c) is the root multiplicity of c in the charpoly."},
     {"census_structure", k_census_structure, METH_VARARGS,
      "census_structure(n, adj, coeffs)\n--\n\n"
-     "(twin predictions, star shape, inertia at -1, at 0, at -2) of a\n"
-     "connected graph and its monic ascending charpoly coeffs: the\n"
-     "(xi, lower) pairs of its twin classes, whether it is a star mixed\n"
-     "extension, and the (n_plus, n_zero, n_minus) triples of the charpoly\n"
-     "at c = -1, 0, -2.  Coefficients must lie below 2^63 in absolute\n"
-     "value (OverflowError)."},
+     "(twin predictions, star shape, inertia at -1, at 0) of a connected\n"
+     "graph and its monic ascending charpoly coeffs: the (xi, lower) pairs\n"
+     "of its twin classes, whether it is a star mixed extension, and the\n"
+     "(n_plus, n_zero, n_minus) triples of the charpoly at c = -1 and 0.\n"
+     "Coefficients must lie below 2^63 in absolute value (OverflowError)."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"

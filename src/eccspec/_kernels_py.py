@@ -5,12 +5,13 @@ This module is the reference implementation of the BFS and canonical-labeling
 kernels.  The compiled extension ``eccspec._kernels`` implements the same
 functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable, and ``__all__`` names the functions and constants both export.
-``census_stats`` here takes fraction-free rank and the Berkowitz
-characteristic polynomial from ``exactalg``, and the largest-distance matrix
-from ``ecc_rows``, the one Python definition of that rule (``ecc_matrix``
-uses it too; its docstring proves it equal to the min-eccentricity form of
-the compiled ``min_rule_entry``, and the test suite checks ``ecc_matrix``
-against that form on distances from an independent all-pairs algorithm);
+``census_stats`` here takes the Berkowitz characteristic polynomial from
+``exactalg``, reads each multiplicity off it with ``charpoly_inertia``, and
+takes the largest-distance matrix from ``ecc_rows``, the one Python
+definition of that rule (``ecc_matrix`` uses it too; its docstring proves
+it equal to the min-eccentricity form of the compiled ``min_rule_entry``,
+and the test suite checks ``ecc_matrix`` against that form on distances
+from an independent all-pairs algorithm);
 ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
 each modulus.  The compiled charpolys come from a different algorithm, a
 reduction to Hessenberg form modulo each prime, so the parity tests check
@@ -18,7 +19,7 @@ two algorithms against each other, not two copies of one.
 ``census_structure`` gives what the census-wide lemma checks derive
 independently of a record's multiplicities: from the graph, the twin-class
 predictions and the mixed-star shape; from the record's charpoly, its
-inertia at -1, 0 and -2 by ``exactalg.charpoly_inertia``, the one Python
+inertia at -1 and 0 by ``exactalg.charpoly_inertia``, the one Python
 definition, which the compiled kernel reimplements in ``__int128``.  It
 shares ``_census_metrics``, the BFS and eccentricities, with
 ``census_stats``, as the compiled pair shares ``census_metrics``.
@@ -49,7 +50,6 @@ from operator import index
 from .exactalg import (
     IntMatrix,
     IntPolynomial,
-    bareiss_rank,
     berkowitz_charpoly,
     charpoly_inertia,
 )
@@ -285,24 +285,22 @@ def _census_metrics(what, n, adj):
 def census_stats(n, adj):
     """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending).
 
-    The integer-Bareiss reference: multiplicities are m(c) = n - rank(E - cI)
-    for the largest-distance matrix E, each rank by fraction-free elimination
-    over Z (the compiled kernel eliminates modulo one prime instead), and the
-    charpoly is Berkowitz's.  Raises ValueError on disconnected input.
+    The charpoly of the largest-distance matrix E is Berkowitz's, over Z
+    (the compiled kernel reduces E to Hessenberg form modulo one prime
+    instead), and each m(c) is the root multiplicity of c in it, the
+    ``n_zero`` of ``charpoly_inertia``; as E is symmetric, that is its
+    nullity n - rank(E - cI).  Raises ValueError on disconnected input.
     """
     dist, ecc = _census_metrics("census_stats", n, adj)
-    mat = IntMatrix._trusted(ecc_rows(dist, ecc))
-    m1 = n - bareiss_rank(mat.shifted(1, -1))
-    m2 = n - bareiss_rank(mat.shifted(1, -2))
-    m0 = n - bareiss_rank(mat)
-    coeffs = berkowitz_charpoly(mat).coeffs
-    return max(ecc), ecc.count(1), m1, m2, m0, coeffs
+    cp = berkowitz_charpoly(IntMatrix._trusted(ecc_rows(dist, ecc)))
+    m1, m2, m0 = (charpoly_inertia(cp, c).n_zero for c in (-1, -2, 0))
+    return max(ecc), ecc.count(1), m1, m2, m0, cp.coeffs
 
 
 def census_structure(n, adj, coeffs):
-    """(twin predictions, star shape, inertia at -1, at 0, at -2) of a
-    connected graph and its monic ascending charpoly ``coeffs``: the facts
-    the census-wide lemma checks compare with a record.
+    """(twin predictions, star shape, inertia at -1, at 0) of a connected
+    graph and its monic ascending charpoly ``coeffs``: the facts the
+    census-wide lemma checks compare with a record.
 
     The twin predictions are ``twin_predictions`` and the star shape
     ``mixed_star_shape``.  Each inertia is the (n_plus, n_zero, n_minus)
@@ -322,7 +320,7 @@ def census_structure(n, adj, coeffs):
         raise ValueError("census_structure needs a monic charpoly")
     cp = IntPolynomial(coeffs)
     return (twin_predictions(adj, ecc), mixed_star_shape(n, adj),
-            *(tuple(charpoly_inertia(cp, c)) for c in (-1, 0, -2)))
+            *(tuple(charpoly_inertia(cp, c)) for c in (-1, 0)))
 
 
 def twin_classes(adj):

@@ -31,6 +31,7 @@ in bounded batches through ``kernels.format_store`` and
 from __future__ import annotations
 
 import math
+import os
 from itertools import islice
 from typing import NamedTuple
 
@@ -67,8 +68,10 @@ def canonical_bits(g: Graph) -> int:
 
 def _chunk_results(func, args, items, jobs):
     """func(args + (chunk,)) for contiguous chunks of items, in order: mapped
-    over a Pool of ``jobs`` workers, or one serial chunk of all items when
-    jobs == 1 or there are fewer items than jobs."""
+    over a Pool of ``jobs`` workers, never more than ``os.cpu_count()``, or
+    one serial chunk of all items when that leaves one worker or there are
+    fewer items than workers."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(items) >= jobs:
         # only a pooled run pays for importing multiprocessing
         from multiprocessing import Pool

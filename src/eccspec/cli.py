@@ -45,6 +45,8 @@ from .graphs import (
 )
 
 STORE_ENV = "ECCSPEC_STORE"
+JOBS_HELP = ("worker processes (default 1); at most the CPU count are "
+             "started, and the output is the same for any value")
 
 
 class UsageError(Exception):
@@ -199,7 +201,7 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("--store", default=None,
                    help=f"output path (default ${STORE_ENV})")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--big", action="store_true",
                    help="allow the best-effort n=10 run (11.7M graphs; "
                         "hours, not minutes)")
@@ -224,7 +226,7 @@ def build_parser():
     p.add_argument("--n", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -117,18 +117,21 @@ def empty_graph(n):
     return Graph(n)
 
 
+# The builders hand Graph generators of edges: it rejects an order above
+# MAX_VERTICES before it draws any, so an oversize request fails at once.
+
 def complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n):
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -159,11 +162,9 @@ def complete_multipartite(parts):
     for p in parts:
         bounds.append((start, start + p))
         start += p
-    edges = []
-    for i, (a0, a1) in enumerate(bounds):
-        for b0, b1 in bounds[i + 1:]:
-            edges.extend((u, v) for u in range(a0, a1) for v in range(b0, b1))
-    return Graph(n, edges)
+    return Graph(n, ((u, v) for i, (a0, a1) in enumerate(bounds)
+                     for b0, b1 in bounds[i + 1:]
+                     for u in range(a0, a1) for v in range(b0, b1)))
 
 
 def mixed_extension_star(t0, p, ts):

@@ -7,11 +7,13 @@ module binds each one;
 ``charpoly_mod`` gives characteristic polynomials modulo word-size primes
 only, and ``exactalg.charpoly`` chooses the primes and lifts the residues,
 whichever backend is active.  ``census_stats`` gives a census record's
-invariants, and ``census_structure`` what the census-wide lemma checks
-compare them with: from the graph, twin predictions and mixed-star shape;
-from the record's charpoly, its inertia triples at -1, 0 and -2, a Taylor
-shift in Python ints or, compiled, in ``__int128`` for coefficients below
-2^63 in absolute value.  Both run on one BFS helper in each backend.
+invariants, its multiplicities read off its charpoly, and
+``census_structure`` what the census-wide lemma checks compare them with:
+from the graph, twin predictions and mixed-star shape; from the record's
+charpoly, its inertia triples at -1 and 0.  Both read a charpoly's inertia
+by a Taylor shift in Python ints or, compiled, in ``__int128`` for
+coefficients below 2^63 in absolute value, and run on one BFS helper in
+each backend.
 ``format_store`` and ``parse_store`` are the census store codec; the pure
 pair is ``CensusRecord.to_line`` and ``from_line``, which the compiled pair
 falls back on for every line outside its strict form.

@@ -559,19 +559,14 @@ def _census_property_checks(rep, census_cache, jobs):
 
     Each graph starts from its record: canonical bits, then adjacency rows
     from the kernels.  One ``kernels.census_structure`` call per record
-    gives everything the checks derive independently of the record's
-    multiplicities, by other algorithms than the rank and charpoly routes
-    behind the record.  From the graph: the twin-class predictions, from
-    adjacency equality, and the mixed-star shape.  From the record's
-    charpoly: its inertia at -1, 0 and -2, by a Taylor shift and a Descartes
-    count (``exactalg.charpoly_inertia``).  The multiplicities at -2, -1 and
-    0 are the record's, which the kernel computed by rank; the twin-class
-    bounds are checked against them, and they are checked against the
-    ``n_zero`` of the three inertias.  ``n_zero`` counts the vanishing low
-    coefficients of cp(y + c), and that is the multiplicity of the root
-    y = 0 of cp(y + c), that is of c in cp, exactly, for any polynomial;
-    unlike the sign counts it needs no real-rootedness.  No exact algebra
-    runs here.
+    gives everything the checks read beside the record's fields.  From the
+    graph: the twin-class predictions, from adjacency equality, and the
+    mixed-star shape.  From the record's charpoly: its inertia at -1 and 0,
+    by a Taylor shift and a Descartes count
+    (``exactalg.charpoly_inertia``).  The multiplicities at -2, -1 and 0 are
+    the record's, the root multiplicities of its charpoly, which the kernel
+    read off it when the census was classified; the twin-class bounds are
+    checked against them.  No exact algebra runs here.
     """
     bad_levels = []
     bad_v1card = []
@@ -579,7 +574,6 @@ def _census_property_checks(rep, census_cache, jobs):
     bad_diam_bound = []
     bad_twins = []
     bad_minimum = []
-    bad_mults = []
     bad_complete = []
     bad_onepos = []
     for n in range(2, 9):
@@ -587,8 +581,7 @@ def _census_property_checks(rep, census_cache, jobs):
         for rec in _census_records(n, census_cache, jobs):
             canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
             adj = kernels.bits_to_adj(*graph6_bits(canon))
-            (twins, star, (_, zero_m1, neg_m1),
-             (pos_0, zero_0, _), (_, zero_m2, _)) = \
+            twins, star, (_, zero_m1, neg_m1), (pos_0, _, _) = \
                 kernels.census_structure(n, adj, coeffs)
             is_kn = canon == kn_canon
             k = n - m1
@@ -614,8 +607,6 @@ def _census_property_checks(rep, census_cache, jobs):
                 bad_minimum.append(canon)
             if pos_0 == 1 and not star:
                 bad_onepos.append(canon)
-            if zero_m1 != m1 or zero_0 != m0 or zero_m2 != m2:
-                bad_mults.append(canon)
     rep.check("a vertex of eccentricity 1 forces diameter <= 2",
               "census n<=8", [], bad_levels)
     rep.check("diameter 1 exactly for the complete graph",
@@ -632,8 +623,6 @@ def _census_property_checks(rep, census_cache, jobs):
               "census n<=8", [], bad_minimum)
     rep.check("exactly one positive eigenvalue implies the star-mixed-"
               "extension join shape", "census n<=8", [], bad_onepos)
-    rep.check("rank-based multiplicities equal charpoly root multiplicities",
-              "census n<=8, xi in {-2,-1,0}", [], bad_mults)
 
 
 def _diameter_bound_checks(rep):

@@ -10,7 +10,8 @@ import pytest
 
 from eccspec import _kernels_py, census, kernels
 from eccspec.census import CensusRecord
-from eccspec.exactalg import IntPolynomial, root_multiplicity
+from eccspec.eccentricity import ecc_matrix
+from eccspec.exactalg import IntPolynomial, bareiss_rank, root_multiplicity
 from eccspec.graphs import (
     Graph,
     complete,
@@ -271,6 +272,20 @@ class TestClassify:
             assert rec.mult_zero == root_multiplicity(cp, 0)
             assert cp.is_monic() and cp.degree == rec.n
 
+    def test_multiplicities_match_integer_rank(self, census_records):
+        """The rank oracle: every stored m(xi) of order 1..8 (1 + 12 112
+        records) is the nullity n - rank(E - xi I) of the largest-distance
+        matrix, by fraction-free elimination over Z, for xi = -1, -2, 0."""
+        count = 0
+        for n in range(1, 9):
+            for rec in census_records(n):
+                e = ecc_matrix(graph6_decode(rec.canon))
+                assert (rec.mult_minus1, rec.mult_minus2, rec.mult_zero) == \
+                    tuple(n - bareiss_rank(e.shifted(1, xi))
+                          for xi in (-1, -2, 0)), rec.canon
+                count += 1
+        assert count == 12_113
+
     def test_missing_store_errors_with_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             census.read_store(tmp_path / "no" / "such.tsv")
@@ -318,6 +333,32 @@ class TestClassify:
             (tmp_path / "jobs1.tsv").read_bytes()
         for n, jobs in ((3, 4), (4, 2)):
             assert census.classify(n, jobs=jobs) == census.classify(n), n
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        """jobs above the CPU count starts os.cpu_count() workers, not jobs:
+        a fake Pool records its size and maps in this process, and the
+        records keep the serial order."""
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, chunks):
+                return map(func, chunks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cpus = os.cpu_count() or 1
+        assert census.classify(6, jobs=cpus + 2) == census.classify(6)
+        assert set(sizes) == ({cpus} if cpus > 1 else set())
 
 
 class TestStoreCodec:

@@ -147,6 +147,17 @@ class TestFamilyCommand:
                 join_clique_with(r, h)).decode()
         assert FAMILY_GRAPH6["K5"] == K5
 
+    @pytest.mark.parametrize("fam,n", [
+        ("K100000", 100000), ("C100000000", 100000000),
+        ("g1:0@100000", 99996), ("S(100000,-1)", 100000),
+    ])
+    def test_oversize_family_is_a_usage_error(self, capsys, fam, n):
+        """An order far above 64 fails at once with the order check's
+        message, before any edge list is built."""
+        assert run(capsys, "family", fam) == (
+            2, "", f"error: cannot build family {fam!r}: vertex count must "
+                   f"be in 1..64, got {n}\n")
+
 
 @pytest.fixture(scope="module")
 def store5(tmp_path_factory):

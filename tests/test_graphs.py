@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -167,6 +168,23 @@ class TestBuilders:
             Graph(65)
         with pytest.raises(ValueError):
             Graph(0)
+
+    @pytest.mark.parametrize("build,arg", [
+        (complete, 2000), (path, 10 ** 6), (cycle, 10 ** 6),
+        (complete_multipartite, [1000, 1000]),
+    ], ids=["K2000", "P1000000", "C1000000", "K(1000,1000)"])
+    def test_oversize_builders_fail_before_listing_edges(self, build, arg):
+        """An order above 64 is rejected before any edge is drawn: the
+        builders allocate well under 1 MB on the way to the error, where a
+        list of the edges of K2000 alone takes over 100 MB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertex count must be in"):
+                build(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_graph_validation(self):
         with pytest.raises(ValueError):

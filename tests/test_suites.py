@@ -146,15 +146,16 @@ class TestMedianSuite:
 
 
 MINIMUM_CLAIM = "-1 is the smallest eigenvalue exactly for the complete graph"
-MULTS_CLAIM = "rank-based multiplicities equal charpoly root multiplicities"
 TWINS_CLAIM = "twin classes force their predicted eigenvalue multiplicities"
 # sha256 of the seed-0, 5-trial lemmas report as JSON, wall_time_s dropped;
 # re-pinned when the diameter-bound entry's instance text came to say
-# "by charpoly root multiplicity" for "by direct rank", and again when the
-# matrix-rule entry left the report for the test suite: the earlier report
-# with only those edits made (counts recomputed) hashes to this digest
+# "by charpoly root multiplicity" for "by direct rank", when the matrix-rule
+# entry left the report for the test suite, and when the entry comparing
+# rank-based multiplicities with charpoly root multiplicities left it for
+# the rank oracle in test_census: the earlier report with only those edits
+# made (counts recomputed) hashes to this digest
 LEMMAS_REPORT_SHA256 = \
-    "aff7d6f767160fd2bc3de9540c49079a7f19562e961878117816e236ea9704c9"
+    "06abfb28368fa34ccdc0aaecaf5f1b7330b9b909d94655e65044dd557f844ccc"
 
 
 class TestCensusPropertyChecks:
@@ -180,42 +181,31 @@ class TestCensusPropertyChecks:
     def copied(census_records):
         return {n: list(census_records(n)) for n in range(2, 9)}
 
-    def test_tampered_record_fails_twin_and_multiplicity_checks(
+    def test_tampered_m_minus1_fails_the_twin_check(
             self, census_records, monkeypatch):
-        """The census-wide checks read the record's multiplicities, so a
-        record whose m(-1) disagrees with its graph must be caught."""
+        """The census-wide checks read the record's multiplicities, so K5
+        with m(-1) = 3, below the bound its co-duplicate class of five
+        forces, must be caught."""
         cache = self.copied(census_records)
         recs = cache[5]
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
         recs[i] = recs[i]._replace(mult_minus1=recs[i].mult_minus1 - 1)
         failed = self.failed_on_each_backend(cache, monkeypatch)
-        assert sorted(failed) == [MULTS_CLAIM, TWINS_CLAIM]
-        assert all(recs[i].canon in actual for actual in failed.values())
+        assert sorted(failed) == [TWINS_CLAIM]
+        assert recs[i].canon in failed[TWINS_CLAIM]
 
-    def test_tampered_m_minus2_fails_the_multiplicity_check(
-            self, census_records, monkeypatch):
-        """m(-2) is checked against the root multiplicity of the charpoly;
-        raising it breaks no twin lower bound."""
-        cache = self.copied(census_records)
-        recs = cache[6]
-        i = next(i for i, r in enumerate(recs) if r.diam == 2)
-        recs[i] = recs[i]._replace(mult_minus2=recs[i].mult_minus2 + 1)
-        failed = self.failed_on_each_backend(cache, monkeypatch)
-        assert sorted(failed) == [MULTS_CLAIM]
-        assert recs[i].canon in failed[MULTS_CLAIM]
-
-    def test_foreign_charpoly_on_k5_fails_the_charpoly_checks(
+    def test_foreign_charpoly_on_k5_fails_the_minimum_check(
             self, census_records, monkeypatch):
         """K5 given another order-5 graph's charpoly: -1 is no longer its
-        smallest eigenvalue, and m(-1) = 4 is no longer a root multiplicity."""
+        smallest eigenvalue."""
         cache = self.copied(census_records)
         recs = cache[5]
         i = next(i for i, r in enumerate(recs) if r.diam == 1)
         other = next(r for r in recs if r.diam != 1)
         recs[i] = recs[i]._replace(charpoly=other.charpoly)
         failed = self.failed_on_each_backend(cache, monkeypatch)
-        assert sorted(failed) == [MINIMUM_CLAIM, MULTS_CLAIM]
-        assert all(recs[i].canon in actual for actual in failed.values())
+        assert sorted(failed) == [MINIMUM_CLAIM]
+        assert recs[i].canon in failed[MINIMUM_CLAIM]
 
     @pytest.mark.parametrize("backend", ["compiled", "pure"])
     def test_lemmas_report_bytes_pinned(self, census_cache, monkeypatch,
@@ -231,8 +221,8 @@ class TestCensusPropertyChecks:
 #: sha256 of reports whose entries are eigenvalue multiplicities, as JSON
 #: with wall_time_s dropped, computed when every multiplicity was still a
 #: rank by fraction-free elimination (lemmas: with the diameter-bound
-#: instance text then reworded and the matrix-rule entry then removed, as
-#: for LEMMAS_REPORT_SHA256)
+#: instance text then reworded, and the matrix-rule and rank-versus-charpoly
+#: entries then removed, as for LEMMAS_REPORT_SHA256)
 MULTIPLICITY_REPORTS = {
     "thm1-iv": (
         lambda cache: suites.suite_theorem1("iv", (16, 20)),
@@ -243,7 +233,7 @@ MULTIPLICITY_REPORTS = {
     "lemmas": (
         lambda cache: suites.suite_lemmas(seed=0, trials=50,
                                           census_cache=cache),
-        "f3dbe9e1f3b74b1f254296ed965218c1d1f0fd930db005e8cddfb1e0bb82e712"),
+        "cee5b81fa72828d10f6bfd5c21fc6e7841dab44880fb146f3b4de13c5e03dd18"),
 }
 
 
