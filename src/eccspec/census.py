@@ -30,13 +30,11 @@ in bounded batches through ``kernels.format_store`` and
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import islice
 from typing import NamedTuple
 
 from . import kernels
-from .exactalg import deflate_root
 from .graphs import Graph, bits_to_graph6, theorem1_families
 
 ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
@@ -274,47 +272,3 @@ def cospectral_mates(records, target: CensusRecord):
     its canonical form (witnesses against spectral determination)."""
     return [r for r in records
             if r.charpoly == target.charpoly and r.canon != target.canon]
-
-
-def integer_root_multiplicities(coeffs):
-    """All integer roots of the monic ascending-coefficient polynomial with
-    their multiplicities, by repeated exact synthetic division."""
-    out = {}
-    zero_mult, work = deflate_root(coeffs, 0)
-    if zero_mult:
-        out[0] = zero_mult
-    if len(work) <= 1:
-        return out
-    # every integer root divides the constant term; divisors pair up around
-    # its square root, so the ascending list costs O(sqrt(|tail|)) steps
-    tail = abs(work[0])
-    small = [d for d in range(1, math.isqrt(tail) + 1) if tail % d == 0]
-    candidates = small + [tail // d for d in reversed(small) if d * d != tail]
-    for base in candidates:
-        for r in (base, -base):
-            mult, work = deflate_root(work, r)
-            if mult:
-                out[r] = mult
-    return out
-
-
-def high_multiplicity_hits(records, i_bound=3, exclude=(-2, -1, 0)):
-    """Exploratory scan: records with an integer eigenvalue xi outside
-    ``exclude`` of multiplicity >= n - i_bound, plus a note when the
-    non-integer residual spectrum is large enough that a non-integer xi could
-    in principle reach that multiplicity.  Informational only."""
-    hits = []
-    for rec in records:
-        roots = integer_root_multiplicities(rec.charpoly)
-        threshold = rec.n - i_bound
-        if threshold < 1:
-            continue
-        flagged = {xi: m for xi, m in roots.items()
-                   if m >= threshold and xi not in exclude}
-        residual = rec.n - sum(roots.values())
-        note = ""
-        if residual >= 2 * threshold:
-            note = f"non-integer residual of degree {residual}"
-        if flagged or note:
-            hits.append((rec, flagged, note))
-    return hits

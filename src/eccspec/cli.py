@@ -189,7 +189,8 @@ def build_parser():
                               "(descending coefficients)")
     p = add_graph_cmd("mult", "print the multiplicity of a rational "
                               "eigenvalue")
-    p.add_argument("xi", help="rational shift, e.g. -1 or 3/2")
+    p.add_argument("xi", help="rational shift: an integer, p/q or a "
+                              "decimal, e.g. -1, 3/2 or 0.25 (no exponent)")
     add_graph_cmd("hl", "print the HL index (median eigenvalue magnitude)")
 
     p = sub.add_parser("family", help="emit a named family graph as graph6")
@@ -214,10 +215,6 @@ def build_parser():
                         "family=K6v3K1")
     p.add_argument("--mates", action="store_true",
                    help="also list cospectral mates of every match")
-    p.add_argument("--high-mult", type=_positive_int, default=None,
-                   metavar="I",
-                   help="exploratory scan for eigenvalues outside {-2,-1,0} "
-                        "with multiplicity >= n-I")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -256,9 +253,15 @@ def _cmd_charpoly(args):
 def _cmd_mult(args):
     g = _load_graph(args.graph)
     try:
+        # Fraction expands a decimal exponent digit by digit, so 1e1000000000
+        # would not return: no exponent is read at all
+        if "e" in args.xi.lower():
+            raise ValueError("exponent")
         xi = Fraction(args.xi)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"xi {args.xi!r} is not a rational number")
+        raise UsageError(f"xi {args.xi!r} must be a rational number written "
+                         "as an integer, p/q or a decimal, e.g. -1, 3/2 or "
+                         "0.25, without an exponent")
     m = multiplicity(g, xi)
     if args.format == "json":
         print(json.dumps({"xi": str(xi), "multiplicity": m}))
@@ -321,6 +324,12 @@ def _cmd_query(args):
         raise UsageError(str(exc))
     preds = _parse_predicates(args.predicates)
     hits = [r for r in records if _match(r, preds)]
+    if args.mates:
+        # one pass groups the store by charpoly, in store order, so each
+        # match looks for its mates among its own group only
+        by_charpoly = {}
+        for rec in records:
+            by_charpoly.setdefault(rec.charpoly, []).append(rec)
     out = []
     for rec in hits:
         item = {"canon": rec.canon, "n": rec.n, "diam": rec.diam,
@@ -329,20 +338,11 @@ def _cmd_query(args):
                 "family_tags": list(rec.family_tags)}
         if args.mates:
             item["cospectral_mates"] = [
-                m.canon for m in census_mod.cospectral_mates(records, rec)]
+                m.canon for m in census_mod.cospectral_mates(
+                    by_charpoly[rec.charpoly], rec)]
         out.append(item)
-    high = None
-    if args.high_mult is not None:
-        high = [{"canon": rec.canon,
-                 "eigenvalues": {str(k): v for k, v in flagged.items()},
-                 "note": note}
-                for rec, flagged, note in
-                census_mod.high_multiplicity_hits(hits, args.high_mult)]
     if args.format == "json":
-        payload = {"matches": out}
-        if high is not None:
-            payload["high_multiplicity"] = high
-        print(json.dumps(payload))
+        print(json.dumps({"matches": out}))
     else:
         for item in out:
             line = (f"{item['canon']}  n={item['n']} diam={item['diam']} "
@@ -353,12 +353,6 @@ def _cmd_query(args):
             if args.mates:
                 line += f"  mates={item['cospectral_mates']}"
             print(line)
-        if high is not None:
-            print(f"high-multiplicity hits (exploratory, xi outside "
-                  f"{{-2,-1,0}}, m >= n-{args.high_mult}):")
-            for item in high:
-                print(f"  {item['canon']}  {item['eigenvalues']}"
-                      + (f"  ({item['note']})" if item["note"] else ""))
     return 0
 
 

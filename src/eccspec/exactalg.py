@@ -187,9 +187,6 @@ class RationalInterval(NamedTuple):
     def is_point(self):
         return self.lo == self.hi
 
-    def width(self):
-        return self.hi - self.lo
-
 
 # ---------------------------------------------------------------------------
 # rank (fraction-free elimination, full pivoting)
@@ -591,8 +588,9 @@ def poly_divide_exact(num: IntPolynomial,
 def root_multiplicity(p: IntPolynomial, r) -> int:
     """Largest k such that (x - r)^k divides p, for rational r.
 
-    Repeated exact synthetic division (``deflate_root``), over int when r is
-    an integer and over Fraction otherwise.
+    Repeated exact synthetic division, over int when r is an integer and over
+    Fraction otherwise.  Each division is kept only when its remainder p(r)
+    vanishes, so integer coefficients and an integer r never leave Z.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root multiplicities")
@@ -600,19 +598,7 @@ def root_multiplicity(p: IntPolynomial, r) -> int:
         r = Fraction(r)
         if r.denominator == 1:
             r = r.numerator
-    mult, _ = deflate_root(p.coeffs, r)
-    return mult
-
-
-def deflate_root(coeffs, r):
-    """(k, quotient): the largest k such that (x - r)^k divides the
-    ascending-coefficient polynomial, and the ascending coefficients of the
-    polynomial divided by (x - r)^k.
-
-    Each synthetic division is kept only when its remainder p(r) vanishes, so
-    integer coefficients and an integer r never leave Z.
-    """
-    work = list(coeffs)
+    work = p.coeffs
     mult = 0
     while len(work) > 1:
         acc = 0
@@ -624,4 +610,4 @@ def deflate_root(coeffs, r):
             break
         work = quot
         mult += 1
-    return mult, work
+    return mult

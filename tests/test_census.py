@@ -437,14 +437,6 @@ class TestQueries:
             for m in ms:
                 assert m.charpoly == r.charpoly and m.canon != r.canon
 
-    def test_high_multiplicity_scan_finds_c6(self, census_records):
-        recs = census_records(6)
-        hits = census.high_multiplicity_hits(recs, i_bound=3)
-        c6 = census.canonical_form(cycle(6))
-        flagged = {rec.canon: flagged for rec, flagged, _ in hits}
-        assert c6 in flagged
-        assert flagged[c6] == {3: 3, -3: 3}
-
     def test_multiplicity_of_any_rational(self, census_records):
         from fractions import Fraction
         rec = next(r for r in census_records(5)
@@ -470,32 +462,3 @@ class TestQueries:
             for rec in census_records(n):
                 g = graph6_decode(rec.canon)
                 assert graph6_encode(g).decode("ascii") == rec.canon
-
-    def test_integer_root_multiplicities(self):
-        # x^4 - 9x^2 = x^2 (x-3) (x+3)
-        assert census.integer_root_multiplicities((0, 0, -9, 0, 1)) == \
-            {0: 2, 3: 1, -3: 1}
-        # (x+1)^2 (x-2) = x^3 - 3x - 2
-        assert census.integer_root_multiplicities((-2, -3, 0, 1)) == \
-            {-1: 2, 2: 1}
-        # (x - p) (x + 1) with p = 2^31 - 1 prime: a trial of every integer
-        # up to |p| would take 2^31 steps
-        p = 2 ** 31 - 1
-        assert census.integer_root_multiplicities((-p, 1 - p, 1)) == \
-            {-1: 1, p: 1}
-
-    def test_integer_roots_match_sympy(self, census_records):
-        """The integer roots of every census charpoly up to order 6, against
-        the linear factors of sympy's factorization over the integers."""
-        import sympy
-        x = sympy.Symbol("x")
-        for n in range(1, 7):
-            for rec in census_records(n):
-                poly = sympy.Poly(list(reversed(rec.charpoly)), x)
-                want = {}
-                for factor, mult in poly.factor_list()[1]:
-                    if factor.degree() == 1:
-                        lead, const = factor.all_coeffs()
-                        want[int(-const / lead)] = mult
-                assert census.integer_root_multiplicities(rec.charpoly) == \
-                    want, rec.canon

@@ -92,9 +92,14 @@ class TestGraphCommands:
         code, _, err = run(capsys, "ecc", "A?")
         assert code == 2 and "connected" in err
 
-    def test_bad_xi_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "mult", K5, "pi")
-        assert code == 2 and "rational" in err
+    # Fraction would expand an exponent digit by digit (1e1000000000 would
+    # not return), so mult refuses every exponent
+    @pytest.mark.parametrize("xi", ["pi", "1e5", "2E-3", "1e1000000000"])
+    def test_bad_xi_is_usage_error(self, capsys, xi):
+        assert run(capsys, "mult", K5, xi) == (
+            2, "", f"error: xi {xi!r} must be a rational number written as "
+                   "an integer, p/q or a decimal, e.g. -1, 3/2 or 0.25, "
+                   "without an exponent\n")
 
     def test_library_value_error_is_not_usage_error(self, monkeypatch):
         from eccspec import kernels
@@ -236,12 +241,6 @@ class TestCensusAndQuery:
         assert len(payload["matches"]) == 112
         assert any(m["cospectral_mates"] for m in payload["matches"])
 
-    def test_query_high_mult_finds_c6(self, capsys, tmp_path):
-        store = tmp_path / "c6.tsv"
-        run(capsys, "census", "6", "--store", str(store))
-        code, out, _ = run(capsys, "query", str(store), "--high-mult", "3")
-        assert code == 0 and "'3': 3" in out
-
     def test_census_json_pinned(self, capsys, tmp_path):
         store = tmp_path / "c5.tsv"
         code, out, err = run(capsys, "census", "5", "--store", str(store),
@@ -294,29 +293,23 @@ class TestCensusAndQuery:
             "DK[  n=5 diam=3 v1=0 m(-1)=0 m(-2)=0 m(0)=1  mates=['D@s']",
         ]
 
-    def test_query_high_mult_json_pinned(self, capsys, store5):
+    def test_query_json_pinned(self, capsys, store5):
         code, out, _ = run(capsys, "query", str(store5), "diam>=3",
-                           "--high-mult", "3", "--format", "json")
+                           "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert sorted(payload) == ["high_multiplicity", "matches"]
+        assert sorted(payload) == ["matches"]
         assert payload["matches"][0] == {
             "canon": "D@s", "n": 5, "diam": 3, "v1_size": 0,
             "mult_minus1": 0, "mult_minus2": 0, "mult_zero": 1,
             "family_tags": []}
         assert [m["canon"] for m in payload["matches"]] == \
             ["D@s", "DBg", "DBk", "DBw", "DJk", "DK["]
-        assert payload["high_multiplicity"] == [
-            {"canon": c, "eigenvalues": {},
-             "note": "non-integer residual of degree 4"}
-            for c in ("D@s", "DBg", "DJk", "DK[")]
 
-    @pytest.mark.parametrize("value", ["0", "-7"])
-    def test_query_rejects_nonpositive_high_mult(self, capsys, store5, value):
-        code, out, err = run(capsys, "query", str(store5), "--high-mult",
-                             value)
+    def test_query_high_mult_is_gone(self, capsys, store5):
+        code, out, err = run(capsys, "query", str(store5), "--high-mult", "3")
         assert code == 2 and out == ""
-        assert "--high-mult" in err and "at least 1" in err
+        assert "unrecognized arguments: --high-mult 3" in err
 
     @pytest.mark.parametrize("pred,message", [
         ("n=abc", "error: predicate 'n=abc': 'abc' is not an integer\n"),

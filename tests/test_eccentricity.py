@@ -129,6 +129,8 @@ class TestMultiplicity:
         (path(4), -1, 1),
         (complete(5), Fraction(1, 2), 0),
         (cycle(4), -2, 2),
+        (cycle(6), 3, 3),
+        (cycle(6), -3, 3),
     ])
     def test_golden(self, g, xi, want):
         assert multiplicity(g, xi) == want

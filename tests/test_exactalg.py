@@ -19,7 +19,6 @@ from eccspec.exactalg import (
     berkowitz_charpoly,
     charpoly,
     charpoly_inertia,
-    deflate_root,
     poly_divide_exact,
     root_multiplicity,
 )
@@ -426,7 +425,7 @@ class TestBracketCost:
         # xi_2 = (5 - sqrt(33))/2 ~ -0.37: the integer phase probes 0, where
         # it gallops from, and -1; the rational phase reads charpoly signs
         assert calls == [0, -1]
-        assert iv.width() == Fraction(1, 2 ** 40)
+        assert iv.hi - iv.lo == Fraction(1, 2 ** 40)
         assert spec.count_gt(iv.hi) == 1 and spec.count_ge(iv.lo) == 2
         assert spec.count_gt(iv.lo) == 2 and spec.count_ge(iv.hi) == 1
         assert len(calls) == 2  # the ends were recorded: memo hits
@@ -462,7 +461,7 @@ class TestBrackets:
     def test_diamond_join_irrational_eigenvalue(self):
         # second eigenvalue of the K4 v 2K1 matrix is (5 - sqrt(33))/2
         iv = SymmetricSpectrum(diamond_join()).bracket(2)
-        assert iv.width() <= Fraction(1, 2 ** 20)
+        assert iv.hi - iv.lo <= Fraction(1, 2 ** 20)
         assert -1 < iv.lo <= iv.hi < 0
         # exact sign test of x^2 - 5x - 2 at the endpoints
         f = lambda x: x * x - 5 * x - 2
@@ -528,12 +527,12 @@ class TestPolynomials:
         assert root_multiplicity(IntPolynomial([16, 0, -17, 0, 1]), 7) == 0
         assert root_multiplicity(IntPolynomial([-1, 2]), Fraction(1, 2)) == 1
 
-    def test_deflate_root_stays_in_integers(self):
-        mult, quot = deflate_root((-2, -3, 0, 1), -1)
-        assert (mult, quot) == (2, [-2, 1])
-        assert all(type(c) is int for c in quot)
-        assert root_multiplicity(IntPolynomial([-2, -3, 0, 1]),
-                                 Fraction(-1)) == 2
+    def test_root_multiplicity_stays_in_integers(self):
+        # (x+1)^2 (x-2) at -1, given as an int and as an integral Fraction
+        p = IntPolynomial([-2, -3, 0, 1])
+        for r in (-1, Fraction(-1)):
+            mult = root_multiplicity(p, r)
+            assert mult == 2 and type(mult) is int
 
     def test_root_multiplicity_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,21 @@ def test_backend_selection():
         assert kernels.BACKEND == "pure-python"
     else:
         assert kernels.BACKEND == "compiled"
+
+
+def test_build_without_compiler_succeeds_with_no_module(tmp_path):
+    # the extension is optional: where no C compiler works the build warns,
+    # writes no module and exits 0, so the pure-Python fallback installs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp_path / "lib"),
+         "--build-temp", str(tmp_path / "temp")],
+        cwd=root, env=dict(os.environ, CC="false"), stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    assert proc.returncode == 0, proc.stdout
+    assert "eccspec._kernels" in proc.stdout and "failed" in proc.stdout
+    assert glob.glob(str(tmp_path / "**" / "_kernels*"), recursive=True) == []
 
 
 def test_version_matches_pyproject():
