@@ -435,7 +435,9 @@ class SymmetricSpectrum:
     is irrational, so exactly one L fits, and (L/2^S, (L+1)/2^S) is the
     bracket that bisection by inertia alone would give.  Every probe's
     inertia goes into the memo, which holds the Descartes count at each of
-    its points.
+    its points.  Integer probes are keyed by int and the others by
+    Fraction; an int and an equal Fraction hash and compare alike, so
+    either form of a point finds its one entry.
     """
 
     def __init__(self, m: IntMatrix):
@@ -455,7 +457,8 @@ class SymmetricSpectrum:
         return self._charpoly
 
     def inertia(self, c) -> Inertia:
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         got = self._inertia.get(c)
         if got is None:
             got = charpoly_inertia(self.charpoly, c)

@@ -373,14 +373,21 @@ def _random_symmetric(rng):
 def _bracket_ge(spec_a, i_a, spec_b, i_b):
     """Exact-where-possible decision of xi_{i_a}(A) >= xi_{i_b}(B).
 
-    Disjoint brackets decide immediately; a rational-certified side is
-    decided by an inertia count on the other; a persistent both-irrational
-    overlap is treated as a tie (the compared values agree to 2^-40).  The
-    brackets are refined to 2^-40 only when those at the default width
-    overlap: bisection brackets are nested, so every decision but the tie is
-    the one the 2^-40 brackets would give.
+    Equal indices into equal characteristic polynomials name the same
+    eigenvalue, so that case is True without a bracket.  Otherwise the
+    brackets are compared at width 1 (the integer phase alone), then at the
+    default width, then at 2^-40, stopping at the first width that decides:
+    disjoint brackets decide at once, and a rational-certified side is
+    decided by an inertia count on the other.  An integer eigenvalue is a
+    point bracket at every width, and an irrational one has dyadic brackets
+    (L/2^S, (L+1)/2^S) that are nested as S grows, so a width that decides
+    gives the decision of every finer width.  Only a 2^-40 overlap between
+    different characteristic polynomials is treated as a tie (the compared
+    values agree to 2^-40).
     """
-    for width in (DEFAULT_BRACKET_WIDTH, Fraction(1, 2 ** 40)):
+    if i_a == i_b and spec_a.charpoly == spec_b.charpoly:
+        return True
+    for width in (1, DEFAULT_BRACKET_WIDTH, Fraction(1, 2 ** 40)):
         ba = spec_a.bracket(i_a, width)
         bb = spec_b.bracket(i_b, width)
         if ba.is_point():

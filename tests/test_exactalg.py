@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eccspec import exactalg
+from eccspec import exactalg, suites
 from eccspec.eccentricity import ecc_matrix
 from eccspec.exactalg import (
     Inertia,
@@ -406,20 +406,22 @@ class TestBracketOracle:
             assert ine == charpoly_inertia(cp, c), (m, c)
 
 
+def count_charpoly_inertia(monkeypatch):
+    """The list of shifts charpoly_inertia is called with from now on."""
+    calls = []
+    real = exactalg.charpoly_inertia
+
+    def counting(cp, c):
+        calls.append(c)
+        return real(cp, c)
+
+    monkeypatch.setattr(exactalg, "charpoly_inertia", counting)
+    return calls
+
+
 class TestBracketCost:
-    def count_calls(self, monkeypatch):
-        calls = []
-        real = exactalg.charpoly_inertia
-
-        def counting(cp, c):
-            calls.append(c)
-            return real(cp, c)
-
-        monkeypatch.setattr(exactalg, "charpoly_inertia", counting)
-        return calls
-
     def test_isolated_eigenvalue_needs_integer_phase_only(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
+        calls = count_charpoly_inertia(monkeypatch)
         spec = SymmetricSpectrum(diamond_join())
         iv = spec.bracket(2, Fraction(1, 2 ** 40))
         # xi_2 = (5 - sqrt(33))/2 ~ -0.37: the integer phase probes 0, where
@@ -442,11 +444,44 @@ class TestBracketCost:
             assert len(spec._inertia) - before <= 2 * 60 + 8, i
 
     def test_repeated_eigenvalue_keeps_inertia_steps(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
+        calls = count_charpoly_inertia(monkeypatch)
         spec = SymmetricSpectrum(cycle_adjacency(8))
         iv = spec.bracket(2, Fraction(1, 2 ** 20))  # sqrt(2), double
         assert iv.lo * iv.lo < 2 < iv.hi * iv.hi
         assert len(calls) > 20
+
+    def test_width_one_separation_makes_no_rational_probe(self, monkeypatch):
+        calls = count_charpoly_inertia(monkeypatch)
+        m = random_symmetric(random.Random(0), 6)
+        spec_m = SymmetricSpectrum(m)
+        spec_s = SymmetricSpectrum(m.principal_submatrix([0, 1, 2, 3]))
+        assert suites._bracket_ge(spec_m, 1, spec_s, 1)
+        assert not suites._bracket_ge(spec_s, 1, spec_m, 1)
+        # xi_1(M) in (10, 11] and xi_1(M*) in (5, 6]: the integer phase
+        # decides, so every probe is an integer, and the memo keys are ints
+        assert calls and all(type(c) is int for c in calls)
+        for spec in (spec_m, spec_s):
+            assert all(type(c) is int for c in spec._inertia)
+        assert spec_m.bracket(1, 1) == (10, 11)
+        assert spec_s.bracket(1, 1) == (5, 6)
+
+
+class TestInertiaMemo:
+    def test_int_and_equal_fraction_share_one_entry(self, monkeypatch):
+        calls = count_charpoly_inertia(monkeypatch)
+        spec = SymmetricSpectrum(A_K5)
+        assert spec.inertia(2) == Inertia(1, 0, 4)
+        assert spec.inertia(Fraction(2)) == Inertia(1, 0, 4)
+        assert calls == [2] and type(calls[0]) is int
+        assert [type(c) for c in spec._inertia] == [int]
+
+    def test_integer_phase_keys_are_ints(self):
+        spec = SymmetricSpectrum(diamond_join())
+        spec.bracket(2, Fraction(1, 2 ** 40))
+        ints = [c for c in spec._inertia if type(c) is int]
+        assert sorted(ints) == [-1, 0]
+        # the rational phase probes dyadic non-integers only
+        assert all(c.denominator > 1 for c in spec._inertia if c not in ints)
 
 
 class TestBrackets:

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
 from eccspec import _kernels_py, kernels, suites
+from eccspec.exactalg import IntMatrix, SymmetricSpectrum
 
 
 def kernel_backend(name):
@@ -249,6 +252,98 @@ def test_multiplicity_reports_pinned(census_cache, monkeypatch, backend,
     monkeypatch.setattr(suites, "kernels", mod)
     run, digest = MULTIPLICITY_REPORTS[report]
     assert report_sha256(run(census_cache)) == digest
+
+
+def two_width_bracket_ge(spec_a, i_a, spec_b, i_b):
+    """Reference: the interlacing decision from brackets at 2^-20, then at
+    2^-40 only when those overlap; an overlap at 2^-40 is a tie."""
+    for width in (Fraction(1, 2 ** 20), Fraction(1, 2 ** 40)):
+        ba = spec_a.bracket(i_a, width)
+        bb = spec_b.bracket(i_b, width)
+        if ba.is_point():
+            return spec_b.count_gt(ba.lo) < i_b
+        if bb.is_point():
+            return spec_a.count_ge(bb.lo) >= i_a
+        if ba.lo >= bb.hi:
+            return True
+        if ba.hi < bb.lo:
+            return False
+    return True
+
+
+class TestBracketGe:
+    GOLDEN = IntMatrix([[1, 1], [1, 0]])  # eigenvalues (1 +- sqrt 5)/2
+
+    @staticmethod
+    def count_brackets(monkeypatch):
+        """The widths SymmetricSpectrum.bracket is called with from now on."""
+        widths = []
+        real = SymmetricSpectrum.bracket
+
+        def counting(self, i, width=suites.DEFAULT_BRACKET_WIDTH):
+            widths.append(Fraction(width))
+            return real(self, i, width)
+
+        monkeypatch.setattr(SymmetricSpectrum, "bracket", counting)
+        return widths
+
+    def test_matches_two_width_rule_on_principal_submatrices(self):
+        rng = random.Random(2024)
+        decided = set()
+        for _ in range(60):
+            m = suites._random_symmetric(rng)
+            n = m.n
+            k = rng.randint(1, n)
+            sub = m.principal_submatrix(sorted(rng.sample(range(n), k)))
+            for i in range(1, k + 1):
+                for j in (i, n - k + i):
+                    for a, i_a, b, i_b in ((m, j, sub, i), (sub, i, m, j)):
+                        got = suites._bracket_ge(
+                            SymmetricSpectrum(a), i_a, SymmetricSpectrum(b),
+                            i_b)
+                        want = two_width_bracket_ge(
+                            SymmetricSpectrum(a), i_a, SymmetricSpectrum(b),
+                            i_b)
+                        assert got == want, (a, i_a, b, i_b)
+                        decided.add(got)
+        assert decided == {True, False}
+
+    def test_equal_spectrum_needs_no_bracket(self, monkeypatch):
+        m = suites._random_symmetric(random.Random(5))
+        perm = list(range(m.n))[::-1]
+        flipped = IntMatrix([[m[p, q] for q in perm] for p in perm])
+        spec_m, spec_f = SymmetricSpectrum(m), SymmetricSpectrum(flipped)
+        widths = self.count_brackets(monkeypatch)
+        for i in range(1, m.n + 1):
+            assert suites._bracket_ge(spec_m, i, spec_f, i)
+            assert suites._bracket_ge(spec_f, i, spec_m, i)
+            assert suites._bracket_ge(spec_m, i, spec_m, i)
+        assert widths == []
+
+    def test_shared_irrational_eigenvalue_of_a_direct_sum_is_a_tie(
+            self, monkeypatch):
+        # GOLDEN + [5] has the eigenvalues 5, (1 + sqrt 5)/2, (1 - sqrt 5)/2
+        plus = IntMatrix([[1, 1, 0], [1, 0, 0], [0, 0, 5]])
+        spec_a = SymmetricSpectrum(self.GOLDEN)
+        spec_p = SymmetricSpectrum(plus)
+        assert spec_a.charpoly != spec_p.charpoly
+        widths = self.count_brackets(monkeypatch)
+        assert suites._bracket_ge(spec_p, 2, spec_a, 1)
+        assert suites._bracket_ge(spec_a, 1, spec_p, 2)
+        assert suites._bracket_ge(spec_a, 2, spec_p, 3)
+        # every width overlaps, so only the 2^-40 tie says True
+        assert sorted(set(widths)) == [Fraction(1, 2 ** 40),
+                                       Fraction(1, 2 ** 20), 1]
+
+    def test_integer_eigenvalue_decides_by_its_point_bracket(
+            self, monkeypatch):
+        spec_2 = SymmetricSpectrum(IntMatrix([[2]]))
+        spec_g = SymmetricSpectrum(self.GOLDEN)
+        widths = self.count_brackets(monkeypatch)
+        assert suites._bracket_ge(spec_2, 1, spec_g, 1)  # 2 >= 1.618...
+        assert not suites._bracket_ge(spec_g, 1, spec_2, 1)
+        assert widths == [1] * 4
+        assert spec_2.bracket(1, 1) == (2, 2)
 
 
 class TestCheckArgs:
