@@ -8,7 +8,9 @@
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
  * iff ij is an edge.  The C side does word arithmetic only; big-integer work
- * (choosing primes, lifting residues) is exactalg's, in Python ints.
+ * (choosing primes, reducing entries outside int64, lifting residues) is
+ * exactalg's, in Python ints, and charpoly_mod raises OverflowError on such
+ * an entry.  children_canon labels; the census dedups and sorts the level.
  * The one charpoly algorithm here, which charpoly_mod and census_stats share,
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
  * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
@@ -430,17 +432,11 @@ k_canon_bits(PyObject *self, PyObject *args)
     return status < 0 ? NULL : u128_to_py(bits);
 }
 
-static int
-u128_cmp(const void *a, const void *b)
-{
-    u128 x = *(const u128 *)a, y = *(const u128 *)b;
-    return (x > y) - (x < y);
-}
-
-/* The sorted distinct canonical forms of the one-vertex extensions: the new
- * vertex n joined to a nonempty subset S of 0..n-1.  Only subsets closed
- * downward in each twin class of the parent are labeled (v in S implies
- * u in S for twins u < v).  Twinhood is an
+/* The canonical forms of the one-vertex extensions: the new vertex n
+ * joined to a nonempty subset S of 0..n-1, one form per labeled subset, in
+ * increasing subset order, repeats kept (the census dedups the level).
+ * Only subsets closed downward in each twin class of the parent are
+ * labeled (v in S implies u in S for twins u < v).  Twinhood is an
  * equivalence relation and any permutation of a twin class is a parent
  * automorphism, which carries every other subset onto a labeled one of the
  * same size in each class, so every skipped child is isomorphic to a
@@ -460,13 +456,9 @@ k_children_canon(PyObject *self, PyObject *args)
                 break;
             }
     uint64_t full = ((uint64_t)1 << n) - 1;
-    u128 *forms = PyMem_Malloc((size_t)full * sizeof(u128));
-    if (forms == NULL)
-        return PyErr_NoMemory();
     statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
-    PyObject *out = NULL;
-    Py_ssize_t count = 0;
-    for (uint64_t sub = 1; sub <= full; sub++) {
+    PyObject *out = PyList_New(0);
+    for (uint64_t sub = 1; out != NULL && sub <= full; sub++) {
         uint64_t need = 0;
         for (uint64_t m = sub; m; m &= m - 1)
             need |= prev[__builtin_ctzll(m)];
@@ -475,26 +467,14 @@ k_children_canon(PyObject *self, PyObject *args)
         for (int i = 0; i < n; i++)
             work[i] = adj[i] | (((sub >> i) & 1) << n);
         work[n] = sub;
-        if (canon_impl(n + 1, work, &cur, &nxt, &forms[count++]) < 0)
-            goto done;
-    }
-    qsort(forms, count, sizeof(u128), u128_cmp);
-    Py_ssize_t distinct = count ? 1 : 0;
-    for (Py_ssize_t i = 1; i < count; i++)
-        if (forms[i] != forms[distinct - 1])
-            forms[distinct++] = forms[i];
-    if ((out = PyList_New(distinct)) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < distinct; i++) {
-        PyObject *item = u128_to_py(forms[i]);
-        if (item == NULL) {
+        u128 bits;
+        PyObject *item = NULL;
+        if (canon_impl(n + 1, work, &cur, &nxt, &bits) < 0
+            || (item = u128_to_py(bits)) == NULL
+            || PyList_Append(out, item) < 0)
             Py_CLEAR(out);
-            goto done;
-        }
-        PyList_SET_ITEM(out, i, item);
+        Py_XDECREF(item);
     }
-done:
-    PyMem_Free(forms);
     PyMem_Free(cur.s);
     PyMem_Free(nxt.s);
     return out;
@@ -562,9 +542,9 @@ k_bits_to_adj(PyObject *self, PyObject *args)
  * a unit: every nonzero residue is one modulo a prime, and at a composite
  * modulus a pivot that is not a unit raises ValueError rather than give a
  * wrong residue.  Choosing the primes and lifting the residues to integers
- * is exactalg.charpoly's work, in Python ints.  Any order and any entry size
- * is accepted, symmetric or not: int64 entries are reduced in words, larger
- * ones by PyNumber_Remainder.
+ * is exactalg.charpoly's work, in Python ints, and so is reducing entries
+ * outside int64: any order is accepted, symmetric or not, but an entry
+ * outside int64 raises OverflowError.
  *
  * Products reduce by Montgomery's REDC with R = 2^64: for T < p 2^64,
  * REDC(T) = T R^-1 mod p in two multiplications and no division, within
@@ -758,7 +738,6 @@ static PyObject *
 k_charpoly_mod(PyObject *self, PyObject *args)
 {
     PyObject *rows_obj, *mods_obj, *rows = NULL, *mods, *out = NULL;
-    PyObject **big = NULL;
     int64_t *small = NULL;
     uint64_t *a = NULL, *work = NULL;
     if (!PyArg_ParseTuple(args, "OO", &rows_obj, &mods_obj))
@@ -792,8 +771,7 @@ k_charpoly_mod(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    /* load the entries into small[], keeping in big[] a reference to each
-     * entry outside int64 */
+    /* load the entries into small[] */
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, i),
                                         "matrix rows must be sequences");
@@ -808,21 +786,14 @@ k_charpoly_mod(PyObject *self, PyObject *args)
         for (Py_ssize_t j = 0; j < n; j++) {
             int overflow;
             long long x = PyLong_AsLongLongAndOverflow(items[j], &overflow);
-            if (x == -1 && PyErr_Occurred()) {
+            if (overflow)
+                PyErr_SetString(PyExc_OverflowError,
+                                "charpoly_mod needs entries within int64");
+            if (overflow || (x == -1 && PyErr_Occurred())) {
                 Py_DECREF(row);
                 goto done;
             }
-            small[i * n + j] = overflow ? 0 : x;
-            if (overflow) {
-                if (big == NULL && (big = PyMem_Calloc((size_t)n * n,
-                                                       sizeof(PyObject *))) == NULL) {
-                    Py_DECREF(row);
-                    PyErr_NoMemory();
-                    goto done;
-                }
-                Py_INCREF(items[j]);
-                big[i * n + j] = items[j];
-            }
+            small[i * n + j] = x;
         }
         Py_DECREF(row);
     }
@@ -831,17 +802,8 @@ k_charpoly_mod(PyObject *self, PyObject *args)
     uint64_t *c = work + (n + 1) * (n + 2) / 2 + 2 * n;
     for (Py_ssize_t j = 0; j < k; j++) {
         mont_t m = mont_init(PyLong_AsUnsignedLongLong(mitems[j]));
-        for (Py_ssize_t e = 0; e < n * n; e++) {
-            if (big != NULL && big[e] != NULL) {
-                PyObject *rem = PyNumber_Remainder(big[e], mitems[j]);
-                if (rem == NULL)
-                    goto fail;
-                a[e] = redc((u128)PyLong_AsUnsignedLongLong(rem) * m.r2, &m);
-                Py_DECREF(rem);
-            }
-            else
-                a[e] = mont_of(small[e], &m);
-        }
+        for (Py_ssize_t e = 0; e < n * n; e++)
+            a[e] = mont_of(small[e], &m);
         if (hessenberg_mod(n, a, &m, c, work) < 0) {
             PyErr_Format(PyExc_ValueError,
                          "charpoly_mod: a pivot is not a unit modulo %llu; "
@@ -863,11 +825,6 @@ k_charpoly_mod(PyObject *self, PyObject *args)
 fail:
     Py_CLEAR(out);
 done:
-    if (big != NULL) {
-        for (Py_ssize_t e = 0; e < n * n; e++)
-            Py_XDECREF(big[e]);
-        PyMem_Free(big);
-    }
     PyMem_Free(small);
     PyMem_Free(a);
     PyMem_Free(work);
@@ -1541,10 +1498,11 @@ static PyMethodDef kernel_methods[] = {
      "Canonical form of the graph, packed as an int of n(n-1)/2 bits."},
     {"children_canon", k_children_canon, METH_VARARGS,
      "children_canon(n, adj)\n--\n\n"
-     "Sorted distinct canonical forms of the one-vertex extensions of an\n"
-     "n-vertex graph: the new vertex n attached to each nonempty subset of\n"
-     "0..n-1.  Subsets that a permutation of the parent's twins carries onto\n"
-     "another are labeled once."},
+     "Canonical forms of the one-vertex extensions of an n-vertex graph: the\n"
+     "new vertex n attached to a nonempty subset of 0..n-1, one form per\n"
+     "labeled subset, in increasing subset order, repeats kept.  Only\n"
+     "subsets that take each twin class of the parent as a prefix are\n"
+     "labeled; the set of forms is that of all the extensions."},
     {"bits_to_adj", k_bits_to_adj, METH_VARARGS,
      "bits_to_adj(n, bits)\n--\n\n"
      "Adjacency rows of the graph whose packed lower triangle is bits (the\n"
@@ -1564,10 +1522,11 @@ static PyMethodDef kernel_methods[] = {
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"
      "as residues in 0..p-1, one tuple per modulus, for the square integer\n"
-     "matrix M with these rows (any order, any entry size, symmetric or not),\n"
-     "by reduction to Hessenberg form modulo p.  The reduction divides by its\n"
-     "pivots: at a composite odd modulus it raises ValueError naming the\n"
-     "modulus when a pivot is not a unit, and is exact otherwise."},
+     "matrix M with these rows (any order, symmetric or not; OverflowError\n"
+     "on an entry outside int64), by reduction to Hessenberg form modulo p.\n"
+     "The reduction divides by its pivots: at a composite odd modulus it\n"
+     "raises ValueError naming the modulus when a pivot is not a unit, and\n"
+     "is exact otherwise."},
     {"format_store", k_format_store, METH_VARARGS,
      "format_store(records, record_type)\n--\n\n"
      "Census store text of the records, each line ended by a newline, as\n"

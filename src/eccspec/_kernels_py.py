@@ -6,16 +6,16 @@ kernels.  The compiled extension ``eccspec._kernels`` implements the same
 functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable, and ``__all__`` names the functions and constants both export.
 ``census_stats`` here takes the Berkowitz characteristic polynomial from
-``exactalg``, reads each multiplicity off it with ``charpoly_inertia``, and
+``exactalg``, reads each multiplicity off it with ``root_multiplicity``, and
 takes the largest-distance matrix from ``ecc_rows``, the one Python
 definition of that rule (``ecc_matrix`` uses it too; its docstring proves
 it equal to the min-eccentricity form of the compiled ``min_rule_entry``,
 and the test suite checks ``ecc_matrix`` against that form on distances
 from an independent all-pairs algorithm);
-``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo
-each modulus.  The compiled charpolys come from a different algorithm, a
-reduction to Hessenberg form modulo each prime, so the parity tests check
-two algorithms against each other, not two copies of one.
+``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo each
+modulus, for entries within int64.  The compiled charpolys come from a
+different algorithm, a reduction to Hessenberg form modulo each prime, so
+the parity tests check two algorithms against each other, not two copies.
 ``census_structure`` gives what the census-wide lemma checks derive
 independently of a record's multiplicities: from the graph, the twin-class
 predictions and the mixed-star shape; from the record's charpoly, its
@@ -52,6 +52,7 @@ from .exactalg import (
     IntPolynomial,
     berkowitz_charpoly,
     charpoly_inertia,
+    root_multiplicity,
 )
 
 __all__ = [
@@ -67,7 +68,7 @@ _MAXN_CANON = 16
 _MAXN_CENSUS = 10
 _MAXN_DIST = 64
 _MODULUS_TOP = 1 << 56  # the compiled recurrence's Montgomery word bound
-_COEFF_TOP = 1 << 63  # the compiled Taylor shift's input bound
+_WORD_TOP = 1 << 63  # int64: charpoly_mod entries, Taylor shift coefficients
 _ROW_BITS = 64  # placed-adjacency rows are kept left-aligned in a 64-bit word
 
 UNREACHABLE = -1
@@ -205,9 +206,9 @@ def canon_bits(n, adj):
 
 
 def children_canon(n, adj):
-    """Sorted distinct canonical forms of the one-vertex extensions of an
-    n-vertex graph: the new vertex n attached to a nonempty subset S of
-    0..n-1.
+    """Canonical forms of the one-vertex extensions of an n-vertex graph:
+    the new vertex n attached to a nonempty subset S of 0..n-1, one form per
+    labeled subset, in increasing subset order, repeats kept.
 
     Only subsets closed downward in each twin class of the parent are
     labeled: v in S implies u in S for twins u < v (equal neighborhoods
@@ -223,7 +224,7 @@ def children_canon(n, adj):
             if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
                 prev[v] = 1 << u
                 break
-    forms = set()
+    forms = []
     for sub in range(1, 1 << n):
         need = 0
         for v in _bits(sub):
@@ -232,8 +233,8 @@ def children_canon(n, adj):
             continue
         cadj = [adj[v] | (((sub >> v) & 1) << n) for v in range(n)]
         cadj.append(sub)
-        forms.add(canon_bits(n + 1, cadj))
-    return sorted(forms)
+        forms.append(canon_bits(n + 1, cadj))
+    return forms
 
 
 def bits_to_adj(n, bits):
@@ -285,15 +286,14 @@ def _census_metrics(what, n, adj):
 def census_stats(n, adj):
     """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending).
 
-    The charpoly of the largest-distance matrix E is Berkowitz's, over Z
+    The charpoly cp of the largest-distance matrix E is Berkowitz's, over Z
     (the compiled kernel reduces E to Hessenberg form modulo one prime
-    instead), and each m(c) is the root multiplicity of c in it, the
-    ``n_zero`` of ``charpoly_inertia``; as E is symmetric, that is its
-    nullity n - rank(E - cI).  Raises ValueError on disconnected input.
+    instead), and m(c) is ``root_multiplicity(cp, c)``, the nullity of the
+    symmetric E - cI.  Raises ValueError on disconnected input.
     """
     dist, ecc = _census_metrics("census_stats", n, adj)
     cp = berkowitz_charpoly(IntMatrix._trusted(ecc_rows(dist, ecc)))
-    m1, m2, m0 = (charpoly_inertia(cp, c).n_zero for c in (-1, -2, 0))
+    m1, m2, m0 = (root_multiplicity(cp, c) for c in (-1, -2, 0))
     return max(ecc), ecc.count(1), m1, m2, m0, cp.coeffs
 
 
@@ -313,7 +313,7 @@ def census_structure(n, adj, coeffs):
     coeffs = [index(a) for a in coeffs]
     if len(coeffs) != n + 1:
         raise ValueError("census_structure needs n + 1 charpoly coefficients")
-    if not all(-_COEFF_TOP < a < _COEFF_TOP for a in coeffs):
+    if not all(-_WORD_TOP < a < _WORD_TOP for a in coeffs):
         raise OverflowError("census_structure needs charpoly coefficients "
                             "below 2^63 in absolute value")
     if coeffs[n] != 1:
@@ -386,15 +386,18 @@ def mixed_star_shape(n, adj):
 def charpoly_mod(rows, moduli):
     """Ascending coefficients of det(xI - M) modulo each prime
     3 <= p < 2^56, as residues in 0..p-1, one tuple per modulus, for the
-    square integer matrix M with these rows (any order, any entry size,
-    symmetric or not).  Berkowitz is division-free, so this is exact at a
-    composite odd modulus too, where the compiled kernel may raise
-    ValueError instead."""
+    square integer matrix M with these rows (any order, symmetric or not;
+    OverflowError on an entry outside int64).  Berkowitz is division-free,
+    so this is exact at a composite odd modulus too, where the compiled
+    kernel may raise ValueError instead."""
     moduli = tuple(moduli)
     if not all(isinstance(p, int) and 3 <= p < _MODULUS_TOP and p & 1
                for p in moduli):
         raise ValueError("charpoly_mod needs odd int moduli 3 <= p < 2^56")
-    coeffs = berkowitz_charpoly(IntMatrix(rows)).coeffs
+    m = IntMatrix(rows)
+    if not all(-_WORD_TOP <= x < _WORD_TOP for row in m.rows for x in row):
+        raise OverflowError("charpoly_mod needs entries within int64")
+    coeffs = berkowitz_charpoly(m).coeffs
     return tuple(tuple(c % p for c in coeffs) for p in moduli)
 
 

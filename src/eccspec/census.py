@@ -15,9 +15,10 @@ the parent; it maps the child built on a subset S onto the child built on
 the permuted S.  So only the subsets that take each twin class as a prefix
 (v in S implies u in S for twins u < v) need labeling -- one subset per
 orbit of these permutations -- and the set of the children's forms is
-unchanged.  This is isomorph rejection by parent automorphisms in the
-sense of McKay, "Isomorph-free exhaustive generation" (J. Algorithms 26,
-1998), restricted to twin transpositions, which take O(m^2) to find.
+unchanged.  The kernel returns one form per labeled subset; the census
+dedups and sorts each level once.  This is isomorph rejection by parent
+automorphisms in the sense of McKay, "Isomorph-free exhaustive generation"
+(J. Algorithms 26, 1998), restricted to twin transpositions (O(m^2)).
 
 The persisted store is newline-delimited and greppable: one graph per line,
 canonical graph6, TAB, CSV of invariants, TAB, the exact ascending
@@ -83,6 +84,7 @@ def _chunk_results(func, args, items, jobs):
 
 
 def _enum_chunk(args):
+    """The set of the forms ``children_canon`` gives for a chunk of parents."""
     n_parent, parents = args
     out = set()
     for bits in parents:

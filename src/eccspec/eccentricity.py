@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import kernels
 from ._kernels_py import ecc_rows, twin_predictions
 from .exactalg import (
-    DEFAULT_BRACKET_WIDTH,
     IntMatrix,
     IntPolynomial,
     RationalInterval,
@@ -83,17 +82,17 @@ def spectrum_median_is(spec: SymmetricSpectrum, xi):
     return at(h), at(l)
 
 
-def hl_index(g: Graph, width=DEFAULT_BRACKET_WIDTH) -> RationalInterval:
+def hl_index(g: Graph) -> RationalInterval:
     """Enclosure of max(|xi_H|, |xi_L|); a point when both medians are
     certified rational by inertia."""
-    return median_brackets(SymmetricSpectrum(ecc_matrix(g)), width)[2]
+    return median_brackets(SymmetricSpectrum(ecc_matrix(g)))[2]
 
 
-def median_brackets(spec: SymmetricSpectrum, width=DEFAULT_BRACKET_WIDTH):
+def median_brackets(spec: SymmetricSpectrum):
     """(bracket of xi_H, bracket of xi_L, HL-index enclosure) of a spectrum."""
     h, l = median_positions(spec.n)
-    bh = spec.bracket(h, width)
-    bl = spec.bracket(l, width)
+    bh = spec.bracket(h)
+    bl = spec.bracket(l)
     ah = _abs_interval(bh)
     al = _abs_interval(bl)
     return bh, bl, RationalInterval(max(ah.lo, al.lo), max(ah.hi, al.hi))
@@ -141,11 +140,11 @@ class SpectrumSummary:
         }
 
 
-def spectrum_summary(g: Graph, xis=(-2, -1, 0), width=DEFAULT_BRACKET_WIDTH):
+def spectrum_summary(g: Graph):
     spec = SymmetricSpectrum(ecc_matrix(g))
-    bh, bl, hl = median_brackets(spec, width)
+    bh, bl, hl = median_brackets(spec)
     cp = spec.charpoly
-    table = {Fraction(x): root_multiplicity(cp, x) for x in xis}
+    table = {Fraction(x): root_multiplicity(cp, x) for x in (-2, -1, 0)}
     return SpectrumSummary(g.n, cp, table, bh, bl, hl)
 
 

@@ -7,11 +7,12 @@ Samuelson-Berkowitz recurrence for characteristic polynomials, and Descartes'
 rule of signs on the shifted characteristic polynomial for inertia (exact
 because a symmetric matrix has only real eigenvalues).  There is no floating
 point anywhere.  ``berkowitz_charpoly`` is the reference recurrence;
-``charpoly`` is the one entry point the package uses: the multimodular
-driver, which chooses the primes, asks the kernel backend for the residues
-(``kernels.charpoly_mod``: the compiled reduction to Hessenberg form modulo
-each prime, or ``berkowitz_charpoly`` reduced) and lifts them by CRT in
-Python ints.
+``charpoly`` is the one entry point the package uses, and it is
+multimodular: it chooses the primes, reduces entries outside int64 modulo
+them, asks the kernel backend for the residues (``kernels.charpoly_mod``:
+the compiled reduction to Hessenberg form modulo each prime, or
+``berkowitz_charpoly`` reduced) and lifts them by CRT in Python ints.  One
+Taylor shift, ``_taylor_coeffs``, gives inertia and root multiplicities.
 
 Eigenvalue brackets are searched on that one polynomial by exact sign
 probes.  Integer probes gallop out from 0 and then bisect, counting inertia.
@@ -27,7 +28,8 @@ bisection alone would give.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, compress, count, repeat
+from operator import mul, ne
 from typing import NamedTuple, Optional
 
 DEFAULT_BRACKET_WIDTH = Fraction(1, 2 ** 20)
@@ -317,12 +319,15 @@ def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
     symmetric or not, from its residues modulo several primes.
 
     ``radius`` is R = ``_max_row_sum(m)``, for a caller that has it
-    already.  The kernel backend's ``charpoly_mod`` gives the residues of
-    the coefficients modulo primes below 2^56.  The compiled backend reduces
-    M mod p to Hessenberg form; the reduction is a similarity over GF(p), so
-    its charpoly is the integer charpoly reduced mod p (the pure backend
-    reduces the integer Berkowitz charpoly instead).  Bound:
-    every eigenvalue has |l| <= R, and the coefficient of x^(n-k) is
+    already; else it is computed once per call.  R fixes the prime count
+    and whether the rows are reduced first: R < 2^63 keeps every entry in
+    int64, the kernel's words; otherwise the rows are reduced modulo each
+    prime in Python ints, one kernel call per prime.  The kernel backend's
+    ``charpoly_mod`` gives the residues modulo primes below 2^56.  The
+    compiled backend reduces M mod p to Hessenberg form, a similarity over
+    GF(p), so its charpoly is the integer charpoly reduced mod p (the pure
+    backend reduces the Berkowitz charpoly).  Bound: every eigenvalue
+    has |l| <= R, and the coefficient of x^(n-k) is
     (-1)^k e_k(l_1, ..., l_n), so its absolute value is at most
     C(n,k) R^k <= (1+R)^n.  ``_charpoly_primes`` takes primes until their
     product P exceeds 2 (1+R)^n; every coefficient then lies strictly inside
@@ -333,7 +338,11 @@ def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
     if radius is None:
         radius = _max_row_sum(m)
     primes = _charpoly_primes(m.n, radius)
-    residues = kernels.charpoly_mod(m.rows, primes)
+    if radius >> 63:
+        residues = [kernels.charpoly_mod(
+            [[x % p for x in row] for row in m.rows], (p,))[0] for p in primes]
+    else:
+        residues = kernels.charpoly_mod(m.rows, primes)
     k = len(primes)
     prod = _products[k]
     if k == 1:
@@ -349,50 +358,65 @@ def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# inertia from the characteristic polynomial (Descartes' rule of signs)
+# inertia and root multiplicities from one Taylor shift
+
+def _taylor_coeffs(coeffs, c):
+    """The ascending coefficients of R(y) = q^n f((y + p)/q), lazily, in Z,
+    for the integer polynomial f of degree n with ascending ``coeffs`` and
+    the rational c = p/q (an int, or anything ``Fraction`` takes).  R's y^k
+    coefficient is q^(n-k) times f's k-th Taylor coefficient at c, so its
+    leading zeros count the root multiplicity of c.  The a_k are scaled to
+    a_k q^(n-k) and shifted in place by p; pass i, one Horner sweep from the
+    top, fixes coefficient i."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    p, q = c.numerator, c.denominator
+    a = list(coeffs)
+    n = len(a) - 1
+    if q != 1:  # q^0, q^1, ... times a_n, a_(n-1), ...
+        powers = accumulate(repeat(q, n), mul, initial=1)
+        a = list(map(mul, a[::-1], powers))[::-1]
+    passes = n if p else 0  # a shift by 0 is the identity
+    for i in range(passes):
+        acc = a[n]
+        for k in range(n - 1, i - 1, -1):
+            acc = a[k] = a[k] + p * acc
+        yield acc
+    yield from a[passes:]
+
 
 def charpoly_inertia(cp: IntPolynomial, c) -> Inertia:
     """Eigenvalue counts relative to the rational c = p/q, read off the monic
     characteristic polynomial cp of a symmetric matrix.
 
-    The integer polynomial R(y) = q^n cp((y + p)/q) has the roots
-    q*xi - p, one per eigenvalue xi, with the signs of xi - c.  It comes from
-    scaling the ascending coefficients to a_k q^(n-k) and an in-place Taylor
-    shift by p, all in Z.  Zero roots are the leading zero coefficients of R;
-    the positive roots of the rest number exactly its coefficient sign
-    changes.  Descartes' rule only bounds that count in general, but here
-    every root is real: if R(0) != 0, the sign changes V(R(y)) and
-    V(R(-y)) bound the positive and negative roots from above and add up to
-    at most deg R, which is exactly the number of roots, so both bounds are
-    attained.  The caller guarantees real-rootedness (cp must come from a
-    symmetric matrix); nothing here can check it.
+    The integer polynomial R(y) = q^n cp((y + p)/q) of ``_taylor_coeffs``
+    has the roots q*xi - p, one per eigenvalue xi, with the signs of
+    xi - c.  Zero roots are the leading zero coefficients of R; the positive
+    roots of the rest number exactly its coefficient sign changes.
+    Descartes' rule only bounds that count in general, but here every root
+    is real: if R(0) != 0, the sign changes V(R(y)) and V(R(-y)) bound the
+    positive and negative roots from above and add up to at most deg R,
+    which is exactly the number of roots, so both bounds are attained.  The
+    caller guarantees real-rootedness (cp must come from a symmetric
+    matrix); nothing here can check it.
     """
     if not cp.is_monic():
         raise ValueError("charpoly_inertia requires a monic polynomial")
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    p, q = c.numerator, c.denominator
-    a = list(cp.coeffs)
-    n = len(a) - 1
-    if q != 1:
-        scale = 1
-        for k in range(n, -1, -1):
-            a[k] *= scale
-            scale *= q
-    if p:
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                a[k] += p * a[k + 1]
-    n_zero = 0
-    while not a[n_zero]:
-        n_zero += 1
-    n_plus = 0
-    sign = a[n_zero] > 0
-    for x in a[n_zero + 1:]:
-        if x and (x > 0) != sign:
-            n_plus += 1
-            sign = not sign
-    return Inertia(n_plus, n_zero, n - n_plus - n_zero)
+    a = list(_taylor_coeffs(cp.coeffs, c))
+    n_zero = next(compress(count(), a))
+    signs = [x > 0 for x in a if x]
+    n_plus = sum(map(ne, signs, signs[1:]))
+    return Inertia(n_plus, n_zero, len(a) - 1 - n_plus - n_zero)
+
+
+def root_multiplicity(p: IntPolynomial, r) -> int:
+    """Largest k such that (x - r)^k divides p, for rational r and any
+    nonzero integer polynomial p, monic or not: the number of leading zero
+    coefficients of ``_taylor_coeffs``, all in Z.  The shift stops at the
+    first nonzero one, so a multiplicity k costs k + 1 passes."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no root multiplicities")
+    return next(compress(count(), _taylor_coeffs(p.coeffs, r)))
 
 
 class SymmetricSpectrum:
@@ -555,7 +579,7 @@ class SymmetricSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# polynomial division, root multiplicities
+# polynomial division
 
 def poly_divide_exact(num: IntPolynomial,
                       den: IntPolynomial) -> Optional[IntPolynomial]:
@@ -586,31 +610,3 @@ def poly_divide_exact(num: IntPolynomial,
     if any(rem[:dd]):
         return None
     return IntPolynomial(quot)
-
-
-def root_multiplicity(p: IntPolynomial, r) -> int:
-    """Largest k such that (x - r)^k divides p, for rational r.
-
-    Repeated exact synthetic division, over int when r is an integer and over
-    Fraction otherwise.  Each division is kept only when its remainder p(r)
-    vanishes, so integer coefficients and an integer r never leave Z.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no root multiplicities")
-    if not isinstance(r, int):
-        r = Fraction(r)
-        if r.denominator == 1:
-            r = r.numerator
-    work = p.coeffs
-    mult = 0
-    while len(work) > 1:
-        acc = 0
-        quot = [0] * (len(work) - 1)
-        for i in range(len(work) - 1, 0, -1):
-            acc = acc * r + work[i]
-            quot[i - 1] = acc
-        if acc * r + work[0] != 0:
-            break
-        work = quot
-        mult += 1
-    return mult

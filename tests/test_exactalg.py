@@ -569,6 +569,33 @@ class TestPolynomials:
             mult = root_multiplicity(p, r)
             assert mult == 2 and type(mult) is int
 
+    def test_root_multiplicity_of_non_monic_polynomial(self):
+        # (2x - 3)^2 (x + 1): a rational root that is not an integer
+        p = IntPolynomial([-3, 2]) ** 2 * IntPolynomial([1, 1])
+        for r, mult in ((Fraction(3, 2), 2), (-1, 1), (Fraction(1, 2), 0)):
+            assert root_multiplicity(p, r) == mult
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)),
+                    max_size=5),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any),
+           st.tuples(st.integers(-4, 4), st.integers(1, 3)))
+    def test_root_multiplicity_matches_sympy(self, planted, tail, probe):
+        """Integer polynomials, monic or not, with planted integer and
+        non-integer rational roots, some repeated: the multiplicity of each
+        planted root and of one more rational is the exponent of its linear
+        factor in sympy's factorization over Q."""
+        p = IntPolynomial(tail)
+        for num, den in planted:
+            p = p * IntPolynomial([-num, den])
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(p.coeffs[::-1], x).factor_list()
+        for num, den in planted + [probe]:
+            r = Fraction(num, den)
+            want = sum(k for f, k in factors if f.degree() == 1
+                       and f.eval(sympy.Rational(num, den)) == 0)
+            assert root_multiplicity(p, r) == want, (p, r)
+
     def test_root_multiplicity_rejects_zero(self):
         with pytest.raises(ValueError):
             root_multiplicity(IntPolynomial.zero(), 1)

@@ -259,16 +259,37 @@ def twin_heavy_graphs():
     return out
 
 
+def twin_prefix_count(g):
+    """The number of nonempty subsets that take each twin class of g as a
+    prefix: prod(|class| + 1) - 1, the classes grouped by comparing
+    neighborhoods pairwise."""
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            u = cls[0]
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return prod(len(cls) + 1 for cls in classes) - 1
+
+
 class TestChildrenCanonOracle:
-    """children_canon returns exactly the sorted distinct forms of every
-    one-vertex extension, on both backends, although it labels only the
-    subsets closed downward in each twin class of the parent."""
+    """children_canon returns one form per labeled subset, the subsets
+    closed downward in each twin class of the parent, the same list on both
+    backends; its forms are exactly those of every one-vertex extension."""
+
+    @staticmethod
+    def check(g):
+        got = compiled.children_canon(g.n, g.adj)
+        assert got == pure.children_canon(g.n, g.adj), g.adj
+        assert set(got) == set(children_oracle(g)), g.adj
+        assert len(got) == twin_prefix_count(g), g.adj
 
     def test_twin_heavy_parents(self):
         for g in twin_heavy_graphs():
-            want = children_oracle(g)
-            assert compiled.children_canon(g.n, g.adj) == want, g.adj
-            assert pure.children_canon(g.n, g.adj) == want, g.adj
+            self.check(g)
 
     def test_random_connected_parents(self):
         rng = random.Random(53)
@@ -278,9 +299,20 @@ class TestChildrenCanonOracle:
             if not is_connected(g):
                 continue
             count += 1
-            want = children_oracle(g)
-            assert compiled.children_canon(g.n, g.adj) == want, g.adj
-            assert pure.children_canon(g.n, g.adj) == want, g.adj
+            self.check(g)
+
+    #: labelings per new order 2..8, summed over the parents of the order
+    #: below: 79 937 of the 108 331 subsets at order 8
+    LABELINGS = {2: 1, 3: 2, 4: 8, 5: 53, 6: 417, 7: 4818, 8: 79937}
+
+    @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
+    def test_labelings_per_level_pinned(self, mod):
+        from eccspec import census
+        top = 8 if mod is compiled else 7
+        got = {n: sum(len(mod.children_canon(n - 1, kernels.bits_to_adj(
+                   n - 1, bits))) for bits in census._level_bits(n - 1))
+               for n in range(2, top + 1)}
+        assert got == {n: self.LABELINGS[n] for n in range(2, top + 1)}
 
 
 def signature_colors(n, adj):
@@ -855,20 +887,30 @@ def lifted(rows):
     return exactalg.charpoly(IntMatrix(rows)).coeffs
 
 
+INT64_TOP = 2 ** 63
+
+
 def check_charpoly(rows, oracle=True):
-    """charpoly_mod agrees residue by residue on both backends (compiled
-    Hessenberg reduction, pure Berkowitz), over the driver's primes and the
-    small primes 3, 5 and 7, at which zero pivots, row and column swaps and
-    zero subdiagonal entries are common; the driver's lift is the pure
-    Berkowitz recurrence (and sympy)."""
+    """For rows within int64, charpoly_mod agrees residue by residue on both
+    backends (compiled Hessenberg reduction, pure Berkowitz), over the
+    primes exactalg.charpoly takes and the small primes 3, 5 and 7, at which
+    zero pivots, row and column swaps and zero subdiagonal entries are
+    common; both raise OverflowError on any other rows, which
+    exactalg.charpoly reduces modulo each prime itself.  Its lift is the
+    pure Berkowitz recurrence (and sympy)."""
     want = berkowitz_charpoly(IntMatrix(rows)).coeffs
     n = len(want) - 1
     primes = exactalg._charpoly_primes(n, max(
         (sum(map(abs, row)) for row in rows), default=0))
     moduli = primes + (3, 5, 7)
-    residues = compiled.charpoly_mod(rows, moduli)
-    assert residues == pure.charpoly_mod(rows, moduli)
-    assert residues == tuple(tuple(c % p for c in want) for p in moduli)
+    if all(-INT64_TOP <= x < INT64_TOP for row in rows for x in row):
+        residues = compiled.charpoly_mod(rows, moduli)
+        assert residues == pure.charpoly_mod(rows, moduli)
+        assert residues == tuple(tuple(c % p for c in want) for p in moduli)
+    else:
+        for mod in (compiled, pure):
+            with pytest.raises(OverflowError):
+                mod.charpoly_mod(rows, moduli)
     got = lifted(rows)
     assert got == want
     if oracle:
@@ -937,9 +979,10 @@ class TestCharpoly:
                         [big, big, big]])
 
     def test_word_bound(self):
-        """Entries at the int64 limits and past them (2^63 and 2^70 take
-        the PyNumber_Remainder path), at the first primes exactalg.charpoly
-        takes, the largest of which, 2^56 - 5, is the census prime."""
+        """Entries at the int64 limits and past them (2^63 and 2^70, which
+        exactalg.charpoly reduces modulo each prime before the kernel), at
+        the first primes exactalg.charpoly takes, the largest of which,
+        2^56 - 5, is the census prime."""
         assert exactalg._charpoly_primes(1, 1)[0] == (1 << 56) - 5
         top = 2 ** 63 - 1
         check_charpoly([[top, -top], [-top, top]])
@@ -1017,6 +1060,17 @@ class TestCharpoly:
         moduli = (9, 15, (1 << 56) - 1)
         assert compiled.charpoly_mod(rows, moduli) == \
             tuple(tuple(c % p for c in want) for p in moduli)
+
+    def test_entries_within_int64_only(self):
+        """Both backends take entries at the int64 limits and raise
+        OverflowError one past them."""
+        for mod in (compiled, pure):
+            for a in (INT64_TOP - 1, -INT64_TOP):
+                assert mod.charpoly_mod([[a]], (7, 11)) == \
+                    ((-a % 7, 1), (-a % 11, 1))
+            for a in (INT64_TOP, -INT64_TOP - 1):
+                with pytest.raises(OverflowError, match="within int64"):
+                    mod.charpoly_mod([[1, a], [0, 1]], (7,))
 
     def test_rejects_non_square_alike(self):
         for mod in (compiled, pure):
