@@ -7,10 +7,12 @@
  * functions, signatures, limits and exception types as the pure-Python
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
- * iff ij is an edge.  The C side does word arithmetic only; big-integer work
- * (choosing primes, reducing entries outside int64, lifting residues) is
- * exactalg's, in Python ints, and charpoly_mod raises OverflowError on such
- * an entry.  children_canon labels; the census dedups and sorts the level.
+ * iff ij is an edge.  children_canon and the census kernels take the packed
+ * lower triangle instead (load_bits), which no asymmetric graph has.  The C
+ * side does word arithmetic only; big-integer work (choosing primes,
+ * reducing entries outside int64, lifting residues) is exactalg's, in
+ * Python ints, and charpoly_mod raises OverflowError on such an entry.
+ * children_canon labels; the census dedups and sorts the level.
  * The one charpoly algorithm here, which charpoly_mod and census_stats share,
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
  * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
@@ -132,15 +134,14 @@ bfs(int n, const uint64_t *adj, int src, int *dist)
     }
 }
 
-/* Check 1 <= n <= maxn and load the rows. */
+/* ValueError naming what unless 1 <= n <= maxn. */
 static int
-load_graph(int n, PyObject *rows, int maxn, const char *what, uint64_t *adj)
+check_order(int n, int maxn, const char *what)
 {
-    if (n < 1 || n > maxn) {
-        PyErr_Format(PyExc_ValueError, "%s supports 1 <= n <= %d", what, maxn);
-        return -1;
-    }
-    return load_adj(n, rows, adj);
+    if (n >= 1 && n <= maxn)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s supports 1 <= n <= %d", what, maxn);
+    return -1;
 }
 
 /* Parse the (n, adj) arguments, 1 <= n <= maxn, and load the rows. */
@@ -148,9 +149,56 @@ static int
 parse_graph(PyObject *args, int maxn, const char *what, int *n, uint64_t *adj)
 {
     PyObject *rows;
-    if (!PyArg_ParseTuple(args, "iO", n, &rows))
+    if (!PyArg_ParseTuple(args, "iO", n, &rows)
+            || check_order(*n, maxn, what) < 0)
         return -1;
-    return load_graph(*n, rows, maxn, what, adj);
+    return load_adj(*n, rows, adj);
+}
+
+/* Unpack bits, the packed lower triangle of a graph on 1 <= n <= maxn <= 16
+ * vertices (the canon_bits and graph6 bit order, first pair in the top bit),
+ * into adj[0..n-1], which is then symmetric and loopless.  ValueError naming
+ * what on an order out of range, TypeError on a non-int bits, ValueError on
+ * bits outside 0..2^(n(n-1)/2) - 1. */
+static int
+load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
+{
+    if (check_order(n, maxn, what) < 0)
+        return -1;
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s needs an int bit form", what);
+        return -1;
+    }
+    /* split into 64-bit halves; a negative or over-long high half is out of
+     * range, as is anything at or above 2^nbits (nbits <= 120) */
+    int nbits = n * (n - 1) / 2;
+    unsigned long long lo = PyLong_AsUnsignedLongLongMask(obj), hi;
+    PyObject *sh = PyLong_FromLong(64), *hiobj = NULL;
+    if (sh != NULL)
+        hiobj = PyNumber_Rshift(obj, sh);
+    Py_XDECREF(sh);
+    if (hiobj == NULL)
+        return -1;
+    hi = PyLong_AsUnsignedLongLong(hiobj);
+    Py_DECREF(hiobj);
+    int bad = hi == (unsigned long long)-1 && PyErr_Occurred();
+    if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError))
+        return -1;
+    PyErr_Clear();
+    u128 bits = ((u128)hi << 64) | lo;
+    if (bad || (bits >> nbits) != 0) {
+        PyErr_Format(PyExc_ValueError, "bit form out of range for n=%d", n);
+        return -1;
+    }
+    memset(adj, 0, n * sizeof *adj);
+    int idx = nbits - 1;
+    for (int col = 1; col < n; col++)
+        for (int row = 0; row < col; row++, idx--)
+            if ((bits >> idx) & 1) {
+                adj[row] |= (uint64_t)1 << col;
+                adj[col] |= (uint64_t)1 << row;
+            }
+    return 0;
 }
 
 static PyObject *
@@ -432,21 +480,23 @@ k_canon_bits(PyObject *self, PyObject *args)
     return status < 0 ? NULL : u128_to_py(bits);
 }
 
-/* The canonical forms of the one-vertex extensions: the new vertex n
- * joined to a nonempty subset S of 0..n-1, one form per labeled subset, in
- * increasing subset order, repeats kept (the census dedups the level).
- * Only subsets closed downward in each twin class of the parent are
- * labeled (v in S implies u in S for twins u < v).  Twinhood is an
- * equivalence relation and any permutation of a twin class is a parent
- * automorphism, which carries every other subset onto a labeled one of the
- * same size in each class, so every skipped child is isomorphic to a
- * labeled one and the set of forms is unchanged. */
+/* The canonical forms of the one-vertex extensions of the graph whose bit
+ * form is bits: the new vertex n joined to a nonempty subset S of 0..n-1,
+ * one form per labeled subset, in increasing subset order, repeats kept
+ * (the census dedups the level).  Only subsets closed downward in each twin
+ * class of the parent are labeled (v in S implies u in S for twins u < v).
+ * Twinhood is an equivalence relation and any permutation of a twin class
+ * is a parent automorphism, which carries every other subset onto a labeled
+ * one of the same size in each class, so every skipped child is isomorphic
+ * to a labeled one and the set of forms is unchanged. */
 static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CANON], work[MAXN_CANON], prev[MAXN_CANON] = {0};
     int n;
-    if (parse_graph(args, MAXN_CANON - 1, "children_canon", &n, adj) < 0)
+    PyObject *bits;
+    if (!PyArg_ParseTuple(args, "iO", &n, &bits)
+            || load_bits(n, bits, MAXN_CANON - 1, "children_canon", adj) < 0)
         return NULL;
     /* prev[v]: the bit of the nearest twin u < v, 0 if v has none */
     for (int v = 1; v < n; v++)
@@ -477,56 +527,6 @@ k_children_canon(PyObject *self, PyObject *args)
     }
     PyMem_Free(cur.s);
     PyMem_Free(nxt.s);
-    return out;
-}
-
-static PyObject *
-k_bits_to_adj(PyObject *self, PyObject *args)
-{
-    PyObject *obj, *sh, *hiobj = NULL;
-    int n;
-    if (!PyArg_ParseTuple(args, "iO!", &n, &PyLong_Type, &obj))
-        return NULL;
-    if (n < 1 || n > MAXN_CANON)
-        return PyErr_Format(PyExc_ValueError,
-                            "bits_to_adj supports 1 <= n <= %d", MAXN_CANON);
-    /* split into 64-bit halves; a negative or over-long high half is out of
-     * range, as is anything at or above 2^nbits (nbits <= 120) */
-    int nbits = n * (n - 1) / 2;
-    unsigned long long lo = PyLong_AsUnsignedLongLongMask(obj), hi;
-    if ((sh = PyLong_FromLong(64)) != NULL)
-        hiobj = PyNumber_Rshift(obj, sh);
-    Py_XDECREF(sh);
-    if (hiobj == NULL)
-        return NULL;
-    hi = PyLong_AsUnsignedLongLong(hiobj);
-    Py_DECREF(hiobj);
-    int bad = hi == (unsigned long long)-1 && PyErr_Occurred();
-    if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError))
-        return NULL;
-    PyErr_Clear();
-    u128 bits = ((u128)hi << 64) | lo;
-    if (bad || (bits >> nbits) != 0)
-        return PyErr_Format(PyExc_ValueError, "bit form out of range for n=%d", n);
-    uint64_t adj[MAXN_CANON] = {0};
-    int idx = nbits - 1;
-    for (int col = 1; col < n; col++)
-        for (int row = 0; row < col; row++, idx--)
-            if ((bits >> idx) & 1) {
-                adj[row] |= (uint64_t)1 << col;
-                adj[col] |= (uint64_t)1 << row;
-            }
-    PyObject *out = PyList_New(n);
-    if (out == NULL)
-        return NULL;
-    for (int i = 0; i < n; i++) {
-        PyObject *r = PyLong_FromUnsignedLongLong(adj[i]);
-        if (r == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, r);
-    }
     return out;
 }
 
@@ -836,13 +836,14 @@ done:
 /* ------------------------------------------------------------------------
  * census invariants
  *
- * census_stats takes n <= MAXN_CENSUS = 10 connected vertices, so every
- * entry of the largest-distance matrix E lies in 0..diam <= 9, with a zero
- * diagonal.  It computes the charpoly of E modulo the prime
- * CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime exactalg.charpoly
- * takes), in Montgomery form, and reads its multiplicities off that
- * charpoly: m(c), c = -1, -2, 0, is the root multiplicity of c, the n_zero
- * of inertia_at.  As E is symmetric, that is its nullity n - rank(E - cI).
+ * census_stats takes the bit form of a connected graph on n <= MAXN_CENSUS
+ * = 10 vertices, so its largest-distance matrix E is symmetric, with every
+ * entry in 0..diam <= 9 and a zero diagonal.  It computes the charpoly of
+ * E modulo the prime CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime
+ * exactalg.charpoly takes), in Montgomery form, and reads its
+ * multiplicities off that charpoly: m(c), c = -1, -2, 0, is the root
+ * multiplicity of c, the n_zero of inertia_at.  As E is symmetric, that is
+ * its nullity n - rank(E - cI).
  *
  * The charpoly.  Every coefficient of det(xI - E) has absolute value at
  * most (1+R)^n, R the largest row sum of E (the argument is in
@@ -899,15 +900,15 @@ inertia_at(int n, const long long *a, int c, int *out)
     out[2] = n - plus - zero;
 }
 
-/* Load a graph of order 1 <= n <= MAXN_CENSUS, then fill dist with its
- * BFS distances and ecc with its eccentricities: the one BFS that
- * census_stats and census_structure share.  Raises ValueError naming what
- * on an order out of range or a disconnected graph. */
+/* Unpack the bit form of a graph of order 1 <= n <= MAXN_CENSUS, then
+ * fill dist with its BFS distances and ecc with its eccentricities: the one
+ * BFS that census_stats and census_structure share.  Raises what load_bits
+ * raises, naming what, and ValueError on a disconnected graph. */
 static int
-census_metrics(int n, PyObject *rows, const char *what, uint64_t *adj,
+census_metrics(int n, PyObject *bits, const char *what, uint64_t *adj,
                int dist[][MAXN_CENSUS], int *ecc)
 {
-    if (load_graph(n, rows, MAXN_CENSUS, what, adj) < 0)
+    if (load_bits(n, bits, MAXN_CENSUS, what, adj) < 0)
         return -1;
     for (int i = 0; i < n; i++) {
         bfs(n, adj, i, dist[i]);
@@ -943,9 +944,9 @@ k_census_stats(PyObject *self, PyObject *args)
     long long cp[MAXN_CENSUS + 1];
     int at_m1[3], at_m2[3], at_0[3];
     int n;
-    PyObject *rows;
-    if (!PyArg_ParseTuple(args, "iO", &n, &rows)
-            || census_metrics(n, rows, "census_stats", adj, dist, ecc) < 0)
+    PyObject *bits;
+    if (!PyArg_ParseTuple(args, "iO", &n, &bits)
+            || census_metrics(n, bits, "census_stats", adj, dist, ecc) < 0)
         return NULL;
     int diam = 0, v1 = 0;
     for (int i = 0; i < n; i++) {
@@ -984,8 +985,8 @@ k_census_stats(PyObject *self, PyObject *args)
  * census structure
  *
  * census_structure gives the census-wide lemma checks what they compare a
- * census record with.  The graph side handles only adjacency and
- * eccentricities:
+ * census record with.  The graph side handles only the adjacency its bit
+ * form unpacks to and the eccentricities:
  *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
  *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
  *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
@@ -1058,9 +1059,9 @@ k_census_structure(PyObject *self, PyObject *args)
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
     long long a[MAXN_CENSUS + 1];
     int at_m1[3], at_0[3];
-    PyObject *rows, *coeffs;
-    if (!PyArg_ParseTuple(args, "iOO", &n, &rows, &coeffs)
-            || census_metrics(n, rows, "census_structure", adj, dist, ecc) < 0
+    PyObject *bits, *coeffs;
+    if (!PyArg_ParseTuple(args, "iOO", &n, &bits, &coeffs)
+            || census_metrics(n, bits, "census_structure", adj, dist, ecc) < 0
             || load_charpoly(n, coeffs, "census_structure", a) < 0)
         return NULL;
     inertia_at(n, a, -1, at_m1);
@@ -1497,27 +1498,25 @@ static PyMethodDef kernel_methods[] = {
      "canon_bits(n, adj)\n--\n\n"
      "Canonical form of the graph, packed as an int of n(n-1)/2 bits."},
     {"children_canon", k_children_canon, METH_VARARGS,
-     "children_canon(n, adj)\n--\n\n"
-     "Canonical forms of the one-vertex extensions of an n-vertex graph: the\n"
-     "new vertex n attached to a nonempty subset of 0..n-1, one form per\n"
-     "labeled subset, in increasing subset order, repeats kept.  Only\n"
-     "subsets that take each twin class of the parent as a prefix are\n"
-     "labeled; the set of forms is that of all the extensions."},
-    {"bits_to_adj", k_bits_to_adj, METH_VARARGS,
-     "bits_to_adj(n, bits)\n--\n\n"
-     "Adjacency rows of the graph whose packed lower triangle is bits (the\n"
-     "canon_bits and graph6 bit order)."},
+     "children_canon(n, bits)\n--\n\n"
+     "Canonical forms of the one-vertex extensions of the graph whose packed\n"
+     "lower triangle is bits: the new vertex n attached to a nonempty subset\n"
+     "of 0..n-1, one form per labeled subset, in increasing subset order,\n"
+     "repeats kept.  Only subsets that take each twin class of the parent as\n"
+     "a prefix are labeled; the set of forms is that of all the extensions."},
     {"census_stats", k_census_stats, METH_VARARGS,
-     "census_stats(n, adj)\n--\n\n"
-     "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of a connected\n"
-     "graph; each m(c) is the root multiplicity of c in the charpoly."},
+     "census_stats(n, bits)\n--\n\n"
+     "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of the\n"
+     "connected graph with packed lower triangle bits; each m(c) is the root\n"
+     "multiplicity of c in the charpoly."},
     {"census_structure", k_census_structure, METH_VARARGS,
-     "census_structure(n, adj, coeffs)\n--\n\n"
-     "(twin predictions, star shape, inertia at -1, at 0) of a connected\n"
-     "graph and its monic ascending charpoly coeffs: the (xi, lower) pairs\n"
-     "of its twin classes, whether it is a star mixed extension, and the\n"
-     "(n_plus, n_zero, n_minus) triples of the charpoly at c = -1 and 0.\n"
-     "Coefficients must lie below 2^63 in absolute value (OverflowError)."},
+     "census_structure(n, bits, coeffs)\n--\n\n"
+     "(twin predictions, star shape, inertia at -1, at 0) of the connected\n"
+     "graph with packed lower triangle bits and its monic ascending charpoly\n"
+     "coeffs: the (xi, lower) pairs of its twin classes, whether it is a\n"
+     "star mixed extension, and the (n_plus, n_zero, n_minus) triples of the\n"
+     "charpoly at c = -1 and 0.  Coefficients must lie below 2^63 in\n"
+     "absolute value (OverflowError)."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"

@@ -34,7 +34,8 @@ the parser hands every line back, so that ``census`` parses it with
 form, and formats and parses the rest in C.  Every graph kernel
 checks its order range with the compiled one's limits and messages, and
 works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
-n ints where bit j of ``adj[i]`` is set iff ij is an edge.
+n ints where bit j of ``adj[i]`` is set iff ij is an edge.  The census
+kernels take the packed lower triangle instead, which no asymmetric graph has.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -56,9 +57,9 @@ from .exactalg import (
 )
 
 __all__ = [
-    "BACKEND", "UNREACHABLE", "all_pairs_dist", "bits_to_adj", "canon_bits",
-    "census_stats", "census_structure", "charpoly_mod", "children_canon",
-    "format_store", "is_connected", "parse_store",
+    "BACKEND", "UNREACHABLE", "all_pairs_dist", "canon_bits", "census_stats",
+    "census_structure", "charpoly_mod", "children_canon", "format_store",
+    "is_connected", "parse_store",
 ]
 
 BACKEND = "pure-python"
@@ -205,10 +206,11 @@ def canon_bits(n, adj):
     return out
 
 
-def children_canon(n, adj):
-    """Canonical forms of the one-vertex extensions of an n-vertex graph:
-    the new vertex n attached to a nonempty subset S of 0..n-1, one form per
-    labeled subset, in increasing subset order, repeats kept.
+def children_canon(n, bits):
+    """Canonical forms of the one-vertex extensions of the n-vertex graph
+    whose packed lower triangle is ``bits``: the new vertex n attached to a
+    nonempty subset S of 0..n-1, one form per labeled subset, in increasing
+    subset order, repeats kept.
 
     Only subsets closed downward in each twin class of the parent are
     labeled: v in S implies u in S for twins u < v (equal neighborhoods
@@ -217,7 +219,7 @@ def children_canon(n, adj):
     automorphism, which carries every other subset onto a labeled one, so
     every skipped child is isomorphic to a labeled one.
     """
-    _check_order("children_canon", n, _MAXN_CANON - 1)
+    adj = _bits_to_adj("children_canon", n, bits, _MAXN_CANON - 1)
     prev = [0] * n  # the bit of the nearest twin u < v, 0 if none
     for v in range(1, n):
         for u in range(v - 1, -1, -1):
@@ -237,10 +239,12 @@ def children_canon(n, adj):
     return forms
 
 
-def bits_to_adj(n, bits):
-    """Adjacency rows of the graph whose packed lower triangle is ``bits``
-    (the ``canon_bits`` and graph6 bit order)."""
-    _check_order("bits_to_adj", n, _MAXN_CANON)
+def _bits_to_adj(what, n, bits, maxn):
+    """Adjacency rows of the graph on 1 <= n <= maxn vertices whose packed
+    lower triangle is ``bits``; TypeError unless ``bits`` is an int."""
+    _check_order(what, n, maxn)
+    if not isinstance(bits, int):
+        raise TypeError(f"{what} needs an int bit form")
     if bits < 0 or bits >> (n * (n - 1) // 2):
         raise ValueError(f"bit form out of range for n={n}")
     return lower_triangle_rows(n, bits)
@@ -271,36 +275,36 @@ def ecc_rows(dist, ecc):
                   for row, eu in zip(dist, ecc)])
 
 
-def _census_metrics(what, n, adj):
-    """Distance rows and eccentricities of a connected graph of order
-    1 <= n <= 10, the BFS ``census_stats`` and ``census_structure`` share;
-    ValueError, naming ``what``, on any other order or a disconnected
-    graph."""
-    _check_order(what, n, _MAXN_CENSUS)
+def _census_metrics(what, n, bits):
+    """Adjacency rows, distances and eccentricities of the connected graph
+    with bit form ``bits``, 1 <= n <= 10, the BFS ``census_stats`` and
+    ``census_structure`` share; ValueError naming ``what`` if disconnected."""
+    adj = _bits_to_adj(what, n, bits, _MAXN_CENSUS)
     dist = [_dist_row(n, adj, v) for v in range(n)]
     if any(UNREACHABLE in row for row in dist):
         raise ValueError(f"{what} requires a connected graph")
-    return dist, [max(row) for row in dist]
+    return adj, dist, [max(row) for row in dist]
 
 
-def census_stats(n, adj):
-    """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending).
+def census_stats(n, bits):
+    """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of the
+    connected graph with bit form ``bits``.
 
     The charpoly cp of the largest-distance matrix E is Berkowitz's, over Z
     (the compiled kernel reduces E to Hessenberg form modulo one prime
     instead), and m(c) is ``root_multiplicity(cp, c)``, the nullity of the
     symmetric E - cI.  Raises ValueError on disconnected input.
     """
-    dist, ecc = _census_metrics("census_stats", n, adj)
+    _, dist, ecc = _census_metrics("census_stats", n, bits)
     cp = berkowitz_charpoly(IntMatrix._trusted(ecc_rows(dist, ecc)))
     m1, m2, m0 = (root_multiplicity(cp, c) for c in (-1, -2, 0))
     return max(ecc), ecc.count(1), m1, m2, m0, cp.coeffs
 
 
-def census_structure(n, adj, coeffs):
-    """(twin predictions, star shape, inertia at -1, at 0) of a connected
-    graph and its monic ascending charpoly ``coeffs``: the facts the
-    census-wide lemma checks compare with a record.
+def census_structure(n, bits, coeffs):
+    """(twin predictions, star shape, inertia at -1, at 0) of the connected
+    graph with bit form ``bits`` and its monic ascending charpoly ``coeffs``:
+    the facts the census-wide lemma checks compare with a record.
 
     The twin predictions are ``twin_predictions`` and the star shape
     ``mixed_star_shape``.  Each inertia is the (n_plus, n_zero, n_minus)
@@ -309,7 +313,7 @@ def census_structure(n, adj, coeffs):
     ``coeffs``, and OverflowError on a coefficient of 2^63 or more in
     absolute value, the compiled kernel's bound.
     """
-    _, ecc = _census_metrics("census_structure", n, adj)
+    adj, _, ecc = _census_metrics("census_structure", n, bits)
     coeffs = [index(a) for a in coeffs]
     if len(coeffs) != n + 1:
         raise ValueError("census_structure needs n + 1 charpoly coefficients")

@@ -6,7 +6,8 @@ arises from a connected graph on n-1 vertices by attaching one new vertex to
 a nonempty subset of the old ones (every connected graph has a non-cut
 vertex), and a global canonical-form set removes isomorphs.  Canonical forms
 are exact -- partition refinement plus backtracking, never hash-probabilistic
--- because the verification counts are exact claims.
+-- because the verification counts are exact claims.  Each level is held as
+canonical bit forms (packed lower triangles), which the kernels take as is.
 
 ``kernels.children_canon`` need not label all 2^m - 1 subsets of a parent
 on m vertices.  Twins of the parent (u, v with N(u) - v = N(v) - u) form
@@ -88,8 +89,7 @@ def _enum_chunk(args):
     n_parent, parents = args
     out = set()
     for bits in parents:
-        out.update(kernels.children_canon(
-            n_parent, kernels.bits_to_adj(n_parent, bits)))
+        out.update(kernels.children_canon(n_parent, bits))
     return out
 
 
@@ -166,8 +166,7 @@ def _classify_chunk(args):
     n, tag_map, bits_list = args
     records = []
     for bits in bits_list:
-        diam, v1, m1, m2, m0, coeffs = kernels.census_stats(
-            n, kernels.bits_to_adj(n, bits))
+        diam, v1, m1, m2, m0, coeffs = kernels.census_stats(n, bits)
         records.append(CensusRecord(bits_to_graph6(n, bits), n, diam, v1,
                                     m1, m2, m0, coeffs,
                                     tag_map.get(bits, ())))

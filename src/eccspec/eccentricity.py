@@ -56,8 +56,10 @@ def acharpoly(g: Graph) -> IntPolynomial:
 
 
 def is_irreducible(e: IntMatrix) -> bool:
-    """True iff the nonzero-support graph of the matrix is connected, which
-    for symmetric matrices is exactly irreducibility."""
+    """True iff the nonzero-support graph of the symmetric matrix is
+    connected, which is exactly irreducibility; ValueError if not symmetric."""
+    if not e.is_symmetric():
+        raise ValueError("symmetric matrix required")
     support = [sum(1 << v for v, x in enumerate(row) if x and v != u)
                for u, row in enumerate(e.rows)]
     return kernels.is_connected(e.n, support)

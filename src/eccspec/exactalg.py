@@ -73,11 +73,6 @@ class IntMatrix:
     def is_symmetric(self):
         return self.rows == tuple(zip(*self.rows))
 
-    def shifted(self, q, p):
-        """q*M - p*I; the integer matrix whose kernel dimension is m(p/q)."""
-        return IntMatrix([[q * self.rows[i][j] - (p if i == j else 0)
-                           for j in range(self.n)] for i in range(self.n)])
-
     def principal_submatrix(self, indices):
         idx = list(indices)
         return IntMatrix([[self.rows[i][j] for j in idx] for i in idx])

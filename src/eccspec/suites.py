@@ -564,9 +564,9 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
 def _census_property_checks(rep, census_cache, jobs):
     """Census-wide structure checks at orders up to 8, in one pass per record.
 
-    Each graph starts from its record: canonical bits, then adjacency rows
-    from the kernels.  One ``kernels.census_structure`` call per record
-    gives everything the checks read beside the record's fields.  From the
+    Each graph starts from its record's canonical bits.  One
+    ``kernels.census_structure`` call per record, on those bits, gives
+    everything the checks read beside the record's fields.  From the
     graph: the twin-class predictions, from adjacency equality, and the
     mixed-star shape.  From the record's charpoly: its inertia at -1 and 0,
     by a Taylor shift and a Descartes count
@@ -587,9 +587,8 @@ def _census_property_checks(rep, census_cache, jobs):
         kn_canon = census_mod.canonical_form(complete(n))
         for rec in _census_records(n, census_cache, jobs):
             canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
-            adj = kernels.bits_to_adj(*graph6_bits(canon))
             twins, star, (_, zero_m1, neg_m1), (pos_0, _, _) = \
-                kernels.census_structure(n, adj, coeffs)
+                kernels.census_structure(*graph6_bits(canon), coeffs)
             is_kn = canon == kn_canon
             k = n - m1
             if v1 and diam > 2:

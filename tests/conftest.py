@@ -53,6 +53,14 @@ def pytest_configure(config):
             f"pure-Python run; the build printed:\n{proc.stdout}")
 
 
+def shifted(m, q, p):
+    """q*M - p*I for an ``IntMatrix`` M: the integer matrix whose nullity is
+    the multiplicity of the eigenvalue p/q, the rank oracle's input."""
+    from eccspec.exactalg import IntMatrix
+    return IntMatrix([[q * x - (p if i == j else 0) for j, x in enumerate(row)]
+                      for i, row in enumerate(m.rows)])
+
+
 @pytest.fixture(scope="session")
 def census_cache():
     """Census records shared by the whole run, keyed by order, so that each

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import shifted
 
 from eccspec import _kernels_py, census, kernels
 from eccspec.census import CensusRecord
@@ -71,7 +72,7 @@ def codec(request, monkeypatch):
 
 def level_graphs(n):
     """The connected graphs of order n, one per class, in canonical order."""
-    return [Graph.from_adj(kernels.bits_to_adj(n, bits))
+    return [Graph.from_adj(_kernels_py.lower_triangle_rows(n, bits))
             for bits in census._level_bits(n)]
 
 
@@ -187,7 +188,7 @@ class TestEnumeration:
         from eccspec import _kernels_py
         from eccspec.graphs import is_connected
         for bits in census._level_bits(6):
-            g = Graph.from_adj(kernels.bits_to_adj(6, bits))
+            g = Graph.from_adj(_kernels_py.lower_triangle_rows(6, bits))
             assert is_connected(g)
             assert census.canonical_bits(g) == bits
             assert _kernels_py.canon_bits(g.n, g.adj) == bits
@@ -281,7 +282,7 @@ class TestClassify:
             for rec in census_records(n):
                 e = ecc_matrix(graph6_decode(rec.canon))
                 assert (rec.mult_minus1, rec.mult_minus2, rec.mult_zero) == \
-                    tuple(n - bareiss_rank(e.shifted(1, xi))
+                    tuple(n - bareiss_rank(shifted(e, 1, xi))
                           for xi in (-1, -2, 0)), rec.canon
                 count += 1
         assert count == 12_113

@@ -358,7 +358,7 @@ class TestCensusAndQuery:
                                                            monkeypatch):
         from eccspec import kernels
 
-        def broken(n, adj):
+        def broken(n, bits):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(kernels, "census_stats", broken)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import shifted
 
 from eccspec.eccentricity import (
     acharpoly,
@@ -19,7 +20,12 @@ from eccspec.eccentricity import (
     spectrum_summary,
     twin_eigenvalue_predictions,
 )
-from eccspec.exactalg import IntPolynomial, SymmetricSpectrum, bareiss_rank
+from eccspec.exactalg import (
+    IntMatrix,
+    IntPolynomial,
+    SymmetricSpectrum,
+    bareiss_rank,
+)
 from eccspec.graphs import (
     Graph,
     bfs_metrics,
@@ -189,6 +195,13 @@ class TestIrreducibility:
         # C4 keeps only antipodal distances: support splits into two pairs
         assert not is_irreducible(ecc_matrix(cycle(4)))
 
+    def test_non_symmetric_rejected(self):
+        """Support connectivity is irreducibility only for a symmetric
+        matrix: the triangular [[0, 1], [0, 0]] is reducible, yet its
+        directed support reaches every vertex from vertex 0."""
+        with pytest.raises(ValueError, match="symmetric matrix required"):
+            is_irreducible(IntMatrix([[0, 1], [0, 0]]))
+
     def test_matches_networkx_support_connectivity(self, census_records):
         import networkx as nx
         from eccspec.graphs import graph6_decode
@@ -344,7 +357,7 @@ def rank_multiplicities(g, xis):
     m = ecc_matrix(g)
     out = {}
     for xi in map(Fraction, xis):
-        out[xi] = m.n - bareiss_rank(m.shifted(xi.denominator, xi.numerator))
+        out[xi] = m.n - bareiss_rank(shifted(m, xi.denominator, xi.numerator))
     return out
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from conftest import shifted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,8 +158,8 @@ class TestInertia:
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             ine = spectrum_inertia(m, c)
             assert ine.n_plus + ine.n_zero + ine.n_minus == m.n
-            shifted = m.shifted(c.denominator, c.numerator)
-            assert ine.n_zero == m.n - bareiss_rank(shifted)
+            assert ine.n_zero == m.n - bareiss_rank(
+                shifted(m, c.denominator, c.numerator))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -280,7 +280,8 @@ class TestFamilies:
                     for c in nx.connected_components(rest)))
                 assert mixed_star_shape(g.n, g.adj) == want, rec.canon
                 assert kernels.census_structure(
-                    g.n, g.adj, rec.charpoly)[1] == want, rec.canon
+                    *graph6_bits(rec.canon), rec.charpoly)[1] == want, \
+                    rec.canon
 
 
 def test_bull_identification_oracle():
@@ -365,15 +366,15 @@ class TestGraph6:
             assert graph6_decode(graph6_encode(g)) == g
 
     def test_bits_round_trip_over_census(self):
-        """graph6_bits inverts bits_to_graph6, and graph6_decode agrees with
-        the kernels' unpacker, on every connected graph up to order 7."""
-        from eccspec import census, kernels
+        """graph6_bits inverts bits_to_graph6, and graph6_decode unpacks
+        each canonical form to a graph of that canonical form, on every
+        connected graph up to order 7."""
+        from eccspec import census
         for n in range(1, 8):
             for bits in census._level_bits(n):
                 text = bits_to_graph6(n, bits)
                 assert graph6_bits(text) == (n, bits)
-                assert graph6_decode(text).adj == \
-                    tuple(kernels.bits_to_adj(n, bits))
+                assert kernels.canon_bits(n, graph6_decode(text).adj) == bits
 
     def test_round_trip_at_largest_order(self):
         rng = random.Random(29)

@@ -19,6 +19,7 @@ import sysconfig
 from math import comb, prod
 
 import pytest
+from conftest import shifted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,7 @@ from eccspec.graphs import (
     complete_multipartite,
     cycle,
     graph6_bits,
+    graph6_encode,
     is_connected,
     path,
     theorem1_families,
@@ -61,12 +63,24 @@ def random_graph(rng, n, p=0.5):
                      if rng.random() < p])
 
 
+#: the kernels that take a graph as its packed lower triangle, with the
+#: largest order each takes
+BIT_FORM_KERNELS = {"children_canon": 15, "census_stats": 10,
+                    "census_structure": 10}
+
+
+def packed(g):
+    """The packed lower triangle of g, the bit form the census kernels
+    take."""
+    return graph6_bits(graph6_encode(g))[1]
+
+
 def census_sample(max_n=6):
     from eccspec import census
     out = []
     for n in range(1, max_n + 1):
         for bits in census._level_bits(n):
-            out.append(Graph.from_adj(kernels.bits_to_adj(n, bits)))
+            out.append(Graph.from_adj(pure.lower_triangle_rows(n, bits)))
     return out
 
 
@@ -91,8 +105,8 @@ class TestBackendParity:
 
     def test_census_stats_agree_on_census(self):
         for g in census_sample(6):
-            assert compiled.census_stats(g.n, g.adj) == \
-                pure.census_stats(g.n, g.adj)
+            assert compiled.census_stats(g.n, packed(g)) == \
+                pure.census_stats(g.n, packed(g))
 
     def test_children_canon_agree(self):
         rng = random.Random(43)
@@ -102,8 +116,8 @@ class TestBackendParity:
             if not is_connected(g):
                 continue
             count += 1
-            assert compiled.children_canon(g.n, g.adj) == \
-                pure.children_canon(g.n, g.adj)
+            assert compiled.children_canon(g.n, packed(g)) == \
+                pure.children_canon(g.n, packed(g))
 
     def test_distances_agree_including_disconnected(self):
         rng = random.Random(47)
@@ -126,11 +140,10 @@ class TestBackendParity:
         ("children_canon", 0), ("children_canon", 16),
         ("census_stats", 0), ("census_stats", 11),
         ("census_structure", 0), ("census_structure", 11),
-        ("bits_to_adj", 0), ("bits_to_adj", 17),
     ])
     def test_out_of_range_orders_rejected_alike(self, name, n):
         messages = []
-        args = (n, 0 if name == "bits_to_adj" else [0] * n)
+        args = (n, 0 if name in BIT_FORM_KERNELS else [0] * n)
         if name == "census_structure":
             args += ((0,) * n + (1,),)
         for mod in (compiled, pure):
@@ -143,7 +156,7 @@ class TestBackendParity:
     @pytest.mark.parametrize("name", ["census_stats", "census_structure"])
     def test_disconnected_rejected_alike(self, name):
         g = Graph(4, [(0, 1), (2, 3)])
-        args = (g.n, g.adj)
+        args = (g.n, packed(g))
         if name == "census_structure":
             args += ((0, 0, 0, 0, 1),)
         messages = []
@@ -160,9 +173,9 @@ class TestBackendParity:
         count = 0
         for n in range(1, 9):
             for rec in census_records(n):
-                adj = kernels.bits_to_adj(*graph6_bits(rec.canon))
-                got = compiled.census_structure(n, adj, rec.charpoly)
-                assert got == pure.census_structure(n, adj, rec.charpoly), \
+                _, bits = graph6_bits(rec.canon)
+                got = compiled.census_structure(n, bits, rec.charpoly)
+                assert got == pure.census_structure(n, bits, rec.charpoly), \
                     rec.canon
                 cp = IntPolynomial(rec.charpoly)
                 assert [ine[1] for ine in got[2:]] == \
@@ -179,18 +192,20 @@ class TestBackendParity:
             if not is_connected(g):
                 continue
             count += 1
-            coeffs = compiled.census_stats(n, g.adj)[5]
-            assert compiled.census_structure(n, g.adj, coeffs) == \
-                pure.census_structure(n, g.adj, coeffs), g.adj
+            bits = packed(g)
+            coeffs = compiled.census_stats(n, bits)[5]
+            assert compiled.census_structure(n, bits, coeffs) == \
+                pure.census_structure(n, bits, coeffs), g.adj
 
     @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
     def test_census_structure_pinned(self, mod):
         # K1: charpoly x
-        assert mod.census_structure(1, [0], (0, 1)) == \
+        assert mod.census_structure(1, 0, (0, 1)) == \
             ([], False, (1, 0, 0), (0, 1, 0))
         # K1,3, center 0: eccentricity spectrum -2, -2, 2 +- sqrt(7)
         star = complete_multipartite((1, 3))
-        assert mod.census_structure(star.n, star.adj, (-12, -28, -15, 0, 1)) \
+        assert mod.census_structure(star.n, packed(star),
+                                    (-12, -28, -15, 0, 1)) \
             == ([(-2, 2)], True, (2, 0, 2), (1, 0, 3))
 
     def test_kernel_names_match_across_backends(self):
@@ -210,23 +225,64 @@ class TestBackendParity:
                 callables += 1
                 assert inspect.signature(getattr(compiled, name)) == \
                     inspect.signature(getattr(pure, name)), name
-        assert callables == 10
+        assert callables == 9
 
-    def test_bits_to_adj_agree_and_invert_canon(self):
+    def test_canon_of_unpacked_canonical_form_is_itself(self):
+        """A canonical form, unpacked to rows, has itself as canonical form
+        on both backends, at every order the labeling takes."""
         rng = random.Random(59)
         for n in range(1, 17):
             nbits = n * (n - 1) // 2
             for _ in range(20):
-                bits = rng.getrandbits(nbits) if nbits else 0
-                rows = compiled.bits_to_adj(n, bits)
-                assert rows == pure.bits_to_adj(n, bits)
+                rows = pure.lower_triangle_rows(n, rng.getrandbits(nbits))
                 canon = compiled.canon_bits(n, rows)
-                assert compiled.canon_bits(
-                    n, compiled.bits_to_adj(n, canon)) == canon
+                unpacked = pure.lower_triangle_rows(n, canon)
+                assert compiled.canon_bits(n, unpacked) == canon
+                assert pure.canon_bits(n, unpacked) == canon
+
+    @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
+    def test_out_of_range_bit_forms_rejected_alike(self, name):
+        """-1 and 2^(n(n-1)/2), just past the largest bit form, raise the
+        same ValueError on both backends at every order the kernel takes;
+        the bit forms of children_canon outgrow 64 bits."""
+        for n in range(1, BIT_FORM_KERNELS[name] + 1):
+            for bad in (-1, 1 << (n * (n - 1) // 2)):
+                args = (n, bad)
+                if name == "census_structure":
+                    args += ((0,) * n + (1,),)
+                for mod in (compiled, pure):
+                    with pytest.raises(ValueError) as exc:
+                        getattr(mod, name)(*args)
+                    assert str(exc.value) == f"bit form out of range for n={n}"
+
+    @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
+    def test_row_lists_rejected_alike(self, name):
+        """Adjacency rows are not a bit form: the directed 3-cycle, which
+        no packed lower triangle can express, raises the same TypeError on
+        both backends, as a float does."""
+        messages = []
+        for bad in ([0b010, 0b100, 0b001], 7.0):
+            args = (3, bad)
+            if name == "census_structure":
+                args += ((-8, 0, 0, 1),)
             for mod in (compiled, pure):
-                for bad in (-1, 1 << nbits):
-                    with pytest.raises(ValueError):
-                        mod.bits_to_adj(n, bad)
+                with pytest.raises(TypeError) as exc:
+                    getattr(mod, name)(*args)
+                messages.append(str(exc.value))
+        assert messages == [f"{name} needs an int bit form"] * 4
+
+    def test_children_canon_agrees_beyond_64_bits(self):
+        """Parents on 15 vertices whose bit forms reach past 2^64, as do
+        their children's forms: both backends give the same list, and its
+        forms are those of every one-vertex extension."""
+        for g in (complete(15), complete_multipartite((7, 8)),
+                  complete_multipartite((1, 2, 12))):
+            bits = packed(g)
+            assert bits >> 64
+            got = compiled.children_canon(15, bits)
+            assert got == pure.children_canon(15, bits)
+            assert set(got) == set(children_oracle(g))
+            assert max(got) >> 64
 
     def test_canon_agrees_on_symmetric_graphs(self):
         for g in (complete(9), cycle(9), cycle(10),
@@ -282,8 +338,8 @@ class TestChildrenCanonOracle:
 
     @staticmethod
     def check(g):
-        got = compiled.children_canon(g.n, g.adj)
-        assert got == pure.children_canon(g.n, g.adj), g.adj
+        got = compiled.children_canon(g.n, packed(g))
+        assert got == pure.children_canon(g.n, packed(g)), g.adj
         assert set(got) == set(children_oracle(g)), g.adj
         assert len(got) == twin_prefix_count(g), g.adj
 
@@ -309,8 +365,8 @@ class TestChildrenCanonOracle:
     def test_labelings_per_level_pinned(self, mod):
         from eccspec import census
         top = 8 if mod is compiled else 7
-        got = {n: sum(len(mod.children_canon(n - 1, kernels.bits_to_adj(
-                   n - 1, bits))) for bits in census._level_bits(n - 1))
+        got = {n: sum(len(mod.children_canon(n - 1, bits))
+                      for bits in census._level_bits(n - 1))
                for n in range(2, top + 1)}
         assert got == {n: self.LABELINGS[n] for n in range(2, top + 1)}
 
@@ -402,9 +458,9 @@ class TestCensusInertia:
             [[base[a][b] + (s if i == j else 0) for j, b in enumerate(idx)]
              for i, a in enumerate(idx)]))
         n = len(idx)
-        g = path(n)
-        got = compiled.census_structure(n, g.adj, cp.coeffs)
-        assert got == pure.census_structure(n, g.adj, cp.coeffs)
+        bits = packed(path(n))
+        got = compiled.census_structure(n, bits, cp.coeffs)
+        assert got == pure.census_structure(n, bits, cp.coeffs)
         for c, ine in zip((-1, 0), got[2:]):
             assert ine == tuple(charpoly_inertia(cp, c))
             assert ine[1] == root_multiplicity(cp, c)
@@ -413,7 +469,7 @@ class TestCensusInertia:
         """Degree-10 monic polynomials whose other coefficients are
         +-(2^63 - 1) or 0: the shift's values reach about 2^80, so a 64-bit
         shift would wrap."""
-        g = path(10)
+        bits = packed(path(10))
         rng = random.Random(73)
         patterns = [[1] * 10, [-1] * 10, [(-1) ** k for k in range(10)],
                     [0] * 9 + [-1]]
@@ -421,8 +477,8 @@ class TestCensusInertia:
                      for _ in range(60)]
         for signs in patterns:
             coeffs = tuple(sg * self.TOP for sg in signs) + (1,)
-            got = compiled.census_structure(10, g.adj, coeffs)
-            assert got == pure.census_structure(10, g.adj, coeffs), signs
+            got = compiled.census_structure(10, bits, coeffs)
+            assert got == pure.census_structure(10, bits, coeffs), signs
             cp = IntPolynomial(coeffs)
             assert got[2:] == tuple(tuple(charpoly_inertia(cp, c))
                                     for c in (-1, 0))
@@ -438,11 +494,10 @@ class TestCensusInertia:
     ], ids=["2^63", "-2^63", "leading-2^63", "leading-2", "leading-minus-1",
             "short", "long"])
     def test_rejected_alike(self, coeffs, exc):
-        g = path(10)
         messages = []
         for mod in (compiled, pure):
             with pytest.raises(exc) as info:
-                mod.census_structure(10, g.adj, coeffs)
+                mod.census_structure(10, packed(path(10)), coeffs)
             assert type(info.value) is exc
             messages.append(str(info.value))
         assert messages[0] == messages[1]
@@ -733,7 +788,7 @@ def relabeled_pairs(draw, max_n=10):
     """(n, adjacency rows of a graph on n <= max_n vertices, the same graph
     under a vertex permutation)."""
     n = draw(st.integers(1, max_n))
-    g = Graph.from_adj(kernels.bits_to_adj(
+    g = Graph.from_adj(pure.lower_triangle_rows(
         n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
     perm = draw(st.permutations(range(n)))
     h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -806,13 +861,13 @@ EXTREME_N10 = {
 def test_modular_bound_inputs_match_bigint_route(name):
     g = EXTREME_N10[name]
     assert g.n == 10 and is_connected(g)
-    got = compiled.census_stats(g.n, g.adj)
-    assert got == pure.census_stats(g.n, g.adj)
+    got = compiled.census_stats(g.n, packed(g))
+    assert got == pure.census_stats(g.n, packed(g))
     diam, v1, m1, m2, m0, coeffs = got
     e = ecc_matrix(g)
     assert diam == bfs_metrics(g).diam
     for xi, m in ((-1, m1), (-2, m2), (0, m0)):
-        assert m == e.n - bareiss_rank(e.shifted(1, xi))
+        assert m == e.n - bareiss_rank(shifted(e, 1, xi))
     assert list(coeffs) == berkowitz_charpoly(e).ascending_list()
 
 
@@ -828,13 +883,14 @@ class TestKernelVsLibrary:
             if not is_connected(g):
                 continue
             count += 1
-            diam, v1, m1, m2, m0, coeffs = kernels.census_stats(g.n, g.adj)
+            diam, v1, m1, m2, m0, coeffs = kernels.census_stats(g.n,
+                                                                packed(g))
             met = bfs_metrics(g)
             e = ecc_matrix(g)
             assert diam == met.diam
             assert v1 == met.ecc.count(1)
             for xi, m in ((-1, m1), (-2, m2), (0, m0)):
-                assert m == e.n - bareiss_rank(e.shifted(1, xi))
+                assert m == e.n - bareiss_rank(shifted(e, 1, xi))
             assert list(coeffs) == berkowitz_charpoly(e).ascending_list()
 
     def test_stats_match_pure_on_random_connected_n10(self):
@@ -845,17 +901,17 @@ class TestKernelVsLibrary:
             if not is_connected(g):
                 continue
             count += 1
-            assert compiled.census_stats(10, g.adj) == \
-                pure.census_stats(10, g.adj), g.adj
+            assert compiled.census_stats(10, packed(g)) == \
+                pure.census_stats(10, packed(g)), g.adj
 
     def test_stats_reject_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            kernels.census_stats(g.n, g.adj)
+            kernels.census_stats(g.n, packed(g))
 
     def test_stats_reject_oversize(self):
         with pytest.raises(ValueError):
-            compiled.census_stats(11, [0] * 11)
+            compiled.census_stats(11, 0)
 
     def test_canon_rejects_oversize(self):
         with pytest.raises(ValueError):

@@ -87,3 +87,27 @@ def test_no_unused_imports():
     assert paths
     unused = {os.path.basename(p): _unused_imports(p) for p in paths}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_every_kernel_has_a_package_caller():
+    """Every function ``eccspec.kernels`` binds is called, as
+    ``kernels.<name>(...)``, by some package module other than the
+    selector and the two backends, so a kernel that only converts between
+    forms for another kernel cannot come back unnoticed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bound = {name for name, value in vars(kernels).items()
+             if not name.startswith("_") and callable(value)}
+    called = set()
+    for path in glob.glob(os.path.join(root, "src", "eccspec", "*.py")):
+        if os.path.basename(path) in ("kernels.py", "_kernels_py.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        called.update(
+            node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "kernels")
+    assert bound
+    assert sorted(bound - called) == []
