@@ -8,10 +8,14 @@
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
  * iff ij is an edge.  children_canon and the census kernels take the packed
- * lower triangle instead (load_bits), which no asymmetric graph has.  The C
- * side does word arithmetic only; big-integer work (choosing primes,
- * reducing entries outside int64, lifting residues) is exactalg's, in
- * Python ints, and charpoly_mod raises OverflowError on such an entry.
+ * lower triangle instead (load_bits), which no asymmetric graph has, of a
+ * graph the census holds: n <= MAXN_CENSUS = 10, and a parent of order at
+ * most 9 for children_canon, so every form they read or return is one 64-bit
+ * word.  Only canon_bits, which labels up to n = 16, returns a form of up to
+ * 120 bits (u128_to_py).  The C side does word arithmetic only; big-integer
+ * work (choosing primes, reducing entries outside int64, lifting residues)
+ * is exactalg's, in Python ints, and charpoly_mod raises OverflowError on
+ * such an entry.
  * children_canon labels; the census dedups and sorts the level.
  * The one charpoly algorithm here, which charpoly_mod and census_stats share,
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
@@ -155,11 +159,12 @@ parse_graph(PyObject *args, int maxn, const char *what, int *n, uint64_t *adj)
     return load_adj(*n, rows, adj);
 }
 
-/* Unpack bits, the packed lower triangle of a graph on 1 <= n <= maxn <= 16
+/* Unpack bits, the packed lower triangle of a graph on 1 <= n <= maxn <= 10
  * vertices (the canon_bits and graph6 bit order, first pair in the top bit),
  * into adj[0..n-1], which is then symmetric and loopless.  ValueError naming
  * what on an order out of range, TypeError on a non-int bits, ValueError on
- * bits outside 0..2^(n(n-1)/2) - 1. */
+ * bits outside 0..2^(n(n-1)/2) - 1.  A form has n(n-1)/2 <= 45 bits, so it
+ * is one 64-bit word, and a negative or wider int is out of range. */
 static int
 load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
 {
@@ -169,23 +174,12 @@ load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
         PyErr_Format(PyExc_TypeError, "%s needs an int bit form", what);
         return -1;
     }
-    /* split into 64-bit halves; a negative or over-long high half is out of
-     * range, as is anything at or above 2^nbits (nbits <= 120) */
     int nbits = n * (n - 1) / 2;
-    unsigned long long lo = PyLong_AsUnsignedLongLongMask(obj), hi;
-    PyObject *sh = PyLong_FromLong(64), *hiobj = NULL;
-    if (sh != NULL)
-        hiobj = PyNumber_Rshift(obj, sh);
-    Py_XDECREF(sh);
-    if (hiobj == NULL)
-        return -1;
-    hi = PyLong_AsUnsignedLongLong(hiobj);
-    Py_DECREF(hiobj);
-    int bad = hi == (unsigned long long)-1 && PyErr_Occurred();
+    unsigned long long bits = PyLong_AsUnsignedLongLong(obj);
+    int bad = bits == (unsigned long long)-1 && PyErr_Occurred();
     if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError))
         return -1;
     PyErr_Clear();
-    u128 bits = ((u128)hi << 64) | lo;
     if (bad || (bits >> nbits) != 0) {
         PyErr_Format(PyExc_ValueError, "bit form out of range for n=%d", n);
         return -1;
@@ -229,20 +223,6 @@ k_all_pairs_dist(PyObject *self, PyObject *args)
         }
     }
     return out;
-}
-
-static PyObject *
-k_is_connected(PyObject *self, PyObject *args)
-{
-    uint64_t adj[MAXN_DIST];
-    int dist[MAXN_DIST], n;
-    if (parse_graph(args, MAXN_DIST, "is_connected", &n, adj) < 0)
-        return NULL;
-    bfs(n, adj, 0, dist);
-    for (int i = 0; i < n; i++)
-        if (dist[i] == UNREACH)
-            Py_RETURN_FALSE;
-    Py_RETURN_TRUE;
 }
 
 /* ------------------------------------------------------------------------
@@ -480,10 +460,11 @@ k_canon_bits(PyObject *self, PyObject *args)
     return status < 0 ? NULL : u128_to_py(bits);
 }
 
-/* The canonical forms of the one-vertex extensions of the graph whose bit
- * form is bits: the new vertex n joined to a nonempty subset S of 0..n-1,
- * one form per labeled subset, in increasing subset order, repeats kept
- * (the census dedups the level).  Only subsets closed downward in each twin
+/* The canonical forms of the one-vertex extensions of the graph on
+ * 1 <= n <= MAXN_CENSUS - 1 vertices whose bit form is bits, each of at most
+ * 45 bits, one word: the new vertex n joined to a nonempty subset S of
+ * 0..n-1, one form per labeled subset, in increasing subset order, repeats
+ * kept (the census dedups the level).  Only subsets closed downward in each twin
  * class of the parent are labeled (v in S implies u in S for twins u < v).
  * Twinhood is an equivalence relation and any permutation of a twin class
  * is a parent automorphism, which carries every other subset onto a labeled
@@ -492,11 +473,11 @@ k_canon_bits(PyObject *self, PyObject *args)
 static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
-    uint64_t adj[MAXN_CANON], work[MAXN_CANON], prev[MAXN_CANON] = {0};
+    uint64_t adj[MAXN_CENSUS], work[MAXN_CENSUS], prev[MAXN_CENSUS] = {0};
     int n;
     PyObject *bits;
     if (!PyArg_ParseTuple(args, "iO", &n, &bits)
-            || load_bits(n, bits, MAXN_CANON - 1, "children_canon", adj) < 0)
+            || load_bits(n, bits, MAXN_CENSUS - 1, "children_canon", adj) < 0)
         return NULL;
     /* prev[v]: the bit of the nearest twin u < v, 0 if v has none */
     for (int v = 1; v < n; v++)
@@ -520,7 +501,8 @@ k_children_canon(PyObject *self, PyObject *args)
         u128 bits;
         PyObject *item = NULL;
         if (canon_impl(n + 1, work, &cur, &nxt, &bits) < 0
-            || (item = u128_to_py(bits)) == NULL
+            || (item = PyLong_FromUnsignedLongLong(
+                    (unsigned long long)bits)) == NULL
             || PyList_Append(out, item) < 0)
             Py_CLEAR(out);
         Py_XDECREF(item);
@@ -1492,16 +1474,15 @@ static PyMethodDef kernel_methods[] = {
     {"all_pairs_dist", k_all_pairs_dist, METH_VARARGS,
      "all_pairs_dist(n, adj)\n--\n\n"
      "n x n hop-distance matrix as a list of rows (UNREACHABLE sentinel)."},
-    {"is_connected", k_is_connected, METH_VARARGS,
-     "is_connected(n, adj)\n--\n\nTrue iff the graph is connected."},
     {"canon_bits", k_canon_bits, METH_VARARGS,
      "canon_bits(n, adj)\n--\n\n"
      "Canonical form of the graph, packed as an int of n(n-1)/2 bits."},
     {"children_canon", k_children_canon, METH_VARARGS,
      "children_canon(n, bits)\n--\n\n"
-     "Canonical forms of the one-vertex extensions of the graph whose packed\n"
-     "lower triangle is bits: the new vertex n attached to a nonempty subset\n"
-     "of 0..n-1, one form per labeled subset, in increasing subset order,\n"
+     "Canonical forms of the one-vertex extensions of the graph on\n"
+     "1 <= n <= 9 vertices whose packed lower triangle is bits: the new\n"
+     "vertex n attached to a nonempty subset of 0..n-1, one form per\n"
+     "labeled subset, in increasing subset order,\n"
      "repeats kept.  Only subsets that take each twin class of the parent as\n"
      "a prefix are labeled; the set of forms is that of all the extensions."},
     {"census_stats", k_census_stats, METH_VARARGS,

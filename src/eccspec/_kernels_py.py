@@ -35,7 +35,8 @@ form, and formats and parses the rest in C.  Every graph kernel
 checks its order range with the compiled one's limits and messages, and
 works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
 n ints where bit j of ``adj[i]`` is set iff ij is an edge.  The census
-kernels take the packed lower triangle instead, which no asymmetric graph has.
+kernels take the packed lower triangle instead, which no asymmetric graph has,
+on at most 10 vertices (9 for a ``children_canon`` parent): one 64-bit word.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -59,7 +60,7 @@ from .exactalg import (
 __all__ = [
     "BACKEND", "UNREACHABLE", "all_pairs_dist", "canon_bits", "census_stats",
     "census_structure", "charpoly_mod", "children_canon", "format_store",
-    "is_connected", "parse_store",
+    "parse_store",
 ]
 
 BACKEND = "pure-python"
@@ -111,11 +112,6 @@ def all_pairs_dist(n, adj):
     """n x n hop-distance matrix as a list of rows (UNREACHABLE sentinel)."""
     _check_order("all_pairs_dist", n, _MAXN_DIST)
     return [_dist_row(n, adj, v) for v in range(n)]
-
-
-def is_connected(n, adj):
-    _check_order("is_connected", n, _MAXN_DIST)
-    return UNREACHABLE not in _dist_row(n, adj, 0)
 
 
 def _wl_colors(n, adj):
@@ -207,10 +203,10 @@ def canon_bits(n, adj):
 
 
 def children_canon(n, bits):
-    """Canonical forms of the one-vertex extensions of the n-vertex graph
-    whose packed lower triangle is ``bits``: the new vertex n attached to a
-    nonempty subset S of 0..n-1, one form per labeled subset, in increasing
-    subset order, repeats kept.
+    """Canonical forms of the one-vertex extensions of the graph on
+    1 <= n <= 9 vertices whose packed lower triangle is ``bits``: the new
+    vertex n attached to a nonempty subset S of 0..n-1, one form per labeled
+    subset, in increasing subset order, repeats kept.
 
     Only subsets closed downward in each twin class of the parent are
     labeled: v in S implies u in S for twins u < v (equal neighborhoods
@@ -219,7 +215,7 @@ def children_canon(n, bits):
     automorphism, which carries every other subset onto a labeled one, so
     every skipped child is isomorphic to a labeled one.
     """
-    adj = _bits_to_adj("children_canon", n, bits, _MAXN_CANON - 1)
+    adj = _bits_to_adj("children_canon", n, bits, _MAXN_CENSUS - 1)
     prev = [0] * n  # the bit of the nearest twin u < v, 0 if none
     for v in range(1, n):
         for u in range(v - 1, -1, -1):

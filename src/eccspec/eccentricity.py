@@ -62,7 +62,7 @@ def is_irreducible(e: IntMatrix) -> bool:
         raise ValueError("symmetric matrix required")
     support = [sum(1 << v for v, x in enumerate(row) if x and v != u)
                for u, row in enumerate(e.rows)]
-    return kernels.is_connected(e.n, support)
+    return kernels.UNREACHABLE not in kernels.all_pairs_dist(e.n, support)[0]
 
 
 def median_positions(n):

@@ -97,7 +97,7 @@ class Metrics:
 
 
 def is_connected(g: Graph) -> bool:
-    return kernels.is_connected(g.n, g.adj)
+    return UNREACHABLE not in kernels.all_pairs_dist(g.n, g.adj)[0]
 
 
 def bfs_metrics(g: Graph) -> Metrics:

@@ -3,8 +3,9 @@
 Set ECCSPEC_KERNELS=py to force the pure-Python fallback; it is also the one
 switch the test suite reads (it then builds no extension).  Both backends
 export the same functions, the names in ``_kernels_py.__all__``, and this
-module binds each one.  The census kernels take the packed lower triangle.
-``children_canon`` gives one canonical form per labeled child, and the
+module binds each one.  The census kernels take the packed lower triangle of
+a graph on at most 10 vertices, one 64-bit word.  ``children_canon`` takes a
+parent on at most 9 and gives one canonical form per labeled child, and the
 census dedups them.  ``charpoly_mod`` gives characteristic polynomials of
 int64 matrices modulo word-size primes only; ``exactalg.charpoly`` chooses
 the primes, reduces larger entries and lifts the residues, whichever backend
@@ -34,7 +35,6 @@ BACKEND = _impl.BACKEND
 UNREACHABLE = _impl.UNREACHABLE
 
 all_pairs_dist = _impl.all_pairs_dist
-is_connected = _impl.is_connected
 canon_bits = _impl.canon_bits
 children_canon = _impl.children_canon
 census_stats = _impl.census_stats

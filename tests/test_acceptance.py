@@ -20,7 +20,7 @@ import pytest
 from eccspec import census, kernels, suites
 from eccspec.eccentricity import acharpoly, ecc_matrix, is_irreducible, multiplicity
 from eccspec.exactalg import IntPolynomial
-from eccspec.graphs import clique_joins, complete, join_clique_with, path
+from eccspec.graphs import clique_joins, join_clique_with, path
 
 RUN_SLOW = kernels.BACKEND == "compiled"
 

@@ -28,7 +28,6 @@ from eccspec.exactalg import (
 )
 from eccspec.graphs import (
     Graph,
-    bfs_metrics,
     complete,
     cycle,
     disjoint_union,

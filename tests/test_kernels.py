@@ -64,8 +64,9 @@ def random_graph(rng, n, p=0.5):
 
 
 #: the kernels that take a graph as its packed lower triangle, with the
-#: largest order each takes
-BIT_FORM_KERNELS = {"children_canon": 15, "census_stats": 10,
+#: largest order each takes: the census's orders, so every bit form is one
+#: 64-bit word
+BIT_FORM_KERNELS = {"children_canon": 9, "census_stats": 10,
                     "census_structure": 10}
 
 
@@ -125,19 +126,11 @@ class TestBackendParity:
             g = random_graph(rng, rng.randint(1, 12), 0.3)
             assert compiled.all_pairs_dist(g.n, g.adj) == \
                 pure.all_pairs_dist(g.n, g.adj)
-            assert compiled.is_connected(g.n, g.adj) == \
-                pure.is_connected(g.n, g.adj)
-
-    @pytest.mark.parametrize("n", [0, 65])
-    def test_is_connected_rejects_out_of_range_orders(self, n):
-        for mod in (compiled, pure):
-            with pytest.raises(ValueError, match="1 <= n <= 64"):
-                mod.is_connected(n, [0] * n)
 
     @pytest.mark.parametrize("name,n", [
         ("all_pairs_dist", 0), ("all_pairs_dist", 65),
         ("canon_bits", 0), ("canon_bits", 17),
-        ("children_canon", 0), ("children_canon", 16),
+        ("children_canon", 0), ("children_canon", 10),
         ("census_stats", 0), ("census_stats", 11),
         ("census_structure", 0), ("census_structure", 11),
     ])
@@ -225,7 +218,7 @@ class TestBackendParity:
                 callables += 1
                 assert inspect.signature(getattr(compiled, name)) == \
                     inspect.signature(getattr(pure, name)), name
-        assert callables == 9
+        assert callables == 8
 
     def test_canon_of_unpacked_canonical_form_is_itself(self):
         """A canonical form, unpacked to rows, has itself as canonical form
@@ -242,11 +235,12 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
     def test_out_of_range_bit_forms_rejected_alike(self, name):
-        """-1 and 2^(n(n-1)/2), just past the largest bit form, raise the
-        same ValueError on both backends at every order the kernel takes;
-        the bit forms of children_canon outgrow 64 bits."""
+        """-1, 2^(n(n-1)/2), just past the largest bit form, and ints of
+        one and of several words past the one-word bound, 2^64 and 2^200,
+        raise the same ValueError on both backends at every order the
+        kernel takes."""
         for n in range(1, BIT_FORM_KERNELS[name] + 1):
-            for bad in (-1, 1 << (n * (n - 1) // 2)):
+            for bad in (-1, 1 << (n * (n - 1) // 2), 1 << 64, 1 << 200):
                 args = (n, bad)
                 if name == "census_structure":
                     args += ((0,) * n + (1,),)
@@ -271,18 +265,15 @@ class TestBackendParity:
                 messages.append(str(exc.value))
         assert messages == [f"{name} needs an int bit form"] * 4
 
-    def test_children_canon_agrees_beyond_64_bits(self):
-        """Parents on 15 vertices whose bit forms reach past 2^64, as do
-        their children's forms: both backends give the same list, and its
-        forms are those of every one-vertex extension."""
-        for g in (complete(15), complete_multipartite((7, 8)),
-                  complete_multipartite((1, 2, 12))):
-            bits = packed(g)
-            assert bits >> 64
-            got = compiled.children_canon(15, bits)
-            assert got == pure.children_canon(15, bits)
+    def test_children_canon_agrees_at_the_largest_parent_order(self):
+        """Parents on 9 vertices, the largest order children_canon takes,
+        with children of up to 45 bits: both backends give the same list,
+        and its forms are those of every one-vertex extension."""
+        for g in (complete(9), complete_multipartite((4, 5)),
+                  complete_multipartite((1, 2, 6)), cycle(9)):
+            got = compiled.children_canon(9, packed(g))
+            assert got == pure.children_canon(9, packed(g))
             assert set(got) == set(children_oracle(g))
-            assert max(got) >> 64
 
     def test_canon_agrees_on_symmetric_graphs(self):
         for g in (complete(9), cycle(9), cycle(10),

@@ -82,10 +82,13 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
+    """The package's modules and the test modules import nothing they do
+    not read."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = sorted(glob.glob(os.path.join(root, "src", "eccspec", "*.py")))
+    paths = sorted(glob.glob(os.path.join(root, "src", "eccspec", "*.py"))
+                   + glob.glob(os.path.join(root, "tests", "*.py")))
     assert paths
-    unused = {os.path.basename(p): _unused_imports(p) for p in paths}
+    unused = {os.path.relpath(p, root): _unused_imports(p) for p in paths}
     assert {k: v for k, v in unused.items() if v} == {}
 
 
