@@ -31,7 +31,7 @@ import eccspec._kernels as compiled  # noqa: E402
 import eccspec._kernels_py as pure
 from eccspec import kernels
 from eccspec.census import CensusRecord
-from eccspec.eccentricity import ecc_matrix
+from eccspec.eccentricity import ecc_matrix, is_irreducible
 from eccspec import exactalg
 from eccspec.exactalg import (
     IntMatrix,
@@ -126,6 +126,17 @@ class TestBackendParity:
             g = random_graph(rng, rng.randint(1, 12), 0.3)
             assert compiled.all_pairs_dist(g.n, g.adj) == \
                 pure.all_pairs_dist(g.n, g.adj)
+
+    @pytest.mark.parametrize("n", [0, 65])
+    def test_is_connected_rejects_out_of_range_orders(self, n, monkeypatch):
+        """The connectivity check that reads row 0 of all_pairs_dist, here
+        through is_irreducible, raises rather than answers for an n x n
+        matrix outside 1..64, on either backend."""
+        m = IntMatrix([[0] * n for _ in range(n)])
+        for mod in (compiled, pure):
+            monkeypatch.setattr(kernels, "all_pairs_dist", mod.all_pairs_dist)
+            with pytest.raises(ValueError, match="1 <= n <= 64"):
+                is_irreducible(m)
 
     @pytest.mark.parametrize("name,n", [
         ("all_pairs_dist", 0), ("all_pairs_dist", 65),
