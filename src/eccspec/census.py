@@ -46,7 +46,8 @@ ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
 STORE_BATCH = 4096
 STORE_BLOCK = 1 << 20
 
-#: connected graphs per order, used as enumeration self-checks
+#: connected graphs per order (OEIS A001349): ``classify`` checks each
+#: enumerated level against it
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
                     8: 11117, 9: 261080, 10: 11716571}
 
@@ -189,13 +190,17 @@ def classify(n, store_path=None, jobs=1):
     Every call enumerates and classifies from scratch.  The store path is
     opened first, so an unwritable path fails before any work; appending
     nothing leaves an existing store as it is until ``write_store``
-    replaces it."""
+    replaces it.  An enumeration whose graph count is not
+    ``CONNECTED_COUNTS[n]`` raises RuntimeError before any record is built."""
     if store_path is not None:
         try:
             open(store_path, "a", encoding="ascii").close()
         except OSError as exc:
             raise _unwritable(store_path, exc) from exc
     level = _level_bits(n, jobs)
+    if len(level) != CONNECTED_COUNTS[n]:
+        raise RuntimeError(f"census n={n} enumerated {len(level)} connected "
+                           f"graphs, expected {CONNECTED_COUNTS[n]} (A001349)")
     tag_map = family_tag_map(n)
     # bits order is canon order: fixed-n graph6 reads the bits big-endian,
     # so the contiguous chunks of the sorted level come back sorted

@@ -295,7 +295,7 @@ def _cmd_census(args):
     if not 1 <= args.n <= census_mod.ENUMERATION_LIMIT:
         raise UsageError("the census supports orders 1 <= n <= "
                          f"{census_mod.ENUMERATION_LIMIT}, got {args.n}")
-    if args.n >= 10 and not args.big:
+    if args.n >= census_mod.ENUMERATION_LIMIT and not args.big:
         raise UsageError("the n=10 census is best-effort (11.7M graphs); "
                          "pass --big to run it")
     records = census_mod.classify(args.n, store_path=store, jobs=args.jobs)

@@ -91,10 +91,11 @@ def hl_index(g: Graph) -> RationalInterval:
 
 
 def median_brackets(spec: SymmetricSpectrum):
-    """(bracket of xi_H, bracket of xi_L, HL-index enclosure) of a spectrum."""
+    """(bracket of xi_H, bracket of xi_L, HL-index enclosure) of a spectrum;
+    at odd n, H = L and one bracket serves both."""
     h, l = median_positions(spec.n)
     bh = spec.bracket(h)
-    bl = spec.bracket(l)
+    bl = bh if l == h else spec.bracket(l)
     ah = _abs_interval(bh)
     al = _abs_interval(bl)
     return bh, bl, RationalInterval(max(ah.lo, al.lo), max(ah.hi, al.hi))

@@ -16,13 +16,14 @@ Taylor shift, ``_taylor_coeffs``, gives inertia and root multiplicities.
 
 Eigenvalue brackets are searched on that one polynomial by exact sign
 probes.  Integer probes gallop out from 0 and then bisect, counting inertia.
-Rational probes count inertia while a bracket may hold several eigenvalues;
-once it holds exactly one, each reads the sign of the charpoly instead: for
-monic cp and c not a root, sign cp(c) = (-1)^(#eigenvalues > c), and the
-next probe is a safeguarded Newton step.  Every rational probe is a dyadic
-non-integer, and a monic integer polynomial has only integer rational
-roots, so no sign is ever 0, and every bracket is the one that inertia
-bisection alone would give.
+Rational probes run in one loop at the final dyadic scale.  They count
+inertia while a bracket may hold several eigenvalues; once it holds exactly
+one, each reads the sign of the charpoly instead, and leaves no memo entry:
+for monic cp and c not a root, sign cp(c) = (-1)^(#eigenvalues > c), and
+the next probe is a safeguarded Newton step.  Every rational probe is a
+dyadic non-integer, and a monic integer polynomial has only integer
+rational roots, so no sign is ever 0, and every bracket is the one that
+inertia bisection alone would give.
 """
 
 from __future__ import annotations
@@ -414,6 +415,17 @@ def root_multiplicity(p: IntPolynomial, r) -> int:
     return next(compress(count(), _taylor_coeffs(p.coeffs, r)))
 
 
+def _dyadic_horner(desc, m, s):
+    """g(m) = 2^(sn) cp(m/2^s), with the sign of cp, and g'(m) by one Horner
+    sweep, for monic cp of degree n with ``desc`` = a_(n-1), ..., a_0."""
+    g, dg, shift = 1, 0, 0
+    for coeff in desc:
+        shift += s
+        dg = dg * m + g
+        g = g * m + (coeff << shift)
+    return g, dg
+
+
 class SymmetricSpectrum:
     """Memoized inertia queries and eigenvalue bracketing for one matrix.
 
@@ -429,32 +441,32 @@ class SymmetricSpectrum:
       hi - lo = 1 and probes hi.  An integer eigenvalue is certified exactly
       when a probe lands on it, and the bracket collapses to that point.
       Medians lie near 0, so this takes O(log |xi_i|) probes, not O(log R).
-    - the rational phase shrinks the unit interval to ``width``.  While
-      (lo, hi) holds more than one eigenvalue (a repeated irrational one,
-      or neighbours not yet separated), it halves it by inertia counts at
-      the midpoint.  Once (lo, hi) holds xi_i alone, it moves to the final
-      scale S, the least S with 2^-S <= width, and searches for the integer
-      L with L/2^S < xi_i < (L+1)/2^S.  Each probe M costs one O(n) Horner
-      evaluation of g(M) = 2^(Sn) cp(M/2^S) and g'(M); for c = M/2^S not a
-      root, sign cp(c) = (-1)^(#eigenvalues > c), and the eigenvalues above
-      c are those above hi plus xi_i when xi_i > c.  The next probe is the
-      Newton estimate (M g' - g)/g', rounded up after a probe left of xi_i
-      and down after one right of it, so that it lands on the far side,
-      and clamped into the open bracket.  It is the midpoint instead
-      whenever the last two probes did not together halve the bracket, so
-      any three probes in a row halve it, up to rounding.  J. Abbott's
-      quadratic interval refinement (2006) safeguards Newton the same way.
-      Integer floor division only chooses where to probe; every bracket
-      end comes from an exact sign.
+    - the rational phase shrinks the unit interval to ``width`` in one
+      loop at the final scale S, the least S with 2^-S <= width, searching
+      for the integer L with L/2^S < xi_i < (L+1)/2^S.  While (lo, hi)
+      holds more than one eigenvalue (a repeated irrational one, or
+      neighbours not yet separated), an inertia count at the midpoint
+      halves it.  Once xi_i is alone, each probe M costs one O(n) Horner
+      evaluation, ``_dyadic_horner``, of g(M) = 2^(Sn) cp(M/2^S) and g'(M);
+      for c = M/2^S not a root, sign cp(c) = (-1)^(#eigenvalues > c), and
+      the eigenvalues above c are those above hi plus xi_i when xi_i > c.
+      The next probe is the Newton estimate (M g' - g)/g', rounded up after
+      a probe left of xi_i and down after one right of it, so that it lands
+      on the far side, and clamped into the open bracket.  It is the
+      midpoint instead whenever the last two probes did not together halve
+      the bracket, so any three probes in a row halve it, up to rounding.
+      J. Abbott's quadratic interval refinement (2006) safeguards Newton
+      the same way.  Integer floor division only chooses where to probe;
+      every bracket end comes from an exact sign.
 
     The bracket depends only on xi_i, not on the probes that found it.  The
     integer phase ends at the point xi_i if xi_i is an integer, and at
     (ceil(xi_i) - 1, ceil(xi_i)] otherwise.  A rational probe is a dyadic
     non-integer, never a root of the monic integer cp; a non-integer xi_i
     is irrational, so exactly one L fits, and (L/2^S, (L+1)/2^S) is the
-    bracket that bisection by inertia alone would give.  Every probe's
-    inertia goes into the memo, which holds the Descartes count at each of
-    its points.  Integer probes are keyed by int and the others by
+    bracket that bisection by inertia alone would give.  The memo holds
+    the Descartes count at each integer and inertia-count probe; sign
+    probes leave none.  Integer probes are keyed by int and the others by
     Fraction; an int and an equal Fraction hash and compare alike, so
     either form of a point finds its one entry.
     """
@@ -522,46 +534,32 @@ class SymmetricSpectrum:
         above_hi = ine.n_plus + ine.n_zero  # eigenvalues at or above hi
         if above_hi >= i:
             return RationalInterval(Fraction(hi), Fraction(hi))
-        # rational phase, while (lo, hi) holds more than xi_i and
-        # 2^-s > width: lo = L/2^s and hi = H/2^s with H - L = 1, the
-        # midpoint is (2L + 1)/2^(s+1); xi_i < hi now, and (lo, hi) holds
-        # above_lo - above_hi eigenvalues
-        s = 0
-        while (above_lo - above_hi > 1
-               and width.denominator > width.numerator << s):
-            lo, hi, s = 2 * lo, 2 * hi, s + 1
-            mid = lo + 1
-            ine = self.inertia(Fraction(mid, 1 << s))
-            if ine.n_plus >= i:
-                lo, above_lo = mid, ine.n_plus
-            else:
-                hi, above_hi = mid, ine.n_plus
-        # then at the final scale S, the least S with 2^-S <= width:
-        # lo = A/2^S < xi_i < hi = B/2^S, and while B - A > 1 xi_i is alone
-        # in (lo, hi), found by safeguarded Newton steps on g below
-        S = s
+        # rational phase at the final scale S, the least S with 2^-S <= width:
+        # lo = A/2^S < xi_i < hi = B/2^S, and (lo, hi) holds above_lo -
+        # above_hi eigenvalues.  While that is more than one, an inertia
+        # count at the midpoint halves (A, B); B - A stays a power of two, so
+        # each midpoint is the one inertia bisection takes.  Once xi_i is
+        # alone, safeguarded Newton steps read only the sign of g.
+        S = 0
         while width.denominator > width.numerator << S:
             S += 1
-        A, B = lo << (S - s), hi << (S - s)
+        A, B = lo << S, hi << S
         desc = self.charpoly.coeffs[-2::-1]  # a_(n-1), ..., a_0 of monic cp
         mid = (A + B) >> 1
         before_last = last = B - A  # (A, B) widths before the last two probes
         while B - A > 1:
-            # g(mid) = 2^(Sn) cp(mid / 2^S), with the sign of cp, and g'(mid)
-            g, dg, shift = 1, 0, 0
-            for coeff in desc:
-                shift += S
-                dg = dg * mid + g
-                g = g * mid + (coeff << shift)
+            if above_lo - above_hi > 1:
+                n_plus = self.inertia(Fraction(mid, 1 << S)).n_plus
+                if n_plus >= i:
+                    A, above_lo = mid, n_plus
+                else:
+                    B, above_hi = mid, n_plus
+                mid = (A + B) >> 1
+                before_last = last = B - A
+                continue
+            g, dg = _dyadic_horner(desc, mid, S)
             left = (g < 0) ^ (above_hi & 1)  # xi_i > mid / 2^S
-            c = Fraction(mid, 1 << S)
-            if c not in self._inertia:
-                n_plus = above_hi + left
-                self._inertia[c] = Inertia(n_plus, 0, self.n - n_plus)
-            if left:
-                A = mid
-            else:
-                B = mid
+            A, B = (mid, B) if left else (A, mid)
             if dg and 2 * (B - A) <= before_last:
                 # Newton's estimate (mid g' - g)/g', rounded to the far side
                 num = mid * dg - g

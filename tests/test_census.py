@@ -221,6 +221,14 @@ class TestClassify:
         assert by_tag["K6v3K1"].mult_minus1 == 5
         assert by_tag["K6vK2uK1"].mult_minus1 == 5
 
+    def test_enumeration_count_is_checked_against_a001349(self,
+                                                         monkeypatch):
+        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        with pytest.raises(RuntimeError) as exc:
+            census.classify(5)
+        assert str(exc.value) == ("census n=5 enumerated 21 connected "
+                                  "graphs, expected 22 (A001349)")
+
     def test_store_round_trip_and_determinism(self, census_records, tmp_path):
         path1 = tmp_path / "store1.tsv"
         path2 = tmp_path / "store2.tsv"

@@ -262,6 +262,16 @@ class TestCensusAndQuery:
         assert err == ("error: the n=10 census is best-effort (11.7M graphs); "
                        "pass --big to run it\n")
 
+    def test_census_count_mismatch_exits_one(self, capsys, monkeypatch):
+        from eccspec import census
+
+        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        monkeypatch.delenv("ECCSPEC_STORE", raising=False)
+        code, out, err = run(capsys, "census", "5")
+        assert code == 1 and out == ""
+        assert err == ("error: census n=5 enumerated 21 connected graphs, "
+                       "expected 22 (A001349)\n")
+
     def test_census_unwritable_store_exits_one(self, capsys, tmp_path):
         store = tmp_path / "no-such-dir" / "c4.tsv"
         code, out, err = run(capsys, "census", "4", "--store", str(store))

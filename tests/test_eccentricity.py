@@ -14,6 +14,7 @@ from eccspec.eccentricity import (
     ecc_matrix,
     hl_index,
     is_irreducible,
+    median_brackets,
     median_eigenvalue_is,
     median_positions,
     multiplicity,
@@ -21,6 +22,7 @@ from eccspec.eccentricity import (
     twin_eigenvalue_predictions,
 )
 from eccspec.exactalg import (
+    DEFAULT_BRACKET_WIDTH,
     IntMatrix,
     IntPolynomial,
     SymmetricSpectrum,
@@ -241,6 +243,24 @@ class TestMedian:
     def test_hl_index_c4(self):
         iv = hl_index(cycle(4))
         assert iv.is_point() and iv.lo == 2
+
+    @pytest.mark.parametrize("n, indices", [(7, [4]), (8, [4, 5])])
+    def test_median_brackets_once_per_position(self, monkeypatch, n,
+                                               indices):
+        # at odd n the positions H and L coincide: one bracket serves both
+        m = ecc_matrix(path(n))
+        want = tuple(SymmetricSpectrum(m).bracket(i)
+                     for i in median_positions(n))
+        calls = []
+        real = SymmetricSpectrum.bracket
+
+        def counting(self, i, width=DEFAULT_BRACKET_WIDTH):
+            calls.append(i)
+            return real(self, i, width)
+
+        monkeypatch.setattr(SymmetricSpectrum, "bracket", counting)
+        assert median_brackets(SymmetricSpectrum(m))[:2] == want
+        assert calls == indices
 
 
 class TestTwinPredictions:

@@ -351,7 +351,7 @@ class TestBracketOracle:
             for i in indices or range(1, m.n + 1):
                 assert tuple(spec.bracket(i, width)) == \
                     inertia_bisection(m, i, width), (m, i, width)
-        # every inertia the sign steps recorded is the Descartes count
+        # every inertia in the memo is the Descartes count
         cp = berkowitz_charpoly(m)
         for c, ine in spec._inertia.items():
             assert ine == charpoly_inertia(cp, c), (m, c)
@@ -420,29 +420,55 @@ def count_charpoly_inertia(monkeypatch):
     return calls
 
 
+def count_sign_probes(monkeypatch):
+    """The dyadic numerators M of the charpoly sign probes from now on."""
+    probes = []
+    real = exactalg._dyadic_horner
+
+    def counting(desc, m, s):
+        probes.append(m)
+        return real(desc, m, s)
+
+    monkeypatch.setattr(exactalg, "_dyadic_horner", counting)
+    return probes
+
+
 class TestBracketCost:
     def test_isolated_eigenvalue_needs_integer_phase_only(self, monkeypatch):
         calls = count_charpoly_inertia(monkeypatch)
+        signs = count_sign_probes(monkeypatch)
         spec = SymmetricSpectrum(diamond_join())
         iv = spec.bracket(2, Fraction(1, 2 ** 40))
         # xi_2 = (5 - sqrt(33))/2 ~ -0.37: the integer phase probes 0, where
         # it gallops from, and -1; the rational phase reads charpoly signs
         assert calls == [0, -1]
+        # 14 Newton sign probes, where bisection by sign takes 40
+        assert len(signs) == 14
         assert iv.hi - iv.lo == Fraction(1, 2 ** 40)
         assert spec.count_gt(iv.hi) == 1 and spec.count_ge(iv.lo) == 2
         assert spec.count_gt(iv.lo) == 2 and spec.count_ge(iv.hi) == 1
-        assert len(calls) == 2  # the ends were recorded: memo hits
-        # two integer probes and 14 Newton sign probes, where one sign
-        # step per bit took 3 + 40
-        assert len(spec._inertia) == 16
 
-    def test_newton_safeguard_bounds_the_probes(self):
-        # no isolated bracket of W21+ takes more than about two probes a bit
+    def test_newton_safeguard_bounds_the_probes(self, monkeypatch):
+        # no isolated bracket of W21+ takes more than about two probes a
+        # bit: new memo entries (integer and inertia-count probes) plus
+        # sign probes, checked at every sign probe too, so that a bracket
+        # that crawls fails at once instead of running on
+        signs = count_sign_probes(monkeypatch)
         spec = SymmetricSpectrum(wilkinson_plus(21))
+        probes = lambda: len(spec._inertia) + len(signs) - before
+        counting = exactalg._dyadic_horner
+
+        def bounded(desc, m, s):
+            got = counting(desc, m, s)
+            assert probes() <= 2 * 60 + 8, i
+            return got
+
+        monkeypatch.setattr(exactalg, "_dyadic_horner", bounded)
         for i in range(1, 22):
-            before = len(spec._inertia)
+            before = len(spec._inertia) + len(signs)
             spec.bracket(i, Fraction(1, 2 ** 60))
-            assert len(spec._inertia) - before <= 2 * 60 + 8, i
+            assert probes() <= 2 * 60 + 8, i
+        assert signs
 
     def test_repeated_eigenvalue_keeps_inertia_steps(self, monkeypatch):
         calls = count_charpoly_inertia(monkeypatch)
