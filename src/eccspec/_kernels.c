@@ -8,11 +8,11 @@
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
  * iff ij is an edge.  children_canon and the census kernels take the packed
- * lower triangle instead (load_bits), which no asymmetric graph has, of a
- * graph the census holds: n <= MAXN_CENSUS = 10, and a parent of order at
- * most 9 for children_canon, so every form they read or return is one 64-bit
- * word.  Only canon_bits, which labels up to n = 16, returns a form of up to
- * 120 bits (u128_to_py).  The C side does word arithmetic only; big-integer
+ * lower triangle instead (load_bits), which no asymmetric graph has.  Every
+ * graph kernel but all_pairs_dist (n <= 64) takes only a graph the census
+ * holds: n <= MAXN_CENSUS = 10, and a parent of order at most 9 for
+ * children_canon, so every form they read or return, canon_bits's included,
+ * is one 64-bit word of at most 45 bits.  The C side does word arithmetic only; big-integer
  * work (choosing primes, reducing entries outside int64, lifting residues)
  * is exactalg's, in Python ints, and charpoly_mod raises OverflowError on
  * such an entry.
@@ -23,7 +23,7 @@
  * division-free Berkowitz recurrence, so the parity tests compare two
  * algorithms.)  Fixed-width arithmetic has three stated bounds, with tests
  * at each.  The refinement keys of canonical labeling pack 4-bit fields into
- * 64 bits, which holds for n <= 16 (the argument is at wl_colors).  The
+ * at most 44 bits at n <= 10 (the argument is at wl_colors).  The
  * Montgomery word bound: residues are below p < 2^56, so each
  * product of two residues is below p^2 < p 2^64, within one Montgomery
  * reduction, a sum of two residues is below 2^57, and a sum of 255 products
@@ -56,7 +56,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MAXN_CANON 16
 #define MAXN_CENSUS 10
 #define MAXN_DIST 64
 #define STATE_CAP 500000
@@ -67,7 +66,8 @@ typedef unsigned __int128 u128;
 /* ------------------------------------------------------------------------
  * conversions */
 
-/* Read adj[0..n-1] into out[]; every row must be a bitset over 0..n-1. */
+/* Read adj[0..n-1] into out[]; every row must be a bitset over 0..n-1:
+ * ValueError on a row that is negative or names a vertex >= n. */
 static int
 load_adj(int n, PyObject *adj, uint64_t *out)
 {
@@ -82,11 +82,13 @@ load_adj(int n, PyObject *adj, uint64_t *out)
     PyObject **items = PySequence_Fast_ITEMS(seq);
     for (int i = 0; i < n; i++) {
         unsigned long long row = PyLong_AsUnsignedLongLong(items[i]);
-        if (row == (unsigned long long)-1 && PyErr_Occurred()) {
+        int bad = row == (unsigned long long)-1 && PyErr_Occurred();
+        if (bad && !PyErr_ExceptionMatches(PyExc_OverflowError)) {
             Py_DECREF(seq);
             return -1;
         }
-        if (n < 64 && (row >> n) != 0) {
+        PyErr_Clear();
+        if (bad || (n < 64 && (row >> n) != 0)) {
             Py_DECREF(seq);
             PyErr_Format(PyExc_ValueError,
                          "adjacency row %d references vertices >= %d", i, n);
@@ -96,24 +98,6 @@ load_adj(int n, PyObject *adj, uint64_t *out)
     }
     Py_DECREF(seq);
     return 0;
-}
-
-static PyObject *
-u128_to_py(u128 v)
-{
-    if ((v >> 64) == 0)
-        return PyLong_FromUnsignedLongLong((unsigned long long)v);
-    PyObject *hi = PyLong_FromUnsignedLongLong((unsigned long long)(v >> 64));
-    PyObject *lo = PyLong_FromUnsignedLongLong((unsigned long long)v);
-    PyObject *sh = PyLong_FromLong(64);
-    PyObject *hs = NULL, *out = NULL;
-    if (hi && lo && sh && (hs = PyNumber_Lshift(hi, sh)) != NULL)
-        out = PyNumber_Or(hs, lo);
-    Py_XDECREF(hi);
-    Py_XDECREF(lo);
-    Py_XDECREF(sh);
-    Py_XDECREF(hs);
-    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -234,16 +218,14 @@ k_all_pairs_dist(PyObject *self, PyObject *args)
  * reference's, so canonical forms agree bit for bit.  Each signature is
  * packed into one integer key, 4 bits per field with the own color on top,
  * so numeric order of the keys is lexicographic order of the signatures.
- * The fields fit because n <= 16: a color is below the class count ncol and
- * a count is at most the degree, 15.  A round takes 4 (ncol + 1) bits, and
- * ncol <= 15 in every round: once all n vertices are in classes of their
- * own the partition is stable (the own color alone orders the keys), so
- * the round with ncol = n = 16, which would need 68 bits, is never run. */
+ * The fields fit because n <= 10: a color is below the class count
+ * ncol <= n and a count is at most the degree, 9, and a round takes
+ * 4 (ncol + 1) <= 44 bits. */
 static void
 wl_colors(int n, const uint64_t *adj, int *colors)
 {
-    uint64_t key[MAXN_CANON];
-    int order[MAXN_CANON], newc[MAXN_CANON];
+    uint64_t key[MAXN_CENSUS];
+    int order[MAXN_CENSUS], newc[MAXN_CENSUS];
     int ncol = 1;
     for (int v = 0; v < n; v++)
         colors[v] = 0;
@@ -286,7 +268,7 @@ wl_colors(int n, const uint64_t *adj, int *colors)
  * slots >= n are zero, so equal states compare equal bytewise. */
 typedef struct {
     uint64_t rem;
-    uint64_t rows[MAXN_CANON];
+    uint64_t rows[MAXN_CENSUS];
 } state_t;
 
 typedef struct {
@@ -374,11 +356,10 @@ kept_candidates(uint64_t cand, const uint64_t *twin)
  * with an exception set on failure. */
 static int
 canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
-           u128 *result)
+           uint64_t *result)
 {
-    int colors[MAXN_CANON], cnt[MAXN_CANON] = {0}, block[MAXN_CANON];
-    uint64_t clsmask[MAXN_CANON] = {0}, twin[MAXN_CANON] = {0};
-    u128 out = 0;
+    int colors[MAXN_CENSUS], cnt[MAXN_CENSUS] = {0}, block[MAXN_CENSUS];
+    uint64_t clsmask[MAXN_CENSUS] = {0}, twin[MAXN_CENSUS] = {0}, out = 0;
     *result = 0;
     if (n <= 1)
         return 0;
@@ -416,7 +397,7 @@ canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
             }
         }
         if (k)
-            out = (out << k) | (u128)(best >> (64 - k));
+            out = (out << k) | (best >> (64 - k));
         /* pass 2: expand every candidate achieving it */
         uint64_t bit = (uint64_t)1 << (63 - k);
         nxt->count = 0;
@@ -449,15 +430,14 @@ canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
 static PyObject *
 k_canon_bits(PyObject *self, PyObject *args)
 {
-    uint64_t adj[MAXN_CANON];
+    uint64_t adj[MAXN_CENSUS], bits;
     statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
     int n, status = -1;
-    u128 bits;
-    if (parse_graph(args, MAXN_CANON, "canonical labeling", &n, adj) == 0)
+    if (parse_graph(args, MAXN_CENSUS, "canonical labeling", &n, adj) == 0)
         status = canon_impl(n, adj, &cur, &nxt, &bits);
     PyMem_Free(cur.s);
     PyMem_Free(nxt.s);
-    return status < 0 ? NULL : u128_to_py(bits);
+    return status < 0 ? NULL : PyLong_FromUnsignedLongLong(bits);
 }
 
 /* The canonical forms of the one-vertex extensions of the graph on
@@ -498,11 +478,10 @@ k_children_canon(PyObject *self, PyObject *args)
         for (int i = 0; i < n; i++)
             work[i] = adj[i] | (((sub >> i) & 1) << n);
         work[n] = sub;
-        u128 bits;
+        uint64_t bits;
         PyObject *item = NULL;
         if (canon_impl(n + 1, work, &cur, &nxt, &bits) < 0
-            || (item = PyLong_FromUnsignedLongLong(
-                    (unsigned long long)bits)) == NULL
+            || (item = PyLong_FromUnsignedLongLong(bits)) == NULL
             || PyList_Append(out, item) < 0)
             Py_CLEAR(out);
         Py_XDECREF(item);
@@ -1119,16 +1098,16 @@ k_census_structure(PyObject *self, PyObject *args)
  * canonical decimal ints, "0" or an optional '-' and 1..STORE_DIGITS digits
  * with no leading zero (so |x| < 10^18 < 2^63); a canon of graph6 bytes
  * 63..126 whose size byte is n + 63 and whose length is
- * 1 + (n(n-1)/2 + 5) / 6, for 0 <= n <= STORE_MAXN; 7 invariant fields
- * whose tags are nonempty runs of printable bytes other than ',' and ';';
- * exactly n + 1 coefficients, the last 1; and '\n', or the end of the data,
- * ending the line.  These are from_line's O(1) checks on a stricter lexical
- * form, so a line accepted here is one from_line parses, to an equal
- * record.  Every other line (blank, CRLF-ended, "+5", " 5", non-ASCII, an
- * int of 19 digits, or malformed) is handed back as its raw bytes, newline
- * included, for from_line to parse or reject. */
+ * 1 + (n(n-1)/2 + 5) / 6, for a census order 0 <= n <= MAXN_CENSUS; 7
+ * invariant fields whose tags are nonempty runs of printable bytes other
+ * than ',' and ';'; exactly n + 1 coefficients, the last 1; and '\n', or the
+ * end of the data, ending the line.  These are from_line's O(1) checks on a
+ * stricter lexical form, so a line accepted here is one from_line parses,
+ * to an equal record.  Every other line (blank, CRLF-ended, "+5", " 5",
+ * non-ASCII, an int of 19 digits, of order above 10, or malformed) is
+ * handed back as its raw bytes, newline included, for from_line to parse
+ * or reject. */
 
-#define STORE_MAXN 62    /* size byte n + 63 stays below '~' */
 #define STORE_DIGITS 18  /* 10^18 - 1 < 2^63 */
 #define STORE_FIELDS 9   /* canon, 6 ints, charpoly, tags */
 
@@ -1280,7 +1259,7 @@ done:
 typedef struct {
     const char *canon, *tags;
     Py_ssize_t canon_len, tags_len, ntags;
-    long long inv[6], coeffs[STORE_MAXN + 1];
+    long long inv[6], coeffs[MAXN_CENSUS + 1];
 } store_line;
 
 /* Scan a canonical decimal int at s (before end): the position after it,
@@ -1329,7 +1308,7 @@ scan_line(const char *s, const char *end, store_line *out)
         if ((q = scan_field(q, end, ',', &out->inv[i])) == NULL)
             return 0;
     long long n = out->inv[0];
-    if (n < 0 || n > STORE_MAXN || *s != n + 63
+    if (n < 0 || n > MAXN_CENSUS || *s != n + 63
             || tab - s != 1 + (n * (n - 1) / 2 + 5) / 6)
         return 0;
     for (const char *c = s + 1; c < tab; c++)

@@ -31,12 +31,15 @@ those, and ``eccentricity`` shares ``twin_predictions``.  The store codec,
 ``from_line`` themselves: the writer joins each record's ``to_line()`` and
 the parser hands every line back, so that ``census`` parses it with
 ``from_line``; the compiled codec does the same for lines outside its strict
-form, and formats and parses the rest in C.  Every graph kernel
-checks its order range with the compiled one's limits and messages, and
-works on adjacency *bitsets*: a graph on n vertices is a sequence ``adj`` of
-n ints where bit j of ``adj[i]`` is set iff ij is an edge.  The census
-kernels take the packed lower triangle instead, which no asymmetric graph has,
-on at most 10 vertices (9 for a ``children_canon`` parent): one 64-bit word.
+form, and formats and parses the rest in C.  Every graph kernel checks its
+order range, and its rows or bit form, with the compiled one's limits and
+messages, and works on adjacency *bitsets*: a graph on n vertices is a
+sequence ``adj`` of n ints where bit j of ``adj[i]`` is set iff ij is an
+edge.  The census kernels take the packed lower triangle instead, which no
+asymmetric graph has.  Every graph kernel but ``all_pairs_dist`` (at most 64
+vertices) takes only census orders, at most 10 vertices (9 for a
+``children_canon`` parent), so every canonical or packed form is one 64-bit
+word.
 
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
@@ -66,7 +69,6 @@ __all__ = [
 BACKEND = "pure-python"
 
 _STATE_CAP = 500_000
-_MAXN_CANON = 16
 _MAXN_CENSUS = 10
 _MAXN_DIST = 64
 _MODULUS_TOP = 1 << 56  # the compiled recurrence's Montgomery word bound
@@ -108,9 +110,18 @@ def _dist_row(n, adj, src):
     return dist
 
 
+def _check_rows(n, adj):
+    """ValueError, as the compiled kernels raise it, unless adj[0..n-1] are
+    bitsets over 0..n-1: a negative row names vertices >= n too."""
+    for i in range(n):
+        if adj[i] < 0 or adj[i] >> n:
+            raise ValueError(f"adjacency row {i} references vertices >= {n}")
+
+
 def all_pairs_dist(n, adj):
     """n x n hop-distance matrix as a list of rows (UNREACHABLE sentinel)."""
     _check_order("all_pairs_dist", n, _MAXN_DIST)
+    _check_rows(n, adj)
     return [_dist_row(n, adj, v) for v in range(n)]
 
 
@@ -120,10 +131,9 @@ def _wl_colors(n, adj):
     Signatures are (own color, neighbor-color count vector); ranks are dense
     and stable under isomorphism.  Each signature is packed into one int key,
     4 bits per field with the own color on top, as in the compiled kernel:
-    every field is below 16 for n <= 16, so numeric order of the keys is the
+    every field is below 16 for n <= 10, so numeric order of the keys is the
     lexicographic order of the signatures and the ranks, hence the canonical
-    forms, are backend-independent.  A discrete partition (ncol = n) is
-    stable, so no round runs with ncol = n.
+    forms, are backend-independent.
     """
     colors = [0] * n
     ncol = 1
@@ -150,8 +160,11 @@ def canon_bits(n, adj):
     The bit string is the lower triangle row by row (equivalently the graph6
     data bit order), minimized over all vertex orderings consistent with the
     refined color classes.  Equal results iff the graphs are isomorphic.
+    The graph is one the census holds, 1 <= n <= 10, so the form is one
+    64-bit word of at most 45 bits.
     """
-    _check_order("canonical labeling", n, _MAXN_CANON)
+    _check_order("canonical labeling", n, _MAXN_CENSUS)
+    _check_rows(n, adj)
     if n == 1:
         return 0
     colors = _wl_colors(n, adj)

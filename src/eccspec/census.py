@@ -56,7 +56,8 @@ def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal strings iff isomorphic graphs.
     Deterministic canonical labeling by iterated neighborhood refinement
     and backtracking over the remaining cell orderings, minimizing the
-    adjacency bit string."""
+    adjacency bit string.  It labels census orders, 1 <= n <=
+    ``ENUMERATION_LIMIT``; a larger graph raises ValueError."""
     return bits_to_graph6(g.n, canonical_bits(g))
 
 
@@ -234,10 +235,10 @@ def read_store(path):
     the path and its 1-based line number.  Blocks of about ``STORE_BLOCK``
     bytes, cut after a newline, go to ``kernels.parse_store``.  The compiled
     parser accepts only the strict form ``to_line`` writes: ASCII, ``\\n``
-    line ends, canonical decimal ints, and ``from_line``'s O(1) checks.  It
-    hands every other line back, and ``from_line`` parses it; blank lines
-    are skipped.  So records and errors are ``from_line``'s on either
-    backend."""
+    line ends, canonical decimal ints, census orders n <= 10, and
+    ``from_line``'s O(1) checks.  It hands every other line back, and
+    ``from_line`` parses it; blank lines are skipped.  So records and errors
+    are ``from_line``'s on either backend."""
     records = []
     lineno = 0
     try:

@@ -3,22 +3,24 @@
 Set ECCSPEC_KERNELS=py to force the pure-Python fallback; it is also the one
 switch the test suite reads (it then builds no extension).  Both backends
 export the same functions, the names in ``_kernels_py.__all__``, and this
-module binds each one.  The census kernels take the packed lower triangle of
-a graph on at most 10 vertices, one 64-bit word.  ``children_canon`` takes a
-parent on at most 9 and gives one canonical form per labeled child, and the
-census dedups them.  ``charpoly_mod`` gives characteristic polynomials of
-int64 matrices modulo word-size primes only; ``exactalg.charpoly`` chooses
-the primes, reduces larger entries and lifts the residues, whichever backend
-is active.  ``census_stats`` gives a census record's invariants, its
-multiplicities read off its charpoly, and ``census_structure`` what the
-census-wide lemma checks compare them with: from the graph, twin predictions
-and mixed-star shape; from the record's charpoly, its inertia triples at -1
-and 0.  Both read a charpoly's inertia by a Taylor shift in Python ints or,
-compiled, in ``__int128`` for coefficients below 2^63 in absolute value, and
-run on one BFS helper in each backend.  ``format_store`` and ``parse_store``
-are the census store codec; the pure pair is ``CensusRecord.to_line`` and
-``from_line``, which the compiled pair falls back on for every line outside
-its strict form.
+module binds each one.  Every graph kernel but ``all_pairs_dist`` (at most 64
+vertices) takes only census orders: ``canon_bits`` labels a graph on at most
+10 vertices, and the census kernels take the packed lower triangle of one,
+so every canonical or packed form is one 64-bit word.  ``children_canon``
+takes a parent on at most 9 and gives one canonical form per labeled child,
+and the census dedups them.  ``charpoly_mod`` gives characteristic
+polynomials of int64 matrices modulo word-size primes only;
+``exactalg.charpoly`` chooses the primes, reduces larger entries and lifts
+the residues, whichever backend is active.  ``census_stats`` gives a census
+record's invariants, its multiplicities read off its charpoly, and
+``census_structure`` what the census-wide lemma checks compare them with:
+from the graph, twin predictions and mixed-star shape; from the record's
+charpoly, its inertia triples at -1 and 0.  Both read a charpoly's inertia by
+a Taylor shift in Python ints or, compiled, in ``__int128`` for coefficients
+below 2^63 in absolute value, and run on one BFS helper in each
+backend.  ``format_store`` and ``parse_store`` are the census store codec;
+the pure pair is ``CensusRecord.to_line`` and ``from_line``, which the
+compiled pair falls back on for every line outside its strict form.
 """
 
 import os

@@ -145,8 +145,12 @@ class TestCanonicalForm:
             census.canonical_form(Graph(17))
 
     def test_vertex_transitive_graphs_do_not_explode(self):
-        # the twin and frontier prunings must keep these linear-ish
-        for g in (complete(16), cycle(12), complete(12)):
+        # the twin and frontier prunings must keep these linear-ish, at the
+        # largest order the labeling takes
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)]
+                         + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+        for g in (complete(10), cycle(10), petersen):
             census.canonical_form(g)
 
     def test_canon_is_lexicographic_minimum_at_small_order(self):

@@ -502,13 +502,16 @@ class TestInertiaMemo:
         assert calls == [2] and type(calls[0]) is int
         assert [type(c) for c in spec._inertia] == [int]
 
-    def test_integer_phase_keys_are_ints(self):
+    def test_integer_phase_keys_are_ints(self, monkeypatch):
+        signs = count_sign_probes(monkeypatch)
         spec = SymmetricSpectrum(diamond_join())
         spec.bracket(2, Fraction(1, 2 ** 40))
         ints = [c for c in spec._inertia if type(c) is int]
         assert sorted(ints) == [-1, 0]
-        # the rational phase probes dyadic non-integers only
+        # the rational phase probes dyadic non-integers only: its counts
+        # (none here) and its sign probes M / 2^40
         assert all(c.denominator > 1 for c in spec._inertia if c not in ints)
+        assert signs and all(m % (1 << 40) for m in signs)
 
 
 class TestBrackets:

@@ -30,7 +30,7 @@ if os.environ.get("ECCSPEC_KERNELS") == "py":
 import eccspec._kernels as compiled  # noqa: E402
 import eccspec._kernels_py as pure
 from eccspec import kernels
-from eccspec.census import CensusRecord
+from eccspec.census import ENUMERATION_LIMIT, CensusRecord, read_store
 from eccspec.eccentricity import ecc_matrix, is_irreducible
 from eccspec import exactalg
 from eccspec.exactalg import (
@@ -66,8 +66,9 @@ def random_graph(rng, n, p=0.5):
 #: the kernels that take a graph as its packed lower triangle, with the
 #: largest order each takes: the census's orders, so every bit form is one
 #: 64-bit word
-BIT_FORM_KERNELS = {"children_canon": 9, "census_stats": 10,
-                    "census_structure": 10}
+BIT_FORM_KERNELS = {"children_canon": ENUMERATION_LIMIT - 1,
+                    "census_stats": ENUMERATION_LIMIT,
+                    "census_structure": ENUMERATION_LIMIT}
 
 
 def packed(g):
@@ -140,10 +141,10 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("name,n", [
         ("all_pairs_dist", 0), ("all_pairs_dist", 65),
-        ("canon_bits", 0), ("canon_bits", 17),
-        ("children_canon", 0), ("children_canon", 10),
-        ("census_stats", 0), ("census_stats", 11),
-        ("census_structure", 0), ("census_structure", 11),
+        ("canon_bits", 0), ("canon_bits", ENUMERATION_LIMIT + 1),
+        ("children_canon", 0), ("children_canon", ENUMERATION_LIMIT),
+        ("census_stats", 0), ("census_stats", ENUMERATION_LIMIT + 1),
+        ("census_structure", 0), ("census_structure", ENUMERATION_LIMIT + 1),
     ])
     def test_out_of_range_orders_rejected_alike(self, name, n):
         messages = []
@@ -156,6 +157,22 @@ class TestBackendParity:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert "supports 1 <= n <= " in messages[0]
+
+    @pytest.mark.parametrize("name", ["all_pairs_dist", "canon_bits"])
+    @pytest.mark.parametrize("bad", [-1, 0b1000, 1 << 64, -(1 << 70)],
+                             ids=["negative", "vertex-n", "one-word-past",
+                                  "wide-negative"])
+    def test_malformed_rows_rejected_alike(self, name, bad):
+        """A row that is negative or names a vertex >= n raises one
+        ValueError, naming the row, on both backends."""
+        for i in range(3):
+            rows = [0b110, 0b101, 0b011]
+            rows[i] = bad
+            for mod in (compiled, pure):
+                with pytest.raises(ValueError) as exc:
+                    getattr(mod, name)(3, rows)
+                assert str(exc.value) == \
+                    f"adjacency row {i} references vertices >= 3"
 
     @pytest.mark.parametrize("name", ["census_stats", "census_structure"])
     def test_disconnected_rejected_alike(self, name):
@@ -235,7 +252,7 @@ class TestBackendParity:
         """A canonical form, unpacked to rows, has itself as canonical form
         on both backends, at every order the labeling takes."""
         rng = random.Random(59)
-        for n in range(1, 17):
+        for n in range(1, ENUMERATION_LIMIT + 1):
             nbits = n * (n - 1) // 2
             for _ in range(20):
                 rows = pure.lower_triangle_rows(n, rng.getrandbits(nbits))
@@ -395,26 +412,29 @@ def signature_colors(n, adj):
 
 
 class TestRefinementKeyBound:
-    """Refinement packs each signature into 4-bit fields: at n = 16 a count
-    reaches 15 (a vertex of degree 15) and a round at 15 classes fills all
-    64 bits of the key; the round after the partition reaches 16 classes
-    would need 68 bits and is skipped, as a discrete partition is stable."""
+    """Refinement packs each signature into 4-bit fields.  The labeling
+    takes n <= 10, where a count reaches 9 (a vertex of degree 9) and a
+    round takes at most 44 bits of the key.  The packed ranking itself
+    holds up to n = 16, where a round at 15 classes fills all 64 bits; the
+    round after the partition reaches 16 classes would need 68 bits and is
+    skipped, as a discrete partition is stable."""
 
     @staticmethod
-    def universal_vertex_graph():
-        """A random graph on 15 vertices plus a vertex joined to all of
-        them, whose refinement passes through 15 classes to 16."""
+    def universal_vertex_graph(n):
+        """A random graph on n - 1 vertices plus a vertex joined to all of
+        them, whose refinement passes through n - 1 classes to n."""
+        top = n - 1
         for seed in range(100):
             rng = random.Random(seed)
-            g = random_graph(rng, 15)
-            adj = [row | (1 << 15) for row in g.adj] + [(1 << 15) - 1]
-            _, counts = signature_colors(16, adj)
-            if 15 in counts and counts[-1] == 16:
+            g = random_graph(rng, top)
+            adj = [row | (1 << top) for row in g.adj] + [(1 << top) - 1]
+            _, counts = signature_colors(n, adj)
+            if top in counts and counts[-1] == n:
                 return Graph.from_adj(adj)
-        raise AssertionError("no graph reaching 16 classes via 15")
+        raise AssertionError(f"no graph reaching {n} classes via {top}")
 
     def test_packed_keys_rank_like_signatures(self):
-        g = self.universal_vertex_graph()
+        g = self.universal_vertex_graph(16)
         assert pure._wl_colors(16, g.adj) == signature_colors(16, g.adj)[0]
         rng = random.Random(61)
         for _ in range(40):
@@ -423,15 +443,17 @@ class TestRefinementKeyBound:
                 signature_colors(h.n, h.adj)[0]
 
     def test_backends_agree_at_the_bound(self):
-        g = self.universal_vertex_graph()
-        assert max(bin(r).count("1") for r in g.adj) == 15
-        form = compiled.canon_bits(16, g.adj)
-        assert pure.canon_bits(16, g.adj) == form
+        """At the largest order the labeling takes."""
+        n = ENUMERATION_LIMIT
+        g = self.universal_vertex_graph(n)
+        assert max(bin(r).count("1") for r in g.adj) == n - 1
+        form = compiled.canon_bits(n, g.adj)
+        assert pure.canon_bits(n, g.adj) == form
         rng = random.Random(67)
         for _ in range(5):
             h = relabeled(g, rng)
-            assert compiled.canon_bits(16, h.adj) == form
-            assert pure.canon_bits(16, h.adj) == form
+            assert compiled.canon_bits(n, h.adj) == form
+            assert pure.canon_bits(n, h.adj) == form
 
 
 class TestCensusInertia:
@@ -602,7 +624,7 @@ class TestStoreCodec:
         K4_LINE + "\t",
         K4_LINE + ",",
         K4_LINE.replace("K4", "K\xe9"),
-        "}" + "?" * 317 + "\t62,1,0,0,0,0,\t" + "0," * 62 + "1",
+        "I" + "?" * 9 + "\t10,1,0,0,0,0,\t" + "0," * 10 + "1",
     ], ids=["empty", "spaces", "cr", "tab", "crlf", "plus", "spaced-int",
             "leading-zero", "minus-zero", "19-digits", "empty-tag",
             "spaced-tag", "canon-del", "trailing-tab", "trailing-comma",
@@ -615,14 +637,27 @@ class TestStoreCodec:
         assert pure.parse_store(data, CensusRecord) == \
             ([(K4_LINE + "\n").encode(), raw, K4_LINE.encode()], [0, 1, 2])
 
-    def test_parser_takes_the_largest_order_it_accepts(self):
-        """n = 62, the last order whose graph6 size byte is not '~'."""
-        nbytes = 1 + (62 * 61 // 2 + 5) // 6
-        line = "}" + "?" * (nbytes - 1) + "\t62,1,0,0,0,0,\t" + "0," * 62 + "1"
+    @staticmethod
+    def empty_graph_line(n):
+        """The store line of the empty graph on n vertices, in the strict
+        form: the right canon length and a monic charpoly of degree n."""
+        nbytes = 1 + (n * (n - 1) // 2 + 5) // 6
+        return (chr(n + 63) + "?" * (nbytes - 1) + f"\t{n},1,0,0,0,0,\t"
+                + "0," * n + "1")
+
+    def test_parser_takes_the_largest_order_it_accepts(self, tmp_path):
+        """n = 10, the census bound, is the last order the strict form
+        takes; a line of order 11 is handed back, and ``read_store`` parses
+        it to from_line's record."""
+        line = self.empty_graph_line(ENUMERATION_LIMIT)
         assert compiled.parse_store(line.encode(), CensusRecord) == \
             ([CensusRecord.from_line(line)], [])
-        line = "~" + "?" * (nbytes - 1) + "\t63,1,0,0,0,0,\t" + "0," * 63 + "1"
-        assert compiled.parse_store(line.encode(), CensusRecord)[1] == [0]
+        line = self.empty_graph_line(ENUMERATION_LIMIT + 1)
+        assert compiled.parse_store(line.encode(), CensusRecord) == \
+            ([line.encode()], [0])
+        path = tmp_path / "store.tsv"
+        path.write_text(line + "\n", encoding="ascii")
+        assert read_store(str(path)) == [CensusRecord.from_line(line)]
 
     def test_parser_needs_a_tuple_type(self):
         for mod in (compiled, pure):
@@ -692,23 +727,11 @@ def to_networkx(g):
     return h
 
 
-def cayley_z4z4(steps):
-    """The Cayley graph on Z4 x Z4 with the given steps and their inverses."""
-    conn = {((da * s) % 4, (db * s) % 4) for da, db in steps for s in (1, -1)}
-    return Graph(16, [(4 * a + b, 4 * c + d)
-                      for a in range(4) for b in range(4)
-                      for c in range(4) for d in range(4)
-                      if 4 * a + b < 4 * c + d
-                      and ((c - a) % 4, (d - b) % 4) in conn])
-
-
-def shrikhande():
-    return cayley_z4z4([(0, 1), (1, 0), (1, 1)])
-
-
-def rook_4x4():
-    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
-                      if u // 4 == v // 4 or u % 4 == v % 4])
+def rook_graph(k):
+    """The k x k rook's graph: cells adjacent iff in one row or column."""
+    return Graph(k * k, [(u, v) for u in range(k * k)
+                         for v in range(u + 1, k * k)
+                         if u // k == v // k or u % k == v % k])
 
 
 def generalized_petersen(k, j):
@@ -719,10 +742,9 @@ def generalized_petersen(k, j):
     return Graph(2 * k, edges)
 
 
-def paley(q):
-    squares = {x * x % q for x in range(1, q)}
-    return Graph(q, [(u, v) for u in range(q) for v in range(u + 1, q)
-                     if (v - u) % q in squares])
+def complement(g):
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not (g.adj[u] >> v) & 1])
 
 
 def hypercube(d):
@@ -731,14 +753,16 @@ def hypercube(d):
                      if bin(u ^ v).count("1") == 1])
 
 
-#: hard inputs for canonical labeling: strongly regular, vertex-transitive
-#: and sparse symmetric graphs, where colour refinement splits nothing
+#: hard inputs for canonical labeling at the orders it takes: strongly
+#: regular, vertex-transitive and sparse symmetric graphs, where colour
+#: refinement splits nothing (Paley(9) is the 3 x 3 rook's graph)
 CANON_HARD = {
-    "Paley(13)": paley(13),
     "Petersen": generalized_petersen(5, 2),
-    "Q4": hypercube(4),
-    "C16": cycle(16),
-    "Moebius-Kantor": generalized_petersen(8, 3),
+    "Petersen-complement": complement(generalized_petersen(5, 2)),
+    "Paley(9)": rook_graph(3),
+    "Q3": hypercube(3),
+    "C10": cycle(10),
+    "K5,5": complete_multipartite((5, 5)),
 }
 
 
@@ -761,19 +785,20 @@ class TestCanonIsomorphismOracle:
             seen[iso] += 1
         assert seen[True] and seen[False]
 
-    def test_compiled_up_to_order_16(self):
-        self.check_pairs(compiled, 16, 300, 71)
+    def test_compiled_up_to_order_10(self):
+        self.check_pairs(compiled, ENUMERATION_LIMIT, 300, 71)
 
     def test_pure_up_to_order_9(self):
         self.check_pairs(pure, 9, 150, 72)
 
-    def test_shrikhande_and_rook_graph_differ(self):
-        # both strongly regular (16, 6, 2, 2), so cospectral, not isomorphic
+    def test_petersen_and_pentagonal_prism_differ(self):
+        # both cubic on 10 vertices, so colour refinement splits neither
         import networkx as nx
-        a, b = shrikhande(), rook_4x4()
-        assert [bin(r).count("1") for r in a.adj + b.adj] == [6] * 32
+        a, b = generalized_petersen(5, 2), generalized_petersen(5, 1)
+        assert [bin(r).count("1") for r in a.adj + b.adj] == [3] * 20
         assert not nx.is_isomorphic(to_networkx(a), to_networkx(b))
-        assert compiled.canon_bits(16, a.adj) != compiled.canon_bits(16, b.adj)
+        for mod in (compiled, pure):
+            assert mod.canon_bits(10, a.adj) != mod.canon_bits(10, b.adj)
 
     @pytest.mark.parametrize("name", sorted(CANON_HARD))
     def test_form_survives_relabeling(self, name):
