@@ -69,21 +69,20 @@ def canonical_bits(g: Graph) -> int:
 # enumeration
 
 def _chunk_results(func, args, items, jobs):
-    """func(args + (chunk,)) for contiguous chunks of items, in order: mapped
-    over a Pool of ``jobs`` workers, never more than ``os.cpu_count()``, or
-    one serial chunk of all items when that leaves one worker or there are
-    fewer items than workers."""
+    """func(args + (chunk,)) for contiguous chunks of items, in order, at most
+    ``STORE_BATCH`` items and about four chunks per worker: mapped over a
+    Pool of ``jobs`` workers, never more than ``os.cpu_count()``, or serially
+    when that leaves one worker or there are fewer items than workers."""
     jobs = min(jobs, os.cpu_count() or 1)
+    step = max(1, min(STORE_BATCH, -(-len(items) // (jobs * 4))))
+    chunks = (args + (items[i:i + step],) for i in range(0, len(items), step))
     if jobs > 1 and len(items) >= jobs:
         # only a pooled run pays for importing multiprocessing
         from multiprocessing import Pool
-        step = -(-len(items) // (jobs * 4))
-        chunks = [args + (items[i:i + step],)
-                  for i in range(0, len(items), step)]
         with Pool(jobs) as pool:
             yield from pool.imap(func, chunks)
     else:
-        yield func(args + (items,))
+        yield from map(func, chunks)
 
 
 def _enum_chunk(args):
@@ -185,28 +184,34 @@ def family_tag_map(n):
     return {bits: tuple(sorted(names)) for bits, names in tags.items()}
 
 
+def iter_records(n, jobs=1):
+    """``classify(n)``'s records, built and yielded ``STORE_BATCH`` at a time.
+    An enumeration whose graph count is not ``CONNECTED_COUNTS[n]`` raises
+    RuntimeError before any record is built."""
+    level = _level_bits(n, jobs)
+    if len(level) != CONNECTED_COUNTS[n]:
+        raise RuntimeError(f"census n={n} enumerated {len(level)} connected "
+                           f"graphs, expected {CONNECTED_COUNTS[n]} (A001349)")
+    # bits order is canon order: fixed-n graph6 reads the bits big-endian,
+    # so the contiguous chunks of the sorted level come back sorted
+    for part in _chunk_results(_classify_chunk, (n, family_tag_map(n)),
+                               level, jobs):
+        yield from part
+
+
 def classify(n, store_path=None, jobs=1):
     """One CensusRecord per connected graph of order n, sorted by canonical
-    form; optionally persisted (idempotent: re-runs write identical bytes).
-    Every call enumerates and classifies from scratch.  The store path is
-    opened first, so an unwritable path fails before any work; appending
-    nothing leaves an existing store as it is until ``write_store``
-    replaces it.  An enumeration whose graph count is not
-    ``CONNECTED_COUNTS[n]`` raises RuntimeError before any record is built."""
+    form (``iter_records`` as a list); optionally persisted (idempotent:
+    re-runs write identical bytes).  Every call enumerates and classifies
+    from scratch.  The store path is opened first, so an unwritable path
+    fails before any work; appending nothing leaves an existing store as it
+    is until ``write_store`` replaces it."""
     if store_path is not None:
         try:
             open(store_path, "a", encoding="ascii").close()
         except OSError as exc:
             raise _unwritable(store_path, exc) from exc
-    level = _level_bits(n, jobs)
-    if len(level) != CONNECTED_COUNTS[n]:
-        raise RuntimeError(f"census n={n} enumerated {len(level)} connected "
-                           f"graphs, expected {CONNECTED_COUNTS[n]} (A001349)")
-    tag_map = family_tag_map(n)
-    # bits order is canon order: fixed-n graph6 reads the bits big-endian,
-    # so the contiguous chunks of the sorted level come back sorted
-    records = [rec for part in _chunk_results(
-        _classify_chunk, (n, tag_map), level, jobs) for rec in part]
+    records = list(iter_records(n, jobs))
     if store_path is not None:
         write_store(records, store_path)
     return records

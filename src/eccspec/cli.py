@@ -366,11 +366,8 @@ def _cmd_verify(args):
             suites.check_args(name, args.n)
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}")
-    cache = {}
-    reports = [suites.run_suite(name, n_values=args.n, seed=args.seed,
-                                trials=args.trials, census_cache=cache,
-                                jobs=args.jobs)
-               for name in names]
+    reports = suites.run_suites(names, n_values=args.n, seed=args.seed,
+                                trials=args.trials, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True))

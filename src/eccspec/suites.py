@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import census as census_mod
 from . import kernels
@@ -125,24 +126,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.wall_time_s = time.perf_counter() - t0
-        return rep
-    return wrapper
-
-
-def _census_records(n, cache=None, jobs=1):
-    if cache is not None and n in cache:
-        return cache[n]
-    recs = census_mod.classify(n, jobs=jobs)
-    if cache is not None:
-        cache[n] = recs
-    return recs
-
-
 # ---------------------------------------------------------------------------
 # multiplicity characterization suite (parts i..v)
 
@@ -153,6 +136,9 @@ THM1_DEFAULT_N = {  # the parts in order, i = 1..5
     "iv": (9, 16, 20),
     "v": (16, 20, 33),
 }
+
+#: each part's lowest census order; its census claim runs up to CENSUS_MAX
+THM1_CENSUS_FROM = {"i": 1, "ii": 1, "iii": 4, "iv": CENSUS_MAX, "v": 1}
 
 
 def _expected_class(part, n):
@@ -171,16 +157,14 @@ def _expected_class(part, n):
     return n - i, fams
 
 
-@_timed
-def suite_theorem1(part, n_values=None, census_cache=None, jobs=1):
+def suite_theorem1(part, n_values, scan):
     """Characterization of connected graphs with m(-1) = n-i for one i.
 
     The membership direction (every named family graph attains the claimed
     multiplicity) runs at any order up to 40; the exhaustiveness direction
-    (no other graph attains it) scans the census and is range-enforced:
-    parts i and ii over 2..9 / 4..9, part iii over 4..9, part iv at 9.
+    (no other graph attains it) reads ``scan(n)``, the census pass of order
+    n (see ``run_suites``), at the orders ``THM1_CENSUS_FROM`` gives.
     """
-    n_values = check_args(f"thm1-{part}", n_values)
     rep = VerificationReport(f"thm1-{part}", {"part": part, "n": list(n_values)})
     for n in n_values:
         target, fams = _expected_class(part, n)
@@ -191,34 +175,30 @@ def suite_theorem1(part, n_values=None, census_cache=None, jobs=1):
             rep.check(f"m(-1) = n-{n - target} for every member of the "
                       "characterized family",
                       f"n={n} {name}", target, multiplicity(g, -1))
-        census_ok = (
-            (part in ("i", "ii") and n <= CENSUS_MAX)
-            or (part == "iii" and 4 <= n <= CENSUS_MAX)
-            or (part == "iv" and n == CENSUS_MAX)
-        )
-        if census_ok:
-            recs = _census_records(n, census_cache, jobs)
-            hits = sorted(r.canon for r in recs if r.mult_minus1 == target)
-            expected = sorted(census_mod.canonical_form(g) for _, g in fams)
-            rep.check("no connected graph outside the characterized family "
-                      f"attains m(-1) = n-{n - target}",
-                      f"n={n} census scan", expected, hits)
-            if part in ("iii", "iv"):
-                by_canon = {r.canon: r for r in recs}
-                for name, g in fams:
-                    rec = by_canon[census_mod.canonical_form(g)]
-                    mates = census_mod.cospectral_mates(recs, rec)
-                    rep.check("the family member is determined by its "
-                              "eccentricity spectrum (no cospectral mates)",
-                              f"n={n} {name}", [], [m.canon for m in mates])
-        elif part == "v" and n <= CENSUS_MAX:
-            recs = _census_records(n, census_cache, jobs)
-            klass = [(r.canon, r.family_tags) for r in recs
-                     if r.mult_minus1 == target]
+        if not THM1_CENSUS_FROM[part] <= n <= CENSUS_MAX:
+            continue
+        klass = [r for r in scan(n)[0] if r.mult_minus1 == target]
+        if part == "v":
             rep.notes.append(
                 f"n={n} is below the n>=16 validity threshold; census reports "
                 f"{len(klass)} graphs with m(-1)=n-5 (informational only): "
-                f"{klass}")
+                f"{[(r.canon, r.family_tags) for r in klass]}")
+            continue
+        canons = [census_mod.canonical_form(g) for _, g in fams]
+        rep.check("no connected graph outside the characterized family "
+                  f"attains m(-1) = n-{n - target}",
+                  f"n={n} census scan", sorted(canons),
+                  sorted(r.canon for r in klass))
+        if part in ("iii", "iv"):
+            for (name, _), canon in zip(fams, canons):
+                # a mate has the member's charpoly, so its m(-1) and class
+                member = next((r for r in klass if r.canon == canon), None)
+                mates = "not in the census class" if member is None else [
+                    r.canon for r in klass
+                    if r.charpoly == member.charpoly and r.canon != canon]
+                rep.check("the family member is determined by its "
+                          "eccentricity spectrum (no cospectral mates)",
+                          f"n={n} {name}", [], mates)
     return rep
 
 
@@ -295,7 +275,6 @@ def _row_claim(row: TableRow) -> str:
     return claim
 
 
-@_timed
 def suite_tables(n_samples=TABLES_DEFAULT_N):
     """Exact verification of the published characteristic-polynomial table
     rows as polynomial identities in the order n.
@@ -305,7 +284,6 @@ def suite_tables(n_samples=TABLES_DEFAULT_N):
     its printed affine form a*n+b at every sample order (two orders fix an
     affine form, so three or more also confirm it).
     """
-    n_samples = check_args("tables", n_samples)
     rep = VerificationReport("tables", {"n": list(n_samples)})
     rep.notes.append(
         "the order-5 join rows (C5, K1uP4, H1) are published with a K_{n-4} "
@@ -360,6 +338,21 @@ LEMMA_TRIALS = {
     "multipartite": 100,
 }
 
+LEMMA_CENSUS_ORDERS = range(2, 9)
+
+#: the census-wide structure checks, in report order
+CENSUS_STRUCTURE_CLAIMS = (
+    "a vertex of eccentricity 1 forces diameter <= 2",
+    "diameter 1 exactly for the complete graph",
+    "|V1| is n-k or n-k+1 when V1 is nonempty, k = n - m(-1)",
+    "empty V1 with n >= k(d-1)+1 forces m(-1) <= n-k-1",
+    "diameter >= 4 forces m(-1) <= n-5, and m(-1) = n-5 forces 2 <= d <= 4",
+    "twin classes force their predicted eigenvalue multiplicities",
+    "-1 is the smallest eigenvalue exactly for the complete graph",
+    "exactly one positive eigenvalue implies the star-mixed-extension join "
+    "shape",
+)
+
 
 def _random_symmetric(rng):
     n = rng.randint(2, 8)
@@ -401,14 +394,14 @@ def _bracket_ge(spec_a, i_a, spec_b, i_b):
     return True  # overlap at width 2^-40: tie
 
 
-@_timed
-def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
+def suite_lemmas(seed, trials, scan):
     """Randomized and census-wide property checks backing the supporting
     results: full rank of unit-diagonal {0,a} matrices, the equitable
     quotient spectrum identity, eigenvalue interlacing and the principal-
     submatrix multiplicity bound, twin-class eigenvalue predictions, the
     mixed-star and complete-multipartite multiplicity formulas, the
-    eccentricity-level structure facts, and the diameter bounds."""
+    eccentricity-level structure facts (from ``scan(n)``, see
+    ``run_suites``, at ``LEMMA_CENSUS_ORDERS``), and the diameter bounds."""
     counts = dict(LEMMA_TRIALS)
     if trials is not None:
         if trials < 1:
@@ -556,79 +549,62 @@ def suite_lemmas(seed=0, trials=None, census_cache=None, jobs=1):
     rep.check("K_r joined to an independent set has m(-1) = r - 1",
               "r in 1..8, independent part 2..6", [], bad)
 
-    _census_property_checks(rep, census_cache, jobs)
+    per_order = [scan(n)[1] for n in LEMMA_CENSUS_ORDERS]
+    for claim, *found in zip(CENSUS_STRUCTURE_CLAIMS, *per_order):
+        rep.check(claim, "census n<=8", [], [x for f in found for x in f])
     _diameter_bound_checks(rep)
     return rep
 
 
-def _census_property_checks(rep, census_cache, jobs):
-    """Census-wide structure checks at orders up to 8, in one pass per record.
+def _scan_order(n, records, structure):
+    """One pass over the census records of order n: those with m(-1) >= n-5
+    (every class parts i-v read) and, if ``structure`` is set, the failures
+    of each ``CENSUS_STRUCTURE_CLAIMS`` check, else None.
 
-    Each graph starts from its record's canonical bits.  One
-    ``kernels.census_structure`` call per record, on those bits, gives
-    everything the checks read beside the record's fields.  From the
-    graph: the twin-class predictions, from adjacency equality, and the
-    mixed-star shape.  From the record's charpoly: its inertia at -1 and 0,
-    by a Taylor shift and a Descartes count
-    (``exactalg.charpoly_inertia``).  The multiplicities at -2, -1 and 0 are
-    the record's, the root multiplicities of its charpoly, which the kernel
-    read off it when the census was classified; the twin-class bounds are
-    checked against them.  No exact algebra runs here.
+    One ``kernels.census_structure`` call per record, on its canonical
+    bits, gives the graph side (twin-class predictions, mixed-star shape)
+    and the charpoly's inertia at -1 and 0 (``exactalg.charpoly_inertia``);
+    the multiplicities at -2, -1 and 0 are the record's, read off its
+    charpoly when the census was classified.  No exact algebra runs here.
     """
-    bad_levels = []
-    bad_v1card = []
-    bad_empty_v1 = []
-    bad_diam_bound = []
-    bad_twins = []
-    bad_minimum = []
-    bad_complete = []
-    bad_onepos = []
-    for n in range(2, 9):
-        kn_canon = census_mod.canonical_form(complete(n))
-        for rec in _census_records(n, census_cache, jobs):
-            canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
-            twins, star, (_, zero_m1, neg_m1), (pos_0, _, _) = \
-                kernels.census_structure(*graph6_bits(canon), coeffs)
-            is_kn = canon == kn_canon
-            k = n - m1
-            if v1 and diam > 2:
-                bad_levels.append(canon)
-            if (diam == 1) != is_kn:
-                bad_complete.append(canon)
-            if v1 and not is_kn and v1 not in (n - k, n - k + 1):
-                bad_v1card.append(canon)
-            if v1 == 0 and diam >= 2:
-                kmax = (n - 1) // (diam - 1)
-                if kmax >= 1 and m1 > n - kmax - 1:
-                    bad_empty_v1.append(canon)
-            if diam >= 4 and m1 > n - 5:
-                bad_diam_bound.append(canon)
-            if m1 == n - 5 and not 2 <= diam <= 4:
-                bad_diam_bound.append(canon)
-            mults = {-2: m2, -1: m1, 0: m0}
-            for xi, lower in twins:
-                if mults[xi] < lower:
-                    bad_twins.append((canon, str(xi)))
-            if (neg_m1 == 0 and zero_m1 >= 1) != is_kn:
-                bad_minimum.append(canon)
-            if pos_0 == 1 and not star:
-                bad_onepos.append(canon)
-    rep.check("a vertex of eccentricity 1 forces diameter <= 2",
-              "census n<=8", [], bad_levels)
-    rep.check("diameter 1 exactly for the complete graph",
-              "census n<=8", [], bad_complete)
-    rep.check("|V1| is n-k or n-k+1 when V1 is nonempty, k = n - m(-1)",
-              "census n<=8", [], bad_v1card)
-    rep.check("empty V1 with n >= k(d-1)+1 forces m(-1) <= n-k-1",
-              "census n<=8", [], bad_empty_v1)
-    rep.check("diameter >= 4 forces m(-1) <= n-5, and m(-1) = n-5 forces "
-              "2 <= d <= 4", "census n<=8", [], bad_diam_bound)
-    rep.check("twin classes force their predicted eigenvalue multiplicities",
-              "census n<=8", [], bad_twins)
-    rep.check("-1 is the smallest eigenvalue exactly for the complete graph",
-              "census n<=8", [], bad_minimum)
-    rep.check("exactly one positive eigenvalue implies the star-mixed-"
-              "extension join shape", "census n<=8", [], bad_onepos)
+    if not structure:
+        return [r for r in records if r.mult_minus1 >= n - 5], None
+    kept = []
+    failures = tuple([] for _ in CENSUS_STRUCTURE_CLAIMS)
+    (bad_levels, bad_complete, bad_v1card, bad_empty_v1, bad_diam_bound,
+     bad_twins, bad_minimum, bad_onepos) = failures
+    kn_canon = census_mod.canonical_form(complete(n))
+    for rec in records:
+        canon, _, diam, v1, m1, m2, m0, coeffs, _ = rec
+        if m1 >= n - 5:
+            kept.append(rec)
+        twins, star, (_, zero_m1, neg_m1), (pos_0, _, _) = \
+            kernels.census_structure(*graph6_bits(canon), coeffs)
+        is_kn = canon == kn_canon
+        k = n - m1
+        if v1 and diam > 2:
+            bad_levels.append(canon)
+        if (diam == 1) != is_kn:
+            bad_complete.append(canon)
+        if v1 and not is_kn and v1 not in (n - k, n - k + 1):
+            bad_v1card.append(canon)
+        if v1 == 0 and diam >= 2:
+            kmax = (n - 1) // (diam - 1)
+            if kmax >= 1 and m1 > n - kmax - 1:
+                bad_empty_v1.append(canon)
+        if diam >= 4 and m1 > n - 5:
+            bad_diam_bound.append(canon)
+        if m1 == n - 5 and not 2 <= diam <= 4:
+            bad_diam_bound.append(canon)
+        mults = {-2: m2, -1: m1, 0: m0}
+        for xi, lower in twins:
+            if mults[xi] < lower:
+                bad_twins.append((canon, str(xi)))
+        if (neg_m1 == 0 and zero_m1 >= 1) != is_kn:
+            bad_minimum.append(canon)
+        if pos_0 == 1 and not star:
+            bad_onepos.append(canon)
+    return kept, failures
 
 
 def _diameter_bound_checks(rep):
@@ -674,12 +650,10 @@ def _diameter_bound_checks(rep):
 # ---------------------------------------------------------------------------
 # median eigenvalue / HL-index suite
 
-@_timed
 def suite_median(n_values=MEDIAN_DEFAULT_N):
     """Median eigenvalues of the characterized families: for every family
     graph at each order, both median positions carry -1 and the HL index is
     exactly 1."""
-    n_values = check_args("median", n_values)
     rep = VerificationReport("median", {"n": list(n_values)})
     for n in n_values:
         for name, g in theorem1_families(n):
@@ -736,18 +710,42 @@ def check_args(name, n_values=None):
     return n_values
 
 
+def run_suites(names, n_values=None, seed=0, trials=None, census_cache=None,
+               jobs=1):
+    """The named suites' reports, in order; all orders pass ``check_args``
+    first.  Suites read order n of the census through ``scan(n)``: one
+    ``_scan_order`` pass per order and call, over ``census_cache[n]`` if a
+    cache is given (read, never written), else ``census.iter_records(n,
+    jobs)``.  It counts toward the first reader's ``wall_time_s``."""
+    orders = [check_args(name, n_values) for name in names]
+
+    @cache
+    def scan(n):
+        records = (census_cache[n] if census_cache is not None
+                   else census_mod.iter_records(n, jobs))
+        return _scan_order(n, records,
+                           "lemmas" in names and n in LEMMA_CENSUS_ORDERS)
+
+    reports = []
+    for name, n_vals in zip(names, orders):
+        t0 = time.perf_counter()
+        if name.startswith("thm1-"):
+            rep = suite_theorem1(name[len("thm1-"):], n_vals, scan)
+        elif name == "tables":
+            rep = suite_tables(n_vals)
+        elif name == "lemmas":
+            rep = suite_lemmas(seed, trials, scan)
+        else:
+            rep = suite_median(n_vals)
+        rep.wall_time_s = time.perf_counter() - t0
+        reports.append(rep)
+    return reports
+
+
 def run_suite(name, n_values=None, seed=0, trials=None, census_cache=None,
               jobs=1):
-    n_values = check_args(name, n_values)
-    if name.startswith("thm1-"):
-        return suite_theorem1(name[len("thm1-"):], n_values,
-                              census_cache=census_cache, jobs=jobs)
-    if name == "tables":
-        return suite_tables(n_values)
-    if name == "lemmas":
-        return suite_lemmas(seed=seed, trials=trials,
-                            census_cache=census_cache, jobs=jobs)
-    return suite_median(n_values)
+    """The report of one suite, as ``run_suites([name], ...)`` gives it."""
+    return run_suites([name], n_values, seed, trials, census_cache, jobs)[0]
 
 
 ALL_SUITES = ("thm1-i", "thm1-ii", "thm1-iii", "thm1-iv", "thm1-v",

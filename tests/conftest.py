@@ -61,22 +61,26 @@ def shifted(m, q, p):
                       for i, row in enumerate(m.rows)])
 
 
+class SessionCensus(dict):
+    """Census records keyed by order, each order classified on its first
+    lookup."""
+
+    def __missing__(self, n):
+        from eccspec import census
+        self[n] = records = census.classify(n)
+        return records
+
+
 @pytest.fixture(scope="session")
 def census_cache():
     """Census records shared by the whole run, keyed by order, so that each
-    order is classified at most once; a suite takes it as ``census_cache``."""
-    return {}
+    order is classified at most once; a suite takes it as ``census_cache``
+    and reads any order from it."""
+    return SessionCensus()
 
 
 @pytest.fixture(scope="session")
 def census_records(census_cache):
     """The records of order n from the session census, classified on first
     use."""
-    from eccspec import census
-
-    def get(n):
-        if n not in census_cache:
-            census_cache[n] = census.classify(n)
-        return census_cache[n]
-
-    return get
+    return census_cache.__getitem__

@@ -155,7 +155,7 @@ def test_criterion_06_table_suite_time_and_derived_row(tables_report):
 
 @pytest.fixture(scope="module")
 def lemmas_report(census_cache):
-    return suites.suite_lemmas(seed=0, census_cache=census_cache)
+    return suites.run_suite("lemmas", seed=0, census_cache=census_cache)
 
 
 def _entry(rep, fragment):

@@ -430,7 +430,7 @@ class TestVerifyCommand:
             raise AssertionError("a suite ran before the arguments were "
                                  "checked")
 
-        monkeypatch.setattr(suites, "run_suite", never)
+        monkeypatch.setattr(suites, "run_suites", never)
         code, out, err = run(capsys, "verify", "all", "--n", "5")
         assert code == 2 and out == ""
         assert "tables" in err and "3 sample orders" in err

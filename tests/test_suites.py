@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eccspec import _kernels_py, kernels, suites
+from eccspec import _kernels_py, census, kernels, suites
 from eccspec.exactalg import IntMatrix, SymmetricSpectrum
 
 
@@ -39,6 +39,12 @@ def kernel_backends():
     return [kernel_backend("compiled"), _kernels_py]
 
 
+needs_order_9 = pytest.mark.skipif(
+    os.environ.get("ECCSPEC_KERNELS") == "py",
+    reason="ECCSPEC_KERNELS=py: the order-9 census takes over 10 minutes on "
+           "the pure-Python kernels")
+
+
 class TestReports:
     def test_json_round_trip_is_identity(self):
         """The JSON form `verify --format json` prints holds every field."""
@@ -54,15 +60,17 @@ class TestReports:
         assert json.dumps(again.to_dict(), indent=2, sort_keys=True) == text
 
     def test_entries_deterministic_given_seed(self, census_cache):
-        a = suites.suite_lemmas(seed=7, trials=5, census_cache=census_cache)
-        b = suites.suite_lemmas(seed=7, trials=5, census_cache=census_cache)
+        a = suites.run_suite("lemmas", seed=7, trials=5,
+                             census_cache=census_cache)
+        b = suites.run_suite("lemmas", seed=7, trials=5,
+                             census_cache=census_cache)
         assert a.entries == b.entries
         assert a.notes == b.notes
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_lemmas_reject_nonpositive_trials(self, trials):
         with pytest.raises(ValueError, match="at least 1"):
-            suites.suite_lemmas(trials=trials)
+            suites.run_suite("lemmas", trials=trials)
 
     def test_text_summary_mentions_failures(self):
         rep = suites.VerificationReport("demo", {})
@@ -74,49 +82,98 @@ class TestReports:
 
 class TestTheorem1Suite:
     def test_part_i_small(self, census_cache):
-        rep = suites.suite_theorem1("i", [2, 3, 4], census_cache=census_cache)
+        rep = suites.run_suite("thm1-i", [2, 3, 4], census_cache=census_cache)
         assert rep.passed
         assert rep.params == {"part": "i", "n": [2, 3, 4]}
 
     def test_part_iii_census_window(self, census_cache):
-        rep = suites.suite_theorem1("iii", [4, 5, 6],
-                                    census_cache=census_cache)
+        rep = suites.run_suite("thm1-iii", [4, 5, 6],
+                               census_cache=census_cache)
         assert rep.passed
         census_entries = [e for e in rep.entries if "census" in e.instance]
         assert len(census_entries) == 3
 
     def test_part_iii_beyond_census_range_runs_family_only(self, census_cache):
-        rep = suites.suite_theorem1("iii", [12], census_cache=census_cache)
+        rep = suites.run_suite("thm1-iii", [12], census_cache=census_cache)
         assert rep.passed
         assert all("census" not in e.instance for e in rep.entries)
 
     def test_part_ii_rejects_beyond_census_range(self):
         with pytest.raises(ValueError):
-            suites.suite_theorem1("ii", [12])
+            suites.run_suite("thm1-ii", [12])
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
-            suites.suite_theorem1("i", [41])
+            suites.run_suite("thm1-i", [41])
 
     def test_unknown_part(self):
         with pytest.raises(ValueError):
-            suites.suite_theorem1("vi")
+            suites.run_suite("thm1-vi")
 
     def test_part_iii_at_4_checks_the_join_then_p4(self, census_cache):
-        rep = suites.suite_theorem1("iii", [4], census_cache=census_cache)
+        rep = suites.run_suite("thm1-iii", [4], census_cache=census_cache)
         assert [e.instance for e in rep.entries[:2]] == ["n=4 K2v2K1",
                                                         "n=4 P4"]
 
     def test_part_v_claimed_only_when_all_ten_joins_exist(self, census_cache):
-        rep = suites.suite_theorem1("v", [5, 6], census_cache=census_cache)
+        rep = suites.run_suite("thm1-v", [5, 6], census_cache=census_cache)
         assert rep.notes[0] == "n=5 below the family's minimum order; skipped"
         assert len([e for e in rep.entries if e.instance.startswith("n=6 ")]) \
             == 10
 
     def test_part_v_reports_small_orders_without_asserting(self, census_cache):
-        rep = suites.suite_theorem1("v", [7, 16], census_cache=census_cache)
+        rep = suites.run_suite("thm1-v", [7, 16], census_cache=census_cache)
         assert rep.passed
         assert any("informational" in note for note in rep.notes)
+
+
+MATES_CLAIM = ("the family member is determined by its eccentricity "
+               "spectrum (no cospectral mates)")
+
+
+class TestCospectralMates:
+    """The no-cospectral-mates entries of parts iii and iv, on a copied
+    census whose records are tampered with."""
+
+    CASES = [("iii", 8), pytest.param("iv", 9, marks=needs_order_9)]
+
+    @staticmethod
+    def tampered(census_records, part, n):
+        """A copy of the order-n records, one member of the part's class
+        (a record) and a run of the part at n on the copy."""
+        recs = list(census_records(n))
+        (_, g), *_ = suites._expected_class(part, n)[1]
+        canon = census.canonical_form(g)
+        member = next(r for r in recs if r.canon == canon)
+
+        def run():
+            return suites.run_suite(f"thm1-{part}", [n],
+                                    census_cache={n: recs})
+        return recs, member, run
+
+    @pytest.mark.parametrize("part,n", CASES)
+    def test_foreign_record_with_a_members_charpoly_is_a_mate(
+            self, census_records, part, n):
+        recs, member, run = self.tampered(census_records, part, n)
+        i = next(i for i, r in enumerate(recs) if not r.family_tags)
+        recs[i] = recs[i]._replace(charpoly=member.charpoly,
+                                   mult_minus1=member.mult_minus1)
+        entry, = [e for e in run().entries if e.claim == MATES_CLAIM
+                  and e.instance.endswith(member.family_tags[0])]
+        assert not entry.passed
+        assert entry.actual == str([recs[i].canon])
+
+    @pytest.mark.parametrize("part,n", CASES)
+    def test_member_outside_its_class_fails_without_raising(
+            self, census_records, part, n):
+        recs, member, run = self.tampered(census_records, part, n)
+        i = recs.index(member)
+        recs[i] = member._replace(mult_minus1=n - 6)
+        failed = {(e.claim, e.instance) for e in run().entries
+                  if not e.passed}
+        instances = {instance for _, instance in failed}
+        assert (MATES_CLAIM, f"n={n} {member.family_tags[0]}") in failed
+        assert f"n={n} census scan" in instances
 
 
 class TestTablesSuite:
@@ -131,17 +188,17 @@ class TestTablesSuite:
 
     def test_requires_three_samples(self):
         with pytest.raises(ValueError):
-            suites.suite_tables((16, 17))
+            suites.run_suite("tables", (16, 17))
 
     def test_requires_validity_threshold(self):
         with pytest.raises(ValueError):
-            suites.suite_tables((15, 16, 17))
+            suites.run_suite("tables", (15, 16, 17))
 
 
 class TestMedianSuite:
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
-            suites.suite_median([9])
+            suites.run_suite("median", [9])
 
     def test_n16(self):
         rep = suites.suite_median([16])
@@ -167,7 +224,7 @@ class TestCensusPropertyChecks:
 
     @staticmethod
     def failed(cache):
-        rep = suites.suite_lemmas(seed=0, trials=1, census_cache=cache)
+        rep = suites.run_suite("lemmas", seed=0, trials=1, census_cache=cache)
         return {e.claim: e.actual for e in rep.entries if not e.passed}
 
     @classmethod
@@ -217,7 +274,8 @@ class TestCensusPropertyChecks:
         pinned here, on either kernel backend; a change that should leave
         its entries alone must keep this digest."""
         monkeypatch.setattr(suites, "kernels", kernel_backend(backend))
-        rep = suites.suite_lemmas(seed=0, trials=5, census_cache=census_cache)
+        rep = suites.run_suite("lemmas", seed=0, trials=5,
+                               census_cache=census_cache)
         assert report_sha256(rep) == LEMMAS_REPORT_SHA256
 
 
@@ -228,14 +286,14 @@ class TestCensusPropertyChecks:
 #: entries then removed, as for LEMMAS_REPORT_SHA256)
 MULTIPLICITY_REPORTS = {
     "thm1-iv": (
-        lambda cache: suites.suite_theorem1("iv", (16, 20)),
+        lambda cache: suites.run_suite("thm1-iv", (16, 20)),
         "1ac55df3af3fc8b97b6e90da465b6648e1fc2261ad77646c2952a5f38caec139"),
     "thm1-v": (
-        lambda cache: suites.suite_theorem1("v", (16, 20, 33)),
+        lambda cache: suites.run_suite("thm1-v", (16, 20, 33)),
         "2cf317967b30888e1b1b62c957d91a771b23c26d5f2a21a5250957d41bcbffda"),
     "lemmas": (
-        lambda cache: suites.suite_lemmas(seed=0, trials=50,
-                                          census_cache=cache),
+        lambda cache: suites.run_suite("lemmas", seed=0, trials=50,
+                                       census_cache=cache),
         "cee5b81fa72828d10f6bfd5c21fc6e7841dab44880fb146f3b4de13c5e03dd18"),
 }
 
@@ -252,6 +310,29 @@ def test_multiplicity_reports_pinned(census_cache, monkeypatch, backend,
     monkeypatch.setattr(suites, "kernels", mod)
     run, digest = MULTIPLICITY_REPORTS[report]
     assert report_sha256(run(census_cache)) == digest
+
+
+#: sha256 of the census-scan reports at their default orders, as JSON with
+#: wall_time_s dropped, computed when every suite still read full record
+#: lists from a per-run memo; every one of them reads order 9
+CENSUS_SCAN_REPORTS = {
+    "thm1-i":
+        "2b9c91bcbef56f326b6b3a7d2be54e5d5079ffe4cab982e0334fe2c180b7a3c0",
+    "thm1-ii":
+        "65d73001dd88bf0715eaa696191e7970ad5d5ca2de9d96ae700d1c21e849189d",
+    "thm1-iii":
+        "7583cc8fdbe4bc4320928b62913972fd85286c1786990005e130bebe94cdc17c",
+    "thm1-iv":
+        "d80f96afd2d16052ccfeaa04725f4da15ffbdb4238b683bd1062df4431b2c21c",
+}
+
+
+@needs_order_9
+@pytest.mark.parametrize("name", sorted(CENSUS_SCAN_REPORTS))
+def test_census_scan_reports_pinned(census_cache, name):
+    rep = suites.run_suite(name, census_cache=census_cache)
+    assert rep.passed
+    assert report_sha256(rep) == CENSUS_SCAN_REPORTS[name]
 
 
 def two_width_bracket_ge(spec_a, i_a, spec_b, i_b):
@@ -383,3 +464,19 @@ class TestRunner:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             suites.run_suite("bogus")
+
+    def test_each_census_order_is_classified_once(self, monkeypatch):
+        """Suites that read the same orders share one pass per order, and
+        without a cache each pass classifies its order afresh."""
+        calls = []
+        level_bits = census._level_bits
+
+        def counting(n, jobs=1):
+            calls.append(n)
+            return level_bits(n, jobs)
+
+        monkeypatch.setattr(census, "_level_bits", counting)
+        reports = suites.run_suites(["thm1-i", "thm1-iii", "lemmas"],
+                                    n_values=range(2, 8))
+        assert all(rep.passed for rep in reports)
+        assert sorted(calls) == list(range(2, 9))
