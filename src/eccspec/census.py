@@ -27,13 +27,19 @@ characteristic-polynomial coefficients.  ``CensusRecord.to_line`` and
 ``from_line`` define a line; ``write_store`` and ``read_store`` move records
 in bounded batches through ``kernels.format_store`` and
 ``kernels.parse_store``, which hand every line outside the strict form
-``to_line`` writes back to ``from_line``.
+``to_line`` writes back to ``from_line``.  Records stream from enumeration
+into the store, and a store is replaced only by a complete one: a partial
+store would read back as a valid but smaller census.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import suppress
+from errno import EACCES
 from itertools import islice
+from secrets import token_hex
+from stat import S_IMODE, S_ISREG
 from typing import NamedTuple
 
 from . import kernels
@@ -203,36 +209,82 @@ def classify(n, store_path=None, jobs=1):
     """One CensusRecord per connected graph of order n, sorted by canonical
     form (``iter_records`` as a list); optionally persisted (idempotent:
     re-runs write identical bytes).  Every call enumerates and classifies
-    from scratch.  The store path is opened first, so an unwritable path
-    fails before any work; appending nothing leaves an existing store as it
-    is until ``write_store`` replaces it."""
-    if store_path is not None:
-        try:
-            open(store_path, "a", encoding="ascii").close()
-        except OSError as exc:
-            raise _unwritable(store_path, exc) from exc
-    records = list(iter_records(n, jobs))
-    if store_path is not None:
-        write_store(records, store_path)
+    from scratch.  With a store path the records stream into
+    ``write_store``, kept as they pass, so an unwritable path fails before
+    any work and a failed run leaves an existing store as it was."""
+    if store_path is None:
+        return list(iter_records(n, jobs))
+    records = []
+    write_store(_kept(iter_records(n, jobs), records), store_path)
     return records
 
 
+def _kept(records, kept):
+    """The records, each appended to ``kept`` as it passes."""
+    for rec in records:
+        kept.append(rec)
+        yield rec
+
+
 def _unwritable(path, exc):
-    return OSError(f"cannot write census store {path}: {exc}")
+    return OSError(f"cannot write census store {path}: "
+                   f"{exc.strerror or exc}")
 
 
 def write_store(records, path):
     """Write the records as a census store, one ``to_line()`` each.  Batches
     of ``STORE_BATCH`` records are formatted by ``kernels.format_store``:
     the compiled writer formats a census record itself and hands any record
-    it does not handle to its ``to_line``."""
-    batches = iter(records)
+    it does not handle to its ``to_line``.
+
+    The store is complete or untouched.  Before the first record is drawn,
+    a path that exists but is not a regular file, or is not writable, is
+    refused, and a temporary file is created in the directory of the file
+    the path resolves to (symlinks are followed, so a link stays a link).
+    Only after the last batch does that file replace the store; on any
+    exception, ``KeyboardInterrupt`` included, it is removed and a
+    generator of records is closed, so a pooled ``iter_records`` stops its
+    workers.  A new store gets the mode ``open(path, "wb")`` would give it,
+    a replaced one keeps its mode.  Nothing is fsynced: the replacement is
+    atomic against a crash of the process, not of the machine."""
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{token_hex(4)}.tmp")
     try:
-        with open(path, "wb") as fh:
-            while batch := list(islice(batches, STORE_BATCH)):
-                fh.write(kernels.format_store(batch, CensusRecord))
+        mode = _replaced_mode(target)
+        fh = open(tmp, "xb")
     except OSError as exc:
         raise _unwritable(path, exc) from exc
+    batches = iter(records)
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
+            while batch := list(islice(batches, STORE_BATCH)):
+                fh.write(kernels.format_store(batch, CensusRecord))
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if hasattr(batches, "close"):
+            batches.close()
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
+        raise
+
+
+def _replaced_mode(target):
+    """The permission bits of an existing store, None when there is none.
+    Raises OSError when target is not a regular file or not writable."""
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        return None
+    if not S_ISREG(st.st_mode):
+        raise OSError("not a regular file")
+    if not os.access(target, os.W_OK):
+        raise PermissionError(EACCES, os.strerror(EACCES))
+    return S_IMODE(st.st_mode)
 
 
 def read_store(path):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import stat
 
 import numpy as np
 import pytest
@@ -370,6 +371,122 @@ class TestClassify:
         cpus = os.cpu_count() or 1
         assert census.classify(6, jobs=cpus + 2) == census.classify(6)
         assert set(sizes) == ({cpus} if cpus > 1 else set())
+
+
+class TestStoreReplacement:
+    """write_store replaces a store only with a complete one: the records go
+    to a temporary file beside the store, which takes the store's name after
+    the last batch and is removed on any exception."""
+
+    def test_interrupted_classify_keeps_the_store(self, tmp_path,
+                                                  monkeypatch):
+        store = tmp_path / "c6.tsv"
+        census.classify(4, store_path=store)
+        old = store.read_bytes()
+        stats = census.kernels.census_stats
+        calls = []
+
+        def interrupted(n, bits):
+            calls.append(bits)
+            if len(calls) == 50:
+                raise KeyboardInterrupt
+            return stats(n, bits)
+
+        monkeypatch.setattr(census, "STORE_BATCH", 20)
+        monkeypatch.setattr(census.kernels, "census_stats", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            census.classify(6, store_path=store)
+        assert store.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c6.tsv"]
+
+    def test_failing_records_are_closed_and_leave_no_file(self, tmp_path):
+        """A record source that raises, and one the writer stops early:
+        nothing is left under the store's name or beside it, and the
+        stopped generator is closed."""
+        store = tmp_path / "c4.tsv"
+        records = census.classify(4)
+        closed = []
+
+        def failing():
+            try:
+                yield from records
+                raise ValueError("record source failed")
+            finally:
+                closed.append(True)
+
+        with pytest.raises(ValueError, match="record source failed"):
+            census.write_store(failing(), store)
+        assert os.listdir(tmp_path) == []
+
+        def endless():
+            try:
+                while True:
+                    yield from records
+            finally:
+                closed.append(True)
+
+        def broken(batch, record_type):
+            raise KeyboardInterrupt
+
+        gen = endless()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census.kernels, "format_store", broken)
+            with pytest.raises(KeyboardInterrupt):
+                census.write_store(gen, store)
+        assert closed == [True, True] and gen.gi_frame is None
+        assert os.listdir(tmp_path) == []
+
+    def test_store_mode_is_that_of_open(self, tmp_path):
+        """A new store gets the mode open(path, "wb") gives, and a replaced
+        store keeps its own mode."""
+        with open(tmp_path / "plain", "wb"):
+            pass
+        want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        store = tmp_path / "c3.tsv"
+        census.write_store(census.classify(3), store)
+        assert stat.S_IMODE(os.stat(store).st_mode) == want
+        os.chmod(store, 0o640)
+        census.write_store(census.classify(4), store)
+        assert stat.S_IMODE(os.stat(store).st_mode) == 0o640
+        assert len(census.read_store(store)) == 6
+
+    def test_read_only_store_is_refused_and_kept(self, tmp_path,
+                                                 monkeypatch):
+        """A store that could not be opened for writing is not replaced
+        (os.access is faked: a test run as root may write any file)."""
+        store = tmp_path / "c3.tsv"
+        census.write_store(census.classify(3), store)
+        old = store.read_bytes()
+        records = census.classify(4)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        with pytest.raises(OSError) as exc:
+            census.write_store(records, store)
+        assert str(exc.value) == (f"cannot write census store {store}: "
+                                  f"Permission denied")
+        assert store.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c3.tsv"]
+
+    def test_non_regular_store_is_refused_before_any_record(self, tmp_path):
+        """A FIFO is neither written nor replaced, and no record is drawn.
+        A reader holds it open, so a writer that opened it would fail here
+        instead of blocking."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def never():
+            raise AssertionError("a record was drawn")
+            yield
+
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(OSError) as exc:
+                census.write_store(never(), fifo)
+        finally:
+            os.close(reader)
+        assert str(exc.value) == (f"cannot write census store {fifo}: not a "
+                                  f"regular file")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
 
 
 class TestStoreCodec:

@@ -2,6 +2,7 @@
 
 import json
 import operator
+import os
 
 import pytest
 
@@ -83,6 +84,18 @@ class TestGraphCommands:
     def test_mult_rational_xi(self, capsys):
         code, out, _ = run(capsys, "mult", K5, "3/2")
         assert code == 0 and out.strip() == "0"
+
+    @pytest.mark.parametrize("xi,mult", [("-1/3", "0"), ("-3/2", "0"),
+                                         ("-1", "4")])
+    def test_mult_negative_xi(self, capsys, xi, mult):
+        """A leading minus reads as a number, p/q included, not as an
+        option."""
+        assert run(capsys, "mult", K5, xi) == (0, mult + "\n", "")
+
+    def test_mult_unknown_option_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "mult", K5, "-1", "--frobnicate")
+        assert code == 2 and out == ""
+        assert err.endswith("error: unrecognized arguments: --frobnicate\n")
 
     def test_bad_graph_is_usage_error(self, capsys):
         code, _, err = run(capsys, "mult", "!!notag6!!", "-1")
@@ -256,7 +269,7 @@ class TestCensusAndQuery:
         def never(*args, **kwargs):
             raise AssertionError("the census ran without --big")
 
-        monkeypatch.setattr(census, "classify", never)
+        monkeypatch.setattr(census, "iter_records", never)
         code, out, err = run(capsys, "census", "10")
         assert code == 2 and out == ""
         assert err == ("error: the n=10 census is best-effort (11.7M graphs); "
@@ -291,6 +304,136 @@ class TestCensusAndQuery:
         code, out, err = run(capsys, "census", "8", "--store", str(store))
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write census store {store}: ")
+
+    def test_census_streams_without_classify(self, capsys, monkeypatch,
+                                             tmp_path):
+        """The command folds its count and histogram over the records as
+        the store takes them; it never builds classify's list."""
+        from eccspec import census
+
+        want = tmp_path / "classify.tsv"
+        census.classify(6, store_path=want)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the census command called classify")
+
+        monkeypatch.setattr(census, "classify", never)
+        store = tmp_path / "c6.tsv"
+        code, out, err = run(capsys, "census", "6", "--store", str(store))
+        assert code == 0 and err == ""
+        assert out.startswith(f"n=6: 112 connected graphs -> {store}\n")
+        assert store.read_bytes() == want.read_bytes()
+
+    def test_census_jobs_write_the_same_store(self, capsys, tmp_path):
+        from eccspec import census
+
+        census.classify(7, store_path=tmp_path / "classify.tsv")
+        for jobs in ("1", "2"):
+            code, _, _ = run(capsys, "census", "7", "--jobs", jobs,
+                             "--store", str(tmp_path / f"jobs{jobs}.tsv"))
+            assert code == 0
+        want = (tmp_path / "classify.tsv").read_bytes()
+        assert (tmp_path / "jobs1.tsv").read_bytes() == want
+        assert (tmp_path / "jobs2.tsv").read_bytes() == want
+
+    def test_failed_census_keeps_the_store(self, capsys, monkeypatch,
+                                           tmp_path):
+        """A count mismatch found after the temporary file exists leaves
+        the old store byte for byte and no other file beside it."""
+        from eccspec import census
+
+        store = tmp_path / "c5.tsv"
+        assert run(capsys, "census", "4", "--store", str(store))[0] == 0
+        old = store.read_bytes()
+        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        code, out, err = run(capsys, "census", "5", "--store", str(store))
+        assert (code, out) == (1, "")
+        assert err == ("error: census n=5 enumerated 21 connected graphs, "
+                       "expected 22 (A001349)\n")
+        assert store.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c5.tsv"]
+
+    def test_interrupted_census_keeps_the_store(self, capsys, monkeypatch,
+                                                tmp_path):
+        """Ctrl-C part-way through classification, after earlier batches
+        reached the temporary file, leaves the old store as it was."""
+        from eccspec import census, kernels
+
+        store = tmp_path / "c7.tsv"
+        assert run(capsys, "census", "4", "--store", str(store))[0] == 0
+        old = store.read_bytes()
+        stats = kernels.census_stats
+        calls = []
+
+        def interrupted(n, bits):
+            calls.append(bits)
+            if len(calls) == 500:
+                raise KeyboardInterrupt
+            return stats(n, bits)
+
+        monkeypatch.setattr(census, "STORE_BATCH", 100)
+        monkeypatch.setattr(kernels, "census_stats", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["census", "7", "--store", str(store)])
+        assert len(calls) == 500
+        assert store.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c7.tsv"]
+
+    def test_pooled_failure_keeps_the_store_and_stops_workers(
+            self, capsys, monkeypatch, tmp_path):
+        """With --jobs 2 an interrupt in the writer, while the workers are
+        still classifying, leaves the old store, no temporary file and no
+        worker process."""
+        import multiprocessing
+
+        from eccspec import census
+
+        store = tmp_path / "c7.tsv"
+        assert run(capsys, "census", "4", "--store", str(store))[0] == 0
+        old = store.read_bytes()
+        fmt = census.kernels.format_store
+        calls = []
+
+        def interrupted(batch, record_type):
+            calls.append(len(batch))
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return fmt(batch, record_type)
+
+        monkeypatch.setattr(census, "STORE_BATCH", 100)
+        monkeypatch.setattr(census.kernels, "format_store", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["census", "7", "--jobs", "2", "--store", str(store)])
+        assert calls == [100, 100, 100]
+        assert store.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c7.tsv"]
+        assert multiprocessing.active_children() == []
+
+    def test_census_writes_through_a_symlink(self, capsys, tmp_path):
+        real = tmp_path / "real.tsv"
+        link = tmp_path / "link.tsv"
+        link.symlink_to(real)
+        code, out, _ = run(capsys, "census", "5", "--store", str(link))
+        assert code == 0 and out.startswith(f"n=5: 21 connected graphs -> "
+                                            f"{link}\n")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert len(read_store(real)) == 21
+        assert sorted(os.listdir(tmp_path)) == ["link.tsv", "real.tsv"]
+
+    def test_directory_store_fails_before_enumerating(
+            self, capsys, monkeypatch, tmp_path):
+        from eccspec import census
+
+        def never(*args, **kwargs):
+            raise AssertionError("the census enumerated before checking "
+                                 "its store")
+
+        monkeypatch.setattr(census, "_level_bits", never)
+        code, out, err = run(capsys, "census", "8", "--store", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot write census store {tmp_path}: not a "
+                       f"regular file\n")
+        assert os.listdir(tmp_path) == []
 
     def test_query_mates_text_pinned(self, capsys, store5):
         code, out, _ = run(capsys, "query", str(store5), "diam=3", "--mates")
