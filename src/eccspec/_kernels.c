@@ -16,7 +16,9 @@
  * work (choosing primes, reducing entries outside int64, lifting residues)
  * is exactalg's, in Python ints, and charpoly_mod raises OverflowError on
  * such an entry.
- * children_canon labels; the census dedups and sorts the level.
+ * children_canon keeps only the children whose canonical parent is the
+ * given graph, by the canonical deletion rule the census docstring states,
+ * and returns them sorted and distinct; the census sorts the level.
  * The one charpoly algorithm here, which charpoly_mod and census_stats share,
  * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
  * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
@@ -143,9 +145,24 @@ parse_graph(PyObject *args, int maxn, const char *what, int *n, uint64_t *adj)
     return load_adj(*n, rows, adj);
 }
 
-/* Unpack bits, the packed lower triangle of a graph on 1 <= n <= maxn <= 10
- * vertices (the canon_bits and graph6 bit order, first pair in the top bit),
- * into adj[0..n-1], which is then symmetric and loopless.  ValueError naming
+/* Unpack a bit form of n(n-1)/2 bits, the packed lower triangle of a graph
+ * on n vertices (the canon_bits and graph6 bit order, first pair in the top
+ * bit), into adj[0..n-1], which is then symmetric and loopless. */
+static void
+unpack_bits(int n, uint64_t bits, uint64_t *adj)
+{
+    memset(adj, 0, n * sizeof *adj);
+    int idx = n * (n - 1) / 2 - 1;
+    for (int col = 1; col < n; col++)
+        for (int row = 0; row < col; row++, idx--)
+            if ((bits >> idx) & 1) {
+                adj[row] |= (uint64_t)1 << col;
+                adj[col] |= (uint64_t)1 << row;
+            }
+}
+
+/* Unpack bits, the bit form of a graph on 1 <= n <= maxn <= 10 vertices,
+ * into adj[0..n-1] (unpack_bits).  ValueError naming
  * what on an order out of range, TypeError on a non-int bits, ValueError on
  * bits outside 0..2^(n(n-1)/2) - 1.  A form has n(n-1)/2 <= 45 bits, so it
  * is one 64-bit word, and a negative or wider int is out of range. */
@@ -168,14 +185,7 @@ load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
         PyErr_Format(PyExc_ValueError, "bit form out of range for n=%d", n);
         return -1;
     }
-    memset(adj, 0, n * sizeof *adj);
-    int idx = nbits - 1;
-    for (int col = 1; col < n; col++)
-        for (int row = 0; row < col; row++, idx--)
-            if ((bits >> idx) & 1) {
-                adj[row] |= (uint64_t)1 << col;
-                adj[col] |= (uint64_t)1 << row;
-            }
+    unpack_bits(n, bits, adj);
     return 0;
 }
 
@@ -440,25 +450,117 @@ k_canon_bits(PyObject *self, PyObject *args)
     return status < 0 ? NULL : PyLong_FromUnsignedLongLong(bits);
 }
 
-/* The canonical forms of the one-vertex extensions of the graph on
- * 1 <= n <= MAXN_CENSUS - 1 vertices whose bit form is bits, each of at most
- * 45 bits, one word: the new vertex n joined to a nonempty subset S of
- * 0..n-1, one form per labeled subset, in increasing subset order, repeats
- * kept (the census dedups the level).  Only subsets closed downward in each twin
- * class of the parent are labeled (v in S implies u in S for twins u < v).
- * Twinhood is an equivalence relation and any permutation of a twin class
- * is a parent automorphism, which carries every other subset onto a labeled
- * one of the same size in each class, so every skipped child is isomorphic
- * to a labeled one and the set of forms is unchanged. */
+/* ------------------------------------------------------------------------
+ * canonical deletion
+ *
+ * children_canon keeps a child only if its new vertex is a canonical
+ * deletion vertex (the rule and its completeness argument are in the
+ * census module docstring).  The key of a vertex u of a graph on at most
+ * MAXN_CENSUS vertices is deg(u) 2^40 + sum over the neighbours w of u of
+ * 16^deg(w): each degree is at most 9 < 16, so the sum is below 9 * 16^9 <
+ * 2^40 and the key orders vertices by degree, then by the multiset of their
+ * neighbours' degrees. */
+
+#define KEY_DEGREE_SHIFT 40
+
+static void
+deletion_keys(int n, const uint64_t *adj, uint64_t *key)
+{
+    int deg[MAXN_CENSUS];
+    for (int u = 0; u < n; u++)
+        deg[u] = __builtin_popcountll(adj[u]);
+    for (int u = 0; u < n; u++) {
+        uint64_t k = (uint64_t)deg[u] << KEY_DEGREE_SHIFT;
+        for (uint64_t m = adj[u]; m; m &= m - 1)
+            k += (uint64_t)1 << (4 * deg[__builtin_ctzll(m)]);
+        key[u] = k;
+    }
+}
+
+/* Whether removing u disconnects the connected graph adj on n >= 2
+ * vertices. */
+static int
+is_cut_vertex(int n, const uint64_t *adj, int u)
+{
+    uint64_t rest = (((uint64_t)1 << n) - 1) & ~((uint64_t)1 << u);
+    uint64_t seen = rest & -rest, frontier = seen;
+    while (frontier) {
+        uint64_t nxt = 0;
+        for (uint64_t m = frontier; m; m &= m - 1)
+            nxt |= adj[__builtin_ctzll(m)];
+        frontier = nxt & rest & ~seen;
+        seen |= frontier;
+    }
+    return seen != rest;
+}
+
+/* The non-cut vertices keyed kmin in the connected graph adj on n >= 2
+ * vertices whose keys are key[], as a mask, or 0 if a non-cut vertex is
+ * keyed below kmin.  When some non-cut vertex is keyed kmin, a nonzero
+ * mask is the deletion candidates: the non-cut vertices of least key.
+ * Only vertices keyed at most kmin are tested for cuts. */
+static uint64_t
+deletion_ties(int n, const uint64_t *adj, const uint64_t *key, uint64_t kmin)
+{
+    uint64_t ties = 0;
+    for (int u = 0; u < n; u++)
+        if (key[u] <= kmin && !is_cut_vertex(n, adj, u)) {
+            if (key[u] < kmin)
+                return 0;
+            ties |= (uint64_t)1 << u;
+        }
+    return ties;
+}
+
+/* adj[0..n-1] without vertex w, the vertices above w moved down by one,
+ * into out[0..n-2]. */
+static void
+delete_vertex(int n, const uint64_t *adj, int w, uint64_t *out)
+{
+    uint64_t low = ((uint64_t)1 << w) - 1;
+    for (int i = 0, j = 0; i < n; i++)
+        if (i != w)
+            out[j++] = (adj[i] & low) | ((adj[i] >> 1) & ~low);
+}
+
+static int
+cmp_word(const void *a, const void *b)
+{
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The sorted distinct canonical forms of the one-vertex extensions of the
+ * graph on 1 <= n <= MAXN_CENSUS - 1 vertices whose bit form is bits (each
+ * of at most 45 bits, one word) that have it as their canonical parent: the
+ * new vertex n joined to a nonempty subset S of 0..n-1.  Only subsets
+ * closed downward in each twin class of the parent are tried (v in S
+ * implies u in S for twins u < v).  Twinhood is an equivalence relation and
+ * any permutation of a twin class is a parent automorphism, which carries
+ * every other subset onto a tried one of the same size in each class and
+ * fixes the new vertex, so every skipped child is isomorphic to a tried one
+ * with its new vertex in the same place.  A child is kept as the census
+ * docstring states: rejected without labeling if a non-cut vertex is keyed
+ * below the new vertex; kept if the new vertex is the only deletion
+ * candidate; otherwise kept iff the child's canonical form C less its
+ * highest-labeled candidate is isomorphic to the parent. */
 static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS], work[MAXN_CENSUS], prev[MAXN_CENSUS] = {0};
-    int n;
+    uint64_t key[MAXN_CENSUS], forms[1 << (MAXN_CENSUS - 1)];
+    int n, nforms = 0, dist[MAXN_CENSUS];
     PyObject *bits;
     if (!PyArg_ParseTuple(args, "iO", &n, &bits)
             || load_bits(n, bits, MAXN_CENSUS - 1, "children_canon", adj) < 0)
         return NULL;
+    bfs(n, adj, 0, dist);
+    for (int i = 0; i < n; i++)
+        if (dist[i] == UNREACH) {
+            PyErr_SetString(PyExc_ValueError,
+                            "children_canon requires a connected graph");
+            return NULL;
+        }
     /* prev[v]: the bit of the nearest twin u < v, 0 if v has none */
     for (int v = 1; v < n; v++)
         for (int u = v - 1; u >= 0; u--)
@@ -466,10 +568,12 @@ k_children_canon(PyObject *self, PyObject *args)
                 prev[v] = (uint64_t)1 << u;
                 break;
             }
-    uint64_t full = ((uint64_t)1 << n) - 1;
+    uint64_t full = ((uint64_t)1 << n) - 1, newv = (uint64_t)1 << n, parent;
     statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
-    PyObject *out = PyList_New(0);
-    for (uint64_t sub = 1; out != NULL && sub <= full; sub++) {
+    PyObject *out = NULL;
+    if (canon_impl(n, adj, &cur, &nxt, &parent) < 0)
+        goto done;
+    for (uint64_t sub = 1; sub <= full; sub++) {
         uint64_t need = 0;
         for (uint64_t m = sub; m; m &= m - 1)
             need |= prev[__builtin_ctzll(m)];
@@ -478,14 +582,42 @@ k_children_canon(PyObject *self, PyObject *args)
         for (int i = 0; i < n; i++)
             work[i] = adj[i] | (((sub >> i) & 1) << n);
         work[n] = sub;
-        uint64_t bits;
-        PyObject *item = NULL;
-        if (canon_impl(n + 1, work, &cur, &nxt, &bits) < 0
-            || (item = PyLong_FromUnsignedLongLong(bits)) == NULL
-            || PyList_Append(out, item) < 0)
-            Py_CLEAR(out);
-        Py_XDECREF(item);
+        deletion_keys(n + 1, work, key);
+        uint64_t kv = key[n], ties = deletion_ties(n + 1, work, key, kv);
+        if (ties == 0)
+            continue;
+        uint64_t form;
+        if (canon_impl(n + 1, work, &cur, &nxt, &form) < 0)
+            goto done;
+        if (ties != newv) {
+            /* a tie: C less its candidate labeled highest */
+            uint64_t sub_form, cadj[MAXN_CENSUS];
+            unpack_bits(n + 1, form, cadj);
+            deletion_keys(n + 1, cadj, key);
+            int w = 63 - __builtin_clzll(deletion_ties(n + 1, cadj, key, kv));
+            delete_vertex(n + 1, cadj, w, work);
+            if (canon_impl(n, work, &cur, &nxt, &sub_form) < 0)
+                goto done;
+            if (sub_form != parent)
+                continue;
+        }
+        forms[nforms++] = form;
     }
+    qsort(forms, nforms, sizeof *forms, cmp_word);
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    for (int i = 0; i < nforms; i++) {
+        if (i && forms[i] == forms[i - 1])
+            continue;
+        PyObject *item = PyLong_FromUnsignedLongLong(forms[i]);
+        if (item == NULL || PyList_Append(out, item) < 0) {
+            Py_XDECREF(item);
+            Py_CLEAR(out);
+            goto done;
+        }
+        Py_DECREF(item);
+    }
+done:
     PyMem_Free(cur.s);
     PyMem_Free(nxt.s);
     return out;
@@ -1458,12 +1590,11 @@ static PyMethodDef kernel_methods[] = {
      "Canonical form of the graph, packed as an int of n(n-1)/2 bits."},
     {"children_canon", k_children_canon, METH_VARARGS,
      "children_canon(n, bits)\n--\n\n"
-     "Canonical forms of the one-vertex extensions of the graph on\n"
-     "1 <= n <= 9 vertices whose packed lower triangle is bits: the new\n"
-     "vertex n attached to a nonempty subset of 0..n-1, one form per\n"
-     "labeled subset, in increasing subset order,\n"
-     "repeats kept.  Only subsets that take each twin class of the parent as\n"
-     "a prefix are labeled; the set of forms is that of all the extensions."},
+     "The sorted distinct canonical forms of those one-vertex extensions of\n"
+     "the connected graph on 1 <= n <= 9 vertices whose packed lower\n"
+     "triangle is bits that have it as their canonical parent: the new\n"
+     "vertex n attached to a nonempty subset of 0..n-1.  Only subsets that\n"
+     "take each twin class of the parent as a prefix are tried."},
     {"census_stats", k_census_stats, METH_VARARGS,
      "census_stats(n, bits)\n--\n\n"
      "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of the\n"

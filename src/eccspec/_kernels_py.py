@@ -41,6 +41,10 @@ vertices) takes only census orders, at most 10 vertices (9 for a
 ``children_canon`` parent), so every canonical or packed form is one 64-bit
 word.
 
+``children_canon`` follows the canonical deletion rule that the ``census``
+docstring states and argues, with the same keys, cut-vertex tests and
+tie-break as the compiled kernel, so both return the same list.
+
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
 lower-triangle adjacency bit string.  Two sound prunings keep symmetric inputs
@@ -216,26 +220,36 @@ def canon_bits(n, adj):
 
 
 def children_canon(n, bits):
-    """Canonical forms of the one-vertex extensions of the graph on
-    1 <= n <= 9 vertices whose packed lower triangle is ``bits``: the new
-    vertex n attached to a nonempty subset S of 0..n-1, one form per labeled
-    subset, in increasing subset order, repeats kept.
+    """The sorted distinct canonical forms of those one-vertex extensions of
+    the connected graph on 1 <= n <= 9 vertices whose packed lower triangle
+    is ``bits`` that have it as their canonical parent: the new vertex n
+    attached to a nonempty subset S of 0..n-1.  ValueError on a
+    disconnected graph.
 
     Only subsets closed downward in each twin class of the parent are
-    labeled: v in S implies u in S for twins u < v (equal neighborhoods
+    tried: v in S implies u in S for twins u < v (equal neighborhoods
     apart from each other, as in ``canon_bits``).  Twinhood is an
     equivalence relation and any permutation of a twin class is a parent
-    automorphism, which carries every other subset onto a labeled one, so
-    every skipped child is isomorphic to a labeled one.
+    automorphism fixing the new vertex, which carries every other subset
+    onto a tried one, so every skipped child is isomorphic to a tried one
+    with its new vertex in the same place.  A tried child is kept by the
+    canonical deletion rule of the ``census`` docstring: rejected unlabeled
+    if a non-cut vertex has a smaller ``_deletion_keys`` key than the new
+    vertex; kept if the new vertex is the only deletion candidate;
+    otherwise kept iff its canonical form less the candidate labeled
+    highest is isomorphic to the parent.
     """
     adj = _bits_to_adj("children_canon", n, bits, _MAXN_CENSUS - 1)
+    if UNREACHABLE in _dist_row(n, adj, 0):
+        raise ValueError("children_canon requires a connected graph")
     prev = [0] * n  # the bit of the nearest twin u < v, 0 if none
     for v in range(1, n):
         for u in range(v - 1, -1, -1):
             if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
                 prev[v] = 1 << u
                 break
-    forms = []
+    parent = canon_bits(n, adj)
+    forms = set()
     for sub in range(1, 1 << n):
         need = 0
         for v in _bits(sub):
@@ -244,8 +258,68 @@ def children_canon(n, bits):
             continue
         cadj = [adj[v] | (((sub >> v) & 1) << n) for v in range(n)]
         cadj.append(sub)
-        forms.append(canon_bits(n + 1, cadj))
-    return forms
+        key = _deletion_keys(n + 1, cadj)
+        kv = key[n]
+        ties = _deletion_ties(n + 1, cadj, key, kv)
+        if not ties:
+            continue
+        form = canon_bits(n + 1, cadj)
+        if ties != 1 << n:
+            rows = lower_triangle_rows(n + 1, form)
+            key = _deletion_keys(n + 1, rows)
+            w = _deletion_ties(n + 1, rows, key, kv).bit_length() - 1
+            if canon_bits(n, _delete_vertex(rows, w)) != parent:
+                continue
+        forms.add(form)
+    return sorted(forms)
+
+
+def _deletion_keys(n, adj):
+    """The canonical deletion key of each vertex u of a graph on at most 10
+    vertices: deg(u) 2^40 plus 16^deg(w) for each neighbour w.  A degree is
+    at most 9 < 16, so the sum is below 9 * 16^9 < 2^40: keys order the
+    vertices by degree, then by the multiset of their neighbours'
+    degrees."""
+    deg = [adj[u].bit_count() for u in range(n)]
+    return [(deg[u] << 40) + sum(1 << 4 * deg[w] for w in _bits(adj[u]))
+            for u in range(n)]
+
+
+def _is_cut_vertex(n, adj, u):
+    """Whether removing u disconnects the connected graph on n >= 2
+    vertices."""
+    rest = ((1 << n) - 1) & ~(1 << u)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        for x in _bits(frontier):
+            nxt |= adj[x]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _deletion_ties(n, adj, key, kmin):
+    """The mask of the non-cut vertices keyed ``kmin`` in the connected graph
+    on n >= 2 vertices whose keys are ``key``, or 0 if a non-cut vertex is
+    keyed below ``kmin``.  When some non-cut vertex is keyed ``kmin``, a
+    nonzero mask is the deletion candidates: the non-cut vertices of least
+    key.  Only vertices keyed at most ``kmin`` are tested for cuts."""
+    ties = 0
+    for u in range(n):
+        if key[u] <= kmin and not _is_cut_vertex(n, adj, u):
+            if key[u] < kmin:
+                return 0
+            ties |= 1 << u
+    return ties
+
+
+def _delete_vertex(adj, w):
+    """Adjacency rows without vertex w, the vertices above w moved down by
+    one."""
+    low = (1 << w) - 1
+    return [(row & low) | ((row >> 1) & ~low)
+            for u, row in enumerate(adj) if u != w]
 
 
 def _bits_to_adj(what, n, bits, maxn):

@@ -4,22 +4,56 @@ eccentricity-spectral invariants.
 Enumeration is level-wise augmentation: every connected graph on n vertices
 arises from a connected graph on n-1 vertices by attaching one new vertex to
 a nonempty subset of the old ones (every connected graph has a non-cut
-vertex), and a global canonical-form set removes isomorphs.  Canonical forms
-are exact -- partition refinement plus backtracking, never hash-probabilistic
--- because the verification counts are exact claims.  Each level is held as
-canonical bit forms (packed lower triangles), which the kernels take as is.
+vertex).  Canonical forms are exact -- partition refinement plus
+backtracking, never hash-probabilistic -- because the verification counts
+are exact claims.  Each level is held as canonical bit forms (packed lower
+triangles), which the kernels take as is.
 
-``kernels.children_canon`` need not label all 2^m - 1 subsets of a parent
-on m vertices.  Twins of the parent (u, v with N(u) - v = N(v) - u) form
+Isomorph rejection is canonical deletion (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): ``kernels.children_canon``
+returns, on both backends, only the children whose *canonical parent* is
+the given parent, so each graph is produced once and a level is its
+parents' lists concatenated and sorted, with no set of seen forms.  For a
+vertex u of a graph of order at most 10, ``key(u) = deg(u) 2^40 + sum over
+the neighbours w of u of 16^deg(w)``; every degree is at most 9 < 16, so
+the sum stays below 2^40 and the key is exact.  The *deletion candidates*
+of a connected graph are its non-cut vertices of least key; the canonical
+deletion vertex w is the candidate labeled highest in the graph's
+canonical form C, and C - w is its canonical parent.  A child G' of a
+parent P, the new vertex v attached to S, is kept as follows.  v is never
+a cut vertex, since G' - v is P.
+
+- Rejected, with no labeling, if some non-cut u has key(u) < key(v).
+- Otherwise G' is labeled, giving C.  If v is the only candidate, kept:
+  w is then v's image, and C - w is isomorphic to P.
+- Otherwise kept iff canon(C - w) == canon(P).
+
+Each parent's kept forms are sorted and deduplicated: two subsets may give
+one graph.  The rule is complete and duplicate-free.  Take a connected G'
+of order n; it has a non-cut vertex, so it has candidates, and C - w is
+connected.  Whether "C - w is isomorphic to P" holds depends only on the
+isomorphism class of G', so of the level's parents, which are pairwise
+non-isomorphic, at most one passes it, and only that one can keep G'.  That
+one does: an isomorphism from P onto C - w, with v sent to w, makes G'
+the child of P on the preimage of w's neighbours, whose new vertex has
+w's key, the least, and passes either test.
+
+``children_canon`` need not try all 2^m - 1 subsets of a parent on m
+vertices.  Twins of the parent (u, v with N(u) - v = N(v) - u) form
 equivalence classes, and any permutation of a class is an automorphism of
-the parent; it maps the child built on a subset S onto the child built on
-the permuted S.  So only the subsets that take each twin class as a prefix
-(v in S implies u in S for twins u < v) need labeling -- one subset per
-orbit of these permutations -- and the set of the children's forms is
-unchanged.  The kernel returns one form per labeled subset; the census
-dedups and sorts each level once.  This is isomorph rejection by parent
-automorphisms in the sense of McKay, "Isomorph-free exhaustive generation"
-(J. Algorithms 26, 1998), restricted to twin transpositions (O(m^2)).
+the parent; it fixes the new vertex and maps the child built on a subset S
+onto the child built on the permuted S, with the new vertex in the same
+place.  So only the subsets that take each twin class as a prefix (v in S
+implies u in S for twins u < v) are tried -- one subset per orbit of these
+permutations -- and, as the tests above depend only on the isomorphism
+class of the child with its new vertex marked, the kept forms are
+unchanged.  This is isomorph rejection by parent automorphisms, restricted
+to twin transpositions (O(m^2)).
+
+The count of each level is checked at run time against
+``connected_count(n)``, the number of connected graphs of order n (OEIS
+A001349), computed from the cycle index of the symmetric group, not typed
+in.
 
 The persisted store is newline-delimited and greppable: one graph per line,
 canonical graph6, TAB, CSV of invariants, TAB, the exact ascending
@@ -38,6 +72,7 @@ import os
 from contextlib import suppress
 from errno import EACCES
 from itertools import islice
+from math import factorial, gcd, prod
 from secrets import token_hex
 from stat import S_IMODE, S_ISREG
 from typing import NamedTuple
@@ -51,11 +86,6 @@ ENUMERATION_LIMIT = 10  # n=10 is best-effort (hours in pure-python mode)
 #: about 0.3-1 MB each: a store is never held as one string
 STORE_BATCH = 4096
 STORE_BLOCK = 1 << 20
-
-#: connected graphs per order (OEIS A001349): ``classify`` checks each
-#: enumerated level against it
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
-                    8: 11117, 9: 261080, 10: 11716571}
 
 
 def canonical_form(g: Graph) -> str:
@@ -73,6 +103,56 @@ def canonical_bits(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+def connected_count(n):
+    """The number of connected graphs of order n >= 1 (OEIS A001349).
+
+    The graphs of order m, connected or not, are counted by Polya's theorem
+    over the cycle types lambda of S_m: g(m) = sum of 2^c(lambda) / z_lambda,
+    where c(lambda) = sum floor(lambda_i / 2) + sum over i < j of
+    gcd(lambda_i, lambda_j) counts the orbits of a permutation of that type
+    on vertex pairs and z_lambda = prod k^(m_k) m_k! is the centralizer
+    order (F. Harary, E. M. Palmer, *Graphical Enumeration*, 1973).  A graph
+    is a multiset of connected ones, so 1 + sum g(m) x^m = prod over k of
+    (1 - x^k)^-c(k); the inverse Euler transform reads the connected counts
+    c(k) off it."""
+    if n < 1:
+        raise ValueError("connected_count needs n >= 1")
+    graphs = [1] + [_graph_count(m) for m in range(1, n + 1)]
+    # the logarithmic derivative: m g(m) = sum over k of d(k) g(m - k), where
+    # d(k) = sum of j c(j) over the divisors j of k
+    d = [0] * (n + 1)
+    conn = [0] * (n + 1)
+    for m in range(1, n + 1):
+        d[m] = m * graphs[m] - sum(d[k] * graphs[m - k] for k in range(1, m))
+        conn[m] = (d[m] - sum(j * conn[j] for j in range(1, m)
+                              if m % j == 0)) // m
+    return conn[n]
+
+
+def _graph_count(m):
+    """The number of graphs of order m, connected or not: m! g(m) is the sum
+    over the cycle types of S_m of the class size m! / z times 2^c."""
+    total = 0
+    for parts in _partitions(m, m):
+        pairs = sum(p // 2 for p in parts) + sum(
+            gcd(a, b) for i, a in enumerate(parts) for b in parts[i + 1:])
+        z = prod(k ** parts.count(k) * factorial(parts.count(k))
+                 for k in set(parts))
+        total += (factorial(m) // z) << pairs
+    return total // factorial(m)
+
+
+def _partitions(m, top):
+    """The partitions of m into parts of at most top, as tuples in
+    non-increasing order."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, top), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
 
 def _chunk_results(func, args, items, jobs):
     """func(args + (chunk,)) for contiguous chunks of items, in order, at most
@@ -92,25 +172,29 @@ def _chunk_results(func, args, items, jobs):
 
 
 def _enum_chunk(args):
-    """The set of the forms ``children_canon`` gives for a chunk of parents."""
+    """The forms ``children_canon`` gives for a chunk of parents, each
+    parent's sorted list in turn."""
     n_parent, parents = args
-    out = set()
+    out = []
     for bits in parents:
-        out.update(kernels.children_canon(n_parent, bits))
+        out += kernels.children_canon(n_parent, bits)
     return out
 
 
 def _level_bits(n, jobs=1):
     """Sorted canonical bit forms of all connected graphs of order n, built
-    level by level from K1; only the parent level is held."""
+    level by level from K1; only the parent level is held.  Each graph comes
+    from its one canonical parent, so a level is its parents' lists
+    concatenated, then sorted."""
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    level = (0,)
+    level = [0]
     for n_parent in range(1, n):
-        seen = set()
+        children = []
         for part in _chunk_results(_enum_chunk, (n_parent,), level, jobs):
-            seen |= part
-        level = tuple(sorted(seen))
+            children += part
+        children.sort()
+        level = children
     return level
 
 
@@ -192,12 +276,13 @@ def family_tag_map(n):
 
 def iter_records(n, jobs=1):
     """``classify(n)``'s records, built and yielded ``STORE_BATCH`` at a time.
-    An enumeration whose graph count is not ``CONNECTED_COUNTS[n]`` raises
+    An enumeration whose graph count is not ``connected_count(n)`` raises
     RuntimeError before any record is built."""
     level = _level_bits(n, jobs)
-    if len(level) != CONNECTED_COUNTS[n]:
+    expected = connected_count(n)
+    if len(level) != expected:
         raise RuntimeError(f"census n={n} enumerated {len(level)} connected "
-                           f"graphs, expected {CONNECTED_COUNTS[n]} (A001349)")
+                           f"graphs, expected {expected} (A001349)")
     # bits order is canon order: fixed-n graph6 reads the bits big-endian,
     # so the contiguous chunks of the sorted level come back sorted
     for part in _chunk_results(_classify_chunk, (n, family_tag_map(n)),

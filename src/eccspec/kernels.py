@@ -7,8 +7,9 @@ module binds each one.  Every graph kernel but ``all_pairs_dist`` (at most 64
 vertices) takes only census orders: ``canon_bits`` labels a graph on at most
 10 vertices, and the census kernels take the packed lower triangle of one,
 so every canonical or packed form is one 64-bit word.  ``children_canon``
-takes a parent on at most 9 and gives one canonical form per labeled child,
-and the census dedups them.  ``charpoly_mod`` gives characteristic
+takes a connected parent on at most 9 and gives the sorted distinct forms of
+the children whose canonical parent it is, by the canonical deletion rule of
+the ``census`` docstring.  ``charpoly_mod`` gives characteristic
 polynomials of int64 matrices modulo word-size primes only;
 ``exactalg.charpoly`` chooses the primes, reduces larger entries and lifts
 the residues, whichever backend is active.  ``census_stats`` gives a census

@@ -10,6 +10,17 @@ PKG = os.path.join(ROOT, "src", "eccspec")
 SOURCE = os.path.join(PKG, "_kernels.c")
 MODULE = os.path.join(PKG, "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
 
+#: connected graphs per order, typed from OEIS A001349: the oracle for
+#: ``census.connected_count`` and for the count of every enumerated level
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117,
+           9: 261080, 10: 11716571, 11: 1006700565, 12: 164059830476}
+
+
+def count_off_at_five(n):
+    """A001349 with 22 for order 5, where 21 is right: patched over
+    ``census.connected_count``, it fails the order-5 level check."""
+    return 22 if n == 5 else A001349[n]
+
 
 def _mtime_ns(path):
     try:

@@ -8,7 +8,7 @@ import stat
 
 import numpy as np
 import pytest
-from conftest import shifted
+from conftest import A001349, count_off_at_five, shifted
 
 from eccspec import _kernels_py, census
 from eccspec.census import CensusRecord
@@ -23,8 +23,6 @@ from eccspec.graphs import (
     join_clique_with,
     path,
 )
-
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 #: sha256 of the order-8 census store
 N8_STORE_SHA256 = (
@@ -139,7 +137,7 @@ class TestCanonicalForm:
     def test_distinct_on_non_isomorphic(self, census_records):
         for n in (6, 7, 8):
             forms = {rec.canon for rec in census_records(n)}
-            assert len(forms) == KNOWN_COUNTS[n]
+            assert len(forms) == A001349[n]
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
@@ -172,20 +170,30 @@ class TestCanonicalForm:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_connected_count_matches_a001349(self, n):
+        """The count from the cycle index of S_n, not typed in, against
+        the typed sequence, past the census orders to n = 12."""
+        assert census.connected_count(n) == A001349[n]
+
+    def test_connected_count_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            census.connected_count(0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_counts_match_known_sequence(self, n):
-        assert len(census._level_bits(n)) == KNOWN_COUNTS[n]
+        assert len(census._level_bits(n)) == A001349[n]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_counts_match_brute_force_oracle(self, n):
         assert len(census._level_bits(n)) == brute_force_connected_count(n)
 
     def test_oracle_at_order_six(self):
-        assert brute_force_connected_count(6) == KNOWN_COUNTS[6]
+        assert brute_force_connected_count(6) == A001349[6]
 
     def test_oracle_at_order_seven(self):
         # full labeled sweep of 2^21 graphs with orbit-marked deduplication
-        assert brute_force_connected_count(7) == KNOWN_COUNTS[7]
+        assert brute_force_connected_count(7) == A001349[7]
 
     def test_all_yielded_graphs_connected_and_canonical(self):
         """Every yielded bit form is its graph's canonical form, by the
@@ -228,7 +236,7 @@ class TestClassify:
 
     def test_enumeration_count_is_checked_against_a001349(self,
                                                          monkeypatch):
-        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        monkeypatch.setattr(census, "connected_count", count_off_at_five)
         with pytest.raises(RuntimeError) as exc:
             census.classify(5)
         assert str(exc.value) == ("census n=5 enumerated 21 connected "

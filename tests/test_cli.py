@@ -5,6 +5,7 @@ import operator
 import os
 
 import pytest
+from conftest import count_off_at_five
 
 from eccspec.census import read_store
 from eccspec.cli import cli_main
@@ -278,7 +279,7 @@ class TestCensusAndQuery:
     def test_census_count_mismatch_exits_one(self, capsys, monkeypatch):
         from eccspec import census
 
-        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        monkeypatch.setattr(census, "connected_count", count_off_at_five)
         monkeypatch.delenv("ECCSPEC_STORE", raising=False)
         code, out, err = run(capsys, "census", "5")
         assert code == 1 and out == ""
@@ -345,7 +346,7 @@ class TestCensusAndQuery:
         store = tmp_path / "c5.tsv"
         assert run(capsys, "census", "4", "--store", str(store))[0] == 0
         old = store.read_bytes()
-        monkeypatch.setitem(census.CONNECTED_COUNTS, 5, 22)
+        monkeypatch.setattr(census, "connected_count", count_off_at_five)
         code, out, err = run(capsys, "census", "5", "--store", str(store))
         assert (code, out) == (1, "")
         assert err == ("error: census n=5 enumerated 21 connected graphs, "

@@ -18,8 +18,9 @@ import subprocess
 import sysconfig
 from math import comb, prod
 
+import networkx as nx
 import pytest
-from conftest import shifted
+from conftest import A001349, shifted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,7 +175,7 @@ class TestBackendParity:
                 assert str(exc.value) == \
                     f"adjacency row {i} references vertices >= 3"
 
-    @pytest.mark.parametrize("name", ["census_stats", "census_structure"])
+    @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
     def test_disconnected_rejected_alike(self, name):
         g = Graph(4, [(0, 1), (2, 3)])
         args = (g.n, packed(g))
@@ -295,13 +296,12 @@ class TestBackendParity:
 
     def test_children_canon_agrees_at_the_largest_parent_order(self):
         """Parents on 9 vertices, the largest order children_canon takes,
-        with children of up to 45 bits: both backends give the same list,
-        and its forms are those of every one-vertex extension."""
+        with children of up to 45 bits: both backends give the same sorted
+        list, and it holds exactly the extensions whose canonical parent
+        the parent is."""
         for g in (complete(9), complete_multipartite((4, 5)),
                   complete_multipartite((1, 2, 6)), cycle(9)):
-            got = compiled.children_canon(9, packed(g))
-            assert got == pure.children_canon(9, packed(g))
-            assert set(got) == set(children_oracle(g))
+            check_children_canon(g)
 
     def test_canon_agrees_on_symmetric_graphs(self):
         for g in (complete(9), cycle(9), cycle(10),
@@ -322,6 +322,46 @@ def children_oracle(g):
     return sorted(forms)
 
 
+def deletion_key(h, u):
+    """The canonical deletion key of vertex u of the networkx graph h:
+    deg(u) 2^40 plus 16^deg(w) for each neighbour w."""
+    return h.degree(u) * 2 ** 40 + sum(16 ** h.degree(w) for w in h[u])
+
+
+def canonical_parent(n, form):
+    """The canonical form of the canonical parent of the connected graph of
+    order n whose canonical form is ``form``, by the deletion rule written
+    out on networkx: of the vertices that are not articulation points, those
+    of least key are the candidates, and the one labeled highest in the
+    canonical form is deleted."""
+    rows = pure.lower_triangle_rows(n, form)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v) for u in range(n) for v in range(u)
+                     if rows[u] >> v & 1)
+    noncut = set(h) - set(nx.articulation_points(h))
+    least = min(deletion_key(h, u) for u in noncut)
+    h.remove_node(max(u for u in noncut if deletion_key(h, u) == least))
+    h = nx.convert_node_labels_to_integers(h)
+    adj = [sum(1 << v for v in h[u]) for u in range(n - 1)]
+    return compiled.canon_bits(n - 1, adj)
+
+
+def check_children_canon(g):
+    """children_canon on the connected graph g: the same list on both
+    backends, sorted and with no repeats, of forms of one-vertex
+    extensions; of those extensions, it holds exactly the ones whose
+    canonical parent, by the test's own rule, is g."""
+    got = compiled.children_canon(g.n, packed(g))
+    assert got == pure.children_canon(g.n, packed(g)), g.adj
+    assert got == sorted(set(got)), g.adj
+    oracle = children_oracle(g)
+    assert set(got) <= set(oracle), g.adj
+    parent = compiled.canon_bits(g.n, g.adj)
+    assert got == [form for form in oracle
+                   if canonical_parent(g.n + 1, form) == parent], g.adj
+
+
 def twin_heavy_graphs():
     """Graphs whose vertices fall into few twin classes, where the twin
     pruning of children_canon skips the most subsets."""
@@ -334,37 +374,25 @@ def twin_heavy_graphs():
     return out
 
 
-def twin_prefix_count(g):
-    """The number of nonempty subsets that take each twin class of g as a
-    prefix: prod(|class| + 1) - 1, the classes grouped by comparing
-    neighborhoods pairwise."""
-    classes = []
-    for v in range(g.n):
-        for cls in classes:
-            u = cls[0]
-            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return prod(len(cls) + 1 for cls in classes) - 1
-
-
 class TestChildrenCanonOracle:
-    """children_canon returns one form per labeled subset, the subsets
-    closed downward in each twin class of the parent, the same list on both
-    backends; its forms are exactly those of every one-vertex extension."""
-
-    @staticmethod
-    def check(g):
-        got = compiled.children_canon(g.n, packed(g))
-        assert got == pure.children_canon(g.n, packed(g)), g.adj
-        assert set(got) == set(children_oracle(g)), g.adj
-        assert len(got) == twin_prefix_count(g), g.adj
+    """children_canon returns, for a connected parent, the sorted distinct
+    forms of the one-vertex extensions whose canonical parent it is, the
+    same list on both backends; a test-side deletion rule on networkx
+    decides, for every extension, whether it belongs."""
 
     def test_twin_heavy_parents(self):
         for g in twin_heavy_graphs():
-            self.check(g)
+            check_children_canon(g)
+
+    def test_cut_vertices_keyed_like_the_least(self):
+        """A triangle with a path of four edges hanging from it.  One child
+        is two triangles joined by a path of three edges: the two inner
+        vertices of the path are cut vertices keyed like the degree-2
+        triangle vertices, and only the non-cut test keeps them from the
+        candidates.  No parent below order 7 tells the rule from one
+        without that test."""
+        check_children_canon(Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3),
+                                       (3, 4), (4, 5), (5, 6)]))
 
     def test_random_connected_parents(self):
         rng = random.Random(53)
@@ -374,20 +402,20 @@ class TestChildrenCanonOracle:
             if not is_connected(g):
                 continue
             count += 1
-            self.check(g)
+            check_children_canon(g)
 
-    #: labelings per new order 2..8, summed over the parents of the order
-    #: below: 79 937 of the 108 331 subsets at order 8
-    LABELINGS = {2: 1, 3: 2, 4: 8, 5: 53, 6: 417, 7: 4818, 8: 79937}
-
-    @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
-    def test_labelings_per_level_pinned(self, mod):
+    @pytest.mark.parametrize("mod,top", [(compiled, 9), (pure, 8)],
+                             ids=["compiled", "pure"])
+    def test_each_graph_comes_from_one_parent(self, mod, top):
+        """Over a whole level, the parents' lists together hold every
+        connected graph of the next order exactly once: A001349 forms, none
+        twice."""
         from eccspec import census
-        top = 8 if mod is compiled else 7
-        got = {n: sum(len(mod.children_canon(n - 1, bits))
-                      for bits in census._level_bits(n - 1))
-               for n in range(2, top + 1)}
-        assert got == {n: self.LABELINGS[n] for n in range(2, top + 1)}
+        for n in range(2, top + 1):
+            forms = [form for bits in census._level_bits(n - 1)
+                     for form in mod.children_canon(n - 1, bits)]
+            assert len(set(forms)) == len(forms), n
+            assert len(forms) == A001349[n], n
 
 
 def signature_colors(n, adj):
