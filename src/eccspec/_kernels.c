@@ -1,53 +1,58 @@
 /*
- * Compiled kernels: BFS distances, canonical labeling, census invariants
- * and structure, characteristic polynomials modulo word-size primes, the
- * census store codec.
+ * Compiled kernels: BFS distances, canonical labeling, census records and
+ * structure, characteristic polynomials modulo word-size primes, the census
+ * store codec.
  *
  * A plain CPython extension module, eccspec._kernels, with the same
  * functions, signatures, limits and exception types as the pure-Python
  * reference eccspec._kernels_py; the parity tests drive both backends over
  * the same corpora.  Graphs are adjacency bitsets: bit j of adj[i] is set
- * iff ij is an edge.  children_canon and the census kernels take the packed
- * lower triangle instead (load_bits), which no asymmetric graph has.  Every
- * graph kernel but all_pairs_dist (n <= 64) takes only a graph the census
- * holds: n <= MAXN_CENSUS = 10, and a parent of order at most 9 for
- * children_canon, so every form they read or return, canon_bits's included,
- * is one 64-bit word of at most 45 bits.  The C side does word arithmetic only; big-integer
- * work (choosing primes, reducing entries outside int64, lifting residues)
- * is exactalg's, in Python ints, and charpoly_mod raises OverflowError on
- * such an entry.
+ * iff ij is an edge.  children_canon and census_records take the packed
+ * lower triangle instead (load_bits), and census_structure its graph6
+ * string (load_graph6), which no asymmetric graph has.  Every graph kernel
+ * but all_pairs_dist (n <= 64) takes only a graph the census holds:
+ * n <= MAXN_CENSUS = 10, and a parent of order at most 9 for
+ * children_canon, so every form they read or return, canon_bits's
+ * included, is one 64-bit word of at most 45 bits.  The C side does word
+ * arithmetic only; big-integer work (choosing primes, reducing entries
+ * outside int64, lifting residues) is exactalg's, in Python ints, and
+ * charpoly_mod raises OverflowError on such an entry.
  * children_canon keeps only the children whose canonical parent is the
  * given graph, by the canonical deletion rule the census docstring states,
  * and returns them sorted and distinct; the census sorts the level.
- * The one charpoly algorithm here, which charpoly_mod and census_stats share,
- * is hessenberg_mod: a reduction to Hessenberg form by similarity modulo a
- * prime, then the O(n^3) Hessenberg recurrence.  (The pure backend keeps the
- * division-free Berkowitz recurrence, so the parity tests compare two
- * algorithms.)  Fixed-width arithmetic has three stated bounds, with tests
- * at each.  The refinement keys of canonical labeling pack 4-bit fields into
- * at most 44 bits at n <= 10 (the argument is at wl_colors).  The
- * Montgomery word bound: residues are below p < 2^56, so each
+ * The one charpoly algorithm here, which charpoly_mod and census_records
+ * share, is hessenberg_mod: a reduction to Hessenberg form by similarity
+ * modulo a prime, then the O(n^3) Hessenberg recurrence.  (The pure backend
+ * keeps the division-free Berkowitz recurrence, so the parity tests compare
+ * two algorithms.)  Fixed-width arithmetic has three stated bounds, with
+ * tests at each.  The refinement keys of canonical labeling pack 4-bit
+ * fields into at most 44 bits at n <= 10 (the argument is at wl_colors).
+ * The Montgomery word bound: residues are below p < 2^56, so each
  * product of two residues is below p^2 < p 2^64, within one Montgomery
  * reduction, a sum of two residues is below 2^57, and a sum of 255 products
  * is below 255 p^2 < p 2^64, so it adds up in an unsigned __int128 before
- * one reduction.  census_stats works modulo the one prime 2^56 - 5: its
+ * one reduction.  census_records builds a chunk of census records in one
+ * call, each with its graph6 canon (graph6_encode) and its invariants
+ * (census_invariants), which work modulo the one prime 2^56 - 5: the
  * charpoly coefficients lie below half that prime in absolute value, so
- * the residues determine them, and it reads its multiplicities off that
- * charpoly (the argument is at census_stats).  census_structure gives the
- * census-wide lemma checks both their sides: the graph side (twin
- * predictions, the mixed-star shape) with adjacency and eccentricities
- * only, and the inertia of the record's charpoly at -1 and 0.  Both read a
- * charpoly's inertia by a Taylor shift in signed __int128 (inertia_at),
- * exact for coefficients below 2^63 in absolute value at n <= 10,
- * |c| <= 2, where every value it holds stays below 2^83 (the argument is
- * at census_stats).  They share census_metrics, the BFS and
- * eccentricities.  format_store and parse_store are the census store
- * codec: one call formats a batch of records as store lines,
- * one parses a block of store bytes, and any line outside the strict form
- * to_line writes goes back to CensusRecord.from_line.  The writer handles
- * ints within int64 itself, which holds every census record: the charpoly
- * coefficients lie below 2^55 in absolute value, the other ints are at
- * most 10 (the argument is at the codec).
+ * the residues determine them, and the multiplicities are read off that
+ * charpoly (the argument is at census_invariants).  census_structure gives
+ * the census-wide lemma checks both their sides, from a record's graph6
+ * canon and charpoly: the graph side (twin predictions, the mixed-star
+ * shape) with adjacency and eccentricities only, and the inertia of the
+ * charpoly at -1 and 0.  Both read a charpoly's inertia by a Taylor shift
+ * in signed __int128 (inertia_at), exact for coefficients below 2^63 in
+ * absolute value at n <= 10, |c| <= 2, where every value it holds stays
+ * below 2^83 (the argument is at census_invariants).  They share
+ * census_metrics, the BFS and eccentricities.  format_store and
+ * parse_store are the census store codec: one call formats a batch of
+ * records as store lines, one parses a block of store bytes, and any line
+ * outside the strict form to_line writes goes back to
+ * CensusRecord.from_line.  The writer handles ints within int64 itself,
+ * which holds every census record: the charpoly coefficients lie below
+ * 2^55 in absolute value, the other ints are at most 10 (the argument is
+ * at the codec).  census_records and parse_store build their records with
+ * one helper, new_record.
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -161,13 +166,13 @@ unpack_bits(int n, uint64_t bits, uint64_t *adj)
             }
 }
 
-/* Unpack bits, the bit form of a graph on 1 <= n <= maxn <= 10 vertices,
- * into adj[0..n-1] (unpack_bits).  ValueError naming
- * what on an order out of range, TypeError on a non-int bits, ValueError on
- * bits outside 0..2^(n(n-1)/2) - 1.  A form has n(n-1)/2 <= 45 bits, so it
- * is one 64-bit word, and a negative or wider int is out of range. */
+/* Read obj, the bit form of a graph on 1 <= n <= maxn <= 10 vertices, into
+ * *form, for unpack_bits.  ValueError naming what on an order out of range,
+ * TypeError on a non-int bits, ValueError on bits outside
+ * 0..2^(n(n-1)/2) - 1.  A form has n(n-1)/2 <= 45 bits, so it is one 64-bit
+ * word, and a negative or wider int is out of range. */
 static int
-load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
+load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *form)
 {
     if (check_order(n, maxn, what) < 0)
         return -1;
@@ -185,7 +190,101 @@ load_bits(int n, PyObject *obj, int maxn, const char *what, uint64_t *adj)
         PyErr_Format(PyExc_ValueError, "bit form out of range for n=%d", n);
         return -1;
     }
-    unpack_bits(n, bits, adj);
+    *form = bits;
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * graph6 codec, at the census orders
+ *
+ * The graph6 string of a bit form is the size byte n + 63, then the form,
+ * zero-padded to a multiple of 6 bits, in 6-bit groups from the top, each
+ * + 63 (the form's bit order is graph6's).  At n <= MAXN_CENSUS the form
+ * and its padding take at most 48 bits, so the string has at most 9 bytes
+ * and its data is one word.  These are _kernels_py.bits_to_graph6 and
+ * graph6_bits, the Python codec, with the same checks and messages. */
+
+#define GRAPH6_MAX (1 + (MAXN_CENSUS * (MAXN_CENSUS - 1) / 2 + 5) / 6)
+#define GRAPH6_HEADER ">>graph6<<"
+
+/* Write the graph6 string of the bit form of a graph on 1 <= n <=
+ * MAXN_CENSUS vertices into out: its length. */
+static int
+graph6_encode(int n, uint64_t form, char *out)
+{
+    int nbits = n * (n - 1) / 2, groups = (nbits + 5) / 6;
+    uint64_t val = form << (6 * groups - nbits);
+    out[0] = (char)(n + 63);
+    for (int i = 1; i <= groups; i++)
+        out[i] = (char)(((val >> (6 * (groups - i))) & 63) + 63);
+    return 1 + groups;
+}
+
+static int
+graph6_error(const char *message)
+{
+    PyErr_SetString(PyExc_ValueError, message);
+    return -1;
+}
+
+/* Decode the graph6 str or bytes obj, as graph6_bits does (an optional
+ * header, trailing newlines), into its order *n and adj[0..*n-1].
+ * TypeError on any other type; ValueError with graph6_bits's message on a
+ * byte outside 63..126 (a str that is not ASCII included), a bad size byte,
+ * length or nonzero padding, then naming what on an order above
+ * MAXN_CENSUS. */
+static int
+load_graph6(PyObject *obj, const char *what, int *n, uint64_t *adj)
+{
+    const char *s;
+    Py_ssize_t len;
+    if (PyUnicode_Check(obj)) {
+        if (!PyUnicode_IS_ASCII(obj))
+            return graph6_error("graph6 byte outside 63..126");
+        s = (const char *)PyUnicode_1BYTE_DATA(obj);
+        len = PyUnicode_GET_LENGTH(obj);
+    } else if (PyBytes_Check(obj)) {
+        s = PyBytes_AS_STRING(obj);
+        len = PyBytes_GET_SIZE(obj);
+    } else {
+        PyErr_SetString(PyExc_TypeError, "graph6 data must be str or bytes");
+        return -1;
+    }
+    Py_ssize_t head = sizeof GRAPH6_HEADER - 1;
+    if (len >= head && memcmp(s, GRAPH6_HEADER, (size_t)head) == 0) {
+        s += head;
+        len -= head;
+    }
+    while (len > 0 && s[len - 1] == '\n')
+        len--;
+    if (len == 0)
+        return graph6_error("empty graph6 string");
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (s[i] < 63 || s[i] > 126)
+            return graph6_error("graph6 byte outside 63..126");
+    int order = s[0] - 63;
+    if (order > 62)
+        return graph6_error(
+            "graph6 multi-byte headers (n > 62) not supported");
+    if (order < 1)
+        return graph6_error("graph6 order must be >= 1");
+    int nbits = order * (order - 1) / 2, pad = (6 - nbits % 6) % 6;
+    Py_ssize_t expected = 1 + (nbits + 5) / 6;
+    if (len != expected) {
+        PyErr_Format(PyExc_ValueError,
+                     "graph6 length %zd != expected %zd for n=%d",
+                     len, expected, order);
+        return -1;
+    }
+    if ((s[len - 1] - 63) & ((1 << pad) - 1))
+        return graph6_error("nonzero padding bits in graph6 data");
+    if (check_order(order, MAXN_CENSUS, what) < 0)
+        return -1;
+    uint64_t val = 0;
+    for (Py_ssize_t i = 1; i < len; i++)
+        val = val << 6 | (uint64_t)(s[i] - 63);
+    *n = order;
+    unpack_bits(order, val >> pad, adj);
     return 0;
 }
 
@@ -548,12 +647,14 @@ static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
     uint64_t adj[MAXN_CENSUS], work[MAXN_CENSUS], prev[MAXN_CENSUS] = {0};
-    uint64_t key[MAXN_CENSUS], forms[1 << (MAXN_CENSUS - 1)];
+    uint64_t key[MAXN_CENSUS], forms[1 << (MAXN_CENSUS - 1)], parent_bits;
     int n, nforms = 0, dist[MAXN_CENSUS];
     PyObject *bits;
     if (!PyArg_ParseTuple(args, "iO", &n, &bits)
-            || load_bits(n, bits, MAXN_CENSUS - 1, "children_canon", adj) < 0)
+            || load_bits(n, bits, MAXN_CENSUS - 1, "children_canon",
+                         &parent_bits) < 0)
         return NULL;
+    unpack_bits(n, parent_bits, adj);
     bfs(n, adj, 0, dist);
     for (int i = 0; i < n; i++)
         if (dist[i] == UNREACH) {
@@ -929,8 +1030,8 @@ done:
 /* ------------------------------------------------------------------------
  * census invariants
  *
- * census_stats takes the bit form of a connected graph on n <= MAXN_CENSUS
- * = 10 vertices, so its largest-distance matrix E is symmetric, with every
+ * census_invariants takes a connected graph on n <= MAXN_CENSUS = 10
+ * vertices, so its largest-distance matrix E is symmetric, with every
  * entry in 0..diam <= 9 and a zero diagonal.  It computes the charpoly of
  * E modulo the prime CENSUS_PRIME = 2^56 - 5 (7.2e16, the first prime
  * exactalg.charpoly takes), in Montgomery form, and reads its
@@ -993,16 +1094,13 @@ inertia_at(int n, const long long *a, int c, int *out)
     out[2] = n - plus - zero;
 }
 
-/* Unpack the bit form of a graph of order 1 <= n <= MAXN_CENSUS, then
- * fill dist with its BFS distances and ecc with its eccentricities: the one
- * BFS that census_stats and census_structure share.  Raises what load_bits
- * raises, naming what, and ValueError on a disconnected graph. */
+/* Fill dist with the BFS distances of the graph adj[0..n-1] and ecc with
+ * its eccentricities: the one BFS that census_records and census_structure
+ * share.  ValueError naming what on a disconnected graph. */
 static int
-census_metrics(int n, PyObject *bits, const char *what, uint64_t *adj,
+census_metrics(int n, const uint64_t *adj, const char *what,
                int dist[][MAXN_CENSUS], int *ecc)
 {
-    if (load_bits(n, bits, MAXN_CENSUS, what, adj) < 0)
-        return -1;
     for (int i = 0; i < n; i++) {
         bfs(n, adj, i, dist[i]);
         ecc[i] = 0;
@@ -1027,25 +1125,23 @@ min_rule_entry(int d, int eu, int ev)
     return d == (eu < ev ? eu : ev) ? d : 0;
 }
 
-static PyObject *
-k_census_stats(PyObject *self, PyObject *args)
+/* The invariants of the census record of a connected graph on n vertices
+ * from its distances and eccentricities (census_metrics): inv = (n, diam,
+ * |V1|, m(-1), m(-2), m(0)) and cp, its charpoly's n + 1 ascending
+ * coefficients. */
+static void
+census_invariants(int n, int dist[][MAXN_CENSUS], const int *ecc,
+                  long long *inv, long long *cp)
 {
-    uint64_t adj[MAXN_CENSUS];
-    int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
     uint64_t a[MAXN_CENSUS * MAXN_CENSUS], c[MAXN_CENSUS + 1],
              work[(MAXN_CENSUS + 1) * (MAXN_CENSUS + 2) / 2 + 2 * MAXN_CENSUS];
-    long long cp[MAXN_CENSUS + 1];
-    int at_m1[3], at_m2[3], at_0[3];
-    int n;
-    PyObject *bits;
-    if (!PyArg_ParseTuple(args, "iO", &n, &bits)
-            || census_metrics(n, bits, "census_stats", adj, dist, ecc) < 0)
-        return NULL;
-    int diam = 0, v1 = 0;
+    int at[3];
+    inv[0] = n;
+    inv[1] = inv[2] = 0;
     for (int i = 0; i < n; i++) {
-        if (ecc[i] > diam)
-            diam = ecc[i];
-        v1 += ecc[i] == 1;
+        if (ecc[i] > inv[1])
+            inv[1] = ecc[i];
+        inv[2] += ecc[i] == 1;
     }
     mont_t m = mont_init(CENSUS_PRIME);
     for (int i = 0; i < n; i++)
@@ -1057,29 +1153,19 @@ k_census_stats(PyObject *self, PyObject *args)
     for (int i = 0; i <= n; i++)
         cp[i] = c[i] > CENSUS_PRIME / 2
                 ? (long long)c[i] - (long long)CENSUS_PRIME : (long long)c[i];
-    inertia_at(n, cp, -1, at_m1);
-    inertia_at(n, cp, -2, at_m2);
-    inertia_at(n, cp, 0, at_0);
-    PyObject *coeffs = PyTuple_New(n + 1);
-    for (int i = 0; coeffs != NULL && i <= n; i++) {
-        PyObject *ci = PyLong_FromLongLong(cp[i]);
-        if (ci == NULL)
-            Py_CLEAR(coeffs);
-        else
-            PyTuple_SET_ITEM(coeffs, i, ci);
+    static const int shifts[3] = {-1, -2, 0};
+    for (int k = 0; k < 3; k++) {
+        inertia_at(n, cp, shifts[k], at);
+        inv[3 + k] = at[1];
     }
-    if (coeffs == NULL)
-        return NULL;
-    return Py_BuildValue("(iiiiiN)", diam, v1, at_m1[1], at_m2[1], at_0[1],
-                         coeffs);
 }
 
 /* ------------------------------------------------------------------------
  * census structure
  *
  * census_structure gives the census-wide lemma checks what they compare a
- * census record with.  The graph side handles only the adjacency its bit
- * form unpacks to and the eccentricities:
+ * census record with.  The graph side handles only the adjacency the
+ * record's graph6 canon decodes to and the eccentricities:
  *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
  *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
  *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
@@ -1093,7 +1179,7 @@ k_census_stats(PyObject *self, PyObject *args)
  * The spectral side reads the record's charpoly, not the graph: the inertia
  * triples (n_plus, n_zero, n_minus) of the monic ascending coefficients at
  * c = -1 and 0, by inertia_at, for coefficients below 2^63 in absolute
- * value (the shift's bound is at census_stats). */
+ * value (the shift's bound is at census_invariants). */
 
 /* Load the n + 1 ascending coefficients of a monic polynomial, each below
  * 2^63 in absolute value: ValueError on a wrong count or a leading
@@ -1152,9 +1238,10 @@ k_census_structure(PyObject *self, PyObject *args)
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
     long long a[MAXN_CENSUS + 1];
     int at_m1[3], at_0[3];
-    PyObject *bits, *coeffs;
-    if (!PyArg_ParseTuple(args, "iOO", &n, &bits, &coeffs)
-            || census_metrics(n, bits, "census_structure", adj, dist, ecc) < 0
+    PyObject *g6, *coeffs;
+    if (!PyArg_ParseTuple(args, "OO", &g6, &coeffs)
+            || load_graph6(g6, "census_structure", &n, adj) < 0
+            || census_metrics(n, adj, "census_structure", dist, ecc) < 0
             || load_charpoly(n, coeffs, "census_structure", a) < 0)
         return NULL;
     inertia_at(n, a, -1, at_m1);
@@ -1479,19 +1566,38 @@ ascii_str(const char *s, Py_ssize_t len)
     return str;
 }
 
-/* A new instance of the tuple subclass type holding the fields of L. */
-static PyObject *
-build_record(PyTypeObject *type, const store_line *L)
+/* Whether obj is an exact tuple of exact str. */
+static int
+is_str_tuple(PyObject *obj)
 {
-    int n = (int)L->inv[0];
-    PyObject *rec = type->tp_alloc(type, STORE_FIELDS), *coeffs, *tags, *v;
-    if (rec == NULL)
+    if (!PyTuple_CheckExact(obj))
+        return 0;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(obj); k++)
+        if (!PyUnicode_CheckExact(PyTuple_GET_ITEM(obj, k)))
+            return 0;
+    return 1;
+}
+
+/* A new instance of the tuple subclass type holding a census record: the
+ * canon, the six ints inv (n first), the tuple of the n + 1 coefficients
+ * cp and tags, a reference it steals (NULL from a failed build, which it
+ * passes on). */
+static PyObject *
+new_record(PyTypeObject *type, const char *canon, Py_ssize_t canon_len,
+           const long long *inv, const long long *cp, PyObject *tags)
+{
+    int n = (int)inv[0];
+    PyObject *rec = NULL, *coeffs, *v;
+    if (tags == NULL || (rec = type->tp_alloc(type, STORE_FIELDS)) == NULL) {
+        Py_XDECREF(tags);
         return NULL;
-    if ((v = ascii_str(L->canon, L->canon_len)) == NULL)
+    }
+    PyTuple_SET_ITEM(rec, 8, tags);
+    if ((v = ascii_str(canon, canon_len)) == NULL)
         goto fail;
     PyTuple_SET_ITEM(rec, 0, v);
     for (int i = 0; i < 6; i++) {
-        if ((v = PyLong_FromLongLong(L->inv[i])) == NULL)
+        if ((v = PyLong_FromLongLong(inv[i])) == NULL)
             goto fail;
         PyTuple_SET_ITEM(rec, i + 1, v);
     }
@@ -1499,35 +1605,44 @@ build_record(PyTypeObject *type, const store_line *L)
         goto fail;
     PyTuple_SET_ITEM(rec, 7, coeffs);
     for (int k = 0; k <= n; k++) {
-        if ((v = PyLong_FromLongLong(L->coeffs[k])) == NULL)
+        if ((v = PyLong_FromLongLong(cp[k])) == NULL)
             goto fail;
         PyTuple_SET_ITEM(coeffs, k, v);
     }
-    if ((tags = PyTuple_New(L->ntags)) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(rec, 8, tags);
-    const char *t = L->tags, *end = L->tags + L->tags_len;
-    for (Py_ssize_t k = 0; k < L->ntags; k++) {
-        const char *semi = memchr(t, ';', (size_t)(end - t));
-        const char *stop = semi ? semi : end;
-        if ((v = ascii_str(t, stop - t)) == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(tags, k, v);
-        t = stop + 1;
-    }
-    /* The record holds only str, int and tuples of them, so it is in no
-     * reference cycle; untracked, the collector never traverses the records
-     * of a store (CPython untracks such exact tuples itself, but only once
-     * they survive a collection, and never a tuple subclass).  A type with
-     * a __dict__ could hold more, so its records stay tracked. */
+    /* A record whose tags are a tuple of str holds only str, int and tuples
+     * of them, so it is in no reference cycle; untracked, the collector
+     * never traverses the records of a census (CPython untracks such exact
+     * tuples itself, but only once they survive a collection, and never a
+     * tuple subclass).  A type with a __dict__ could hold more, so its
+     * records stay tracked, as do records with other tags. */
     PyObject_GC_UnTrack(coeffs);
-    PyObject_GC_UnTrack(tags);
-    if (type->tp_dictoffset == 0)
-        PyObject_GC_UnTrack(rec);
+    if (is_str_tuple(tags)) {
+        PyObject_GC_UnTrack(tags);
+        if (type->tp_dictoffset == 0)
+            PyObject_GC_UnTrack(rec);
+    }
     return rec;
 fail:
     Py_DECREF(rec);
     return NULL;
+}
+
+/* The tuple of the tags of L. */
+static PyObject *
+line_tags(const store_line *L)
+{
+    PyObject *tags = PyTuple_New(L->ntags), *v;
+    const char *t = L->tags, *end = L->tags + L->tags_len;
+    for (Py_ssize_t k = 0; tags != NULL && k < L->ntags; k++) {
+        const char *semi = memchr(t, ';', (size_t)(end - t));
+        const char *stop = semi ? semi : end;
+        if ((v = ascii_str(t, stop - t)) == NULL)
+            Py_CLEAR(tags);
+        else
+            PyTuple_SET_ITEM(tags, k, v);
+        t = stop + 1;
+    }
+    return tags;
 }
 
 static PyObject *
@@ -1558,7 +1673,9 @@ k_parse_store(PyObject *self, PyObject *args)
         const char *stop = nl ? nl : end, *next = nl ? nl + 1 : end;
         PyObject *item;
         if (scan_line(s, stop, &line))
-            item = build_record((PyTypeObject *)type, &line);
+            item = new_record((PyTypeObject *)type, line.canon,
+                              line.canon_len, line.inv, line.coeffs,
+                              line_tags(&line));
         else {
             PyObject *index = PyLong_FromSsize_t(i);
             int rc = index == NULL ? -1 : PyList_Append(handed, index);
@@ -1579,6 +1696,74 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * census records
+ *
+ * census_records builds a chunk of census records in one call: for each
+ * bit form, in order, a record_type instance (canon, n, diam, |V1|, m(-1),
+ * m(-2), m(0), charpoly, tags), its canon encoded by graph6_encode, its
+ * invariants from census_invariants and its tags looked up in the caller's
+ * dict with the caller's own int as the key, () when absent.  Records are
+ * built by the codec's new_record, as parse_store builds them. */
+
+/* The census record of the bit form bits of a connected graph on n
+ * vertices, 1 <= n <= MAXN_CENSUS, as a new instance of type. */
+static PyObject *
+census_record(PyTypeObject *type, int n, PyObject *bits, PyObject *tags)
+{
+    uint64_t adj[MAXN_CENSUS], form;
+    int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
+    long long inv[6], cp[MAXN_CENSUS + 1];
+    char canon[GRAPH6_MAX];
+    if (load_bits(n, bits, MAXN_CENSUS, "census_records", &form) < 0)
+        return NULL;
+    unpack_bits(n, form, adj);
+    if (census_metrics(n, adj, "census_records", dist, ecc) < 0)
+        return NULL;
+    census_invariants(n, dist, ecc, inv, cp);
+    PyObject *rec_tags = PyDict_GetItemWithError(tags, bits);
+    if (rec_tags != NULL)
+        Py_INCREF(rec_tags);
+    else if (!PyErr_Occurred())
+        rec_tags = PyTuple_New(0);
+    return new_record(type, canon, graph6_encode(n, form, canon), inv, cp,
+                      rec_tags);
+}
+
+static PyObject *
+k_census_records(PyObject *self, PyObject *args)
+{
+    PyObject *forms, *tags, *type, *items, *out;
+    int n;
+    if (!PyArg_ParseTuple(args, "iOOO", &n, &forms, &tags, &type))
+        return NULL;
+    if (!PyType_Check(type)
+            || !PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "census_records needs a tuple subclass as record type");
+        return NULL;
+    }
+    if (!PyDict_Check(tags)) {
+        PyErr_SetString(PyExc_TypeError, "census_records needs a dict of tags");
+        return NULL;
+    }
+    /* a tuple, so a tag lookup that runs Python code cannot move an item */
+    if (check_order(n, MAXN_CENSUS, "census_records") < 0
+            || (items = PySequence_Tuple(forms)) == NULL)
+        return NULL;
+    out = PyList_New(PyTuple_GET_SIZE(items));
+    for (Py_ssize_t i = 0; out != NULL && i < PyTuple_GET_SIZE(items); i++) {
+        PyObject *rec = census_record((PyTypeObject *)type, n,
+                                      PyTuple_GET_ITEM(items, i), tags);
+        if (rec == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, rec);
+    }
+    Py_DECREF(items);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
  * module */
 
 static PyMethodDef kernel_methods[] = {
@@ -1595,19 +1780,21 @@ static PyMethodDef kernel_methods[] = {
      "triangle is bits that have it as their canonical parent: the new\n"
      "vertex n attached to a nonempty subset of 0..n-1.  Only subsets that\n"
      "take each twin class of the parent as a prefix are tried."},
-    {"census_stats", k_census_stats, METH_VARARGS,
-     "census_stats(n, bits)\n--\n\n"
-     "(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of the\n"
-     "connected graph with packed lower triangle bits; each m(c) is the root\n"
-     "multiplicity of c in the charpoly."},
+    {"census_records", k_census_records, METH_VARARGS,
+     "census_records(n, forms, tags, record_type)\n--\n\n"
+     "One record_type instance per bit form of a connected graph on n\n"
+     "vertices, in order: (graph6 canon, n, diam, |V1|, m(-1), m(-2), m(0),\n"
+     "charpoly coeffs ascending, tags.get(form, ())); each m(c) is the root\n"
+     "multiplicity of c in the charpoly.  record_type must be a tuple\n"
+     "subclass and tags a dict."},
     {"census_structure", k_census_structure, METH_VARARGS,
-     "census_structure(n, bits, coeffs)\n--\n\n"
+     "census_structure(g6, coeffs)\n--\n\n"
      "(twin predictions, star shape, inertia at -1, at 0) of the connected\n"
-     "graph with packed lower triangle bits and its monic ascending charpoly\n"
-     "coeffs: the (xi, lower) pairs of its twin classes, whether it is a\n"
-     "star mixed extension, and the (n_plus, n_zero, n_minus) triples of the\n"
-     "charpoly at c = -1 and 0.  Coefficients must lie below 2^63 in\n"
-     "absolute value (OverflowError)."},
+     "graph with graph6 string g6 and its monic ascending charpoly coeffs:\n"
+     "the (xi, lower) pairs of its twin classes, whether it is a star mixed\n"
+     "extension, and the (n_plus, n_zero, n_minus) triples of the charpoly\n"
+     "at c = -1 and 0.  Coefficients must lie below 2^63 in absolute value\n"
+     "(OverflowError)."},
     {"charpoly_mod", k_charpoly_mod, METH_VARARGS,
      "charpoly_mod(rows, moduli)\n--\n\n"
      "Ascending coefficients of det(xI - M) modulo each prime 3 <= p < 2^56,\n"
@@ -1635,7 +1822,7 @@ static PyMethodDef kernel_methods[] = {
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "eccspec._kernels",
-    "Compiled kernels: BFS distances, canonical labeling, census invariants\n"
+    "Compiled kernels: BFS distances, canonical labeling, census records\n"
     "and structure, characteristic polynomials modulo word-size primes, the\n"
     "census store codec.",
     -1, kernel_methods,

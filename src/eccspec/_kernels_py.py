@@ -1,45 +1,50 @@
-"""Pure-Python kernels: BFS distances, canonical labeling, census invariants
-and structure, characteristic polynomials, the census store codec.
+"""Pure-Python kernels: BFS distances, canonical labeling, census records
+and structure, characteristic polynomials, the census store codec, and the
+graph6 codec.
 
 This module is the reference implementation of the BFS and canonical-labeling
 kernels.  The compiled extension ``eccspec._kernels`` implements the same
 functions with the same semantics; ``eccspec.kernels`` picks whichever is
 importable, and ``__all__`` names the functions and constants both export.
-``census_stats`` here takes the Berkowitz characteristic polynomial from
-``exactalg``, reads each multiplicity off it with ``root_multiplicity``, and
-takes the largest-distance matrix from ``ecc_rows``, the one Python
-definition of that rule (``ecc_matrix`` uses it too; its docstring proves
-it equal to the min-eccentricity form of the compiled ``min_rule_entry``,
-and the test suite checks ``ecc_matrix`` against that form on distances
-from an independent all-pairs algorithm);
+``census_records`` here builds each record from the Berkowitz characteristic
+polynomial from ``exactalg``, reads each multiplicity off it with
+``root_multiplicity``, and takes the largest-distance matrix from
+``ecc_rows``, the one Python definition of that rule (``ecc_matrix`` uses it
+too; its docstring proves it equal to the min-eccentricity form of the
+compiled ``min_rule_entry``, and the test suite checks ``ecc_matrix``
+against that form on distances from an independent all-pairs algorithm);
 ``charpoly_mod`` is ``exactalg.berkowitz_charpoly`` reduced modulo each
 modulus, for entries within int64.  The compiled charpolys come from a
 different algorithm, a reduction to Hessenberg form modulo each prime, so
 the parity tests check two algorithms against each other, not two copies.
 ``census_structure`` gives what the census-wide lemma checks derive
-independently of a record's multiplicities: from the graph, the twin-class
-predictions and the mixed-star shape; from the record's charpoly, its
-inertia at -1 and 0 by ``exactalg.charpoly_inertia``, the one Python
-definition, which the compiled kernel reimplements in ``__int128``.  It
-shares ``_census_metrics``, the BFS and eccentricities, with
-``census_stats``, as the compiled pair shares ``census_metrics``.
-``lower_triangle_rows`` is the one unpacker of the packed lower-triangle bit
-order, which ``graphs.graph6_decode`` shares; ``twin_classes``,
-``twin_predictions`` and ``mixed_star_shape`` are the one definition of
-those, and ``eccentricity`` shares ``twin_predictions``.  The store codec,
-``format_store`` and ``parse_store``, is ``CensusRecord.to_line`` and
-``from_line`` themselves: the writer joins each record's ``to_line()`` and
-the parser hands every line back, so that ``census`` parses it with
-``from_line``; the compiled codec does the same for lines outside its strict
-form, and formats and parses the rest in C.  Every graph kernel checks its
-order range, and its rows or bit form, with the compiled one's limits and
+independently of a record's multiplicities, from its graph6 canon and
+charpoly: from the graph, the twin-class predictions and the mixed-star
+shape; from the charpoly, its inertia at -1 and 0 by
+``exactalg.charpoly_inertia``, the one Python definition, which the
+compiled kernel reimplements in ``__int128``.  It shares
+``_census_metrics``, the BFS and eccentricities, with ``census_records``,
+as the compiled pair shares ``census_metrics``.  ``bits_to_graph6`` and
+``graph6_bits`` are the one Python graph6 codec, which ``graphs``
+re-exports and which the compiled kernels reimplement at the census orders
+with the same checks and messages; ``lower_triangle_rows`` is the one
+unpacker of the packed lower-triangle bit order, which
+``graphs.graph6_decode`` shares; ``twin_classes``, ``twin_predictions`` and
+``mixed_star_shape`` are the one definition of those, and ``eccentricity``
+shares ``twin_predictions``.  The store codec, ``format_store`` and
+``parse_store``, is ``CensusRecord.to_line`` and ``from_line`` themselves:
+the writer joins each record's ``to_line()`` and the parser hands every
+line back, so that ``census`` parses it with ``from_line``; the compiled
+codec does the same for lines outside its strict form, and formats and
+parses the rest in C.  Every graph kernel checks its order range, and its
+rows, bit form or graph6 string, with the compiled one's limits and
 messages, and works on adjacency *bitsets*: a graph on n vertices is a
 sequence ``adj`` of n ints where bit j of ``adj[i]`` is set iff ij is an
-edge.  The census kernels take the packed lower triangle instead, which no
-asymmetric graph has.  Every graph kernel but ``all_pairs_dist`` (at most 64
-vertices) takes only census orders, at most 10 vertices (9 for a
-``children_canon`` parent), so every canonical or packed form is one 64-bit
-word.
+edge.  The census kernels take the packed lower triangle or the graph6
+string instead, which no asymmetric graph has.  Every graph kernel but
+``all_pairs_dist`` (at most 64 vertices) takes only census orders, at most
+10 vertices (9 for a ``children_canon`` parent), so every canonical or
+packed form is one 64-bit word.
 
 ``children_canon`` follows the canonical deletion rule that the ``census``
 docstring states and argues, with the same keys, cut-vertex tests and
@@ -65,7 +70,7 @@ from .exactalg import (
 )
 
 __all__ = [
-    "BACKEND", "UNREACHABLE", "all_pairs_dist", "canon_bits", "census_stats",
+    "BACKEND", "UNREACHABLE", "all_pairs_dist", "canon_bits", "census_records",
     "census_structure", "charpoly_mod", "children_canon", "format_store",
     "parse_store",
 ]
@@ -348,6 +353,62 @@ def lower_triangle_rows(n, bits):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# graph6 codec (n <= 62, single-byte size header)
+
+def bits_to_graph6(n, bits) -> str:
+    """graph6 string of a packed lower-triangle bit form (the canonical bit
+    order and the graph6 data bit order coincide)."""
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    val = bits << pad
+    groups = (nbits + 5) // 6
+    chars = [chr(n + 63)]
+    for i in range(groups - 1, -1, -1):
+        chars.append(chr(((val >> (6 * i)) & 63) + 63))
+    return "".join(chars)
+
+
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
+def graph6_bits(data):
+    """(n, packed lower-triangle bits) of a graph6 string, the inverse of
+    ``bits_to_graph6``.  Accepts str or bytes, an optional ``>>graph6<<``
+    header and trailing newlines; raises TypeError on any other type and
+    ValueError on a bad byte (a non-ASCII character included), size header,
+    length or nonzero padding."""
+    if isinstance(data, str):
+        if not data.isascii():
+            raise ValueError("graph6 byte outside 63..126")
+        data = data.encode("ascii")
+    elif not isinstance(data, bytes):
+        raise TypeError("graph6 data must be str or bytes")
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    data = data.rstrip(b"\n")
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data.translate(None, _GRAPH6_BYTES):
+        raise ValueError("graph6 byte outside 63..126")
+    n = data[0] - 63
+    if n > 62:
+        raise ValueError("graph6 multi-byte headers (n > 62) not supported")
+    if n < 1:
+        raise ValueError("graph6 order must be >= 1")
+    nbits = n * (n - 1) // 2
+    expected = 1 + (nbits + 5) // 6
+    if len(data) != expected:
+        raise ValueError(f"graph6 length {len(data)} != expected {expected} for n={n}")
+    val = 0
+    for byte in data[1:]:
+        val = (val << 6) | (byte - 63)
+    pad = (-nbits) % 6
+    if val & ((1 << pad) - 1):
+        raise ValueError("nonzero padding bits in graph6 data")
+    return n, val >> pad
+
+
 def ecc_rows(dist, ecc):
     """Rows of the largest-distance matrix of a connected graph, from its
     distance rows and eccentricities: entry d(u,v) iff d(u,v) equals
@@ -360,7 +421,7 @@ def ecc_rows(dist, ecc):
 
 def _census_metrics(what, n, bits):
     """Adjacency rows, distances and eccentricities of the connected graph
-    with bit form ``bits``, 1 <= n <= 10, the BFS ``census_stats`` and
+    with bit form ``bits``, 1 <= n <= 10, the BFS ``census_records`` and
     ``census_structure`` share; ValueError naming ``what`` if disconnected."""
     adj = _bits_to_adj(what, n, bits, _MAXN_CENSUS)
     dist = [_dist_row(n, adj, v) for v in range(n)]
@@ -369,33 +430,51 @@ def _census_metrics(what, n, bits):
     return adj, dist, [max(row) for row in dist]
 
 
-def census_stats(n, bits):
-    """(diam, |V1|, m(-1), m(-2), m(0), charpoly coeffs ascending) of the
-    connected graph with bit form ``bits``.
+def census_records(n, forms, tags, record_type):
+    """One ``record_type`` instance per bit form of a connected graph on n
+    vertices, in order: (graph6 canon, n, diam, |V1|, m(-1), m(-2), m(0),
+    charpoly coeffs ascending, ``tags.get(form, ())``).
 
     The charpoly cp of the largest-distance matrix E is Berkowitz's, over Z
     (the compiled kernel reduces E to Hessenberg form modulo one prime
     instead), and m(c) is ``root_multiplicity(cp, c)``, the nullity of the
-    symmetric E - cI.  Raises ValueError on disconnected input.
+    symmetric E - cI.  Each record is built as ``tuple.__new__`` builds it,
+    so a ``record_type`` whose own constructor differs gets the same record
+    as from the compiled kernel.  Raises TypeError unless ``record_type`` is
+    a tuple subclass and ``tags`` a dict, ValueError on an order outside
+    1..10, and what ``_census_metrics`` raises on a form.
     """
-    _, dist, ecc = _census_metrics("census_stats", n, bits)
-    cp = berkowitz_charpoly(IntMatrix._trusted(ecc_rows(dist, ecc)))
-    m1, m2, m0 = (root_multiplicity(cp, c) for c in (-1, -2, 0))
-    return max(ecc), ecc.count(1), m1, m2, m0, cp.coeffs
+    if not (isinstance(record_type, type) and issubclass(record_type, tuple)):
+        raise TypeError("census_records needs a tuple subclass as record type")
+    if not isinstance(tags, dict):
+        raise TypeError("census_records needs a dict of tags")
+    _check_order("census_records", n, _MAXN_CENSUS)
+    out = []
+    for bits in forms:
+        _, dist, ecc = _census_metrics("census_records", n, bits)
+        cp = berkowitz_charpoly(IntMatrix._trusted(ecc_rows(dist, ecc)))
+        out.append(tuple.__new__(record_type, (
+            bits_to_graph6(n, bits), n, max(ecc), ecc.count(1),
+            *(root_multiplicity(cp, c) for c in (-1, -2, 0)), cp.coeffs,
+            tags.get(bits, ()))))
+    return out
 
 
-def census_structure(n, bits, coeffs):
+def census_structure(g6, coeffs):
     """(twin predictions, star shape, inertia at -1, at 0) of the connected
-    graph with bit form ``bits`` and its monic ascending charpoly ``coeffs``:
-    the facts the census-wide lemma checks compare with a record.
+    graph with graph6 string ``g6``, a record's canon, and its monic
+    ascending charpoly ``coeffs``: the facts the census-wide lemma checks
+    compare with a record.
 
     The twin predictions are ``twin_predictions`` and the star shape
     ``mixed_star_shape``.  Each inertia is the (n_plus, n_zero, n_minus)
-    tuple of ``charpoly_inertia``.  Raises ValueError on disconnected input,
-    as ``census_stats`` does, or on a count other than n + 1 or a non-monic
-    ``coeffs``, and OverflowError on a coefficient of 2^63 or more in
+    tuple of ``charpoly_inertia``.  Raises what ``graph6_bits`` raises on
+    ``g6``; ValueError on an order above 10 or a disconnected graph, as
+    ``census_records`` does, or on a count other than n + 1 or a non-monic
+    ``coeffs``; and OverflowError on a coefficient of 2^63 or more in
     absolute value, the compiled kernel's bound.
     """
+    n, bits = graph6_bits(g6)
     adj, _, ecc = _census_metrics("census_structure", n, bits)
     coeffs = [index(a) for a in coeffs]
     if len(coeffs) != n + 1:

@@ -7,7 +7,10 @@ a nonempty subset of the old ones (every connected graph has a non-cut
 vertex).  Canonical forms are exact -- partition refinement plus
 backtracking, never hash-probabilistic -- because the verification counts
 are exact claims.  Each level is held as canonical bit forms (packed lower
-triangles), which the kernels take as is.
+triangles), which the kernels take as is.  Records are built a chunk at a
+time: one ``kernels.census_records`` call turns a chunk of the sorted level
+into its ``CensusRecord`` instances, graph6 canon, invariants, charpoly and
+family tags included, on either backend, with no per-graph Python step.
 
 Isomorph rejection is canonical deletion (B. D. McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998): ``kernels.children_canon``
@@ -255,13 +258,7 @@ class CensusRecord(NamedTuple):
 
 def _classify_chunk(args):
     n, tag_map, bits_list = args
-    records = []
-    for bits in bits_list:
-        diam, v1, m1, m2, m0, coeffs = kernels.census_stats(n, bits)
-        records.append(CensusRecord(bits_to_graph6(n, bits), n, diam, v1,
-                                    m1, m2, m0, coeffs,
-                                    tag_map.get(bits, ())))
-    return records
+    return kernels.census_records(n, bits_list, tag_map, CensusRecord)
 
 
 def family_tag_map(n):

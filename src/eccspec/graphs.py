@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import lower_triangle_rows
+from ._kernels_py import bits_to_graph6, graph6_bits, lower_triangle_rows
 
 MAX_VERTICES = 64
 
@@ -259,20 +259,9 @@ def theorem1_families(n):
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (n <= 62, single-byte size header)
-
-def bits_to_graph6(n, bits) -> str:
-    """graph6 string of a packed lower-triangle bit form (the canonical bit
-    order and the graph6 data bit order coincide)."""
-    nbits = n * (n - 1) // 2
-    pad = (-nbits) % 6
-    val = bits << pad
-    groups = (nbits + 5) // 6
-    chars = [chr(n + 63)]
-    for i in range(groups - 1, -1, -1):
-        chars.append(chr(((val >> (6 * i)) & 63) + 63))
-    return "".join(chars)
-
+# graph6 codec (n <= 62, single-byte size header): ``bits_to_graph6`` and
+# ``graph6_bits`` (which holds every graph6 validation) are _kernels_py's,
+# and this module re-exports them
 
 def graph6_encode(g: Graph) -> bytes:
     """Standard graph6: size byte n+63, then the upper-triangle bits in
@@ -285,41 +274,6 @@ def graph6_encode(g: Graph) -> bytes:
         for row in range(col):
             bits = (bits << 1) | g.has_edge(row, col)
     return bits_to_graph6(n, bits).encode("ascii")
-
-
-_GRAPH6_BYTES = bytes(range(63, 127))
-
-
-def graph6_bits(data):
-    """(n, packed lower-triangle bits) of a graph6 string, the inverse of
-    ``bits_to_graph6``.  Accepts str or bytes, an optional ``>>graph6<<``
-    header and a trailing newline; raises ValueError on a bad byte, size
-    header, length or nonzero padding."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    if data.startswith(b">>graph6<<"):
-        data = data[len(b">>graph6<<"):]
-    data = data.rstrip(b"\n")
-    if not data:
-        raise ValueError("empty graph6 string")
-    if data.translate(None, _GRAPH6_BYTES):
-        raise ValueError("graph6 byte outside 63..126")
-    n = data[0] - 63
-    if n > 62:
-        raise ValueError("graph6 multi-byte headers (n > 62) not supported")
-    if n < 1:
-        raise ValueError("graph6 order must be >= 1")
-    nbits = n * (n - 1) // 2
-    expected = 1 + (nbits + 5) // 6
-    if len(data) != expected:
-        raise ValueError(f"graph6 length {len(data)} != expected {expected} for n={n}")
-    val = 0
-    for byte in data[1:]:
-        val = (val << 6) | (byte - 63)
-    pad = (-nbits) % 6
-    if val & ((1 << pad) - 1):
-        raise ValueError("nonzero padding bits in graph6 data")
-    return n, val >> pad
 
 
 def graph6_decode(data) -> Graph:

@@ -41,7 +41,6 @@ from .graphs import (
     complete,
     complete_multipartite,
     cycle,
-    graph6_bits,
     join,
     join_clique_with,
     mixed_extension_star,
@@ -561,10 +560,10 @@ def _scan_order(n, records, structure):
     (every class parts i-v read) and, if ``structure`` is set, the failures
     of each ``CENSUS_STRUCTURE_CLAIMS`` check, else None.
 
-    One ``kernels.census_structure`` call per record, on its canonical
-    bits, gives the graph side (twin-class predictions, mixed-star shape)
-    and the charpoly's inertia at -1 and 0 (``exactalg.charpoly_inertia``);
-    the multiplicities at -2, -1 and 0 are the record's, read off its
+    One ``kernels.census_structure`` call per record, on its graph6 canon,
+    which the kernel decodes, gives the graph side (twin-class predictions,
+    mixed-star shape) and the charpoly's inertia at -1 and 0
+    (``exactalg.charpoly_inertia``); the multiplicities at -2, -1 and 0 are the record's, read off its
     charpoly when the census was classified.  No exact algebra runs here.
     """
     if not structure:
@@ -579,7 +578,7 @@ def _scan_order(n, records, structure):
         if m1 >= n - 5:
             kept.append(rec)
         twins, star, (_, zero_m1, neg_m1), (pos_0, _, _) = \
-            kernels.census_structure(*graph6_bits(canon), coeffs)
+            kernels.census_structure(canon, coeffs)
         is_kn = canon == kn_canon
         k = n - m1
         if v1 and diam > 2:

@@ -391,19 +391,20 @@ class TestStoreReplacement:
         store = tmp_path / "c6.tsv"
         census.classify(4, store_path=store)
         old = store.read_bytes()
-        stats = census.kernels.census_stats
+        records = census.kernels.census_records
         calls = []
 
-        def interrupted(n, bits):
-            calls.append(bits)
-            if len(calls) == 50:
+        def interrupted(n, forms, tags, record_type):
+            calls.append(len(forms))
+            if len(calls) == 3:
                 raise KeyboardInterrupt
-            return stats(n, bits)
+            return records(n, forms, tags, record_type)
 
         monkeypatch.setattr(census, "STORE_BATCH", 20)
-        monkeypatch.setattr(census.kernels, "census_stats", interrupted)
+        monkeypatch.setattr(census.kernels, "census_records", interrupted)
         with pytest.raises(KeyboardInterrupt):
             census.classify(6, store_path=store)
+        assert calls == [20, 20, 20]
         assert store.read_bytes() == old
         assert os.listdir(tmp_path) == ["c6.tsv"]
 

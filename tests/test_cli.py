@@ -363,20 +363,20 @@ class TestCensusAndQuery:
         store = tmp_path / "c7.tsv"
         assert run(capsys, "census", "4", "--store", str(store))[0] == 0
         old = store.read_bytes()
-        stats = kernels.census_stats
+        records = kernels.census_records
         calls = []
 
-        def interrupted(n, bits):
-            calls.append(bits)
-            if len(calls) == 500:
+        def interrupted(n, forms, tags, record_type):
+            calls.append(len(forms))
+            if len(calls) == 5:
                 raise KeyboardInterrupt
-            return stats(n, bits)
+            return records(n, forms, tags, record_type)
 
         monkeypatch.setattr(census, "STORE_BATCH", 100)
-        monkeypatch.setattr(kernels, "census_stats", interrupted)
+        monkeypatch.setattr(kernels, "census_records", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cli_main(["census", "7", "--store", str(store)])
-        assert len(calls) == 500
+        assert calls == [100] * 5
         assert store.read_bytes() == old
         assert os.listdir(tmp_path) == ["c7.tsv"]
 
@@ -512,10 +512,10 @@ class TestCensusAndQuery:
                                                            monkeypatch):
         from eccspec import kernels
 
-        def broken(n, bits):
+        def broken(n, forms, tags, record_type):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(kernels, "census_stats", broken)
+        monkeypatch.setattr(kernels, "census_records", broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli_main(["census", "4"])
 

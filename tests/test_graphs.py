@@ -280,8 +280,7 @@ class TestFamilies:
                     for c in nx.connected_components(rest)))
                 assert mixed_star_shape(g.n, g.adj) == want, rec.canon
                 assert kernels.census_structure(
-                    *graph6_bits(rec.canon), rec.charpoly)[1] == want, \
-                    rec.canon
+                    rec.canon, rec.charpoly)[1] == want, rec.canon
 
 
 def test_bull_identification_oracle():
@@ -398,9 +397,16 @@ class TestGraph6:
         ("~?", "graph6 multi-byte headers (n > 62) not supported"),
         ("?", "graph6 order must be >= 1"),
         ("A@", "nonzero padding bits in graph6 data"),
+        ("C\xe9", "graph6 byte outside 63..126"),
     ])
     def test_bits_reject_header_and_padding(self, bad, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph6_bits(bad)
+
+    @pytest.mark.parametrize("bad", [63, None, bytearray(b"Ch")])
+    def test_bits_reject_other_types(self, bad):
+        with pytest.raises(TypeError, match="^graph6 data must be str or "
+                                            "bytes$"):
             graph6_bits(bad)
 
     def test_encode_rejects_oversize(self):

@@ -46,6 +46,7 @@ from eccspec.graphs import (
     CLIQUE_JOINS,
     Graph,
     bfs_metrics,
+    bits_to_graph6,
     clique_joins,
     complete,
     complete_multipartite,
@@ -68,14 +69,26 @@ def random_graph(rng, n, p=0.5):
 #: largest order each takes: the census's orders, so every bit form is one
 #: 64-bit word
 BIT_FORM_KERNELS = {"children_canon": ENUMERATION_LIMIT - 1,
-                    "census_stats": ENUMERATION_LIMIT,
-                    "census_structure": ENUMERATION_LIMIT}
+                    "census_records": ENUMERATION_LIMIT}
 
 
 def packed(g):
     """The packed lower triangle of g, the bit form the census kernels
     take."""
     return graph6_bits(graph6_encode(g))[1]
+
+
+def bit_form_call(mod, name, n, form):
+    """The bit-form kernel ``name`` of ``mod`` on one form: census_records
+    on a one-form chunk with no tags."""
+    if name == "census_records":
+        return mod.census_records(n, [form], {}, CensusRecord)
+    return getattr(mod, name)(n, form)
+
+
+def stats(mod, g):
+    """(diam, |V1|, m(-1), m(-2), m(0), charpoly) of g's census record."""
+    return mod.census_records(g.n, [packed(g)], {}, CensusRecord)[0][2:8]
 
 
 def census_sample(max_n=6):
@@ -106,10 +119,92 @@ class TestBackendParity:
             assert compiled.canon_bits(g.n, g.adj) == \
                 pure.canon_bits(g.n, g.adj)
 
-    def test_census_stats_agree_on_census(self):
-        for g in census_sample(6):
-            assert compiled.census_stats(g.n, packed(g)) == \
-                pure.census_stats(g.n, packed(g))
+    def test_census_records_agree_on_census(self):
+        """Every connected graph to order 7, one call per order, with tags
+        for every third form: the same records, each with its graph6 canon,
+        its tags where the dict has them and () elsewhere."""
+        from eccspec import census
+        for n in range(1, 8):
+            forms = census._level_bits(n)
+            tags = {bits: (f"t{i}",) for i, bits in enumerate(forms[::3])}
+            got = compiled.census_records(n, forms, tags, CensusRecord)
+            assert got == pure.census_records(n, forms, tags, CensusRecord)
+            assert [type(r) for r in got] == [CensusRecord] * len(forms)
+            assert [r.canon for r in got] == \
+                [bits_to_graph6(n, bits) for bits in forms]
+            assert [r.family_tags for r in got] == \
+                [tags.get(bits, ()) for bits in forms]
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_census_records_agree_on_random_connected(self, n):
+        """A seeded sample of connected graphs, not in canonical form, with
+        a tags dict that hits some forms and misses others."""
+        rng = random.Random(89 + n)
+        forms = []
+        while len(forms) < 150:
+            g = random_graph(rng, n, rng.uniform(0.15, 0.9))
+            if is_connected(g):
+                forms.append(packed(g))
+        tags = {forms[0]: ("A", "B"), forms[7]: ("C",), -1: ("missed",)}
+        got = compiled.census_records(n, forms, tags, CensusRecord)
+        assert got == pure.census_records(n, forms, tags, CensusRecord)
+        assert [r.family_tags for r in got[:8]] == \
+            [("A", "B")] + [()] * 6 + [("C",)]
+
+    @pytest.mark.parametrize("record_type", [
+        list, dict, "CensusRecord", None, CensusRecord(*range(9))],
+        ids=["list", "dict", "str", "None", "instance"])
+    def test_census_records_reject_a_record_type_alike(self, record_type):
+        for mod in (compiled, pure):
+            with pytest.raises(TypeError) as exc:
+                mod.census_records(4, [63], {}, record_type)
+            assert str(exc.value) == \
+                "census_records needs a tuple subclass as record type"
+
+    @pytest.mark.parametrize("tags", [None, [], ((63, ("K4",)),)],
+                             ids=["None", "list", "pairs"])
+    def test_census_records_reject_tags_alike(self, tags):
+        for mod in (compiled, pure):
+            with pytest.raises(TypeError) as exc:
+                mod.census_records(4, [63], tags, CensusRecord)
+            assert str(exc.value) == "census_records needs a dict of tags"
+
+    def test_census_records_take_any_tuple_subclass(self):
+        """A record type is built as tuple.__new__ builds it: no
+        constructor of its own runs, on either backend, and an iterable of
+        forms is read once."""
+        from eccspec import census
+
+        class Plain(tuple):
+            def __new__(cls, *args):
+                raise AssertionError("constructor called")
+
+        forms = census._level_bits(3)
+        tags = {forms[-1]: ("K3",)}
+        for mod in (compiled, pure):
+            got = mod.census_records(3, iter(forms), tags, Plain)
+            assert [type(r) for r in got] == [Plain] * len(forms)
+            assert list(map(tuple, got)) == list(map(tuple, (
+                mod.census_records(3, forms, tags, CensusRecord))))
+
+    def test_compiled_records_are_untracked(self):
+        """A compiled record of a type without a __dict__, and its charpoly,
+        are untracked by the collector, whatever tuple of str its tags
+        are; a type with a __dict__ keeps its records tracked."""
+        from eccspec import census
+        tags = census.family_tag_map(5)
+        forms = census._level_bits(5)
+        assert set(tags) <= set(forms)
+        for rec in compiled.census_records(5, forms, tags, CensusRecord):
+            assert not gc.is_tracked(rec)
+            assert not gc.is_tracked(rec.charpoly)
+
+        class WithDict(tuple):
+            pass
+
+        rec, = compiled.census_records(3, [census._level_bits(3)[0]], {},
+                                       WithDict)
+        assert gc.is_tracked(rec)
 
     def test_children_canon_agree(self):
         rng = random.Random(43)
@@ -144,17 +239,22 @@ class TestBackendParity:
         ("all_pairs_dist", 0), ("all_pairs_dist", 65),
         ("canon_bits", 0), ("canon_bits", ENUMERATION_LIMIT + 1),
         ("children_canon", 0), ("children_canon", ENUMERATION_LIMIT),
-        ("census_stats", 0), ("census_stats", ENUMERATION_LIMIT + 1),
-        ("census_structure", 0), ("census_structure", ENUMERATION_LIMIT + 1),
+        ("census_records", 0), ("census_records", ENUMERATION_LIMIT + 1),
+        ("census_structure", ENUMERATION_LIMIT + 1),
     ])
     def test_out_of_range_orders_rejected_alike(self, name, n):
+        """census_structure reads its order off a graph6 string, which has
+        none below 1 (a graph6 error, in its malformed-string test)."""
         messages = []
-        args = (n, 0 if name in BIT_FORM_KERNELS else [0] * n)
-        if name == "census_structure":
-            args += ((0,) * n + (1,),)
         for mod in (compiled, pure):
             with pytest.raises(ValueError) as exc:
-                getattr(mod, name)(*args)
+                if name == "census_structure":
+                    mod.census_structure(bits_to_graph6(n, 0),
+                                         (0,) * n + (1,))
+                elif name in BIT_FORM_KERNELS:
+                    bit_form_call(mod, name, n, 0)
+                else:
+                    getattr(mod, name)(n, [0] * n)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert "supports 1 <= n <= " in messages[0]
@@ -175,18 +275,36 @@ class TestBackendParity:
                 assert str(exc.value) == \
                     f"adjacency row {i} references vertices >= 3"
 
-    @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
+    @pytest.mark.parametrize("name",
+                             sorted(BIT_FORM_KERNELS) + ["census_structure"])
     def test_disconnected_rejected_alike(self, name):
         g = Graph(4, [(0, 1), (2, 3)])
-        args = (g.n, packed(g))
-        if name == "census_structure":
-            args += ((0, 0, 0, 0, 1),)
         messages = []
         for mod in (compiled, pure):
             with pytest.raises(ValueError) as exc:
-                getattr(mod, name)(*args)
+                if name == "census_structure":
+                    mod.census_structure(bits_to_graph6(g.n, packed(g)),
+                                         (0, 0, 0, 0, 1))
+                else:
+                    bit_form_call(mod, name, g.n, packed(g))
             messages.append(str(exc.value))
         assert messages == [f"{name} requires a connected graph"] * 2
+
+    def test_census_records_stop_at_the_first_bad_form_alike(self):
+        """A chunk fails as a whole, with the error of its first bad
+        form."""
+        good = packed(path(4))
+        bad = packed(Graph(4, [(0, 1), (2, 3)]))
+        for forms, exc, message in (
+                ([good, bad, 1.5], ValueError,
+                 "census_records requires a connected graph"),
+                ([good, 1.5, bad], TypeError,
+                 "census_records needs an int bit form"),
+                ([good, 1 << 6], ValueError, "bit form out of range for n=4")):
+            for mod in (compiled, pure):
+                with pytest.raises(exc) as info:
+                    mod.census_records(4, forms, {}, CensusRecord)
+                assert str(info.value) == message
 
     def test_census_structure_agrees_on_census(self, census_records):
         """Every connected graph of order 1..8 with its record's charpoly:
@@ -195,9 +313,8 @@ class TestBackendParity:
         count = 0
         for n in range(1, 9):
             for rec in census_records(n):
-                _, bits = graph6_bits(rec.canon)
-                got = compiled.census_structure(n, bits, rec.charpoly)
-                assert got == pure.census_structure(n, bits, rec.charpoly), \
+                got = compiled.census_structure(rec.canon, rec.charpoly)
+                assert got == pure.census_structure(rec.canon, rec.charpoly), \
                     rec.canon
                 cp = IntPolynomial(rec.charpoly)
                 assert [ine[1] for ine in got[2:]] == \
@@ -214,21 +331,54 @@ class TestBackendParity:
             if not is_connected(g):
                 continue
             count += 1
-            bits = packed(g)
-            coeffs = compiled.census_stats(n, bits)[5]
-            assert compiled.census_structure(n, bits, coeffs) == \
-                pure.census_structure(n, bits, coeffs), g.adj
+            g6 = bits_to_graph6(n, packed(g))
+            coeffs = stats(compiled, g)[5]
+            assert compiled.census_structure(g6, coeffs) == \
+                pure.census_structure(g6, coeffs), g.adj
 
     @pytest.mark.parametrize("mod", [compiled, pure], ids=["compiled", "pure"])
     def test_census_structure_pinned(self, mod):
         # K1: charpoly x
-        assert mod.census_structure(1, 0, (0, 1)) == \
+        assert mod.census_structure("@", (0, 1)) == \
             ([], False, (1, 0, 0), (0, 1, 0))
-        # K1,3, center 0: eccentricity spectrum -2, -2, 2 +- sqrt(7)
+        # K1,3, center 0: eccentricity spectrum -2, -2, 2 +- sqrt(7); the
+        # graph6 string as graph6_bits reads it, as str or bytes, with a
+        # header and a trailing newline
         star = complete_multipartite((1, 3))
-        assert mod.census_structure(star.n, packed(star),
-                                    (-12, -28, -15, 0, 1)) \
-            == ([(-2, 2)], True, (2, 0, 2), (1, 0, 3))
+        g6 = bits_to_graph6(star.n, packed(star))
+        for data in (g6, g6.encode(), f">>graph6<<{g6}\n".encode(),
+                     f"{g6}\n\n"):
+            assert mod.census_structure(data, (-12, -28, -15, 0, 1)) \
+                == ([(-2, 2)], True, (2, 0, 2), (1, 0, 3))
+
+    @pytest.mark.parametrize("bad", [
+        "", "\n", ">>graph6<<", b"", "C", b"C", "Ch!", "C\x1f", "Chh",
+        b"Chh", "C\xe9", "\xe9", "~?", "?", "A@", " C~", "C~ ",
+        "J" + "?" * 9 + "@", bits_to_graph6(11, 0), bits_to_graph6(62, 1)])
+    def test_census_structure_rejects_malformed_alike(self, bad):
+        """A malformed graph6 string raises graph6_bits's ValueError on
+        both backends, before the coefficients are read; a well-formed one
+        of order above 10 the order's."""
+        try:
+            n = graph6_bits(bad)[0]
+        except ValueError as exc:
+            want = str(exc)
+        else:
+            assert n > ENUMERATION_LIMIT
+            want = f"census_structure supports 1 <= n <= {ENUMERATION_LIMIT}"
+        for mod in (compiled, pure):
+            with pytest.raises(ValueError) as info:
+                mod.census_structure(bad, ())
+            assert type(info.value) is ValueError
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize("bad", [63, None, ["C~"], bytearray(b"C~")],
+                             ids=["int", "None", "list", "bytearray"])
+    def test_census_structure_rejects_non_strings_alike(self, bad):
+        for mod in (compiled, pure):
+            with pytest.raises(TypeError) as info:
+                mod.census_structure(bad, (-3, -8, -6, 0, 1))
+            assert str(info.value) == "graph6 data must be str or bytes"
 
     def test_kernel_names_match_across_backends(self):
         """Both backends export the same kernels with the same signatures
@@ -270,12 +420,9 @@ class TestBackendParity:
         kernel takes."""
         for n in range(1, BIT_FORM_KERNELS[name] + 1):
             for bad in (-1, 1 << (n * (n - 1) // 2), 1 << 64, 1 << 200):
-                args = (n, bad)
-                if name == "census_structure":
-                    args += ((0,) * n + (1,),)
                 for mod in (compiled, pure):
                     with pytest.raises(ValueError) as exc:
-                        getattr(mod, name)(*args)
+                        bit_form_call(mod, name, n, bad)
                     assert str(exc.value) == f"bit form out of range for n={n}"
 
     @pytest.mark.parametrize("name", sorted(BIT_FORM_KERNELS))
@@ -285,12 +432,9 @@ class TestBackendParity:
         both backends, as a float does."""
         messages = []
         for bad in ([0b010, 0b100, 0b001], 7.0):
-            args = (3, bad)
-            if name == "census_structure":
-                args += ((-8, 0, 0, 1),)
             for mod in (compiled, pure):
                 with pytest.raises(TypeError) as exc:
-                    getattr(mod, name)(*args)
+                    bit_form_call(mod, name, 3, bad)
                 messages.append(str(exc.value))
         assert messages == [f"{name} needs an int bit form"] * 4
 
@@ -510,9 +654,9 @@ class TestCensusInertia:
             [[base[a][b] + (s if i == j else 0) for j, b in enumerate(idx)]
              for i, a in enumerate(idx)]))
         n = len(idx)
-        bits = packed(path(n))
-        got = compiled.census_structure(n, bits, cp.coeffs)
-        assert got == pure.census_structure(n, bits, cp.coeffs)
+        g6 = bits_to_graph6(n, packed(path(n)))
+        got = compiled.census_structure(g6, cp.coeffs)
+        assert got == pure.census_structure(g6, cp.coeffs)
         for c, ine in zip((-1, 0), got[2:]):
             assert ine == tuple(charpoly_inertia(cp, c))
             assert ine[1] == root_multiplicity(cp, c)
@@ -521,7 +665,7 @@ class TestCensusInertia:
         """Degree-10 monic polynomials whose other coefficients are
         +-(2^63 - 1) or 0: the shift's values reach about 2^80, so a 64-bit
         shift would wrap."""
-        bits = packed(path(10))
+        g6 = bits_to_graph6(10, packed(path(10)))
         rng = random.Random(73)
         patterns = [[1] * 10, [-1] * 10, [(-1) ** k for k in range(10)],
                     [0] * 9 + [-1]]
@@ -529,8 +673,8 @@ class TestCensusInertia:
                      for _ in range(60)]
         for signs in patterns:
             coeffs = tuple(sg * self.TOP for sg in signs) + (1,)
-            got = compiled.census_structure(10, bits, coeffs)
-            assert got == pure.census_structure(10, bits, coeffs), signs
+            got = compiled.census_structure(g6, coeffs)
+            assert got == pure.census_structure(g6, coeffs), signs
             cp = IntPolynomial(coeffs)
             assert got[2:] == tuple(tuple(charpoly_inertia(cp, c))
                                     for c in (-1, 0))
@@ -549,7 +693,8 @@ class TestCensusInertia:
         messages = []
         for mod in (compiled, pure):
             with pytest.raises(exc) as info:
-                mod.census_structure(10, packed(path(10)), coeffs)
+                mod.census_structure(bits_to_graph6(10, packed(path(10))),
+                                     coeffs)
             assert type(info.value) is exc
             messages.append(str(info.value))
         assert messages[0] == messages[1]
@@ -893,7 +1038,7 @@ def barbell(clique, bridge):
     return Graph(n, edges)
 
 
-#: n=10 inputs at the extremes of the modular bound of census_stats in
+#: n=10 inputs at the extremes of the modular bound of census_invariants in
 #: _kernels.c, which reads its charpoly off E modulo the one prime 2^56 - 5
 #: and its multiplicities, by a Taylor shift at -1, -2 and 0, off that
 #: charpoly: the largest diameter (P10), the cycle, the densest graph,
@@ -916,8 +1061,8 @@ EXTREME_N10 = {
 def test_modular_bound_inputs_match_bigint_route(name):
     g = EXTREME_N10[name]
     assert g.n == 10 and is_connected(g)
-    got = compiled.census_stats(g.n, packed(g))
-    assert got == pure.census_stats(g.n, packed(g))
+    got = stats(compiled, g)
+    assert got == stats(pure, g)
     diam, v1, m1, m2, m0, coeffs = got
     e = ecc_matrix(g)
     assert diam == bfs_metrics(g).diam
@@ -927,8 +1072,8 @@ def test_modular_bound_inputs_match_bigint_route(name):
 
 
 class TestKernelVsLibrary:
-    """census_stats (charpoly modulo the census prime, multiplicities read
-    off it) must match the bigint library route."""
+    """census_records (charpoly modulo the census prime, multiplicities
+    read off it) must match the bigint library route."""
 
     def test_stats_match_library_on_random_connected(self):
         rng = random.Random(53)
@@ -938,8 +1083,7 @@ class TestKernelVsLibrary:
             if not is_connected(g):
                 continue
             count += 1
-            diam, v1, m1, m2, m0, coeffs = kernels.census_stats(g.n,
-                                                                packed(g))
+            diam, v1, m1, m2, m0, coeffs = stats(kernels, g)
             met = bfs_metrics(g)
             e = ecc_matrix(g)
             assert diam == met.diam
@@ -956,17 +1100,16 @@ class TestKernelVsLibrary:
             if not is_connected(g):
                 continue
             count += 1
-            assert compiled.census_stats(10, packed(g)) == \
-                pure.census_stats(10, packed(g)), g.adj
+            assert stats(compiled, g) == stats(pure, g), g.adj
 
     def test_stats_reject_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            kernels.census_stats(g.n, packed(g))
+            stats(kernels, g)
 
     def test_stats_reject_oversize(self):
         with pytest.raises(ValueError):
-            compiled.census_stats(11, 0)
+            compiled.census_records(11, [0], {}, CensusRecord)
 
     def test_canon_rejects_oversize(self):
         with pytest.raises(ValueError):

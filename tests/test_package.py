@@ -114,3 +114,26 @@ def test_every_kernel_has_a_package_caller():
             and node.func.value.id == "kernels")
     assert bound
     assert sorted(bound - called) == []
+
+
+def test_benchmark_entry_points_exist():
+    """Every ``census.X``, ``graphs.X``, ``suites.X`` and ``eccentricity.X``
+    that ``perfbench/workloads.py`` reads is an attribute of that eccspec
+    module, so a rename or move that would break the benchmark's jobs or
+    its traced probe fails here first."""
+    from eccspec import census, eccentricity, graphs, suites
+
+    modules = {"census": census, "graphs": graphs, "suites": suites,
+               "eccentricity": eccentricity}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {("census", "bits_to_graph6"), ("census", "canonical_bits"),
+            ("census", "classify"), ("suites", "run_suite")} <= read
+    assert sorted(f"{mod}.{attr}" for mod, attr in read
+                  if not hasattr(modules[mod], attr)) == []
