@@ -20,6 +20,9 @@
  * children_canon keeps only the children whose canonical parent is the
  * given graph, by the canonical deletion rule the census docstring states,
  * and returns them sorted and distinct; the census sorts the level.
+ * Canonical labeling, children_canon and census_structure read their twins
+ * from one helper, twin_masks; the argument that twin classes are all
+ * adjacent or all non-adjacent is stated once, at _kernels_py._twin_masks.
  * The one charpoly algorithm here, which charpoly_mod and census_records
  * share, is hessenberg_mod: a reduction to Hessenberg form by similarity
  * modulo a prime, then the O(n^3) Hessenberg recurrence.  (The pure backend
@@ -432,12 +435,25 @@ merge_states(statebuf_t *b)
     b->count = j;
 }
 
-/* Twins: u and v have equal neighborhoods apart from each other (equal open
- * or closed neighborhoods), so the transposition (u v) is an automorphism. */
-static inline int
-are_twins(const uint64_t *adj, int u, int v)
+/* The twins of each vertex of the graph adj[0..n-1]: twin[v] is the set of
+ * u != v with equal neighborhoods apart from each other, so the
+ * transposition (u v) is an automorphism fixing every other vertex.
+ * Canonical labeling, children_canon and census_structure read it.
+ * Twinhood is an equivalence relation whose classes are all adjacent
+ * (co-duplicates) or all non-adjacent (duplicates); the argument is at
+ * _kernels_py._twin_masks, the pure helper. */
+static void
+twin_masks(int n, const uint64_t *adj, uint64_t *twin)
 {
-    return (adj[u] & ~((uint64_t)1 << v)) == (adj[v] & ~((uint64_t)1 << u));
+    for (int v = 0; v < n; v++) {
+        twin[v] = 0;
+        for (int u = 0; u < v; u++)
+            if ((adj[u] & ~((uint64_t)1 << v))
+                    == (adj[v] & ~((uint64_t)1 << u))) {
+                twin[u] |= (uint64_t)1 << v;
+                twin[v] |= (uint64_t)1 << u;
+            }
+    }
 }
 
 /* Candidates for the next position in one state: the remaining vertices of
@@ -468,7 +484,7 @@ canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
            uint64_t *result)
 {
     int colors[MAXN_CENSUS], cnt[MAXN_CENSUS] = {0}, block[MAXN_CENSUS];
-    uint64_t clsmask[MAXN_CENSUS] = {0}, twin[MAXN_CENSUS] = {0}, out = 0;
+    uint64_t clsmask[MAXN_CENSUS] = {0}, twin[MAXN_CENSUS], out = 0;
     *result = 0;
     if (n <= 1)
         return 0;
@@ -480,13 +496,7 @@ canon_impl(int n, const uint64_t *adj, statebuf_t *cur, statebuf_t *nxt,
     for (int c = 0, k = 0; c < n; c++)
         for (int j = 0; j < cnt[c]; j++)
             block[k++] = c;
-    /* twins always share a refined color */
-    for (int v = 0; v < n; v++)
-        for (int u = 0; u < v; u++)
-            if (colors[u] == colors[v] && are_twins(adj, u, v)) {
-                twin[u] |= (uint64_t)1 << v;
-                twin[v] |= (uint64_t)1 << u;
-            }
+    twin_masks(n, adj, twin);
 
     cur->count = 0;
     if (buf_push(cur) < 0)
@@ -633,20 +643,20 @@ cmp_word(const void *a, const void *b)
  * graph on 1 <= n <= MAXN_CENSUS - 1 vertices whose bit form is bits (each
  * of at most 45 bits, one word) that have it as their canonical parent: the
  * new vertex n joined to a nonempty subset S of 0..n-1.  Only subsets
- * closed downward in each twin class of the parent are tried (v in S
- * implies u in S for twins u < v).  Twinhood is an equivalence relation and
- * any permutation of a twin class is a parent automorphism, which carries
- * every other subset onto a tried one of the same size in each class and
- * fixes the new vertex, so every skipped child is isomorphic to a tried one
- * with its new vertex in the same place.  A child is kept as the census
- * docstring states: rejected without labeling if a non-cut vertex is keyed
- * below the new vertex; kept if the new vertex is the only deletion
- * candidate; otherwise kept iff the child's canonical form C less its
- * highest-labeled candidate is isomorphic to the parent. */
+ * closed downward in each twin class of the parent (twin_masks) are tried:
+ * v in S implies u in S for twins u < v.  Any permutation of a twin class
+ * is a parent automorphism, which carries every other subset onto a tried
+ * one of the same size in each class and fixes the new vertex, so every
+ * skipped child is isomorphic to a tried one with its new vertex in the
+ * same place.  A child is kept as the census docstring states: rejected
+ * without labeling if a non-cut vertex is keyed below the new vertex; kept
+ * if the new vertex is the only deletion candidate; otherwise kept iff the
+ * child's canonical form C less its highest-labeled candidate is
+ * isomorphic to the parent. */
 static PyObject *
 k_children_canon(PyObject *self, PyObject *args)
 {
-    uint64_t adj[MAXN_CENSUS], work[MAXN_CENSUS], prev[MAXN_CENSUS] = {0};
+    uint64_t adj[MAXN_CENSUS], work[MAXN_CENSUS], lower[MAXN_CENSUS];
     uint64_t key[MAXN_CENSUS], forms[1 << (MAXN_CENSUS - 1)], parent_bits;
     int n, nforms = 0, dist[MAXN_CENSUS];
     PyObject *bits;
@@ -662,13 +672,10 @@ k_children_canon(PyObject *self, PyObject *args)
                             "children_canon requires a connected graph");
             return NULL;
         }
-    /* prev[v]: the bit of the nearest twin u < v, 0 if v has none */
-    for (int v = 1; v < n; v++)
-        for (int u = v - 1; u >= 0; u--)
-            if (are_twins(adj, u, v)) {
-                prev[v] = (uint64_t)1 << u;
-                break;
-            }
+    /* lower[v]: the twins u < v */
+    twin_masks(n, adj, lower);
+    for (int v = 0; v < n; v++)
+        lower[v] &= ((uint64_t)1 << v) - 1;
     uint64_t full = ((uint64_t)1 << n) - 1, newv = (uint64_t)1 << n, parent;
     statebuf_t cur = {NULL, 0, 0}, nxt = {NULL, 0, 0};
     PyObject *out = NULL;
@@ -677,7 +684,7 @@ k_children_canon(PyObject *self, PyObject *args)
     for (uint64_t sub = 1; sub <= full; sub++) {
         uint64_t need = 0;
         for (uint64_t m = sub; m; m &= m - 1)
-            need |= prev[__builtin_ctzll(m)];
+            need |= lower[__builtin_ctzll(m)];
         if (need & ~sub)
             continue;
         for (int i = 0; i < n; i++)
@@ -1166,12 +1173,12 @@ census_invariants(int n, int dist[][MAXN_CENSUS], const int *ecc,
  * census_structure gives the census-wide lemma checks what they compare a
  * census record with.  The graph side handles only the adjacency the
  * record's graph6 canon decodes to and the eccentricities:
- *  - the twin predictions, from adjacency equality: one (xi, k - 1) pair
- *    for each class of k >= 2 vertices with equal closed ("co-duplicate")
- *    or equal open ("duplicate") neighborhoods, ordered by least vertex,
- *    co-duplicates first, as _kernels_py.twin_predictions orders them.  The
- *    two kinds never overlap.  xi is -1 for co-duplicates of eccentricity 1,
- *    -2 for duplicates of eccentricity 2, else 0.
+ *  - the twin predictions, from twin_masks: one (xi, k - 1) pair for each
+ *    class of k >= 2 twins, at its least vertex, in vertex order, as
+ *    _kernels_py.twin_predictions gives them.  A class is all adjacent
+ *    ("co-duplicate") or all non-adjacent ("duplicate"), as argued at
+ *    _kernels_py._twin_masks.  xi is -1 for co-duplicates of eccentricity
+ *    1, -2 for duplicates of eccentricity 2, else 0.
  *  - the mixed-star shape, on bitset cells: some vertex is universal,
  *    n >= 2, and each vertex of the non-universal remainder has, within the
  *    remainder, the closed neighborhood of each of its remainder
@@ -1220,21 +1227,10 @@ done:
     return rc;
 }
 
-static int
-append_twin(PyObject *list, int xi, int lower)
-{
-    PyObject *pair = Py_BuildValue("(ii)", xi, lower);
-    if (pair == NULL)
-        return -1;
-    int rc = PyList_Append(list, pair);
-    Py_DECREF(pair);
-    return rc;
-}
-
 static PyObject *
 k_census_structure(PyObject *self, PyObject *args)
 {
-    uint64_t adj[MAXN_CENSUS];
+    uint64_t adj[MAXN_CENSUS], twin[MAXN_CENSUS];
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS], n;
     long long a[MAXN_CENSUS + 1];
     int at_m1[3], at_0[3];
@@ -1249,28 +1245,20 @@ k_census_structure(PyObject *self, PyObject *args)
     PyObject *twins = PyList_New(0);
     if (twins == NULL)
         return NULL;
+    twin_masks(n, adj, twin);
     for (int v = 0; v < n; v++) {
-        uint64_t closed = adj[v] | (uint64_t)1 << v;
-        int nopen = 1, nclosed = 1, open_least = 1, closed_least = 1;
-        for (int u = 0; u < n; u++) {
-            if (u == v)
-                continue;
-            if (adj[u] == adj[v]) {
-                nopen++;
-                open_least &= u > v;
-            }
-            if ((adj[u] | (uint64_t)1 << u) == closed) {
-                nclosed++;
-                closed_least &= u > v;
-            }
-        }
-        if ((closed_least && nclosed > 1
-             && append_twin(twins, ecc[v] == 1 ? -1 : 0, nclosed - 1) < 0)
-            || (open_least && nopen > 1
-                && append_twin(twins, ecc[v] == 2 ? -2 : 0, nopen - 1) < 0)) {
+        if (!twin[v] || twin[v] & (((uint64_t)1 << v) - 1))
+            continue;
+        int xi = adj[v] & twin[v] ? (ecc[v] == 1 ? -1 : 0)
+                                  : (ecc[v] == 2 ? -2 : 0);
+        PyObject *pair = Py_BuildValue("(ii)", xi,
+                                       __builtin_popcountll(twin[v]));
+        if (pair == NULL || PyList_Append(twins, pair) < 0) {
+            Py_XDECREF(pair);
             Py_DECREF(twins);
             return NULL;
         }
+        Py_DECREF(pair);
     }
     uint64_t full = ((uint64_t)1 << n) - 1, rest = 0;
     for (int v = 0; v < n; v++)

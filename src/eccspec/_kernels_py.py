@@ -29,22 +29,24 @@ as the compiled pair shares ``census_metrics``.  ``bits_to_graph6`` and
 re-exports and which the compiled kernels reimplement at the census orders
 with the same checks and messages; ``lower_triangle_rows`` is the one
 unpacker of the packed lower-triangle bit order, which
-``graphs.graph6_decode`` shares; ``twin_classes``, ``twin_predictions`` and
-``mixed_star_shape`` are the one definition of those, and ``eccentricity``
-shares ``twin_predictions``.  The store codec, ``format_store`` and
-``parse_store``, is ``CensusRecord.to_line`` and ``from_line`` themselves:
-the writer joins each record's ``to_line()`` and the parser hands every
-line back, so that ``census`` parses it with ``from_line``; the compiled
-codec does the same for lines outside its strict form, and formats and
-parses the rest in C.  Every graph kernel checks its order range, and its
-rows, bit form or graph6 string, with the compiled one's limits and
-messages, and works on adjacency *bitsets*: a graph on n vertices is a
-sequence ``adj`` of n ints where bit j of ``adj[i]`` is set iff ij is an
-edge.  The census kernels take the packed lower triangle or the graph6
-string instead, which no asymmetric graph has.  Every graph kernel but
-``all_pairs_dist`` (at most 64 vertices) takes only census orders, at most
-10 vertices (9 for a ``children_canon`` parent), so every canonical or
-packed form is one 64-bit word.
+``graphs.graph6_decode`` shares; ``_twin_masks`` is the one twin test,
+which canonical labeling, ``children_canon`` and ``twin_predictions`` read
+and whose docstring argues that twin classes are of one kind;
+``twin_predictions`` and ``mixed_star_shape`` are the one definition of
+those, and ``eccentricity`` shares ``twin_predictions``.  The store codec,
+``format_store`` and ``parse_store``, is ``CensusRecord.to_line`` and
+``from_line`` themselves: the writer joins each record's ``to_line()`` and
+the parser hands every line back, so that ``census`` parses it with
+``from_line``; the compiled codec does the same for lines outside its
+strict form, and formats and parses the rest in C.  Every graph kernel
+checks its order range, and its rows, bit form or graph6 string, with the
+compiled one's limits and messages, and works on adjacency *bitsets*: a
+graph on n vertices is a sequence ``adj`` of n ints where bit j of
+``adj[i]`` is set iff ij is an edge.  The census kernels take the packed
+lower triangle or the graph6 string instead, which no asymmetric graph
+has.  Every graph kernel but ``all_pairs_dist`` (at most 64 vertices) takes
+only census orders, at most 10 vertices (9 for a ``children_canon``
+parent), so every canonical or packed form is one 64-bit word.
 
 ``children_canon`` follows the canonical deletion rule that the ``census``
 docstring states and argues, with the same keys, cut-vertex tests and
@@ -53,9 +55,9 @@ tie-break as the compiled kernel, so both return the same list.
 Canonical labeling is iterated neighborhood partition refinement followed by
 backtracking over the remaining cell orderings, minimizing the packed
 lower-triangle adjacency bit string.  Two sound prunings keep symmetric inputs
-tractable: twin candidates (equal open or closed neighborhoods) collapse to a
-single branch, and frontier states that agree on the remaining vertices and
-their placed-adjacency histories are merged.
+tractable: twin candidates (``_twin_masks``) collapse to a single branch,
+and frontier states that agree on the remaining vertices and their
+placed-adjacency histories are merged.
 """
 
 import io
@@ -163,6 +165,29 @@ def _wl_colors(n, adj):
     return colors
 
 
+def _twin_masks(n, adj):
+    """The twins of each vertex, as bitsets: entry v is the set of u != v
+    with equal neighborhoods apart from each other, N(u) - v = N(v) - u.
+    Adjacent twins have equal closed neighborhoods (co-duplicates),
+    non-adjacent ones equal open neighborhoods (duplicates); either way the
+    transposition (u v) is an automorphism fixing every other vertex.
+
+    Twinhood is an equivalence relation, and each class is of one kind.
+    For distinct u ~ v ~ w with uv a non-edge and vw an edge, w is in
+    N(v) = N(u), so u is in N[w] = N[v], a contradiction; so both pairs are
+    of one kind, and equality of open, or of closed, neighborhoods is
+    transitive.  Hence a class of k vertices gives each of them a mask of
+    k - 1 bits, and it is closed iff ``adj[v] & mask[v]`` at any member v.
+    """
+    masks = [0] * n
+    for v in range(1, n):
+        for u in range(v):
+            if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return masks
+
+
 def canon_bits(n, adj):
     """Canonical form of the graph, packed as an int of n(n-1)/2 bits.
 
@@ -177,6 +202,7 @@ def canon_bits(n, adj):
     if n == 1:
         return 0
     colors = _wl_colors(n, adj)
+    twin = _twin_masks(n, adj)
     block = sorted(colors)  # color of each position
     full = (1 << n) - 1
     # state: (remaining-vertex mask, per-vertex placed-adjacency rows)
@@ -188,18 +214,11 @@ def canon_bits(n, adj):
         best = None
         chosen = []
         for si, (rem, rows) in enumerate(states):
-            kept = []
+            kept = 0
             for v in _bits(rem):
-                if colors[v] != col:
+                if colors[v] != col or twin[v] & kept:
                     continue
-                twin = False
-                for u in kept:
-                    if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
-                        twin = True
-                        break
-                if twin:
-                    continue
-                kept.append(v)
+                kept |= 1 << v
                 r = rows[v]
                 if best is None or r < best:
                     best = r
@@ -231,34 +250,28 @@ def children_canon(n, bits):
     attached to a nonempty subset S of 0..n-1.  ValueError on a
     disconnected graph.
 
-    Only subsets closed downward in each twin class of the parent are
-    tried: v in S implies u in S for twins u < v (equal neighborhoods
-    apart from each other, as in ``canon_bits``).  Twinhood is an
-    equivalence relation and any permutation of a twin class is a parent
-    automorphism fixing the new vertex, which carries every other subset
-    onto a tried one, so every skipped child is isomorphic to a tried one
-    with its new vertex in the same place.  A tried child is kept by the
-    canonical deletion rule of the ``census`` docstring: rejected unlabeled
-    if a non-cut vertex has a smaller ``_deletion_keys`` key than the new
-    vertex; kept if the new vertex is the only deletion candidate;
-    otherwise kept iff its canonical form less the candidate labeled
-    highest is isomorphic to the parent.
+    Only subsets closed downward in each twin class of the parent
+    (``_twin_masks``) are tried: v in S implies u in S for twins u < v.
+    Any permutation of a twin class is a parent automorphism fixing the
+    new vertex, which carries every other subset onto a tried one, so
+    every skipped child is isomorphic to a tried one with its new vertex
+    in the same place.  A tried child is kept by the canonical deletion
+    rule of the ``census`` docstring: rejected unlabeled if a non-cut
+    vertex has a smaller ``_deletion_keys`` key than the new vertex; kept
+    if the new vertex is the only deletion candidate; otherwise kept iff
+    its canonical form less the candidate labeled highest is isomorphic to
+    the parent.
     """
     adj = _bits_to_adj("children_canon", n, bits, _MAXN_CENSUS - 1)
     if UNREACHABLE in _dist_row(n, adj, 0):
         raise ValueError("children_canon requires a connected graph")
-    prev = [0] * n  # the bit of the nearest twin u < v, 0 if none
-    for v in range(1, n):
-        for u in range(v - 1, -1, -1):
-            if (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u)):
-                prev[v] = 1 << u
-                break
+    lower = [m & ((1 << v) - 1) for v, m in enumerate(_twin_masks(n, adj))]
     parent = canon_bits(n, adj)
     forms = set()
     for sub in range(1, 1 << n):
         need = 0
         for v in _bits(sub):
-            need |= prev[v]
+            need |= lower[v]
         if need & ~sub:
             continue
         cadj = [adj[v] | (((sub >> v) & 1) << n) for v in range(n)]
@@ -489,40 +502,21 @@ def census_structure(g6, coeffs):
             *(tuple(charpoly_inertia(cp, c)) for c in (-1, 0)))
 
 
-def twin_classes(adj):
-    """Maximal classes of >= 2 vertices with equal open neighborhoods
-    ("duplicate", pairwise non-adjacent) or equal closed neighborhoods
-    ("co-duplicate", pairwise adjacent), ordered by (least vertex, kind).
-    The two kinds never overlap."""
-    open_groups = {}
-    closed_groups = {}
-    for v, row in enumerate(adj):
-        open_groups.setdefault(row, []).append(v)
-        closed_groups.setdefault(row | (1 << v), []).append(v)
-    out = []
-    for vs in open_groups.values():
-        if len(vs) >= 2:
-            out.append((frozenset(vs), "duplicate"))
-    for vs in closed_groups.values():
-        if len(vs) >= 2:
-            out.append((frozenset(vs), "co-duplicate"))
-    out.sort(key=lambda cl: (min(cl[0]), cl[1]))
-    return out
-
-
 def twin_predictions(adj, ecc):
-    """(xi, lower) int pairs, one per ``twin_classes`` class in its order: a
-    class of size k forces multiplicity >= k-1 at the eigenvalue xi, which
-    its kind and common eccentricity determine: -2 for duplicates of
-    eccentricity 2, -1 for co-duplicates of eccentricity 1, else 0."""
+    """(xi, lower) int pairs, one per class of k >= 2 twins
+    (``_twin_masks``), in order of least vertex: the class forces
+    multiplicity >= k-1 at the eigenvalue xi, which its kind and common
+    eccentricity determine: -2 for duplicates (equal open neighborhoods)
+    of eccentricity 2, -1 for co-duplicates (equal closed neighborhoods)
+    of eccentricity 1, else 0."""
     out = []
-    for vs, kind in twin_classes(adj):
-        e = ecc[min(vs)]
-        if kind == "duplicate":
-            xi = -2 if e == 2 else 0
-        else:
-            xi = -1 if e == 1 else 0
-        out.append((xi, len(vs) - 1))
+    for v, twins in enumerate(_twin_masks(len(adj), adj)):
+        if twins and not twins & ((1 << v) - 1):
+            if adj[v] & twins:
+                xi = -1 if ecc[v] == 1 else 0
+            else:
+                xi = -2 if ecc[v] == 2 else 0
+            out.append((xi, twins.bit_count()))
     return out
 
 

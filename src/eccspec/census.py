@@ -43,15 +43,17 @@ w's key, the least, and passes either test.
 
 ``children_canon`` need not try all 2^m - 1 subsets of a parent on m
 vertices.  Twins of the parent (u, v with N(u) - v = N(v) - u) form
-equivalence classes, and any permutation of a class is an automorphism of
-the parent; it fixes the new vertex and maps the child built on a subset S
-onto the child built on the permuted S, with the new vertex in the same
-place.  So only the subsets that take each twin class as a prefix (v in S
-implies u in S for twins u < v) are tried -- one subset per orbit of these
-permutations -- and, as the tests above depend only on the isomorphism
-class of the child with its new vertex marked, the kept forms are
-unchanged.  This is isomorph rejection by parent automorphisms, restricted
-to twin transpositions (O(m^2)).
+equivalence classes, each all adjacent or all non-adjacent, as argued at
+``_kernels_py._twin_masks``, which gives each vertex its twins
+(``twin_masks`` in the compiled kernel); any permutation of a class is an
+automorphism of the parent; it fixes the new vertex and maps the child
+built on a subset S onto the child built on the permuted S, with the new
+vertex in the same place.  So only the subsets that take each twin class
+as a prefix (v in S implies u in S for twins u < v) are tried -- one
+subset per orbit of these permutations -- and, as the tests above depend
+only on the isomorphism class of the child with its new vertex marked, the
+kept forms are unchanged.  This is isomorph rejection by parent
+automorphisms, restricted to twin transpositions (O(m^2)).
 
 The count of each level is checked at run time against
 ``connected_count(n)``, the number of connected graphs of order n (OEIS

@@ -22,9 +22,14 @@ what the census-wide lemma checks compare the record with: from the graph,
 twin predictions and mixed-star shape; from the charpoly, its inertia
 triples at -1 and 0.  Both read a charpoly's inertia by a Taylor shift in
 Python ints or, compiled, in ``__int128`` for coefficients below 2^63 in
-absolute value, and run on one BFS helper in each backend.  ``format_store`` and ``parse_store`` are the census store codec;
-the pure pair is ``CensusRecord.to_line`` and ``from_line``, which the
-compiled pair falls back on for every line outside its strict form.
+absolute value, and run on one BFS helper in each backend.  Likewise
+``canon_bits``, ``children_canon`` and ``census_structure`` read a graph's
+twins from one helper in each backend, ``_kernels_py._twin_masks`` and the
+compiled ``twin_masks``; the pure one's docstring argues that each twin
+class is all adjacent or all non-adjacent.  ``format_store`` and
+``parse_store`` are the census store codec; the pure pair is
+``CensusRecord.to_line`` and ``from_line``, which the compiled pair falls
+back on for every line outside its strict form.
 """
 
 import os

@@ -193,8 +193,7 @@ def suite_theorem1(part, n_values, scan):
                 # a mate has the member's charpoly, so its m(-1) and class
                 member = next((r for r in klass if r.canon == canon), None)
                 mates = "not in the census class" if member is None else [
-                    r.canon for r in klass
-                    if r.charpoly == member.charpoly and r.canon != canon]
+                    m.canon for m in census_mod.cospectral_mates(klass, member)]
                 rep.check("the family member is determined by its "
                           "eccentricity spectrum (no cospectral mates)",
                           f"n={n} {name}", [], mates)

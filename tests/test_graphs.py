@@ -1,6 +1,7 @@
 """Graph core: metrics, builders, twin classes, graph6, edge lists."""
 
 import itertools
+import os
 import random
 import re
 import tracemalloc
@@ -8,8 +9,8 @@ import tracemalloc
 import networkx as nx
 import pytest
 
-from eccspec import kernels
-from eccspec._kernels_py import mixed_star_shape, twin_classes
+from eccspec import _kernels_py, kernels
+from eccspec._kernels_py import _twin_masks, mixed_star_shape
 from eccspec.cli import _indexed_join
 from eccspec.graphs import (
     CLIQUE_JOINS,
@@ -307,33 +308,141 @@ def test_bull_identification_oracle():
     assert winners == expected
 
 
-class TestTwinClasses:
+def twin_classes_oracle(n, adj):
+    """The twin classes of >= 2 vertices as (vertices, closed) pairs in
+    order of least vertex, grouped directly: vertices with equal open
+    neighborhoods (closed False) or equal closed ones (closed True)."""
+    groups = {}
+    for v in range(n):
+        groups.setdefault((adj[v], False), []).append(v)
+        groups.setdefault((adj[v] | 1 << v, True), []).append(v)
+    return sorted(((frozenset(vs), closed)
+                   for (_, closed), vs in groups.items() if len(vs) >= 2),
+                  key=lambda cl: min(cl[0]))
+
+
+def twin_classes_of_masks(n, adj):
+    """The classes ``_twin_masks`` gives, in the oracle's form: each at its
+    least vertex v, closed iff ``adj[v]`` meets v's mask."""
+    return [(frozenset([v, *(u for u in range(n) if m >> u & 1)]),
+             bool(adj[v] & m))
+            for v, m in enumerate(_twin_masks(n, adj))
+            if m and not m & ((1 << v) - 1)]
+
+
+def twin_rich_graph(rng):
+    """A random graph on at most 10 vertices, often disconnected, whose
+    vertices mostly come in twin groups: a random base graph with each
+    vertex blown up into a clique or an independent set, then relabeled."""
+    k = rng.randint(1, 6)
+    base = random_graph(rng, k, rng.uniform(0.1, 0.9))
+    groups, n = [], 0
+    for _ in range(k):
+        size = rng.randint(1, max(1, min(3, 10 - n - (k - len(groups) - 1))))
+        groups.append((range(n, n + size), rng.random() < 0.5))
+        n += size
+    edges = set()
+    for i, (vs, clique) in enumerate(groups):
+        if clique:
+            edges.update(itertools.combinations(vs, 2))
+        for j in range(i):
+            if base.has_edge(i, j):
+                edges.update(itertools.product(groups[j][0], vs))
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def kernel_backends():
+    """Every kernel module the run has: only the pure one under
+    ECCSPEC_KERNELS=py, which builds no extension."""
+    if os.environ.get("ECCSPEC_KERNELS") == "py":
+        return [_kernels_py]
+    from eccspec import _kernels
+    return [_kernels, _kernels_py]
+
+
+class TestTwinMasks:
     def test_complete_graph_one_closed_class(self):
-        classes = twin_classes(complete(4).adj)
-        assert classes == [(frozenset({0, 1, 2, 3}), "co-duplicate")]
+        g = complete(4)
+        assert _twin_masks(g.n, g.adj) == [0b1110, 0b1101, 0b1011, 0b0111]
+        assert twin_classes_of_masks(g.n, g.adj) == \
+            [(frozenset({0, 1, 2, 3}), True)]
 
     def test_star_leaves_are_duplicates(self):
-        classes = twin_classes(Graph(4, [(0, 1), (0, 2), (0, 3)]).adj)
-        assert classes == [(frozenset({1, 2, 3}), "duplicate")]
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert twin_classes_of_masks(g.n, g.adj) == \
+            [(frozenset({1, 2, 3}), False)]
 
     def test_path4_has_no_classes(self):
-        assert twin_classes(path(4).adj) == []
+        g = path(4)
+        assert _twin_masks(g.n, g.adj) == [0, 0, 0, 0]
+        assert twin_classes_of_masks(g.n, g.adj) == []
 
     def test_classes_verify_their_neighborhoods(self):
         rng = random.Random(3)
         for _ in range(100):
-            n = rng.randint(2, 9)
-            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < 0.5])
-            for vs, kind in twin_classes(g.adj):
-                vs = sorted(vs)
-                for u, v in itertools.combinations(vs, 2):
-                    if kind == "duplicate":
-                        assert g.adj[u] == g.adj[v]
-                        assert not g.has_edge(u, v)
-                    else:
+            g = random_graph(rng, rng.randint(2, 9), 0.5)
+            for vs, closed in twin_classes_of_masks(g.n, g.adj):
+                for u, v in itertools.combinations(sorted(vs), 2):
+                    if closed:
                         assert g.adj[u] | (1 << u) == g.adj[v] | (1 << v)
                         assert g.has_edge(u, v)
+                    else:
+                        assert g.adj[u] == g.adj[v]
+                        assert not g.has_edge(u, v)
+
+    def test_masks_match_open_closed_partition(self):
+        """200 seeded graphs on 1..10 vertices, half of them blow-ups rich
+        in twins of both kinds, disconnected ones included: the masks are
+        exactly the open-group/closed-group partition, whose classes are
+        disjoint, and every class is all adjacent or all non-adjacent."""
+        rng = random.Random(44)
+        disconnected = kinds = 0
+        for i in range(200):
+            g = (twin_rich_graph(rng) if i % 2 else
+                 random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9)))
+            classes = twin_classes_oracle(g.n, g.adj)
+            members = [v for vs, _ in classes for v in vs]
+            assert len(members) == len(set(members)), g.adj
+            want = [0] * g.n
+            for vs, _ in classes:
+                for v in vs:
+                    want[v] = sum(1 << u for u in vs if u != v)
+            assert _twin_masks(g.n, g.adj) == want, g.adj
+            assert twin_classes_of_masks(g.n, g.adj) == classes, g.adj
+            for vs, closed in classes:
+                assert {g.has_edge(u, v) for u, v in
+                        itertools.combinations(vs, 2)} == {closed}, g.adj
+            disconnected += not is_connected(g)
+            kinds |= 1 << any(closed for _, closed in classes)
+        assert disconnected >= 20 and kinds == 0b11
+
+    def test_census_structure_twins_match_oracle(self, census_records):
+        """Every connected graph up to order 7, on each backend the run
+        has: one (xi, k - 1) pair per oracle class of k twins, in order of
+        least vertex, with xi from its kind and its eccentricity by
+        networkx."""
+        for n in range(1, 8):
+            for rec in census_records(n):
+                g = graph6_decode(rec.canon)
+                h = nx.Graph(g.edges())
+                h.add_nodes_from(range(g.n))
+                ecc = nx.eccentricity(h)
+                want = []
+                for vs, closed in twin_classes_oracle(g.n, g.adj):
+                    e = ecc[min(vs)]
+                    xi = (-1 if e == 1 else 0) if closed else \
+                        (-2 if e == 2 else 0)
+                    want.append((xi, len(vs) - 1))
+                for mod in kernel_backends():
+                    assert mod.census_structure(
+                        rec.canon, rec.charpoly)[0] == want, rec.canon
 
 
 class TestGraph6:
