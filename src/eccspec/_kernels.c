@@ -55,7 +55,9 @@
  * which holds every census record: the charpoly coefficients lie below
  * 2^55 in absolute value, the other ints are at most 10 (the argument is
  * at the codec).  census_records and parse_store build their records with
- * one helper, new_record.
+ * one helper, new_record, and know the family-tag field only as empty: the
+ * census tags its few family graphs in Python, the parser hands a tagged
+ * line back to from_line and the writer a tagged record to its to_line.
  * Build with `python setup.py build_ext --inplace` (needs only a C compiler
  * with __int128, e.g. gcc or clang).
  */
@@ -1291,26 +1293,27 @@ k_census_structure(PyObject *self, PyObject *args)
  * methods.  A line, as to_line writes it, is
  *     canon TAB n,diam,v1,m1,m2,m0,tags TAB a_0,a_1,...,a_n
  * with the family tags joined by ';' and the charpoly's coefficients
- * ascending.
+ * ascending.  Only the family graphs, at most 14 per order, have tags;
+ * the codec handles the tag field only when it is empty.
  *
  * format_store writes a record of exactly the given record type itself
- * when its canon and tags are exact ASCII str, its tags and charpoly exact
- * tuples and its ints exact ints within int64; it hands any other record to
- * its own to_line.  A census record always takes the first path: its ints
- * other than the coefficients are at most 10, and by the CENSUS_PRIME
- * argument its coefficients lie below 45^10 < 3.4e16 < 2^55 in absolute
- * value.
+ * when its canon is an exact ASCII str, its tags the empty tuple, its
+ * charpoly an exact tuple and its ints exact ints within int64; it hands
+ * any other record to its own to_line.  An untagged census record always
+ * takes the first path: its ints other than the coefficients are at most
+ * 10, and by the CENSUS_PRIME argument its coefficients lie below
+ * 45^10 < 3.4e16 < 2^55 in absolute value.
  *
- * parse_store accepts only the strict form that to_line writes: ASCII;
- * canonical decimal ints, "0" or an optional '-' and 1..STORE_DIGITS digits
- * with no leading zero (so |x| < 10^18 < 2^63); a canon of graph6 bytes
- * 63..126 whose size byte is n + 63 and whose length is
- * 1 + (n(n-1)/2 + 5) / 6, for a census order 0 <= n <= MAXN_CENSUS; 7
- * invariant fields whose tags are nonempty runs of printable bytes other
- * than ',' and ';'; exactly n + 1 coefficients, the last 1; and '\n', or the
- * end of the data, ending the line.  These are from_line's O(1) checks on a
- * stricter lexical form, so a line accepted here is one from_line parses,
- * to an equal record.  Every other line (blank, CRLF-ended, "+5", " 5",
+ * parse_store accepts only the strict form that to_line writes for an
+ * untagged record: ASCII; canonical decimal ints, "0" or an optional '-'
+ * and 1..STORE_DIGITS digits with no leading zero (so |x| < 10^18 < 2^63);
+ * a canon of graph6 bytes 63..126 whose size byte is n + 63 and whose
+ * length is 1 + (n(n-1)/2 + 5) / 6, for a census order
+ * 0 <= n <= MAXN_CENSUS; 7 invariant fields, the last, the tags, empty;
+ * exactly n + 1 coefficients, the last 1; and '\n', or the end of the data,
+ * ending the line.  These are from_line's O(1) checks on a stricter lexical
+ * form, so a line accepted here is one from_line parses, to an equal
+ * record.  Every other line (tagged, blank, CRLF-ended, "+5", " 5",
  * non-ASCII, an int of 19 digits, of order above 10, or malformed) is
  * handed back as its raw bytes, newline included, for from_line to parse
  * or reject. */
@@ -1375,32 +1378,33 @@ put_ascii(strbuf *b, PyObject *obj)
                    (size_t)PyUnicode_GET_LENGTH(obj)) < 0 ? -1 : 1;
 }
 
-/* Append the exact-typed items of an exact tuple joined by sep, each by
- * put (put_int or put_ascii): 1 done, 0 if obj or an item is of another
- * type, -1 on error. */
+/* Append the items of an exact tuple, each by put_int, joined by ',':
+ * 1 done, 0 if obj or an item is of another form, -1 on error. */
 static int
-put_joined(strbuf *b, PyObject *obj, char sep,
-           int (*put)(strbuf *, PyObject *))
+put_ints(strbuf *b, PyObject *obj)
 {
     if (!PyTuple_CheckExact(obj))
         return 0;
     for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(obj); k++) {
         int rc;
-        if (k && buf_put(b, &sep, 1) < 0)
+        if (k && buf_put(b, ",", 1) < 0)
             return -1;
-        if ((rc = put(b, PyTuple_GET_ITEM(obj, k))) <= 0)
+        if ((rc = put_int(b, PyTuple_GET_ITEM(obj, k))) <= 0)
             return rc;
     }
     return 1;
 }
 
 /* Append the store line of rec, the fields of a record, without its
- * newline: 1 done, 0 if a field is not of a form handled here, -1 on
- * error. */
+ * newline: 1 done, 0 if its tags are not the empty tuple or a field is not
+ * of a form handled here, -1 on error. */
 static int
 put_record(strbuf *b, PyObject *rec)
 {
+    PyObject *tags = PyTuple_GET_ITEM(rec, 8);
     int rc;
+    if (!PyTuple_CheckExact(tags) || PyTuple_GET_SIZE(tags) != 0)
+        return 0;
     if ((rc = put_ascii(b, PyTuple_GET_ITEM(rec, 0))) <= 0)
         return rc;
     for (int i = 1; i <= 6; i++) {
@@ -1409,13 +1413,9 @@ put_record(strbuf *b, PyObject *rec)
         if ((rc = put_int(b, PyTuple_GET_ITEM(rec, i))) <= 0)
             return rc;
     }
-    if (buf_put(b, ",", 1) < 0)
+    if (buf_put(b, ",\t", 2) < 0)
         return -1;
-    if ((rc = put_joined(b, PyTuple_GET_ITEM(rec, 8), ';', put_ascii)) <= 0)
-        return rc;
-    if (buf_put(b, "\t", 1) < 0)
-        return -1;
-    return put_joined(b, PyTuple_GET_ITEM(rec, 7), ',', put_int);
+    return put_ints(b, PyTuple_GET_ITEM(rec, 7));
 }
 
 static PyObject *
@@ -1464,8 +1464,8 @@ done:
 
 /* The fields of a line in the strict form. */
 typedef struct {
-    const char *canon, *tags;
-    Py_ssize_t canon_len, tags_len, ntags;
+    const char *canon;
+    Py_ssize_t canon_len;
     long long inv[6], coeffs[MAXN_CENSUS + 1];
 } store_line;
 
@@ -1523,19 +1523,8 @@ scan_line(const char *s, const char *end, store_line *out)
             return 0;
     out->canon = s;
     out->canon_len = tab - s;
-    out->tags = q;
-    out->ntags = 0;
-    for (; q < end && *q != '\t'; q++) {
-        if (*q == ';' ? q == out->tags || q[-1] == ';'
-                      : *q <= ' ' || *q > '~' || *q == ',')
-            return 0;
-        out->ntags += *q == ';';
-    }
-    if (q == end || (q > out->tags && q[-1] == ';'))
+    if (q == end || *q++ != '\t')  /* a tag field other than the empty one */
         return 0;
-    out->tags_len = q - out->tags;
-    out->ntags += out->tags_len > 0;
-    q++;
     for (int k = 0; k <= n; k++) {
         if (k && (q == end || *q++ != ','))
             return 0;
@@ -1554,33 +1543,20 @@ ascii_str(const char *s, Py_ssize_t len)
     return str;
 }
 
-/* Whether obj is an exact tuple of exact str. */
-static int
-is_str_tuple(PyObject *obj)
-{
-    if (!PyTuple_CheckExact(obj))
-        return 0;
-    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(obj); k++)
-        if (!PyUnicode_CheckExact(PyTuple_GET_ITEM(obj, k)))
-            return 0;
-    return 1;
-}
-
-/* A new instance of the tuple subclass type holding a census record: the
- * canon, the six ints inv (n first), the tuple of the n + 1 coefficients
- * cp and tags, a reference it steals (NULL from a failed build, which it
- * passes on). */
+/* A new instance of the tuple subclass type holding an untagged census
+ * record: the canon, the six ints inv (n first), the tuple of the n + 1
+ * coefficients cp and the empty tuple of tags. */
 static PyObject *
 new_record(PyTypeObject *type, const char *canon, Py_ssize_t canon_len,
-           const long long *inv, const long long *cp, PyObject *tags)
+           const long long *inv, const long long *cp)
 {
     int n = (int)inv[0];
-    PyObject *rec = NULL, *coeffs, *v;
-    if (tags == NULL || (rec = type->tp_alloc(type, STORE_FIELDS)) == NULL) {
-        Py_XDECREF(tags);
+    PyObject *rec, *coeffs, *v;
+    if ((rec = type->tp_alloc(type, STORE_FIELDS)) == NULL)
         return NULL;
-    }
-    PyTuple_SET_ITEM(rec, 8, tags);
+    if ((v = PyTuple_New(0)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(rec, 8, v);
     if ((v = ascii_str(canon, canon_len)) == NULL)
         goto fail;
     PyTuple_SET_ITEM(rec, 0, v);
@@ -1597,40 +1573,18 @@ new_record(PyTypeObject *type, const char *canon, Py_ssize_t canon_len,
             goto fail;
         PyTuple_SET_ITEM(coeffs, k, v);
     }
-    /* A record whose tags are a tuple of str holds only str, int and tuples
-     * of them, so it is in no reference cycle; untracked, the collector
-     * never traverses the records of a census (CPython untracks such exact
-     * tuples itself, but only once they survive a collection, and never a
-     * tuple subclass).  A type with a __dict__ could hold more, so its
-     * records stay tracked, as do records with other tags. */
+    /* The record holds only str, int and tuples of them, so it is in no
+     * reference cycle; untracked, the collector never traverses the records
+     * of a census (CPython untracks such exact tuples itself, but only once
+     * they survive a collection, and never a tuple subclass).  A type with
+     * a __dict__ could hold more, so its records stay tracked. */
     PyObject_GC_UnTrack(coeffs);
-    if (is_str_tuple(tags)) {
-        PyObject_GC_UnTrack(tags);
-        if (type->tp_dictoffset == 0)
-            PyObject_GC_UnTrack(rec);
-    }
+    if (type->tp_dictoffset == 0)
+        PyObject_GC_UnTrack(rec);
     return rec;
 fail:
     Py_DECREF(rec);
     return NULL;
-}
-
-/* The tuple of the tags of L. */
-static PyObject *
-line_tags(const store_line *L)
-{
-    PyObject *tags = PyTuple_New(L->ntags), *v;
-    const char *t = L->tags, *end = L->tags + L->tags_len;
-    for (Py_ssize_t k = 0; tags != NULL && k < L->ntags; k++) {
-        const char *semi = memchr(t, ';', (size_t)(end - t));
-        const char *stop = semi ? semi : end;
-        if ((v = ascii_str(t, stop - t)) == NULL)
-            Py_CLEAR(tags);
-        else
-            PyTuple_SET_ITEM(tags, k, v);
-        t = stop + 1;
-    }
-    return tags;
 }
 
 static PyObject *
@@ -1662,8 +1616,7 @@ k_parse_store(PyObject *self, PyObject *args)
         PyObject *item;
         if (scan_line(s, stop, &line))
             item = new_record((PyTypeObject *)type, line.canon,
-                              line.canon_len, line.inv, line.coeffs,
-                              line_tags(&line));
+                              line.canon_len, line.inv, line.coeffs);
         else {
             PyObject *index = PyLong_FromSsize_t(i);
             int rc = index == NULL ? -1 : PyList_Append(handed, index);
@@ -1688,15 +1641,15 @@ done:
  *
  * census_records builds a chunk of census records in one call: for each
  * bit form, in order, a record_type instance (canon, n, diam, |V1|, m(-1),
- * m(-2), m(0), charpoly, tags), its canon encoded by graph6_encode, its
- * invariants from census_invariants and its tags looked up in the caller's
- * dict with the caller's own int as the key, () when absent.  Records are
- * built by the codec's new_record, as parse_store builds them. */
+ * m(-2), m(0), charpoly, ()), its canon encoded by graph6_encode and its
+ * invariants from census_invariants.  Every record is untagged; the census
+ * tags its family graphs itself.  Records are built by the codec's
+ * new_record, as parse_store builds them. */
 
 /* The census record of the bit form bits of a connected graph on n
  * vertices, 1 <= n <= MAXN_CENSUS, as a new instance of type. */
 static PyObject *
-census_record(PyTypeObject *type, int n, PyObject *bits, PyObject *tags)
+census_record(PyTypeObject *type, int n, PyObject *bits)
 {
     uint64_t adj[MAXN_CENSUS], form;
     int dist[MAXN_CENSUS][MAXN_CENSUS], ecc[MAXN_CENSUS];
@@ -1708,21 +1661,15 @@ census_record(PyTypeObject *type, int n, PyObject *bits, PyObject *tags)
     if (census_metrics(n, adj, "census_records", dist, ecc) < 0)
         return NULL;
     census_invariants(n, dist, ecc, inv, cp);
-    PyObject *rec_tags = PyDict_GetItemWithError(tags, bits);
-    if (rec_tags != NULL)
-        Py_INCREF(rec_tags);
-    else if (!PyErr_Occurred())
-        rec_tags = PyTuple_New(0);
-    return new_record(type, canon, graph6_encode(n, form, canon), inv, cp,
-                      rec_tags);
+    return new_record(type, canon, graph6_encode(n, form, canon), inv, cp);
 }
 
 static PyObject *
 k_census_records(PyObject *self, PyObject *args)
 {
-    PyObject *forms, *tags, *type, *items, *out;
+    PyObject *forms, *type, *items, *out;
     int n;
-    if (!PyArg_ParseTuple(args, "iOOO", &n, &forms, &tags, &type))
+    if (!PyArg_ParseTuple(args, "iOO", &n, &forms, &type))
         return NULL;
     if (!PyType_Check(type)
             || !PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type)) {
@@ -1730,18 +1677,16 @@ k_census_records(PyObject *self, PyObject *args)
                         "census_records needs a tuple subclass as record type");
         return NULL;
     }
-    if (!PyDict_Check(tags)) {
-        PyErr_SetString(PyExc_TypeError, "census_records needs a dict of tags");
-        return NULL;
-    }
-    /* a tuple, so a tag lookup that runs Python code cannot move an item */
+    /* a tuple: forms may be any iterable, and Python code that runs while
+     * records are built (a finalizer the collector calls on an allocation)
+     * cannot move an item */
     if (check_order(n, MAXN_CENSUS, "census_records") < 0
             || (items = PySequence_Tuple(forms)) == NULL)
         return NULL;
     out = PyList_New(PyTuple_GET_SIZE(items));
     for (Py_ssize_t i = 0; out != NULL && i < PyTuple_GET_SIZE(items); i++) {
         PyObject *rec = census_record((PyTypeObject *)type, n,
-                                      PyTuple_GET_ITEM(items, i), tags);
+                                      PyTuple_GET_ITEM(items, i));
         if (rec == NULL)
             Py_CLEAR(out);
         else
@@ -1769,12 +1714,12 @@ static PyMethodDef kernel_methods[] = {
      "vertex n attached to a nonempty subset of 0..n-1.  Only subsets that\n"
      "take each twin class of the parent as a prefix are tried."},
     {"census_records", k_census_records, METH_VARARGS,
-     "census_records(n, forms, tags, record_type)\n--\n\n"
+     "census_records(n, forms, record_type)\n--\n\n"
      "One record_type instance per bit form of a connected graph on n\n"
      "vertices, in order: (graph6 canon, n, diam, |V1|, m(-1), m(-2), m(0),\n"
-     "charpoly coeffs ascending, tags.get(form, ())); each m(c) is the root\n"
-     "multiplicity of c in the charpoly.  record_type must be a tuple\n"
-     "subclass and tags a dict."},
+     "charpoly coeffs ascending, ()); each m(c) is the root multiplicity\n"
+     "of c in the charpoly, and no record has family tags.  record_type\n"
+     "must be a tuple subclass."},
     {"census_structure", k_census_structure, METH_VARARGS,
      "census_structure(g6, coeffs)\n--\n\n"
      "(twin predictions, star shape, inertia at -1, at 0) of the connected\n"
@@ -1795,16 +1740,16 @@ static PyMethodDef kernel_methods[] = {
     {"format_store", k_format_store, METH_VARARGS,
      "format_store(records, record_type)\n--\n\n"
      "Census store text of the records, each line ended by a newline, as\n"
-     "ASCII bytes: the bytes of ''.join(r.to_line() + '\\n').  A record of\n"
-     "exactly record_type with exact int, str and tuple fields within\n"
-     "int64 is formatted here, any other by its to_line."},
+     "ASCII bytes: the bytes of ''.join(r.to_line() + '\\n').  An untagged\n"
+     "record of exactly record_type with exact int, str and tuple fields\n"
+     "within int64 is formatted here, any other by its to_line."},
     {"parse_store", k_parse_store, METH_VARARGS,
      "parse_store(data, record_type)\n--\n\n"
      "(items, handed_back) for a block of census store bytes: items has one\n"
      "entry per '\\n'-ended line (the last may lack it); a line in the\n"
-     "strict form to_line writes becomes a record_type instance, any other\n"
-     "stays its raw bytes, and handed_back lists the indices of those, in\n"
-     "order, for CensusRecord.from_line."},
+     "strict form to_line writes for an untagged record becomes a\n"
+     "record_type instance, any other stays its raw bytes, and handed_back\n"
+     "lists the indices of those, in order, for CensusRecord.from_line."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -37,10 +37,11 @@ those, and ``eccentricity`` shares ``twin_predictions``.  The store codec,
 ``format_store`` and ``parse_store``, is ``CensusRecord.to_line`` and
 ``from_line`` themselves: the writer joins each record's ``to_line()`` and
 the parser hands every line back, so that ``census`` parses it with
-``from_line``; the compiled codec does the same for lines outside its
-strict form, and formats and parses the rest in C.  Every graph kernel
-checks its order range, and its rows, bit form or graph6 string, with the
-compiled one's limits and messages, and works on adjacency *bitsets*: a
+``from_line``; the compiled codec does the same for tagged records and for
+lines outside its strict form, tagged lines included, and formats and
+parses the untagged rest in C.  Every graph kernel checks its order range,
+and its rows, bit form or graph6 string, with the compiled one's limits
+and messages, and works on adjacency *bitsets*: a
 graph on n vertices is a sequence ``adj`` of n ints where bit j of
 ``adj[i]`` is set iff ij is an edge.  The census kernels take the packed
 lower triangle or the graph6 string instead, which no asymmetric graph
@@ -443,10 +444,11 @@ def _census_metrics(what, n, bits):
     return adj, dist, [max(row) for row in dist]
 
 
-def census_records(n, forms, tags, record_type):
+def census_records(n, forms, record_type):
     """One ``record_type`` instance per bit form of a connected graph on n
     vertices, in order: (graph6 canon, n, diam, |V1|, m(-1), m(-2), m(0),
-    charpoly coeffs ascending, ``tags.get(form, ())``).
+    charpoly coeffs ascending, ()); no record has family tags, which
+    ``census`` adds to its family graphs itself.
 
     The charpoly cp of the largest-distance matrix E is Berkowitz's, over Z
     (the compiled kernel reduces E to Hessenberg form modulo one prime
@@ -454,13 +456,11 @@ def census_records(n, forms, tags, record_type):
     symmetric E - cI.  Each record is built as ``tuple.__new__`` builds it,
     so a ``record_type`` whose own constructor differs gets the same record
     as from the compiled kernel.  Raises TypeError unless ``record_type`` is
-    a tuple subclass and ``tags`` a dict, ValueError on an order outside
-    1..10, and what ``_census_metrics`` raises on a form.
+    a tuple subclass, ValueError on an order outside 1..10, and what
+    ``_census_metrics`` raises on a form.
     """
     if not (isinstance(record_type, type) and issubclass(record_type, tuple)):
         raise TypeError("census_records needs a tuple subclass as record type")
-    if not isinstance(tags, dict):
-        raise TypeError("census_records needs a dict of tags")
     _check_order("census_records", n, _MAXN_CENSUS)
     out = []
     for bits in forms:
@@ -469,7 +469,7 @@ def census_records(n, forms, tags, record_type):
         out.append(tuple.__new__(record_type, (
             bits_to_graph6(n, bits), n, max(ecc), ecc.count(1),
             *(root_multiplicity(cp, c) for c in (-1, -2, 0)), cp.coeffs,
-            tags.get(bits, ()))))
+            ())))
     return out
 
 

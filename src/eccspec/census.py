@@ -9,8 +9,11 @@ backtracking, never hash-probabilistic -- because the verification counts
 are exact claims.  Each level is held as canonical bit forms (packed lower
 triangles), which the kernels take as is.  Records are built a chunk at a
 time: one ``kernels.census_records`` call turns a chunk of the sorted level
-into its ``CensusRecord`` instances, graph6 canon, invariants, charpoly and
-family tags included, on either backend, with no per-graph Python step.
+into its ``CensusRecord`` instances, graph6 canon, invariants and charpoly
+included, on either backend, with no per-graph Python step.  The kernels
+build every record untagged; ``_classify_chunk`` finds the family graphs of
+``family_tag_map``, at most 14 per order, in the sorted chunk by bisection
+and gives their records their family tags.
 
 Isomorph rejection is canonical deletion (B. D. McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998): ``kernels.children_canon``
@@ -65,15 +68,18 @@ canonical graph6, TAB, CSV of invariants, TAB, the exact ascending
 characteristic-polynomial coefficients.  ``CensusRecord.to_line`` and
 ``from_line`` define a line; ``write_store`` and ``read_store`` move records
 in bounded batches through ``kernels.format_store`` and
-``kernels.parse_store``, which hand every line outside the strict form
-``to_line`` writes back to ``from_line``.  Records stream from enumeration
-into the store, and a store is replaced only by a complete one: a partial
-store would read back as a valid but smaller census.
+``kernels.parse_store``.  The compiled pair formats untagged records and
+parses untagged lines of the strict form ``to_line`` writes; it hands every
+other record to ``to_line`` and every other line, a family graph's
+included, to ``from_line``.  Records stream from enumeration into the
+store, and a store is replaced only by a complete one: a partial store
+would read back as a valid but smaller census.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from contextlib import suppress
 from errno import EACCES
 from itertools import islice
@@ -259,8 +265,15 @@ class CensusRecord(NamedTuple):
 
 
 def _classify_chunk(args):
+    """The records of a chunk of sorted bit forms, each family graph's with
+    its tags from the tag map: the kernels build every record untagged."""
     n, tag_map, bits_list = args
-    return kernels.census_records(n, bits_list, tag_map, CensusRecord)
+    records = kernels.census_records(n, bits_list, CensusRecord)
+    for bits, tags in tag_map.items():
+        i = bisect_left(bits_list, bits)
+        if i < len(bits_list) and bits_list[i] == bits:
+            records[i] = records[i]._replace(family_tags=tags)
+    return records
 
 
 def family_tag_map(n):
@@ -318,8 +331,8 @@ def _unwritable(path, exc):
 def write_store(records, path):
     """Write the records as a census store, one ``to_line()`` each.  Batches
     of ``STORE_BATCH`` records are formatted by ``kernels.format_store``:
-    the compiled writer formats a census record itself and hands any record
-    it does not handle to its ``to_line``.
+    the compiled writer formats an untagged census record itself and hands
+    any other record, a family graph's included, to its ``to_line``.
 
     The store is complete or untouched.  Before the first record is drawn,
     a path that exists but is not a regular file, or is not writable, is
@@ -375,9 +388,10 @@ def read_store(path):
     """Records of a census store; a malformed line raises ValueError naming
     the path and its 1-based line number.  Blocks of about ``STORE_BLOCK``
     bytes, cut after a newline, go to ``kernels.parse_store``.  The compiled
-    parser accepts only the strict form ``to_line`` writes: ASCII, ``\\n``
-    line ends, canonical decimal ints, census orders n <= 10, and
-    ``from_line``'s O(1) checks.  It hands every other line back, and
+    parser accepts only the strict form ``to_line`` writes for an untagged
+    record: ASCII, ``\\n`` line ends, canonical decimal ints, census orders
+    n <= 10, an empty tag field, and ``from_line``'s O(1) checks.  It hands
+    every other line back, a family graph's included, and
     ``from_line`` parses it; blank lines are skipped.  So records and errors
     are ``from_line``'s on either backend."""
     records = []

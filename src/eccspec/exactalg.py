@@ -310,12 +310,12 @@ def _charpoly_primes(n, R):
     return tuple(_primes[:k])
 
 
-def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
+def charpoly(m: IntMatrix) -> IntPolynomial:
     """det(xI - M), monic of degree n, exact for any square integer matrix,
     symmetric or not, from its residues modulo several primes.
 
-    ``radius`` is R = ``_max_row_sum(m)``, for a caller that has it
-    already; else it is computed once per call.  R fixes the prime count
+    R = ``_max_row_sum(m)`` is computed once per call (``_charpoly`` takes
+    it from a caller that holds it already).  R fixes the prime count
     and whether the rows are reduced first: R < 2^63 keeps every entry in
     int64, the kernel's words; otherwise the rows are reduced modulo each
     prime in Python ints, one kernel call per prime.  The kernel backend's
@@ -330,9 +330,14 @@ def charpoly(m: IntMatrix, radius=None) -> IntPolynomial:
     (-P/2, P/2), where a residue class mod P has exactly one member, so the
     symmetric CRT lift of its residues is the coefficient.
     """
+    return _charpoly(m, _max_row_sum(m))
+
+
+def _charpoly(m, radius):
+    """``charpoly(m)`` for radius = ``_max_row_sum(m)``, which the caller
+    vouches for: a smaller one can take too few primes and lift a wrong
+    polynomial."""
     from . import kernels  # at call time: the pure backend imports this module
-    if radius is None:
-        radius = _max_row_sum(m)
     primes = _charpoly_primes(m.n, radius)
     if radius >> 63:
         residues = [kernels.charpoly_mod(
@@ -484,7 +489,7 @@ class SymmetricSpectrum:
     @property
     def charpoly(self) -> IntPolynomial:
         if self._charpoly is None:
-            self._charpoly = charpoly(self.m, self.upper)
+            self._charpoly = _charpoly(self.m, self.upper)
         return self._charpoly
 
     def inertia(self, c) -> Inertia:

@@ -16,7 +16,8 @@ polynomials of int64 matrices modulo word-size primes only;
 the residues, whichever backend is active.  ``census_records`` builds a
 chunk of census records in one call: for each bit form, a record of the
 caller's tuple type with its graph6 canon, invariants, multiplicities read
-off its charpoly, and family tags from the caller's dict.
+off its charpoly, and no family tags; ``census`` tags its family graphs
+itself.
 ``census_structure`` takes a record's graph6 canon and charpoly and gives
 what the census-wide lemma checks compare the record with: from the graph,
 twin predictions and mixed-star shape; from the charpoly, its inertia
@@ -29,7 +30,8 @@ compiled ``twin_masks``; the pure one's docstring argues that each twin
 class is all adjacent or all non-adjacent.  ``format_store`` and
 ``parse_store`` are the census store codec; the pure pair is
 ``CensusRecord.to_line`` and ``from_line``, which the compiled pair falls
-back on for every line outside its strict form.
+back on for every tagged record and every line outside its strict form,
+which has an empty tag field.
 """
 
 import os

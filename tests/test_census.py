@@ -18,6 +18,7 @@ from eccspec.graphs import (
     Graph,
     complete,
     cycle,
+    graph6_bits,
     graph6_decode,
     is_connected,
     join_clique_with,
@@ -234,6 +235,17 @@ class TestClassify:
         assert by_tag["K6v3K1"].mult_minus1 == 5
         assert by_tag["K6vK2uK1"].mult_minus1 == 5
 
+    def test_family_tags_exactly_at_the_family_graphs(self, codec):
+        """On each backend the kernels build every record untagged and
+        ``classify`` tags the family graphs: at orders 1..8, and 9 on the
+        compiled backend, the records with tags are those of the bit forms
+        in ``family_tag_map(n)``, each with the map's tags."""
+        top = 9 if codec.BACKEND == "compiled" else 8
+        for n in range(1, top + 1):
+            tagged = {graph6_bits(rec.canon)[1]: rec.family_tags
+                      for rec in census.classify(n) if rec.family_tags != ()}
+            assert tagged == census.family_tag_map(n), n
+
     def test_enumeration_count_is_checked_against_a001349(self,
                                                          monkeypatch):
         monkeypatch.setattr(census, "connected_count", count_off_at_five)
@@ -394,11 +406,11 @@ class TestStoreReplacement:
         records = census.kernels.census_records
         calls = []
 
-        def interrupted(n, forms, tags, record_type):
+        def interrupted(n, forms, record_type):
             calls.append(len(forms))
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return records(n, forms, tags, record_type)
+            return records(n, forms, record_type)
 
         monkeypatch.setattr(census, "STORE_BATCH", 20)
         monkeypatch.setattr(census.kernels, "census_records", interrupted)
@@ -545,6 +557,21 @@ class TestStoreCodec:
         ]).encode("ascii"))
         assert census.read_store(path) == \
             [CensusRecord.from_line(K4_LINE)] * 4
+
+    def test_tagged_records_round_trip(self, codec, census_records,
+                                       tmp_path):
+        """Records with one family tag or several, among untagged ones:
+        the writer gives the bytes of ``to_line`` and ``read_store`` the
+        records written, on each backend."""
+        records = [rec._replace(family_tags=("A", "B", "C")[:i % 3 + 1])
+                   if i % 5 == 0 else rec
+                   for i, rec in enumerate(census_records(6))]
+        assert any(rec.family_tags == ("K6",) for rec in records)
+        path = tmp_path / "tagged.tsv"
+        census.write_store(records, path)
+        assert path.read_bytes() == "".join(
+            rec.to_line() + "\n" for rec in records).encode("ascii")
+        assert census.read_store(path) == records
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_line_fails_with_from_lines_error(self, codec, line,

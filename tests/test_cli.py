@@ -366,11 +366,11 @@ class TestCensusAndQuery:
         records = kernels.census_records
         calls = []
 
-        def interrupted(n, forms, tags, record_type):
+        def interrupted(n, forms, record_type):
             calls.append(len(forms))
             if len(calls) == 5:
                 raise KeyboardInterrupt
-            return records(n, forms, tags, record_type)
+            return records(n, forms, record_type)
 
         monkeypatch.setattr(census, "STORE_BATCH", 100)
         monkeypatch.setattr(kernels, "census_records", interrupted)
@@ -512,7 +512,7 @@ class TestCensusAndQuery:
                                                            monkeypatch):
         from eccspec import kernels
 
-        def broken(n, forms, tags, record_type):
+        def broken(n, forms, record_type):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(kernels, "census_records", broken)

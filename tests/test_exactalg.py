@@ -120,6 +120,19 @@ class TestCharpoly:
             for cp in (berkowitz_charpoly(m), charpoly(m)):
                 assert rank == m.n - root_multiplicity(cp, 0)
 
+    def test_large_entries_take_their_own_bound(self):
+        """A matrix with entries near 10^6: ``charpoly`` takes its bound
+        from the matrix, with no keyword for a caller's, and agrees with
+        Berkowitz and with ``SymmetricSpectrum``, which passes its own."""
+        m = IntMatrix([[10 ** 6, 3, 0], [3, -10 ** 6, 7],
+                       [0, 7, 10 ** 6 + 1]])
+        want = [1_000_001_000_058_000_009, -1_000_000_000_058, -1_000_001, 1]
+        assert berkowitz_charpoly(m).ascending_list() == want
+        assert charpoly(m).ascending_list() == want
+        assert SymmetricSpectrum(m).charpoly.ascending_list() == want
+        with pytest.raises(TypeError):
+            charpoly(m, radius=0)
+
 
 class TestInertia:
     def test_p4_at_zero(self):

@@ -80,15 +80,15 @@ def packed(g):
 
 def bit_form_call(mod, name, n, form):
     """The bit-form kernel ``name`` of ``mod`` on one form: census_records
-    on a one-form chunk with no tags."""
+    on a one-form chunk."""
     if name == "census_records":
-        return mod.census_records(n, [form], {}, CensusRecord)
+        return mod.census_records(n, [form], CensusRecord)
     return getattr(mod, name)(n, form)
 
 
 def stats(mod, g):
     """(diam, |V1|, m(-1), m(-2), m(0), charpoly) of g's census record."""
-    return mod.census_records(g.n, [packed(g)], {}, CensusRecord)[0][2:8]
+    return mod.census_records(g.n, [packed(g)], CensusRecord)[0][2:8]
 
 
 def census_sample(max_n=6):
@@ -120,36 +120,30 @@ class TestBackendParity:
                 pure.canon_bits(g.n, g.adj)
 
     def test_census_records_agree_on_census(self):
-        """Every connected graph to order 7, one call per order, with tags
-        for every third form: the same records, each with its graph6 canon,
-        its tags where the dict has them and () elsewhere."""
+        """Every connected graph to order 7, one call per order: the same
+        records, each with its graph6 canon and no tags."""
         from eccspec import census
         for n in range(1, 8):
             forms = census._level_bits(n)
-            tags = {bits: (f"t{i}",) for i, bits in enumerate(forms[::3])}
-            got = compiled.census_records(n, forms, tags, CensusRecord)
-            assert got == pure.census_records(n, forms, tags, CensusRecord)
+            got = compiled.census_records(n, forms, CensusRecord)
+            assert got == pure.census_records(n, forms, CensusRecord)
             assert [type(r) for r in got] == [CensusRecord] * len(forms)
             assert [r.canon for r in got] == \
                 [bits_to_graph6(n, bits) for bits in forms]
-            assert [r.family_tags for r in got] == \
-                [tags.get(bits, ()) for bits in forms]
+            assert [r.family_tags for r in got] == [()] * len(forms)
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_census_records_agree_on_random_connected(self, n):
-        """A seeded sample of connected graphs, not in canonical form, with
-        a tags dict that hits some forms and misses others."""
+        """A seeded sample of connected graphs, not in canonical form."""
         rng = random.Random(89 + n)
         forms = []
         while len(forms) < 150:
             g = random_graph(rng, n, rng.uniform(0.15, 0.9))
             if is_connected(g):
                 forms.append(packed(g))
-        tags = {forms[0]: ("A", "B"), forms[7]: ("C",), -1: ("missed",)}
-        got = compiled.census_records(n, forms, tags, CensusRecord)
-        assert got == pure.census_records(n, forms, tags, CensusRecord)
-        assert [r.family_tags for r in got[:8]] == \
-            [("A", "B")] + [()] * 6 + [("C",)]
+        got = compiled.census_records(n, forms, CensusRecord)
+        assert got == pure.census_records(n, forms, CensusRecord)
+        assert [r.family_tags for r in got[:8]] == [()] * 8
 
     @pytest.mark.parametrize("record_type", [
         list, dict, "CensusRecord", None, CensusRecord(*range(9))],
@@ -157,17 +151,9 @@ class TestBackendParity:
     def test_census_records_reject_a_record_type_alike(self, record_type):
         for mod in (compiled, pure):
             with pytest.raises(TypeError) as exc:
-                mod.census_records(4, [63], {}, record_type)
+                mod.census_records(4, [63], record_type)
             assert str(exc.value) == \
                 "census_records needs a tuple subclass as record type"
-
-    @pytest.mark.parametrize("tags", [None, [], ((63, ("K4",)),)],
-                             ids=["None", "list", "pairs"])
-    def test_census_records_reject_tags_alike(self, tags):
-        for mod in (compiled, pure):
-            with pytest.raises(TypeError) as exc:
-                mod.census_records(4, [63], tags, CensusRecord)
-            assert str(exc.value) == "census_records needs a dict of tags"
 
     def test_census_records_take_any_tuple_subclass(self):
         """A record type is built as tuple.__new__ builds it: no
@@ -180,29 +166,26 @@ class TestBackendParity:
                 raise AssertionError("constructor called")
 
         forms = census._level_bits(3)
-        tags = {forms[-1]: ("K3",)}
         for mod in (compiled, pure):
-            got = mod.census_records(3, iter(forms), tags, Plain)
+            got = mod.census_records(3, iter(forms), Plain)
             assert [type(r) for r in got] == [Plain] * len(forms)
             assert list(map(tuple, got)) == list(map(tuple, (
-                mod.census_records(3, forms, tags, CensusRecord))))
+                mod.census_records(3, forms, CensusRecord))))
 
     def test_compiled_records_are_untracked(self):
         """A compiled record of a type without a __dict__, and its charpoly,
-        are untracked by the collector, whatever tuple of str its tags
-        are; a type with a __dict__ keeps its records tracked."""
+        are untracked by the collector; a type with a __dict__ keeps its
+        records tracked."""
         from eccspec import census
-        tags = census.family_tag_map(5)
         forms = census._level_bits(5)
-        assert set(tags) <= set(forms)
-        for rec in compiled.census_records(5, forms, tags, CensusRecord):
+        for rec in compiled.census_records(5, forms, CensusRecord):
             assert not gc.is_tracked(rec)
             assert not gc.is_tracked(rec.charpoly)
 
         class WithDict(tuple):
             pass
 
-        rec, = compiled.census_records(3, [census._level_bits(3)[0]], {},
+        rec, = compiled.census_records(3, [census._level_bits(3)[0]],
                                        WithDict)
         assert gc.is_tracked(rec)
 
@@ -303,7 +286,7 @@ class TestBackendParity:
                 ([good, 1 << 6], ValueError, "bit form out of range for n=4")):
             for mod in (compiled, pure):
                 with pytest.raises(exc) as info:
-                    mod.census_records(4, forms, {}, CensusRecord)
+                    mod.census_records(4, forms, CensusRecord)
                 assert str(info.value) == message
 
     def test_census_structure_agrees_on_census(self, census_records):
@@ -553,13 +536,15 @@ class TestChildrenCanonOracle:
     def test_each_graph_comes_from_one_parent(self, mod, top):
         """Over a whole level, the parents' lists together hold every
         connected graph of the next order exactly once: A001349 forms, none
-        twice."""
-        from eccspec import census
+        twice.  The levels are built from K1 by the backend under test
+        alone, so a fault in the other backend cannot fail this one."""
+        level = [0]
         for n in range(2, top + 1):
-            forms = [form for bits in census._level_bits(n - 1)
+            forms = [form for bits in level
                      for form in mod.children_canon(n - 1, bits)]
             assert len(set(forms)) == len(forms), n
             assert len(forms) == A001349[n], n
+            level = forms
 
 
 def signature_colors(n, adj):
@@ -700,8 +685,12 @@ class TestCensusInertia:
         assert messages[0] == messages[1]
 
 
-K4_LINE = "C~\t4,1,4,3,0,0,K4\t-3,-8,-6,0,1"
-K4 = CensusRecord("C~", 4, 1, 4, 3, 0, 0, (-3, -8, -6, 0, 1), ("K4",))
+#: the store line of K4 without its family tag, in the strict form, and its
+#: record
+K4_LINE = "C~\t4,1,4,3,0,0,\t-3,-8,-6,0,1"
+K4 = CensusRecord("C~", 4, 1, 4, 3, 0, 0, (-3, -8, -6, 0, 1), ())
+#: K4's line with its family tag, which the compiled parser hands back
+TAGGED_LINE = K4_LINE.replace(",\t", ",K4\t")
 #: characters that random edits of a store line insert or substitute
 EDIT_CHARS = "0123456789-+,;\t \r\n?@C~K\x7f\xe9"
 
@@ -718,11 +707,15 @@ class Shouted(CensusRecord):
 @functools.cache
 def store_lines():
     """Store lines of every connected graph of order <= 5 and of K1 at
-    order 0, as samples to mutate."""
+    order 0, as samples to mutate; a family graph's line comes also without
+    its tags, in the strict form, as most lines of a census are."""
     from eccspec import census
     lines = ["?\t0,0,0,0,0,0,\t1"]
     for n in range(1, 6):
-        lines += [rec.to_line() for rec in census.classify(n)]
+        for rec in census.classify(n):
+            lines.append(rec.to_line())
+            if rec.family_tags:
+                lines.append(rec._replace(family_tags=()).to_line())
     return lines
 
 
@@ -734,7 +727,9 @@ def store_bytes(records):
 class TestStoreCodec:
     """The census store codec: the compiled writer gives the bytes of
     ``to_line``, and the compiled parser gives ``from_line``'s record for
-    each line it accepts and hands every other line back as it came."""
+    each line it accepts and hands every other line back as it came.  The
+    strict form has an empty tag field: a family graph's line is handed
+    back, and its record goes to its to_line."""
 
     def test_census_orders_up_to_8(self, census_records):
         records = [rec for n in range(1, 9) for rec in census_records(n)]
@@ -742,8 +737,12 @@ class TestStoreCodec:
         for mod in (compiled, pure):
             assert mod.format_store(records, CensusRecord) == data
         items, handed = compiled.parse_store(data, CensusRecord)
-        assert handed == [] and items == records
-        assert all(type(rec) is CensusRecord for rec in items)
+        tagged = [i for i, rec in enumerate(records) if rec.family_tags]
+        assert tagged and handed == tagged
+        assert items == [rec.to_line().encode() + b"\n"
+                         if rec.family_tags else rec for rec in records]
+        assert all(type(items[i]) is CensusRecord
+                   for i in range(len(items)) if i not in tagged)
         # they hold no reference cycle, and the collector skips them
         assert not any(map(gc.is_tracked, items))
         lines, handed = pure.parse_store(data, CensusRecord)
@@ -757,11 +756,14 @@ class TestStoreCodec:
         K4._replace(charpoly=[-3, -8, -6, 0, 1]),
         K4._replace(family_tags=["K4"]),
         K4._replace(family_tags=()),
+        K4._replace(family_tags=("K4",)),
+        K4._replace(family_tags=("A", "B")),
         K4._replace(canon=""),
         Shouted(*K4),
         ("not", "a", "record"),
     ], ids=["int64-bounds", "beyond-int64", "bool", "list-charpoly",
-            "list-tags", "no-tags", "empty-canon", "subclass", "plain-tuple"])
+            "list-tags", "no-tags", "tag", "two-tags", "empty-canon",
+            "subclass", "plain-tuple"])
     def test_writer_matches_to_line_or_its_error(self, rec):
         """A record the compiled writer does not format itself goes to its
         own to_line, and an object without one fails alike."""
@@ -791,17 +793,19 @@ class TestStoreCodec:
         K4_LINE.replace("-8", "-08"),
         K4_LINE.replace(",0,1", ",-0,1"),
         K4_LINE.replace("-3,", f"{-10 ** 18},"),
-        K4_LINE.replace("K4", ";K4"),
-        K4_LINE.replace("K4", "K 4"),
+        TAGGED_LINE.replace("K4", ";K4"),
+        TAGGED_LINE.replace("K4", "K 4"),
         K4_LINE.replace("C~", "C\x7f"),
         K4_LINE + "\t",
         K4_LINE + ",",
-        K4_LINE.replace("K4", "K\xe9"),
+        TAGGED_LINE.replace("K4", "K\xe9"),
         "I" + "?" * 9 + "\t10,1,0,0,0,0,\t" + "0," * 10 + "1",
+        TAGGED_LINE,
+        TAGGED_LINE.replace("K4", "A;B"),
     ], ids=["empty", "spaces", "cr", "tab", "crlf", "plus", "spaced-int",
             "leading-zero", "minus-zero", "19-digits", "empty-tag",
             "spaced-tag", "canon-del", "trailing-tab", "trailing-comma",
-            "non-ascii", "canon-length"])
+            "non-ascii", "canon-length", "tagged", "two-tags"])
     def test_parser_hands_back_lines_outside_the_strict_form(self, line):
         raw = (line + "\n").encode("latin-1")
         data = (K4_LINE + "\n").encode() + raw + K4_LINE.encode()
@@ -1109,7 +1113,7 @@ class TestKernelVsLibrary:
 
     def test_stats_reject_oversize(self):
         with pytest.raises(ValueError):
-            compiled.census_records(11, [0], {}, CensusRecord)
+            compiled.census_records(11, [0], CensusRecord)
 
     def test_canon_rejects_oversize(self):
         with pytest.raises(ValueError):
